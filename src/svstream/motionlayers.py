@@ -11,8 +11,9 @@ of the final labeling and forward-warp label association across frame pairs
 complete the streaming driver.
 """
 
+import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -20,11 +21,13 @@ from scipy import ndimage
 from .affine import AffineModel, apply_point_matrix, invert_point_map
 from .graphcut import alpha_expansion, labeling_energy
 from .imageops import bilinear_sample, luma_f64, round_half_up
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed, splitmix64_block
 
 log = logging.getLogger(__name__)
 
 DIVERGENCE_KAPPA = 64.0
+DIVERGENCE_MODES = ("penalized", "literal")
+_SCORE_BLOCK = 1 << 16      # hypotheses x pixels scored at once by RANSAC
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,13 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
     """Fit u = a1+a2 x+a3 y, v = a4+a5 x+a6 y to the flow at the given pixels.
 
     Samples 3-pixel exact solutions from a seeded splitmix64 stream, keeps the
-    largest inlier set (residual norm <= inlier_tol), and refits it by least
-    squares.  Regions smaller than min_pixels get the translation-only model
-    (mean flow); if every sample is collinear the whole region is fit directly.
+    largest inlier set (residual norm <= inlier_tol; ties go to the earlier
+    sample), and refits it by least squares.  Regions smaller than min_pixels
+    get the translation-only model (mean flow); if every sample is collinear
+    the whole region is fit directly.  The stream is drawn as one block
+    (rng.splitmix64_block), one batched solve gives every sample's model, and
+    samples are scored in (samples x pixels) blocks of at most _SCORE_BLOCK
+    elements, bit-identical to drawing and scoring them one at a time.
     """
     pixels = np.asarray(pixels)
     if len(pixels) == 0:
@@ -93,39 +100,45 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
     if n < params.min_pixels:
         return AffineModel(a1=float(us.mean()), a4=float(vs.mean()))
 
-    rng = SplitMix64(seed)
-    best_count = -1
-    best_inliers = None
-    tol2 = params.inlier_tol ** 2
-    for _ in range(params.iterations):
-        i = rng.next_below(n)
-        j = rng.next_below(n)
-        while j == i:
-            j = rng.next_below(n)
-        k = rng.next_below(n)
-        while k == i or k == j:
-            k = rng.next_below(n)
-        # twice the signed triangle area; zero means collinear
-        area = ((xs[j] - xs[i]) * (ys[k] - ys[i])
-                - (xs[k] - xs[i]) * (ys[j] - ys[i]))
-        if area == 0.0:
-            continue
-        design = np.array([[1.0, xs[i], ys[i]],
-                           [1.0, xs[j], ys[j]],
-                           [1.0, xs[k], ys[k]]])
-        rhs = np.array([[us[i], vs[i]], [us[j], vs[j]], [us[k], vs[k]]])
-        coef = np.linalg.solve(design, rhs)
-        mu = coef[0, 0] + coef[1, 0] * xs + coef[2, 0] * ys
-        mv = coef[0, 1] + coef[1, 1] * xs + coef[2, 1] * ys
-        resid2 = (mu - us) ** 2 + (mv - vs) ** 2
-        count = int(np.count_nonzero(resid2 <= tol2))
-        if count > best_count:
-            best_count = count
-            best_inliers = resid2 <= tol2
-    if best_inliers is None:
+    tri = _hypothesis_triples(n, params.iterations, seed)
+    i, j, k = tri.T
+    # twice the signed triangle area; zero means collinear
+    area = ((xs[j] - xs[i]) * (ys[k] - ys[i])
+            - (xs[k] - xs[i]) * (ys[j] - ys[i]))
+    tri = tri[area != 0.0]
+    if len(tri) == 0:
         return AffineModel.fit_lstsq(xs, ys, us, vs)
-    sel = best_inliers
+    coef = np.linalg.solve(np.stack([np.ones(tri.shape), xs[tri], ys[tri]], axis=-1),
+                           np.stack([us[tri], vs[tri]], axis=-1))[:, :, :, None]
+
+    def inliers(c):     # one row per sample, in the scalar operation order
+        mu = c[:, 0, 0] + c[:, 1, 0] * xs + c[:, 2, 0] * ys
+        mv = c[:, 0, 1] + c[:, 1, 1] * xs + c[:, 2, 1] * ys
+        return (mu - us) ** 2 + (mv - vs) ** 2 <= params.inlier_tol ** 2
+
+    rows = max(1, _SCORE_BLOCK // n)
+    counts = np.concatenate([np.count_nonzero(inliers(coef[s:s + rows]), axis=1)
+                             for s in range(0, len(coef), rows)])
+    sel = inliers(coef[[int(np.argmax(counts))]])[0]
     return AffineModel.fit_lstsq(xs[sel], ys[sel], us[sel], vs[sel])
+
+
+def _hypothesis_triples(n: int, iterations: int, seed: int) -> np.ndarray:
+    """Triples of distinct SplitMix64(seed).next_below(n) draws in stream
+    order, skipping a draw that repeats one of its triple's; 4 * iterations
+    draws at a time."""
+    size = 4 * iterations
+    stream = (d for start in itertools.count(0, size)
+              for d in (splitmix64_block(seed, start, size) % np.uint64(n)).tolist())
+    triples = []
+    for _ in range(iterations):
+        triple = []
+        while len(triple) < 3:
+            d = next(stream)
+            if d not in triple:
+                triple.append(d)
+        triples.append(triple)
+    return np.array(triples, dtype=np.int64)
 
 
 # ---------------------------------------------------------------- canonical
@@ -149,23 +162,8 @@ def warp_to_canonical(frame_gray: np.ndarray, region: MotionRegion,
     xs = region.pixels[:, 0].astype(np.float64)
     ys = region.pixels[:, 1].astype(np.float64)
     u, v = transform.uv(xs, ys)
-    dx = xs + u
-    dy = ys + v
-    x_lo, x_hi = float(dx.min()), float(dx.max())
-    y_lo, y_hi = float(dy.min()), float(dy.max())
-    # degenerate box axes get one pixel of extent; sub-pixel spans are floored
-    # the same way so thin regions warp consistently under nearby models.
-    # the widened span is centered on the box so that a frame-edge pixel lands
-    # mid-strip instead of exactly on the validity boundary
-    span_x = x_hi - x_lo
-    span_y = y_hi - y_lo
-    if span_x < 1.0:
-        x_lo = 0.5 * (x_lo + x_hi) - 0.5
-        span_x = 1.0
-    if span_y < 1.0:
-        y_lo = 0.5 * (y_lo + y_hi) - 0.5
-        span_y = 1.0
-
+    x_lo, span_x = _box_extent(xs + u)
+    y_lo, span_y = _box_extent(ys + v)
     cx, cy = np.meshgrid(np.arange(p, dtype=np.float64),
                          np.arange(q, dtype=np.float64))
     gx = x_lo + cx * (span_x / (p - 1))
@@ -186,6 +184,36 @@ def warp_to_canonical(frame_gray: np.ndarray, region: MotionRegion,
     return CanonicalPatch(p, q, values, valid)
 
 
+def _box_extent(d: np.ndarray):
+    """(start, span) of one box axis.  A span under one pixel, degenerate or
+    not, widens to one pixel centered on the box: thin regions then warp
+    consistently under nearby models, and a frame-edge pixel lands mid-strip
+    instead of exactly on the validity boundary."""
+    lo, hi = float(d.min()), float(d.max())
+    if hi - lo < 1.0:
+        return 0.5 * (lo + hi) - 0.5, 1.0
+    return lo, hi - lo
+
+
+def _check_mode(mode: str):
+    if mode not in DIVERGENCE_MODES:
+        raise ValueError(f"unknown divergence mode {mode!r}")
+
+
+def _patch_divergence(own, other, n_pixels: int, mode: str) -> float:
+    """Divergence between a region's canonical patch under its own model and
+    under another model (see directed_divergence); mode is already checked."""
+    joint = own.valid_mask & other.valid_mask
+    n_joint = int(np.count_nonzero(joint))
+    if n_joint == 0:
+        return float("inf")
+    diff = float(np.abs(own.values[joint] - other.values[joint]).sum())
+    if mode == "literal":
+        return diff / n_pixels
+    n_union = int(np.count_nonzero(own.valid_mask | other.valid_mask))
+    return diff / n_joint + DIVERGENCE_KAPPA * (1.0 - n_joint / n_union)
+
+
 def directed_divergence(region_i: MotionRegion, region_k: MotionRegion,
                         frame_gray: np.ndarray, p: int, q: int,
                         mode: str = "penalized") -> float:
@@ -196,21 +224,13 @@ def directed_divergence(region_i: MotionRegion, region_k: MotionRegion,
     pixels plus DIVERGENCE_KAPPA * (1 - joint/union), so identical models
     give exactly 0 and barely-overlapping warps are penalized.  mode
     "literal" instead divides the summed difference by region i's pixel
-    count.  No jointly valid pixel gives +inf.
+    count.  No jointly valid pixel gives +inf; other modes raise ValueError.
     """
-    patch_a = warp_to_canonical(frame_gray, region_i, region_i.model, p, q)
-    patch_b = warp_to_canonical(frame_gray, region_i, region_k.model, p, q)
-    joint = patch_a.valid_mask & patch_b.valid_mask
-    n_joint = int(np.count_nonzero(joint))
-    if n_joint == 0:
-        return float("inf")
-    diff = float(np.abs(patch_a.values[joint] - patch_b.values[joint]).sum())
-    if mode == "literal":
-        return diff / region_i.n
-    if mode != "penalized":
-        raise ValueError(f"unknown divergence mode {mode!r}")
-    n_union = int(np.count_nonzero(patch_a.valid_mask | patch_b.valid_mask))
-    return diff / n_joint + DIVERGENCE_KAPPA * (1.0 - n_joint / n_union)
+    _check_mode(mode)
+    return _patch_divergence(
+        warp_to_canonical(frame_gray, region_i, region_i.model, p, q),
+        warp_to_canonical(frame_gray, region_i, region_k.model, p, q),
+        region_i.n, mode)
 
 
 def region_distance(region_i: MotionRegion, region_k: MotionRegion,
@@ -228,9 +248,8 @@ def _label_adjacency(labels: np.ndarray):
     pairs = set()
     for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
         differ = a != b
-        lo = np.minimum(a[differ], b[differ])
-        hi = np.maximum(a[differ], b[differ])
-        pairs.update(zip(lo.tolist(), hi.tolist()))
+        pairs.update(zip(np.minimum(a, b)[differ].tolist(),
+                         np.maximum(a, b)[differ].tolist()))
     return pairs
 
 
@@ -240,84 +259,104 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
                mode: str = "penalized") -> list:
     """First-fit merging: scan regions ascending by id, merge the first
     adjacent region within tau, refit the merged model, and rescan; sweeps
-    repeat until stable.  Returns the surviving regions, ascending by id."""
+    repeat until stable.  Returns the surviving regions, ascending by id.
+
+    Each region's canonical patch under its own model and each pair's
+    region_distance are memoized for the call; merging drop into keep
+    invalidates every entry that involves keep or drop.  A warp under a
+    neighbor's model serves only its pair's distance and is not kept.
+    """
+    _check_mode(mode)
     by_id = {r.id: r for r in regions}
     neigh = {r.id: set() for r in regions}
     for a, b in adjacency:
         if a in neigh and b in neigh and a != b:
             neigh[a].add(b)
             neigh[b].add(a)
+    own_patch, pair_dist = {}, {}
+
+    def directed(ri: MotionRegion, rk: MotionRegion) -> float:
+        if ri.id not in own_patch:
+            own_patch[ri.id] = warp_to_canonical(frame_gray, ri, ri.model, p, q)
+        return _patch_divergence(own_patch[ri.id],
+                                 warp_to_canonical(frame_gray, ri, rk.model, p, q),
+                                 ri.n, mode)
+
+    def first_within_tau(rid: int):
+        for other in sorted(neigh[rid]):
+            pair = (min(rid, other), max(rid, other))
+            if pair not in pair_dist:
+                pair_dist[pair] = max(directed(by_id[rid], by_id[other]),
+                                      directed(by_id[other], by_id[rid]))
+            if pair_dist[pair] <= tau:
+                return pair
+        return None
+
     merges = 0
     changed = True
     while changed:
         changed = False
         for rid in sorted(by_id):
-            if rid not in by_id:
-                continue
-            rescan = True
-            while rescan:
-                rescan = False
-                region = by_id[rid]
-                for other_id in sorted(neigh[rid]):
-                    other = by_id[other_id]
-                    dist = region_distance(region, other, frame_gray, p, q, mode)
-                    if dist <= tau:
-                        keep, drop = min(rid, other_id), max(rid, other_id)
-                        pixels = np.concatenate([by_id[keep].pixels,
-                                                 by_id[drop].pixels])
-                        model = fit_affine_ransac(
-                            pixels, flow, derive_seed(seed, 3, merges), ransac)
-                        merges += 1
-                        merged_neigh = (neigh[keep] | neigh[drop]) - {keep, drop}
-                        for nb in neigh[drop]:
-                            neigh[nb].discard(drop)
-                            if nb != keep:
-                                neigh[nb].add(keep)
-                        for nb in neigh[keep] - merged_neigh:
-                            neigh[nb].discard(keep)
-                        del by_id[drop], neigh[drop]
-                        by_id[keep] = MotionRegion(keep, pixels, model)
-                        neigh[keep] = merged_neigh
-                        rid = keep
-                        changed = True
-                        rescan = True
-                        break
+            while rid in by_id and (pair := first_within_tau(rid)) is not None:
+                keep, drop = pair
+                pixels = np.concatenate([by_id[keep].pixels, by_id.pop(drop).pixels])
+                by_id[keep] = MotionRegion(keep, pixels, fit_affine_ransac(
+                    pixels, flow, derive_seed(seed, 3, merges), ransac))
+                merges += 1
+                merged = (neigh[keep] | neigh.pop(drop)) - {keep, drop}
+                for nb in merged:
+                    neigh[nb].discard(drop)
+                    neigh[nb].add(keep)
+                neigh[keep] = merged
+                own_patch.pop(keep, None)
+                own_patch.pop(drop, None)
+                for stale in [pr for pr in pair_dist if keep in pr or drop in pr]:
+                    del pair_dist[stale]
+                rid = keep
+                changed = True
     return [by_id[rid] for rid in sorted(by_id)]
+
+
+def _components(labels: np.ndarray):
+    """4-connected components of every label value: (ids (H, W), count), ids
+    ordered by label value, then by scipy's scan order within one value."""
+    comp = np.full(labels.shape, -1, dtype=np.int64)
+    count = 0
+    for lab in np.unique(labels):
+        cc, num = ndimage.label(labels == lab)
+        inside = cc > 0
+        comp[inside] = cc[inside] + (count - 1)
+        count += num
+    return comp, count
+
+
+def _relabel_first_occurrence(comp: np.ndarray) -> np.ndarray:
+    """Renumber ids 0, 1, ... by first occurrence in row-major scan order."""
+    _, first, inv = np.unique(comp.ravel(), return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
+    return rank[inv].reshape(comp.shape).astype(np.int64)
 
 
 def _regions_from_labels(labels: np.ndarray, flow: np.ndarray, seed: int,
                          ransac: RansacParams):
-    """Connected components of the labeling, each with a fitted model.
-
-    Component ids follow first occurrence in row-major scan order.
-    """
-    h, w = labels.shape
-    comp = np.full((h, w), -1, dtype=np.int64)
-    next_id = 0
-    for lab in np.unique(labels):
-        cc, num = ndimage.label(labels == lab)
-        for c in range(1, num + 1):
-            comp[cc == c] = next_id
-            next_id += 1
-    # renumber by first occurrence so ids are scan-order deterministic
-    flat = comp.ravel()
-    _, first, inv = np.unique(flat, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-    comp = rank[inv].reshape(h, w).astype(np.int64)
+    """Connected components of the labeling, each with a fitted model; ids
+    follow first occurrence in row-major scan order."""
+    comp = _relabel_first_occurrence(_components(labels)[0])
     regions = []
     for rid in range(comp.max() + 1):
         ys, xs = np.nonzero(comp == rid)
         pixels = np.column_stack([xs, ys]).astype(np.int64)
         model = fit_affine_ransac(pixels, flow, derive_seed(seed, 1, rid), ransac)
         regions.append(MotionRegion(int(rid), pixels, model))
-    return comp, regions
+    return regions
 
 
-def _labels_of(regions: list, shape) -> np.ndarray:
-    out = np.full(shape, -1, dtype=np.int64)
+def _level(regions: list, shape):
+    """(label map, {id: model}) of a list of regions tiling the frame."""
+    labels = np.full(shape, -1, dtype=np.int64)
     for r in regions:
-        out[r.pixels[:, 1], r.pixels[:, 0]] = r.id
-    return out
+        labels[r.pixels[:, 1], r.pixels[:, 0]] = r.id
+    return labels, {r.id: r.model for r in regions}
 
 
 def clean_small_components(labels: np.ndarray, min_region: int,
@@ -333,50 +372,34 @@ def clean_small_components(labels: np.ndarray, min_region: int,
     before any model is fitted.  Smallest component first; ids follow
     first occurrence in row-major scan order.
     """
-    h, w = labels.shape
-    comp = np.full((h, w), -1, dtype=np.int64)
-    next_id = 0
-    for lab in np.unique(labels):
-        cc, num = ndimage.label(labels == lab)
-        for c in range(1, num + 1):
-            comp[cc == c] = next_id
-            next_id += 1
+    if affinity is None:
+        affinity = np.zeros(labels.shape, dtype=np.int64)   # every neighbor agrees
+    aff_neighbors = _neighbors4(affinity, -1)
+    comp, next_id = _components(labels)
     while True:
         sizes = np.bincount(comp.ravel(), minlength=next_id)
         live = np.nonzero(sizes)[0]
         small = live[sizes[live] < min_region]
         if small.size == 0 or live.size == 1:
             break
-        order = np.argsort(sizes[small], kind="stable")
-        tgt = int(small[order[0]])
+        tgt = int(small[np.argsort(sizes[small], kind="stable")[0]])
         mask = comp == tgt
-        border = np.zeros(next_id, dtype=np.int64)
-        border_aff = np.zeros(next_id, dtype=np.int64)
-        for axis, side in ((0, 1), (0, -1), (1, 1), (1, -1)):
-            nb = np.roll(comp, side, axis=axis)
-            if axis == 0:
-                nb[0 if side == 1 else -1, :] = tgt
-            else:
-                nb[:, 0 if side == 1 else -1] = tgt
-            touched = nb[mask]
-            outside = touched != tgt
-            border += np.bincount(touched[outside], minlength=next_id)
-            if affinity is not None:
-                aff_nb = np.roll(affinity, side, axis=axis)
-                if axis == 0:
-                    aff_nb[0 if side == 1 else -1, :] = -1
-                else:
-                    aff_nb[:, 0 if side == 1 else -1] = -1
-                same = outside & (aff_nb[mask] == affinity[mask])
-                border_aff += np.bincount(touched[same], minlength=next_id)
-        if not border.any():
+        touched = np.concatenate([nb[mask] for nb in _neighbors4(comp, tgt)])
+        agree = np.concatenate([nb[mask] == affinity[mask] for nb in aff_neighbors])
+        outside = touched != tgt
+        if not outside.any():
             break
-        best = int(np.argmax(border_aff)) if border_aff.any() else int(np.argmax(border))
-        comp[mask] = best
-    flat = comp.ravel()
-    _, first, inv = np.unique(flat, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-    return rank[inv].reshape(h, w).astype(np.int64)
+        border = np.bincount(touched[outside & agree], minlength=next_id)
+        if not border.any():
+            border = np.bincount(touched[outside], minlength=next_id)
+        comp[mask] = int(np.argmax(border))
+    return _relabel_first_occurrence(comp)
+
+
+def _neighbors4(a: np.ndarray, fill) -> list:
+    """The up, down, left and right neighbor of every pixel; `fill` off the grid."""
+    pad = np.pad(a, 1, constant_values=fill)
+    return [pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]]
 
 
 def motion_hierarchy(init_labels: np.ndarray, frame: np.ndarray,
@@ -385,32 +408,26 @@ def motion_hierarchy(init_labels: np.ndarray, frame: np.ndarray,
                      mode: str = "penalized") -> MotionHierarchy:
     """Level 0 = connected components of init_labels with RANSAC models;
     level l+1 = merge_pass of level l at tau = schedule[l]."""
+    _check_mode(mode)
     schedule = list(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("tau schedule must be strictly increasing")
     frame_gray = luma_f64(frame) if frame.ndim == 3 else frame.astype(np.float64)
-    comp, regions = _regions_from_labels(init_labels, flow, seed, ransac)
-    levels = [(comp, {r.id: r.model for r in regions})]
+    regions = _regions_from_labels(init_labels, flow, seed, ransac)
+    levels = [_level(regions, init_labels.shape)]
     for li, tau in enumerate(schedule):
-        adjacency = _label_adjacency(_labels_of(regions, comp.shape))
-        regions = merge_pass(regions, adjacency, tau, frame_gray, flow, p, q,
-                             derive_seed(seed, 2, li), ransac, mode)
-        levels.append((_labels_of(regions, comp.shape),
-                       {r.id: r.model for r in regions}))
+        regions = merge_pass(regions, _label_adjacency(levels[-1][0]), tau,
+                             frame_gray, flow, p, q, derive_seed(seed, 2, li),
+                             ransac, mode)
+        levels.append(_level(regions, init_labels.shape))
     return MotionHierarchy(levels=levels, tau_schedule=schedule)
 
 
 # ---------------------------------------------------------------- MRF
 
-def mrf_smooth(labels: np.ndarray, models: dict, frame_pair, lam: float) -> np.ndarray:
-    """Potts smoothing of a motion labeling.
-
-    frame_pair is (previous, current) in time order; the data cost of label l
-    at pixel x is |current(x) - previous(x + uv_l(x))| on grayscale with
-    bilinear sampling, 255 where the sample leaves the frame.  lambda weights
-    the 4-neighbor boundary penalty.  Returns the relabeled frame; label ids
-    are preserved.
-    """
+def _residual_costs(labels: np.ndarray, models: dict, frame_pair):
+    """(model ids ascending, mrf_smooth's data cost of each id per pixel,
+    labels as indices into the ids)."""
     prev, cur = frame_pair
     prev_gray = luma_f64(prev) if prev.ndim == 3 else prev.astype(np.float64)
     cur_gray = luma_f64(cur) if cur.ndim == 3 else cur.astype(np.float64)
@@ -427,34 +444,29 @@ def mrf_smooth(labels: np.ndarray, models: dict, frame_pair, lam: float) -> np.n
         px = xs + u
         py = ys + v
         inside = (px >= 0) & (px <= w - 1) & (py >= 0) & (py <= h - 1)
-        warped = bilinear_sample(prev_gray, px, py)
-        costs[i] = np.where(inside, np.abs(cur_gray - warped), 255.0)
-    to_index = {lab: i for i, lab in enumerate(ids)}
-    init = np.vectorize(to_index.get, otypes=[np.int64])(labels)
+        costs[i] = np.where(inside, np.abs(cur_gray - bilinear_sample(prev_gray, px, py)),
+                            255.0)
+    return ids, costs, np.searchsorted(ids, labels)
+
+
+def mrf_smooth(labels: np.ndarray, models: dict, frame_pair, lam: float) -> np.ndarray:
+    """Potts smoothing of a motion labeling.
+
+    frame_pair is (previous, current) in time order; the data cost of label l
+    at pixel x is |current(x) - previous(x + uv_l(x))| on grayscale with
+    bilinear sampling, 255 where the sample leaves the frame.  lambda weights
+    the 4-neighbor boundary penalty.  Returns the relabeled frame; label ids
+    are preserved.
+    """
+    ids, costs, init = _residual_costs(labels, models, frame_pair)
     out = alpha_expansion(costs, lam, init)
-    back = np.array(ids, dtype=np.int64)
-    return back[out]
+    return np.array(ids, dtype=np.int64)[out]
 
 
 def motion_energy(labels: np.ndarray, models: dict, frame_pair, lam: float) -> float:
     """Energy of a labeling under mrf_smooth's objective (for assertions)."""
-    prev, cur = frame_pair
-    prev_gray = luma_f64(prev) if prev.ndim == 3 else prev.astype(np.float64)
-    cur_gray = luma_f64(cur) if cur.ndim == 3 else cur.astype(np.float64)
-    h, w = labels.shape
-    ids = sorted(models)
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    costs = np.empty((len(ids), h, w))
-    for i, lab in enumerate(ids):
-        u, v = models[lab].uv(xs, ys)
-        px = xs + u
-        py = ys + v
-        inside = (px >= 0) & (px <= w - 1) & (py >= 0) & (py <= h - 1)
-        costs[i] = np.where(inside, np.abs(cur_gray - bilinear_sample(prev_gray, px, py)), 255.0)
-    to_index = {lab: i for i, lab in enumerate(ids)}
-    idx = np.vectorize(to_index.get, otypes=[np.int64])(labels)
-    return labeling_energy(idx, costs, lam)
+    _, costs, index = _residual_costs(labels, models, frame_pair)
+    return labeling_energy(index, costs, lam)
 
 
 # ---------------------------------------------------------------- tracking
@@ -468,15 +480,14 @@ def _forward_rasterize(labels: np.ndarray, models: dict, shape) -> np.ndarray:
     h, w = shape
     sizes = {lab: int(np.count_nonzero(labels == lab)) for lab in models}
     for lab in sorted(models, key=lambda l: (sizes[l], l)):
-        mask = labels == lab
-        if not mask.any():
+        if sizes[lab] == 0:
             continue
         try:
             fwd = invert_point_map(models[lab])
         except ValueError:
             log.warning("label %d has a singular model; not warped", lab)
             continue
-        ys, xs = np.nonzero(mask)
+        ys, xs = np.nonzero(labels == lab)
         px, py = apply_point_matrix(fwd, xs.astype(np.float64), ys.astype(np.float64))
         ix = round_half_up(px).astype(np.int64)
         iy = round_half_up(py).astype(np.int64)
@@ -512,22 +523,14 @@ def associate_temporal(prev_labels: np.ndarray, cur_labels: np.ndarray,
             best = int(np.argmax(counts))   # ties: np.unique sorts, so lower label
             if counts[best] >= overlap_frac * area:
                 claims[cid] = (int(vals[best]), int(counts[best]))
-    winners = {}
-    for cid in sorted(claims):
-        prev_lab, count = claims[cid]
-        cur_best = winners.get(prev_lab)
-        if cur_best is None or count > cur_best[1]:
-            winners[prev_lab] = (cid, count)
-    mapping = {}
-    taken = {prev_lab: cid for prev_lab, (cid, _) in winners.items()}
+    winner = {}
+    for cid in sorted(claims, key=lambda c: (-claims[c][1], c)):
+        winner.setdefault(claims[cid][0], cid)
+    mapping = {cid: prev_lab for prev_lab, cid in winner.items()}
     for cid in cur_ids:
-        assigned = None
-        if cid in claims and taken.get(claims[cid][0]) == cid:
-            assigned = claims[cid][0]
-        if assigned is None:
-            assigned = next_fresh
+        if cid not in mapping:
+            mapping[cid] = next_fresh
             next_fresh += 1
-        mapping[cid] = assigned
     return mapping, next_fresh
 
 
@@ -554,9 +557,7 @@ def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
     if len(flows) != seq.shape[0] - 1:
         raise ValueError("need one flow field per consecutive frame pair")
     results = []
-    prev_tracked = None
-    prev_models = None
-    next_fresh = 0
+    prev_tracked = prev_models = None
     for t in range(1, seq.shape[0]):
         flow = np.asarray(flows[t - 1], dtype=np.float64)
         sv_slice = np.asarray(supervoxels.levels[level_pick][t]).astype(np.int64)
@@ -584,17 +585,15 @@ def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
             top_models = {lab: top_models[lab]
                           for lab in np.unique(top_labels).tolist()}
         if prev_tracked is None:
-            tracked = top_labels
-            tracked_models = dict(top_models)
-            next_fresh = max(tracked_models, default=-1) + 1
+            mapping = {lab: lab for lab in top_models}
+            next_fresh = max(top_models, default=-1) + 1
         else:
             mapping, next_fresh = associate_temporal(
                 prev_tracked, top_labels, prev_models, next_fresh)
-            lut_src = np.array(sorted(mapping), dtype=np.int64)
-            lut_dst = np.array([mapping[k] for k in sorted(mapping)], dtype=np.int64)
-            pos = np.searchsorted(lut_src, top_labels)
-            tracked = lut_dst[pos]
-            tracked_models = {mapping[k]: m for k, m in top_models.items()}
+        src = sorted(mapping)
+        tracked = np.array([mapping[k] for k in src],
+                           dtype=np.int64)[np.searchsorted(src, top_labels)]
+        tracked_models = {mapping[k]: m for k, m in top_models.items()}
         results.append(MotionPairResult(pair=t, hierarchy=hier,
                                         tracked_labels=tracked,
                                         tracked_models=tracked_models))

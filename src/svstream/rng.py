@@ -7,10 +7,15 @@ The generator is splitmix64: the state advances by the increment
     z ^= z >> 27;  z *= 0x94D049BB133111EB
     z ^= z >> 31
 
-All arithmetic is modulo 2**64.  Given the same seed the stream is identical
-on every platform, which keeps RANSAC sampling, label colorization, and
-texture synthesis bit-reproducible.
+All arithmetic is modulo 2**64.  The stream is counter-based: draw k
+(k = 1, 2, ...) of seed s is mix64(s + k * 0x9E3779B97F4A7C15), so any block
+of draws can be computed at once (splitmix64_block) without stepping through
+the ones before it.  Given the same seed the stream is identical on every
+platform, which keeps RANSAC sampling, label colorization, and texture
+synthesis bit-reproducible.
 """
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -54,3 +59,16 @@ def derive_seed(seed: int, *salt: int) -> int:
     for v in salt:
         s = mix64((s + _INCREMENT + (v & MASK64)) & MASK64)
     return s
+
+
+def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws start+1 .. start+count of SplitMix64(seed) as a uint64 array.
+
+    Equal to skipping `start` calls of next_u64 and taking the next `count`;
+    numpy's uint64 array arithmetic wraps modulo 2**64 like the scalar code.
+    """
+    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = np.uint64(seed & MASK64) + k * np.uint64(_INCREMENT)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))

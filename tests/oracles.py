@@ -1,11 +1,20 @@
-"""Brute-force reference implementations for the metric suite.
+"""Brute-force reference implementations.
 
-Everything here is written as plain loops over voxels with exact rational
-arithmetic, independent of the vectorized code under test.  Slow on purpose.
+The metric references are written as plain loops over voxels with exact
+rational arithmetic, independent of the vectorized code under test.  The
+motion references keep the one-hypothesis-at-a-time RANSAC loop and the
+merge pass that computes every pair distance afresh; the batched and
+memoized code in svstream.motionlayers must reproduce them bit for bit.
+Slow on purpose.
 """
 from fractions import Fraction
 
 import numpy as np
+
+from svstream.affine import AffineModel
+from svstream.motionlayers import (MotionRegion, RansacParams,
+                                   region_distance)
+from svstream.rng import SplitMix64, derive_seed
 
 
 def _luma_int(video):
@@ -148,3 +157,101 @@ def oracle_ue2d(pred, gt):
     gt = np.asarray(gt)
     per_frame = [_ue_flat(pred[t], gt[t]) for t in range(gt.shape[0])]
     return float(sum(per_frame) / len(per_frame))
+
+
+# ---------------------------------------------------------------- motion
+
+def oracle_fit_affine_ransac(pixels, flow, seed, params=RansacParams()):
+    """Sequential RANSAC: one splitmix64 draw and one hypothesis at a time."""
+    pixels = np.asarray(pixels)
+    if len(pixels) == 0:
+        raise ValueError("cannot fit a model to an empty region")
+    xs = pixels[:, 0].astype(np.float64)
+    ys = pixels[:, 1].astype(np.float64)
+    us = np.asarray(flow[pixels[:, 1], pixels[:, 0], 0], dtype=np.float64)
+    vs = np.asarray(flow[pixels[:, 1], pixels[:, 0], 1], dtype=np.float64)
+    n = len(pixels)
+    if n < params.min_pixels:
+        return AffineModel(a1=float(us.mean()), a4=float(vs.mean()))
+
+    rng = SplitMix64(seed)
+    best_count = -1
+    best_inliers = None
+    tol2 = params.inlier_tol ** 2
+    for _ in range(params.iterations):
+        i = rng.next_below(n)
+        j = rng.next_below(n)
+        while j == i:
+            j = rng.next_below(n)
+        k = rng.next_below(n)
+        while k == i or k == j:
+            k = rng.next_below(n)
+        # twice the signed triangle area; zero means collinear
+        area = ((xs[j] - xs[i]) * (ys[k] - ys[i])
+                - (xs[k] - xs[i]) * (ys[j] - ys[i]))
+        if area == 0.0:
+            continue
+        design = np.array([[1.0, xs[i], ys[i]],
+                           [1.0, xs[j], ys[j]],
+                           [1.0, xs[k], ys[k]]])
+        rhs = np.array([[us[i], vs[i]], [us[j], vs[j]], [us[k], vs[k]]])
+        coef = np.linalg.solve(design, rhs)
+        mu = coef[0, 0] + coef[1, 0] * xs + coef[2, 0] * ys
+        mv = coef[0, 1] + coef[1, 1] * xs + coef[2, 1] * ys
+        resid2 = (mu - us) ** 2 + (mv - vs) ** 2
+        count = int(np.count_nonzero(resid2 <= tol2))
+        if count > best_count:
+            best_count = count
+            best_inliers = resid2 <= tol2
+    if best_inliers is None:
+        return AffineModel.fit_lstsq(xs, ys, us, vs)
+    sel = best_inliers
+    return AffineModel.fit_lstsq(xs[sel], ys[sel], us[sel], vs[sel])
+
+
+def oracle_merge_pass(regions, adjacency, tau, frame_gray, flow, p, q, seed,
+                      ransac=RansacParams(), mode="penalized"):
+    """First-fit merging that calls region_distance for every pair it scans
+    and refits merged regions with oracle_fit_affine_ransac."""
+    by_id = {r.id: r for r in regions}
+    neigh = {r.id: set() for r in regions}
+    for a, b in adjacency:
+        if a in neigh and b in neigh and a != b:
+            neigh[a].add(b)
+            neigh[b].add(a)
+    merges = 0
+    changed = True
+    while changed:
+        changed = False
+        for rid in sorted(by_id):
+            if rid not in by_id:
+                continue
+            rescan = True
+            while rescan:
+                rescan = False
+                region = by_id[rid]
+                for other_id in sorted(neigh[rid]):
+                    other = by_id[other_id]
+                    dist = region_distance(region, other, frame_gray, p, q, mode)
+                    if dist <= tau:
+                        keep, drop = min(rid, other_id), max(rid, other_id)
+                        pixels = np.concatenate([by_id[keep].pixels,
+                                                 by_id[drop].pixels])
+                        model = oracle_fit_affine_ransac(
+                            pixels, flow, derive_seed(seed, 3, merges), ransac)
+                        merges += 1
+                        merged_neigh = (neigh[keep] | neigh[drop]) - {keep, drop}
+                        for nb in neigh[drop]:
+                            neigh[nb].discard(drop)
+                            if nb != keep:
+                                neigh[nb].add(keep)
+                        for nb in neigh[keep] - merged_neigh:
+                            neigh[nb].discard(keep)
+                        del by_id[drop], neigh[drop]
+                        by_id[keep] = MotionRegion(keep, pixels, model)
+                        neigh[keep] = merged_neigh
+                        rid = keep
+                        changed = True
+                        rescan = True
+                        break
+    return [by_id[rid] for rid in sorted(by_id)]
