@@ -18,9 +18,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ToolError
-from .mediaio import (colorize_labels, load_frame_sequence, read_label_volume,
-                      write_flo, write_frame_sequence, write_label_volume,
-                      write_pgm16, write_ppm)
+from .mediaio import (check_pgm16_labels, colorize_labels, load_frame_sequence,
+                      read_label_volume, write_flo, write_frame_sequence,
+                      write_label_volume, write_pgm16, write_ppm)
 from .metrics import evaluate, write_metrics_csv
 from .motionlayers import run_motion_stream
 from .optflow import FlowParams, external_flow_path, flow_for_sequence
@@ -225,6 +225,8 @@ def _cmd_segment(eff: dict, pool) -> int:
     seq, flows = _prepared_input(eff, pool)
     config = _stream_config(eff, eff["levels"])
     hierarchy = stream_segment(seq, flows, config)
+    for volume in hierarchy.levels:
+        check_pgm16_labels(volume)
     for level, volume in enumerate(hierarchy.levels):
         write_label_volume(volume, os.path.join(eff["out"], f"level_{level:02d}"))
         vis = colorize_labels(volume, derive_seed(eff["seed"], 7, level))

@@ -1,4 +1,5 @@
-"""Shared low-level image numerics: grayscale conversion and resampling."""
+"""Shared low-level image numerics: grayscale conversion, resampling and
+first-occurrence relabeling."""
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -62,3 +63,13 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     k /= k.sum()
     out = correlate1d(img, k, axis=0, mode="reflect")
     return correlate1d(out, k, axis=1, mode="reflect")
+
+
+def relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
+    """Renumber the values of a label array 0, 1, ... in the order in which
+    they first occur in a row-major (C-order) scan; returns int64 of the same
+    shape."""
+    labels = np.asarray(labels)
+    _, first, inv = np.unique(labels.ravel(), return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
+    return rank[inv].reshape(labels.shape).astype(np.int64)

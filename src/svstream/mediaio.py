@@ -109,14 +109,20 @@ def read_pgm16(path: str) -> np.ndarray:
     return np.frombuffer(body, dtype=dtype).reshape(h, w).astype(np.int32)
 
 
+def check_pgm16_labels(labels: np.ndarray) -> None:
+    """Raise DataError unless every label fits a 16-bit PGM (0..65535)."""
+    labels = np.asarray(labels)
+    if labels.min(initial=0) < 0:
+        raise DataError("negative label cannot be written to a PGM")
+    if labels.max(initial=0) > 65535:
+        raise DataError(f"label {int(labels.max())} exceeds the 16-bit PGM range")
+
+
 def write_pgm16(path: str, labels: np.ndarray) -> None:
     labels = np.asarray(labels)
     if labels.ndim != 2:
         raise ValueError("labels must be a 2D array")
-    if labels.min() < 0:
-        raise DataError("negative label cannot be written to a PGM")
-    if labels.max() > 65535:
-        raise DataError(f"label {int(labels.max())} exceeds the 16-bit PGM range")
+    check_pgm16_labels(labels)
     h, w = labels.shape
     with open(path, "wb") as f:
         f.write(b"P5\n%d %d\n65535\n" % (w, h))
@@ -234,10 +240,12 @@ def write_frame_sequence(seq: np.ndarray, directory: str, start: int = 0) -> lis
 # Label volumes
 
 def write_label_volume(volume: np.ndarray, directory: str, start: int = 0) -> list:
-    """Write one 16-bit PGM per frame, named by frame index; returns the paths."""
+    """Write one 16-bit PGM per frame, named by frame index; returns the paths.
+    A label out of the 16-bit range is reported before anything is written."""
     volume = np.asarray(volume)
     if volume.ndim != 3:
         raise ValueError("label volume must be (T, H, W)")
+    check_pgm16_labels(volume)
     os.makedirs(directory, exist_ok=True)
     paths = []
     for t, labels in enumerate(volume):
@@ -262,15 +270,6 @@ def read_label_volume(directory: str) -> np.ndarray:
     if len(shapes) > 1:
         raise FormatError(f"label frames in {directory!r} differ in size: {sorted(shapes)}")
     return np.stack(frames)
-
-
-def compact_labels(volume: np.ndarray) -> np.ndarray:
-    """Relabel to a dense [0, L_max] range ordered by first occurrence."""
-    volume = np.asarray(volume)
-    flat = volume.ravel()
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first))  # unique ids ranked by first occurrence
-    return order[inverse].reshape(volume.shape).astype(np.int32)
 
 
 def colorize_labels(volume: np.ndarray, seed: int) -> np.ndarray:

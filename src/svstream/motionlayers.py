@@ -20,7 +20,7 @@ from scipy import ndimage
 
 from .affine import AffineModel, apply_point_matrix, invert_point_map
 from .graphcut import alpha_expansion, labeling_energy
-from .imageops import bilinear_sample, luma_f64, round_half_up
+from .imageops import bilinear_sample, luma_f64, relabel_first_occurrence, round_half_up
 from .rng import derive_seed, splitmix64_block
 
 log = logging.getLogger(__name__)
@@ -330,18 +330,11 @@ def _components(labels: np.ndarray):
     return comp, count
 
 
-def _relabel_first_occurrence(comp: np.ndarray) -> np.ndarray:
-    """Renumber ids 0, 1, ... by first occurrence in row-major scan order."""
-    _, first, inv = np.unique(comp.ravel(), return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-    return rank[inv].reshape(comp.shape).astype(np.int64)
-
-
 def _regions_from_labels(labels: np.ndarray, flow: np.ndarray, seed: int,
                          ransac: RansacParams):
     """Connected components of the labeling, each with a fitted model; ids
     follow first occurrence in row-major scan order."""
-    comp = _relabel_first_occurrence(_components(labels)[0])
+    comp = relabel_first_occurrence(_components(labels)[0])
     regions = []
     for rid in range(comp.max() + 1):
         ys, xs = np.nonzero(comp == rid)
@@ -393,7 +386,7 @@ def clean_small_components(labels: np.ndarray, min_region: int,
         if not border.any():
             border = np.bincount(touched[outside], minlength=next_id)
         comp[mask] = int(np.argmax(border))
-    return _relabel_first_occurrence(comp)
+    return relabel_first_occurrence(comp)
 
 
 def _neighbors4(a: np.ndarray, fill) -> list:

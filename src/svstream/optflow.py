@@ -72,12 +72,12 @@ def _solve_level(cur: np.ndarray, prev: np.ndarray, u: np.ndarray, v: np.ndarray
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
                          np.arange(h, dtype=np.float64))
     alpha2 = params.alpha ** 2
+    gy_c, gx_c = np.gradient(cur)
     for _ in range(params.warp_steps):
         u0 = u.copy()
         v0 = v.copy()
         prev_w = bilinear_sample(prev, xs + u0, ys + v0)
-        gx_c, gy_c = np.gradient(cur)[1], np.gradient(cur)[0]
-        gx_p, gy_p = np.gradient(prev_w)[1], np.gradient(prev_w)[0]
+        gy_p, gx_p = np.gradient(prev_w)
         ix = 0.5 * (gx_c + gx_p)
         iy = 0.5 * (gy_c + gy_p)
         it = prev_w - cur

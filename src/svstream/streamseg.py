@@ -20,11 +20,11 @@ first frame.  Edges live in structured arrays of EDGE_DTYPE with fields
 (a, b, w); ties in the grouping sweep break by (w, min id, max id).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .imageops import round_half_up
+from .imageops import relabel_first_occurrence, round_half_up
 from .unionfind import Forest
 
 EDGE_DTYPE = np.dtype([("a", np.int64), ("b", np.int64), ("w", np.float64)])
@@ -57,21 +57,9 @@ class StreamConfig:
 
 
 @dataclass
-class RegionRecord:
-    id: int
-    size: int
-    color_hist: np.ndarray   # (3, color_bins), each row sums to 1
-    flow_hists: dict         # frame index -> (2, flow_bins), rows sum to 1
-    frames_present: frozenset
-
-
-@dataclass
 class SegmentationHierarchy:
-    levels: list          # LabelVolume per level, finest first
-    region_tables: list   # list of RegionRecord per level
-
-    def num_regions(self, level: int) -> int:
-        return len(self.region_tables[level])
+    """Label volumes only: one (T, H, W) int64 array per level, finest first."""
+    levels: list
 
 
 # ---------------------------------------------------------------- edges
@@ -251,32 +239,15 @@ def _chi2_rows(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum(d * d / (ha + hb + CHI2_EPS), axis=-1)
 
 
-def color_distance(a: RegionRecord, b: RegionRecord) -> float:
-    """Mean per-channel chi-squared distance of the color histograms."""
-    return float(np.mean(_chi2_rows(a.color_hist, b.color_hist), axis=-1))
-
-
-def flow_distance(a: RegionRecord, b: RegionRecord) -> float:
-    """Mean over common frames of the mean u/v histogram chi-squared distance.
-
-    No common frame means no motion evidence and distance 0.
-    """
-    common = sorted(set(a.flow_hists) & set(b.flow_hists))
-    if not common:
-        return 0.0
-    total = 0.0
-    for t in common:
-        cu = float(_chi2_rows(a.flow_hists[t][0], b.flow_hists[t][0]))
-        cv = float(_chi2_rows(a.flow_hists[t][1], b.flow_hists[t][1]))
-        total += (cu + cv) / 2.0
-    return total / len(common)
+def _fuse(d_c, d_f):
+    return (1.0 - (1.0 - d_c) * (1.0 - d_f)) ** 2
 
 
 def combine_distance(d_c: float, d_f: float) -> float:
     """Fuse color and flow distances: (1 - (1-d_c)(1-d_f))^2."""
     if not (0.0 <= d_c <= 1.0 and 0.0 <= d_f <= 1.0):
         raise ValueError("distances must be in [0, 1]")
-    return (1.0 - (1.0 - d_c) * (1.0 - d_f)) ** 2
+    return _fuse(d_c, d_f)
 
 
 # ---------------------------------------------------------------- features
@@ -323,39 +294,6 @@ class _NodeFeatures:
             self.flow.append((hists[0], hists[1], present))
 
 
-def extract_region_features(labels: np.ndarray, frames: np.ndarray, flows,
-                            config: StreamConfig) -> list:
-    """RegionRecords (ascending label) with window-relative frame indices."""
-    labels = np.asarray(labels)
-    if labels.shape != frames.shape[:3]:
-        raise ValueError("labels and frames disagree on dimensions")
-    t_len, h, w = labels.shape
-    if flows is not None and len(flows) not in (0, t_len - 1):
-        raise ValueError("need one flow field per consecutive frame pair")
-    region_labels, node_index = np.unique(labels.ravel(), return_inverse=True)
-    nn = len(region_labels)
-    if flows is not None and len(flows) == 0:
-        flows = None
-    feats = _NodeFeatures(node_index, nn, frames.reshape(-1, 3), flows,
-                          (t_len, h, w), config)
-    sizes = np.bincount(node_index, minlength=nn)
-    frames_of = [set() for _ in range(nn)]
-    per_frame = node_index.reshape(t_len, h * w)
-    for t in range(t_len):
-        for node in np.unique(per_frame[t]):
-            frames_of[node].add(t)
-    records = []
-    for i, lab in enumerate(region_labels):
-        fh = {}
-        for t, (uh, vh, present) in enumerate(feats.flow, start=1):
-            if present[i]:
-                fh[t] = np.stack([uh[i], vh[i]])
-        records.append(RegionRecord(id=int(lab), size=int(sizes[i]),
-                                    color_hist=feats.color[i], flow_hists=fh,
-                                    frames_present=frozenset(frames_of[i])))
-    return records
-
-
 # ---------------------------------------------------------------- hierarchy
 
 def _region_pairs(edges: np.ndarray, node_index: np.ndarray, num_nodes: int):
@@ -369,6 +307,42 @@ def _region_pairs(edges: np.ndarray, node_index: np.ndarray, num_nodes: int):
     pmax = np.maximum(na[differ], nb[differ]).astype(np.int64)
     keys = np.unique(pmin * num_nodes + pmax)
     return keys // num_nodes, keys % num_nodes
+
+
+def _pair_weights(feats: _NodeFeatures, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Weight of each region pair: color distance, fused with the flow distance
+    (mean over the frames both occupy; 0 if none) when the features have flow."""
+    dc = np.mean(_chi2_rows(feats.color[pa], feats.color[pb]), axis=-1)
+    if not feats.flow:
+        return dc
+    df = np.zeros(len(pa))
+    cnt = np.zeros(len(pa))
+    for uh, vh, present in feats.flow:
+        both = present[pa] & present[pb]
+        if not both.any():
+            continue
+        cu = _chi2_rows(uh[pa[both]], uh[pb[both]])
+        cv = _chi2_rows(vh[pa[both]], vh[pb[both]])
+        df[both] += (cu + cv) / 2.0
+        cnt[both] += 1.0
+    df = np.divide(df, cnt, out=np.zeros_like(df), where=cnt > 0)
+    return _fuse(dc, df)
+
+
+def _pre_union(forest: Forest, keys, sizes: dict, ints: dict) -> None:
+    """Union the items sharing a key (an emitted label; None for new items) into
+    one component marked with it, with its size and internal difference."""
+    groups = {}
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
+    for key, members in groups.items():
+        root = forest.find(members[0])
+        for m in members[1:]:
+            root = forest.union(root, forest.find(m))
+        forest.size[root] = sizes[key]
+        forest.internal[root] = ints[key]
+        forest.mark[root] = key
 
 
 def _group_level(prev_flat: np.ndarray, edges: np.ndarray, colors_u8: np.ndarray,
@@ -388,38 +362,16 @@ def _group_level(prev_flat: np.ndarray, edges: np.ndarray, colors_u8: np.ndarray
     feats = _NodeFeatures(node_index, nn, colors_u8, flows if config.use_flow_feature else None,
                           dims, config)
     pa, pb = _region_pairs(edges, node_index, nn)
-    dc = np.mean(_chi2_rows(feats.color[pa], feats.color[pb]), axis=-1)
-    if config.use_flow_feature and feats.flow:
-        df = np.zeros(len(pa))
-        cnt = np.zeros(len(pa))
-        for uh, vh, present in feats.flow:
-            both = present[pa] & present[pb]
-            if not both.any():
-                continue
-            cu = _chi2_rows(uh[pa[both]], uh[pb[both]])
-            cv = _chi2_rows(vh[pa[both]], vh[pb[both]])
-            df[both] += (cu + cv) / 2.0
-            cnt[both] += 1.0
-        df = np.divide(df, cnt, out=np.zeros_like(df), where=cnt > 0)
-        weights = (1.0 - (1.0 - dc) * (1.0 - df)) ** 2
-    else:
-        weights = dc
+    weights = _pair_weights(feats, pa, pb)
 
-    forest = Forest(nn, sizes=[size_of[int(lab)] for lab in node_labels])
-    if parent_of:
-        group = {}
-        for i, lab in enumerate(node_labels):
-            parent = parent_of.get(int(lab))
-            if parent is not None:
-                group.setdefault(parent, []).append(i)
-        for parent, members in group.items():
-            root = forest.find(members[0])
-            for m in members[1:]:
-                root = forest.union(root, forest.find(m))
-            forest.size[root] = p_size[parent] + sum(
-                delta_of.get(int(node_labels[m]), 0) for m in members)
-            forest.internal[root] = p_int[parent]
-            forest.mark[root] = parent
+    labs = node_labels.tolist()
+    forest = Forest(nn, sizes=[size_of[lab] for lab in labs])
+    keys = [parent_of.get(lab) for lab in labs]
+    sizes = {}
+    for lab, parent in zip(labs, keys):
+        if parent is not None:
+            sizes[parent] = sizes.get(parent, p_size[parent]) + delta_of.get(lab, 0)
+    _pre_union(forest, keys, sizes, p_int)
 
     la = node_labels[pa]
     lb = node_labels[pb]
@@ -464,20 +416,7 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
 
     forest = Forest(n)
     if old_labels is not None:
-        flat_old = old_labels[0].ravel()
-        order = np.argsort(flat_old, kind="stable")
-        sorted_lab = flat_old[order]
-        starts = np.flatnonzero(np.r_[True, sorted_lab[1:] != sorted_lab[:-1]])
-        bounds = np.r_[starts, len(sorted_lab)]
-        for g in range(len(starts)):
-            ids = order[bounds[g]:bounds[g + 1]]
-            root = forest.find(int(ids[0]))
-            for vid in ids[1:]:
-                root = forest.union(root, forest.find(int(vid)))
-            lab = int(sorted_lab[bounds[g]])
-            forest.size[root] = state.sizes[0][lab]
-            forest.internal[root] = state.ints[0][lab]
-            forest.mark[root] = lab
+        _pre_union(forest, old_labels[0].ravel().tolist(), state.sizes[0], state.ints[0])
     _fh_sweep(forest, ea, eb, ew, _edge_order(edges), config.k0, config.min_size)
     flat, counter, by_label = _labels_from_forest(
         forest, np.arange(n, dtype=np.int64), state.counters[0])
@@ -534,30 +473,23 @@ def build_hierarchy(level0: np.ndarray, frames: np.ndarray, flows,
     if level0.shape != frames.shape[:3]:
         raise ValueError("level0 and frames disagree on dimensions")
     t_len, h, w = level0.shape
-    labs, first, inv = np.unique(level0.ravel(), return_index=True,
-                                 return_inverse=True)
-    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
-    flat = rank[inv].astype(np.int64)
+    flat = relabel_first_occurrence(level0).ravel()
 
     colors_u8 = frames.reshape(-1, 3)
     edges = _window_edges(frames, flows, config)
-    counts = np.bincount(flat, minlength=len(labs))
+    counts = np.bincount(flat)
     sizes_now = {i: int(c) for i, c in enumerate(counts)}
     delta_now = dict(sizes_now)
-    counters = [int(len(labs))] + [0] * (config.levels - 1)
 
     levels_flat = [flat]
     for level in range(1, config.levels):
-        flat, counters[level], sizes_now, ints_now = _group_level(
+        flat, _, sizes_now, _ = _group_level(
             levels_flat[-1], edges, colors_u8, flows, (t_len, h, w), config,
             level, 0, sizes_now, delta_now, {}, {}, {})
         delta_now = dict(sizes_now)
         levels_flat.append(flat)
 
-    volumes = [lf.reshape(t_len, h, w) for lf in levels_flat]
-    tables = [extract_region_features(vol, frames, flows, config)
-              for vol in volumes]
-    return SegmentationHierarchy(levels=volumes, region_tables=tables)
+    return SegmentationHierarchy([lf.reshape(t_len, h, w) for lf in levels_flat])
 
 
 def stream_segment(seq: np.ndarray, flows,
@@ -593,5 +525,4 @@ def stream_segment(seq: np.ndarray, flows,
             alive = set(np.unique(out[l][s:end]).tolist())
             state.sizes[l] = {k: v for k, v in state.sizes[l].items() if k in alive}
             state.ints[l] = {k: v for k, v in state.ints[l].items() if k in alive}
-    tables = [extract_region_features(vol, seq, flows, config) for vol in out]
-    return SegmentationHierarchy(levels=out, region_tables=tables)
+    return SegmentationHierarchy(out)

@@ -9,15 +9,14 @@ unmarked component keeps the mark (the emitted label absorbs the new one).
 
 
 class Forest:
-    __slots__ = ("parent", "rank", "size", "internal", "mark", "num_sets")
+    __slots__ = ("parent", "rank", "size", "internal", "mark")
 
-    def __init__(self, num_nodes: int, sizes=None, internals=None, marks=None):
+    def __init__(self, num_nodes: int, sizes=None):
         self.parent = list(range(num_nodes))
         self.rank = [0] * num_nodes
         self.size = list(sizes) if sizes is not None else [1] * num_nodes
-        self.internal = list(internals) if internals is not None else [0.0] * num_nodes
-        self.mark = list(marks) if marks is not None else [-1] * num_nodes
-        self.num_sets = num_nodes
+        self.internal = [0.0] * num_nodes
+        self.mark = [-1] * num_nodes
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -40,5 +39,4 @@ class Forest:
             self.internal[a] = self.internal[b]
         if self.mark[b] >= 0:
             self.mark[a] = self.mark[b]
-        self.num_sets -= 1
         return a

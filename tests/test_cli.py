@@ -9,6 +9,7 @@ import pytest
 from svstream.cli import main
 from svstream.mediaio import read_flo, read_label_volume, write_label_volume
 from svstream.metrics import read_metrics_csv
+from svstream.streamseg import SegmentationHierarchy
 
 
 def _rot_line(cx, cy, deg, dx, dy) -> str:
@@ -162,6 +163,21 @@ def test_synth_segment_eval_round_trip(tmp_path, scene_dir):
     assert reports[0][1].br3d == 1.0
     counts = [rep.num_supervoxels for _, rep in reports]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def test_segment_label_overflow_writes_nothing(tmp_path, scene_dir, monkeypatch):
+    # level 1 overflows the 16-bit range: no level may be written, not even level 0
+    fine = np.zeros((4, 24, 24), dtype=np.int64)
+    coarse = fine.copy()
+    coarse[-1] = 65536
+    monkeypatch.setattr("svstream.cli.stream_segment",
+                        lambda seq, flows, config: SegmentationHierarchy([fine, coarse]))
+    out = tmp_path / "seg"
+    rc = main(["segment", "--input", _frames_pattern(scene_dir), "--out", str(out),
+               "--external-flow", os.path.join(str(scene_dir), "flow"),
+               "--bilateral", "off"])
+    assert rc == 2
+    assert not (out / "level_00").exists()
 
 
 def test_eval_accepts_single_volume_directory(tmp_path, scene_dir):

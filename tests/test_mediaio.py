@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from svstream.errors import DataError, FormatError
-from svstream.mediaio import (colorize_labels, compact_labels,
-                              find_frame_indices, load_frame_sequence,
+from svstream.mediaio import (colorize_labels, find_frame_indices, load_frame_sequence,
                               read_flo, read_label_volume, read_pgm16,
                               read_ppm, write_flo, write_frame_sequence,
                               write_label_volume, write_pgm16, write_ppm)
@@ -131,11 +130,13 @@ def test_label_volume_round_trip(tmp_path):
     assert np.array_equal(read_label_volume(d), vol)
 
 
-def test_compact_labels_first_occurrence():
-    vol = np.array([[[9, 4], [9, 7]]])
-    out = compact_labels(vol)
-    assert out.tolist() == [[[0, 1], [0, 2]]]
-    assert out.dtype == np.int32
+def test_label_volume_overflow_writes_nothing(tmp_path):
+    vol = np.zeros((3, 2, 2), dtype=np.int64)
+    vol[-1, 1, 1] = 65536
+    d = tmp_path / "lv"
+    with pytest.raises(DataError):
+        write_label_volume(vol, str(d))
+    assert not d.exists()
 
 
 def test_colorize_labels_distinct_and_deterministic():

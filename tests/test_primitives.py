@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from svstream.imageops import (bilinear_resize, bilinear_sample, gaussian_blur,
-                               luma_f64, luma_u8, round_half_up)
+                               luma_f64, luma_u8, relabel_first_occurrence,
+                               round_half_up)
 from svstream.rng import MASK64, SplitMix64, derive_seed, mix64
 from svstream.unionfind import Forest
 
@@ -100,6 +101,13 @@ def test_round_half_up_ties():
     vals = np.array([-1.5, -0.5, 0.0, 0.49999, 0.5, 1.5, 2.5])
     # ties go toward +inf, unlike numpy's bankers rounding
     assert round_half_up(vals).tolist() == [-1.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]
+
+
+def test_relabel_first_occurrence():
+    vol = np.array([[[9, 4], [9, 7]]])
+    out = relabel_first_occurrence(vol)
+    assert out.tolist() == [[[0, 1], [0, 2]]]
+    assert out.dtype == np.int64
 
 
 def test_luma_bt601():

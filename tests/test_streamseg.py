@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from svstream.affine import AffineModel
-from svstream.streamseg import (RegionRecord, SegmentationHierarchy, StreamConfig,
-                                build_hierarchy, build_spatial_edges,
+from svstream.streamseg import (SegmentationHierarchy, StreamConfig, _NodeFeatures,
+                                _pair_weights, build_hierarchy, build_spatial_edges,
                                 build_temporal_edges, chi2_distance,
-                                color_distance, combine_distance,
-                                extract_region_features, flow_distance,
-                                segment_level0, stream_segment)
+                                combine_distance, segment_level0, stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate
 
 
@@ -206,43 +204,36 @@ def test_region_features_hand_check():
         frames[:, i // 2, i % 2, :] = v
     flow = np.zeros((2, 2, 2))
     flow[..., 1] = 16.0
-    labels = np.zeros((2, 2, 2), dtype=np.int64)
     config = StreamConfig(color_bins=8, flow_bins=9, flow_range=16.0)
-    rec, = extract_region_features(labels, frames, [flow], config)
-    assert rec.id == 0 and rec.size == 8
-    assert rec.frames_present == frozenset({0, 1})
+    feats = _NodeFeatures(np.zeros(8, dtype=np.int64), 1, frames.reshape(-1, 3),
+                          [flow], (2, 2, 2), config)
     # value v lands in bin v*8 // 256: 10->0, 100->3, 200->6, 255->7
     want = np.zeros(8)
     want[[0, 3, 6, 7]] = 0.25
     for c in range(3):
-        assert np.allclose(rec.color_hist[c], want, atol=0.0)
-    assert set(rec.flow_hists) == {1}
-    uh, vh = rec.flow_hists[1]
+        assert np.allclose(feats.color[0, c], want, atol=0.0)
+    (uh, vh, present), = feats.flow      # one histogram set, for frame 1
+    assert present.tolist() == [True]
     wu = np.zeros(9)
     wu[4] = 1.0           # u = 0 is the center bin
     wv = np.zeros(9)
     wv[8] = 1.0           # v = +flow_range clips into the last bin
-    assert np.array_equal(uh, wu)
-    assert np.array_equal(vh, wv)
-
-
-def test_region_features_shape_mismatch():
-    with pytest.raises(ValueError):
-        extract_region_features(np.zeros((1, 2, 2), dtype=np.int64),
-                                np.zeros((1, 2, 3, 3), dtype=np.uint8), None,
-                                StreamConfig())
-    with pytest.raises(ValueError):
-        extract_region_features(np.zeros((2, 2, 2), dtype=np.int64),
-                                np.zeros((2, 2, 2, 3), dtype=np.uint8),
-                                [np.zeros((2, 2, 2))] * 3, StreamConfig())
+    assert np.array_equal(uh[0], wu)
+    assert np.array_equal(vh[0], wv)
 
 
 def test_flow_distance_without_common_frames():
-    hist = np.full((2, 9), 1.0 / 9)
-    a = RegionRecord(0, 4, np.full((3, 8), 0.125), {1: hist}, frozenset({0, 1}))
-    b = RegionRecord(1, 4, np.full((3, 8), 0.125), {2: hist}, frozenset({2}))
-    assert flow_distance(a, b) == 0.0
-    assert color_distance(a, b) == 0.0
+    # equal colors; region 0 fills frames 0-1 moving right, region 1 fills
+    # frame 2 moving left, so the two never share a flow frame
+    frames = np.full((3, 2, 2, 3), 90, dtype=np.uint8)
+    flows = [np.zeros((2, 2, 2)), np.zeros((2, 2, 2))]
+    flows[0][..., 0] = 16.0
+    flows[1][..., 0] = -16.0
+    node_index = np.repeat([0, 0, 1], 4)
+    feats = _NodeFeatures(node_index, 2, frames.reshape(-1, 3), flows, (3, 2, 2),
+                          StreamConfig())
+    weight, = _pair_weights(feats, np.array([0]), np.array([1]))
+    assert weight == 0.0    # the color distance; no motion evidence
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -270,7 +261,6 @@ def test_hierarchy_nesting_and_counts():
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     for fine, coarse in zip(hier.levels, hier.levels[1:]):
         _assert_nested(fine, coarse)
-    assert hier.num_regions(0) == counts[0]
 
 
 def test_stream_one_window_equals_whole_build():
@@ -305,18 +295,6 @@ def test_stream_labels_finalized_per_window():
     prefix = stream_segment(frames[:3], flows[:2], config)
     for lv_f, lv_p in zip(hier.levels, prefix.levels):
         assert np.array_equal(lv_f[:3], lv_p)
-
-
-def test_hierarchy_region_tables_match_levels():
-    frames, _, flows = _scene(7, t=3)
-    config = StreamConfig(subseq_len=3, levels=3, k0=0.5, min_size=4)
-    hier = stream_segment(frames, flows, config)
-    for vol, table in zip(hier.levels, hier.region_tables):
-        labs = np.unique(vol)
-        assert sorted(r.id for r in table) == labs.tolist()
-        by_id = {r.id: r for r in table}
-        for lab in labs:
-            assert by_id[int(lab)].size == int(np.count_nonzero(vol == lab))
 
 
 def test_video_shape_validation():
