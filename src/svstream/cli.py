@@ -246,6 +246,10 @@ def _cmd_motion(eff: dict, pool) -> int:
                                 p=p, q=q, mrf_lambda=eff["mrf-lambda"],
                                 use_mrf=eff["mrf"], seed=eff["seed"])
     for res in results:
+        for labels, _ in res.hierarchy.levels:
+            check_pgm16_labels(labels)
+        check_pgm16_labels(res.tracked_labels)
+    for res in results:
         pair_dir = os.path.join(eff["out"], f"pair_{res.pair:04d}")
         os.makedirs(pair_dir, exist_ok=True)
         lines = []

@@ -28,6 +28,8 @@ log = logging.getLogger(__name__)
 DIVERGENCE_KAPPA = 64.0
 DIVERGENCE_MODES = ("penalized", "literal")
 _SCORE_BLOCK = 1 << 16      # hypotheses x pixels scored at once by RANSAC
+MIN_REGION = 12             # smaller components of a pair's initial labeling are absorbed
+OVERLAP_FRAC = 0.3          # share of a region's area that must overlap to keep a label
 
 
 @dataclass(frozen=True)
@@ -492,13 +494,12 @@ def _forward_rasterize(labels: np.ndarray, models: dict, shape) -> np.ndarray:
 
 
 def associate_temporal(prev_labels: np.ndarray, cur_labels: np.ndarray,
-                       prev_models: dict, next_fresh: int,
-                       overlap_frac: float = 0.3):
+                       prev_models: dict, next_fresh: int):
     """Map current-pair region labels onto the previous pair's labels.
 
     Previous regions are forward-warped by their models; each current region
     adopts the previous label with maximal overlap if that overlap is at
-    least overlap_frac of the region's area.  The mapping is injective: a
+    least OVERLAP_FRAC of the region's area.  The mapping is injective: a
     previous label contested by several regions goes to the largest overlap
     (ties to the lower current label), everyone else gets fresh labels from
     next_fresh upward.  Returns (mapping dict, advanced next_fresh).
@@ -514,7 +515,7 @@ def associate_temporal(prev_labels: np.ndarray, cur_labels: np.ndarray,
         if hit.size:
             vals, counts = np.unique(hit, return_counts=True)
             best = int(np.argmax(counts))   # ties: np.unique sorts, so lower label
-            if counts[best] >= overlap_frac * area:
+            if counts[best] >= OVERLAP_FRAC * area:
                 claims[cid] = (int(vals[best]), int(counts[best]))
     winner = {}
     for cid in sorted(claims, key=lambda c: (-claims[c][1], c)):
@@ -529,10 +530,8 @@ def associate_temporal(prev_labels: np.ndarray, cur_labels: np.ndarray,
 
 def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
                       schedule, p: int = 64, q: int = 64,
-                      ransac: RansacParams = RansacParams(),
                       mrf_lambda: float = 8.0, use_mrf: bool = False,
-                      seed: int = 0, mode: str = "penalized",
-                      min_region: int = 12) -> list:
+                      seed: int = 0) -> list:
     """Motion-layer segmentation per frame pair with consistent labels.
 
     Pair t (grid of frame t, t in [1, T-1]) is initialized from the
@@ -567,10 +566,9 @@ def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
             # cells of the intersection keep the warp's motion identity but
             # their boundaries come from the frame's own segmentation
             init = warped * (int(sv_slice.max()) + 1) + sv_slice
-        if min_region > 1:
-            init = clean_small_components(init, min_region, affinity=sv_slice)
+        init = clean_small_components(init, MIN_REGION, affinity=sv_slice)
         hier = motion_hierarchy(init, seq[t], flow, schedule, p, q,
-                                derive_seed(seed, 4, t), ransac, mode)
+                                derive_seed(seed, 4, t))
         top_labels, top_models = hier.levels[-1]
         if use_mrf and len(top_models) > 1:
             top_labels = mrf_smooth(top_labels, top_models,

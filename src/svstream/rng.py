@@ -32,6 +32,13 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
+def mix64_array(z: np.ndarray) -> np.ndarray:
+    """mix64 over a uint64 array, elementwise."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
 class SplitMix64:
     """Sequential splitmix64 stream."""
 
@@ -68,7 +75,4 @@ def splitmix64_block(seed: int, start: int, count: int) -> np.ndarray:
     numpy's uint64 array arithmetic wraps modulo 2**64 like the scalar code.
     """
     k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + k * np.uint64(_INCREMENT)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    return mix64_array(np.uint64(seed & MASK64) + k * np.uint64(_INCREMENT))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imageops import relabel_first_occurrence, round_half_up
+from .imageops import round_half_up
 from .unionfind import Forest
 
 EDGE_DTYPE = np.dtype([("a", np.int64), ("b", np.int64), ("w", np.float64)])
@@ -96,8 +96,6 @@ def build_spatial_edges(window: np.ndarray) -> np.ndarray:
         a = (src.ravel()[None, :] + frame_off[:, None]).ravel()
         b = (dst.ravel()[None, :] + frame_off[:, None]).ravel()
         chunks.append(make_edges(a, b, _color_weights(colors, a, b)))
-    if not chunks:
-        return np.empty(0, dtype=EDGE_DTYPE)
     return np.concatenate(chunks)
 
 
@@ -148,11 +146,15 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.
 
 # ---------------------------------------------------------------- grouping
 
-def _fh_sweep(forest: Forest, ea, eb, ew, order, k: float, min_size: int) -> None:
+def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> None:
     """Ascending-weight merge sweep plus the small-component cleanup pass.
 
-    Components whose marks are both set never merge (streaming freeze).
+    Ties break by (w, min id, max id).  Components whose marks are both set
+    never merge (streaming freeze).
     """
+    ea, eb, ew = edges["a"], edges["b"], edges["w"]
+    order = np.lexsort((np.maximum(ea, eb), np.minimum(ea, eb), ew)).tolist()
+    ea, eb, ew = ea.tolist(), eb.tolist(), ew.tolist()
     find = forest.find
     union = forest.union
     size = forest.size
@@ -182,18 +184,12 @@ def _fh_sweep(forest: Forest, ea, eb, ew, order, k: float, min_size: int) -> Non
                 internal[r] = w
 
 
-def _edge_order(edges: np.ndarray) -> list:
-    mn = np.minimum(edges["a"], edges["b"])
-    mx = np.maximum(edges["a"], edges["b"])
-    return np.lexsort((mx, mn, edges["w"])).tolist()
-
-
 def _labels_from_forest(forest: Forest, first_occ: np.ndarray, counter: int):
     """Assign labels to roots: marked roots keep their mark, fresh roots get
     counter, counter+1, ... ordered by first occurrence.
 
     first_occ[i] is the first-voxel key of item i; items are the forest nodes.
-    Returns (label per item, new counter, {label: root}).
+    Returns (label per item, new counter, {label: size}, {label: internal}).
     """
     n = len(first_occ)
     roots = np.fromiter((forest.find(i) for i in range(n)), dtype=np.int64, count=n)
@@ -205,22 +201,10 @@ def _labels_from_forest(forest: Forest, first_occ: np.ndarray, counter: int):
     fresh = marks < 0
     fresh_rank = np.argsort(np.argsort(root_first[fresh], kind="stable"), kind="stable")
     labels_u[fresh] = counter + fresh_rank
-    by_label = {int(lab): int(r) for lab, r in zip(labels_u, uroots)}
-    return labels_u[inv], counter + int(fresh.sum()), by_label
-
-
-def segment_level0(edges: np.ndarray, num_voxels: int, k0: float, min_size: int) -> np.ndarray:
-    """Group voxels; returns dense labels (first-occurrence order) per voxel id."""
-    if edges.size and int(max(edges["a"].max(), edges["b"].max())) >= num_voxels:
-        raise ValueError("edge endpoint out of range")
-    forest = Forest(num_voxels)
-    ea = edges["a"].tolist()
-    eb = edges["b"].tolist()
-    ew = edges["w"].tolist()
-    _fh_sweep(forest, ea, eb, ew, _edge_order(edges), k0, min_size)
-    labels, _, _ = _labels_from_forest(
-        forest, np.arange(num_voxels, dtype=np.int64), 0)
-    return labels
+    labs, rs = labels_u.tolist(), uroots.tolist()
+    sizes = {lab: forest.size[r] for lab, r in zip(labs, rs)}
+    ints = {lab: forest.internal[r] for lab, r in zip(labs, rs)}
+    return labels_u[inv], counter + int(fresh.sum()), sizes, ints
 
 
 # ---------------------------------------------------------------- distances
@@ -345,53 +329,6 @@ def _pre_union(forest: Forest, keys, sizes: dict, ints: dict) -> None:
         forest.mark[root] = key
 
 
-def _group_level(prev_flat: np.ndarray, edges: np.ndarray, colors_u8: np.ndarray,
-                 flows, dims, config: StreamConfig, level: int, counter: int,
-                 size_of: dict, delta_of: dict, parent_of: dict,
-                 p_size: dict, p_int: dict):
-    """One hierarchy level: regroup the regions of prev_flat.
-
-    size_of/delta_of describe the previous level's regions (cumulative voxel
-    size and this-window growth); parent_of maps old previous-level labels to
-    their already-emitted label at this level, whose cumulative size and
-    internal difference come from p_size/p_int.
-    """
-    node_labels, node_first, node_index = np.unique(
-        prev_flat, return_index=True, return_inverse=True)
-    nn = len(node_labels)
-    feats = _NodeFeatures(node_index, nn, colors_u8, flows if config.use_flow_feature else None,
-                          dims, config)
-    pa, pb = _region_pairs(edges, node_index, nn)
-    weights = _pair_weights(feats, pa, pb)
-
-    labs = node_labels.tolist()
-    forest = Forest(nn, sizes=[size_of[lab] for lab in labs])
-    keys = [parent_of.get(lab) for lab in labs]
-    sizes = {}
-    for lab, parent in zip(labs, keys):
-        if parent is not None:
-            sizes[parent] = sizes.get(parent, p_size[parent]) + delta_of.get(lab, 0)
-    _pre_union(forest, keys, sizes, p_int)
-
-    la = node_labels[pa]
-    lb = node_labels[pb]
-    order = np.lexsort((lb, la, weights)).tolist()
-    _fh_sweep(forest, pa.tolist(), pb.tolist(), weights.tolist(), order,
-              config.k0 * config.k_growth ** level, config.min_size)
-    node_out, counter, by_label = _labels_from_forest(forest, node_first, counter)
-    sizes_now = {lab: forest.size[r] for lab, r in by_label.items()}
-    ints_now = {lab: forest.internal[r] for lab, r in by_label.items()}
-    return node_out[node_index], counter, sizes_now, ints_now
-
-
-def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig) -> np.ndarray:
-    spatial = build_spatial_edges(frames_w)
-    temporal = build_temporal_edges(frames_w, flows_w, config.use_flow_edges)
-    if temporal.size == 0:
-        return spatial
-    return np.concatenate([spatial, temporal])
-
-
 class _StreamState:
     """Per-level label counters plus cumulative size / internal-difference
     tables for every label still alive in the newest subsequence."""
@@ -402,6 +339,61 @@ class _StreamState:
         self.ints = [dict() for _ in range(levels)]
 
 
+def _close_level(forest: Forest, first_occ: np.ndarray, state: _StreamState, level: int):
+    """Label a level's forest, advance the level's counter and record the
+    labels' cumulative sizes and internal differences in state.
+
+    Returns (label per item, {label: size growth in this window}).
+    """
+    labels, state.counters[level], sizes, ints = _labels_from_forest(
+        forest, first_occ, state.counters[level])
+    known = state.sizes[level]
+    growth = {lab: size - known.get(lab, 0) for lab, size in sizes.items()}
+    known.update(sizes)
+    state.ints[level].update(ints)
+    return labels, growth
+
+
+def _group_level(prev_flat: np.ndarray, edges: np.ndarray, colors_u8: np.ndarray,
+                 flows, dims, config: StreamConfig, level: int, state: _StreamState,
+                 growth_of: dict, parent_of: dict):
+    """One hierarchy level: regroup the regions of prev_flat and close the
+    level in state.
+
+    The previous level's regions have their cumulative voxel sizes in
+    state.sizes[level - 1] and their this-window growth in growth_of;
+    parent_of maps old previous-level labels to their already-emitted label
+    at this level.  Returns (label per voxel, {label: growth}).
+    """
+    node_labels, node_first, node_index = np.unique(
+        prev_flat, return_index=True, return_inverse=True)
+    nn = len(node_labels)
+    feats = _NodeFeatures(node_index, nn, colors_u8, flows if config.use_flow_feature else None,
+                          dims, config)
+    pa, pb = _region_pairs(edges, node_index, nn)
+    weights = _pair_weights(feats, pa, pb)
+
+    labs = node_labels.tolist()
+    forest = Forest(nn, sizes=[state.sizes[level - 1][lab] for lab in labs])
+    keys = [parent_of.get(lab) for lab in labs]
+    sizes = {}
+    for lab, parent in zip(labs, keys):
+        if parent is not None:
+            sizes[parent] = sizes.get(parent, state.sizes[level][parent]) + growth_of.get(lab, 0)
+    _pre_union(forest, keys, sizes, state.ints[level])
+
+    # node ids rank like their labels, so ties break by (w, label a, label b)
+    _fh_sweep(forest, make_edges(pa, pb, weights),
+              config.k0 * config.k_growth ** level, config.min_size)
+    node_out, growth = _close_level(forest, node_first, state, level)
+    return node_out[node_index], growth
+
+
+def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig) -> np.ndarray:
+    return np.concatenate([build_spatial_edges(frames_w),
+                           build_temporal_edges(frames_w, flows_w, config.use_flow_edges)])
+
+
 def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
                  old_labels, state: _StreamState):
     """Segment one window; old_labels (per level, covering the window's first
@@ -410,22 +402,12 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
     n = t_len * h * w
     colors_u8 = frames_w.reshape(-1, 3)
     edges = _window_edges(frames_w, flows_w, config)
-    ea = edges["a"].tolist()
-    eb = edges["b"].tolist()
-    ew = edges["w"].tolist()
 
     forest = Forest(n)
     if old_labels is not None:
         _pre_union(forest, old_labels[0].ravel().tolist(), state.sizes[0], state.ints[0])
-    _fh_sweep(forest, ea, eb, ew, _edge_order(edges), config.k0, config.min_size)
-    flat, counter, by_label = _labels_from_forest(
-        forest, np.arange(n, dtype=np.int64), state.counters[0])
-    state.counters[0] = counter
-    sizes_now = {lab: forest.size[r] for lab, r in by_label.items()}
-    ints_now = {lab: forest.internal[r] for lab, r in by_label.items()}
-    delta_now = {lab: s - state.sizes[0].get(lab, 0) for lab, s in sizes_now.items()}
-    state.sizes[0].update(sizes_now)
-    state.ints[0].update(ints_now)
+    _fh_sweep(forest, edges, config.k0, config.min_size)
+    flat, growth = _close_level(forest, np.arange(n, dtype=np.int64), state, 0)
 
     levels_flat = [flat]
     for level in range(1, config.levels):
@@ -435,15 +417,9 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
             _, first_idx = np.unique(prev_old, return_index=True)
             cur_old = old_labels[level].ravel()
             parent_of = {int(prev_old[i]): int(cur_old[i]) for i in first_idx}
-        flat, counter, sizes_now, ints_now = _group_level(
+        flat, growth = _group_level(
             levels_flat[-1], edges, colors_u8, flows_w, (t_len, h, w), config,
-            level, state.counters[level], sizes_now, delta_now, parent_of,
-            state.sizes[level], state.ints[level])
-        state.counters[level] = counter
-        delta_now = {lab: s - state.sizes[level].get(lab, 0)
-                     for lab, s in sizes_now.items()}
-        state.sizes[level].update(sizes_now)
-        state.ints[level].update(ints_now)
+            level, state, growth, parent_of)
         levels_flat.append(flat)
     return [lf.reshape(t_len, h, w) for lf in levels_flat]
 
@@ -459,39 +435,6 @@ def _check_video(seq: np.ndarray, flows) -> None:
                 raise ValueError("flow field dimensions disagree with frames")
 
 
-def build_hierarchy(level0: np.ndarray, frames: np.ndarray, flows,
-                    config: StreamConfig = StreamConfig()) -> SegmentationHierarchy:
-    """Grow the full hierarchy above a given finest segmentation.
-
-    level0 labels are compacted to dense first-occurrence order; each higher
-    level regroups the previous level's regions with threshold constant
-    k0 * k_growth^level.
-    """
-    frames = np.asarray(frames)
-    _check_video(frames, flows)
-    level0 = np.asarray(level0)
-    if level0.shape != frames.shape[:3]:
-        raise ValueError("level0 and frames disagree on dimensions")
-    t_len, h, w = level0.shape
-    flat = relabel_first_occurrence(level0).ravel()
-
-    colors_u8 = frames.reshape(-1, 3)
-    edges = _window_edges(frames, flows, config)
-    counts = np.bincount(flat)
-    sizes_now = {i: int(c) for i, c in enumerate(counts)}
-    delta_now = dict(sizes_now)
-
-    levels_flat = [flat]
-    for level in range(1, config.levels):
-        flat, _, sizes_now, _ = _group_level(
-            levels_flat[-1], edges, colors_u8, flows, (t_len, h, w), config,
-            level, 0, sizes_now, delta_now, {}, {}, {})
-        delta_now = dict(sizes_now)
-        levels_flat.append(flat)
-
-    return SegmentationHierarchy([lf.reshape(t_len, h, w) for lf in levels_flat])
-
-
 def stream_segment(seq: np.ndarray, flows,
                    config: StreamConfig = StreamConfig()) -> SegmentationHierarchy:
     """Segment a video in streaming windows of subseq_len frames.
@@ -500,7 +443,7 @@ def stream_segment(seq: np.ndarray, flows,
     enters pre-grouped into its emitted regions at every level and those
     labels are never rewritten, so output for a prefix of the stream does not
     depend on later frames.  A video of at most subseq_len frames gives the
-    single-window result of segment_level0 + build_hierarchy exactly.
+    single-window batch result exactly.
     """
     seq = np.asarray(seq)
     _check_video(seq, flows)

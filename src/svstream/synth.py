@@ -24,7 +24,7 @@ import numpy as np
 from .affine import AffineModel, apply_point_matrix, invert_point_map
 from .errors import DataError
 from .imageops import round_half_up
-from .rng import MASK64, derive_seed
+from .rng import MASK64, derive_seed, mix64_array
 
 _LAT_X = 0x9E3779B97F4A7C15
 _LAT_Y = 0xC2B2AE3D27D4EB4F
@@ -53,23 +53,12 @@ class SceneSpec:
     seed: int = 0
 
 
-def _mix_u64(z: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer over a uint64 array
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def _hash_unit(base: int, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     """Hash integer lattice coordinates to floats in [0, 1)."""
     ux = ix.astype(np.int64).astype(np.uint64)
     uy = iy.astype(np.int64).astype(np.uint64)
     h = ux * np.uint64(_LAT_X) + uy * np.uint64(_LAT_Y) + np.uint64(base & MASK64)
-    return (_mix_u64(h) >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    return (mix64_array(h) >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 
 def value_noise(seed: int, salt: int, xs: np.ndarray, ys: np.ndarray, step: float) -> np.ndarray:
@@ -113,9 +102,6 @@ def _gauss_field(seed: int, shape) -> np.ndarray:
     return g.reshape(shape)
 
 
-_apply_h = apply_point_matrix
-
-
 def _translate(tx: float, ty: float) -> np.ndarray:
     m = np.eye(3)
     m[0, 2] = tx
@@ -150,7 +136,7 @@ def _check_extent(spec: SceneSpec, index: int, obj: ObjectSpec, pose: np.ndarray
         w, h = obj.geometry[2], obj.geometry[3]
         cx = np.array([0.0, w, 0.0, w])
         cy = np.array([0.0, 0.0, h, h])
-        xs, ys = _apply_h(pose, cx, cy)
+        xs, ys = apply_point_matrix(pose, cx, cy)
         lo_x, hi_x, lo_y, hi_y = xs.min(), xs.max(), ys.min(), ys.max()
     else:
         rx, ry = obj.geometry[2], obj.geometry[3]
@@ -207,11 +193,11 @@ def generate(spec: SceneSpec):
         for i, obj in enumerate(spec.objects, start=1):
             _check_extent(spec, i, obj, poses[i - 1], t)
 
-        lx, ly = _apply_h(np.linalg.inv(bg_pose), px, py)
+        lx, ly = apply_point_matrix(np.linalg.inv(bg_pose), px, py)
         img = _texture(bg_seed, spec.background_color, spec.texture_amplitude, lx, ly)
         lab = np.zeros((H, W), dtype=np.int32)
         for i, obj in enumerate(spec.objects, start=1):
-            lx, ly = _apply_h(np.linalg.inv(poses[i - 1]), px, py)
+            lx, ly = apply_point_matrix(np.linalg.inv(poses[i - 1]), px, py)
             mask = _membership(obj, lx, ly)
             tex = _texture(seeds[i - 1], obj.color, spec.texture_amplitude, lx, ly)
             img[mask] = tex[mask]

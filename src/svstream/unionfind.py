@@ -9,11 +9,10 @@ unmarked component keeps the mark (the emitted label absorbs the new one).
 
 
 class Forest:
-    __slots__ = ("parent", "rank", "size", "internal", "mark")
+    __slots__ = ("parent", "size", "internal", "mark")
 
     def __init__(self, num_nodes: int, sizes=None):
         self.parent = list(range(num_nodes))
-        self.rank = [0] * num_nodes
         self.size = list(sizes) if sizes is not None else [1] * num_nodes
         self.internal = [0.0] * num_nodes
         self.mark = [-1] * num_nodes
@@ -28,12 +27,11 @@ class Forest:
         return root
 
     def union(self, a: int, b: int) -> int:
-        """Merge the components of roots a and b; returns the surviving root."""
-        if self.rank[a] < self.rank[b]:
+        """Merge the components of roots a and b; the root of the larger one
+        survives (a on a tie) and is returned."""
+        if self.size[a] < self.size[b]:
             a, b = b, a
         self.parent[b] = a
-        if self.rank[a] == self.rank[b]:
-            self.rank[a] += 1
         self.size[a] += self.size[b]
         if self.internal[b] > self.internal[a]:
             self.internal[a] = self.internal[b]

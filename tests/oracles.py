@@ -5,16 +5,23 @@ rational arithmetic, independent of the vectorized code under test.  The
 motion references keep the one-hypothesis-at-a-time RANSAC loop and the
 merge pass that computes every pair distance afresh; the batched and
 memoized code in svstream.motionlayers must reproduce them bit for bit.
-Slow on purpose.
+The supervoxel reference is the batch build: one level-0 sweep over the
+whole video, then every higher level regrouped from scratch, which
+svstream.streamseg.stream_segment must reproduce for a video no longer than
+one window.  Slow on purpose.
 """
 from fractions import Fraction
 
 import numpy as np
 
 from svstream.affine import AffineModel
+from svstream.imageops import relabel_first_occurrence
 from svstream.motionlayers import (MotionRegion, RansacParams,
                                    region_distance)
 from svstream.rng import SplitMix64, derive_seed
+from svstream.streamseg import (SegmentationHierarchy, _fh_sweep, _group_level,
+                                _labels_from_forest, _StreamState, _window_edges)
+from svstream.unionfind import Forest
 
 
 def _luma_int(video):
@@ -255,3 +262,33 @@ def oracle_merge_pass(regions, adjacency, tau, frame_gray, flow, p, q, seed,
                         rescan = True
                         break
     return [by_id[rid] for rid in sorted(by_id)]
+
+
+# ---------------------------------------------------------------- supervoxels
+
+def oracle_segment_level0(edges, num_voxels, k0, min_size):
+    """Group voxels; returns dense labels (first-occurrence order) per voxel id."""
+    forest = Forest(num_voxels)
+    _fh_sweep(forest, edges, k0, min_size)
+    labels, _, _, _ = _labels_from_forest(
+        forest, np.arange(num_voxels, dtype=np.int64), 0)
+    return labels
+
+
+def oracle_build_hierarchy(level0, frames, flows, config):
+    """Grow the full hierarchy above a given finest segmentation of the whole
+    video: level0 compacted to first-occurrence order, then each higher level
+    regrouping the one below with threshold constant k0 * k_growth^level."""
+    frames = np.asarray(frames)
+    t_len, h, w = frames.shape[:3]
+    flat = relabel_first_occurrence(level0).ravel()
+    edges = _window_edges(frames, flows, config)
+    state = _StreamState(config.levels)
+    state.sizes[0] = dict(enumerate(np.bincount(flat).tolist()))
+    growth = dict(state.sizes[0])
+    levels = [flat]
+    for level in range(1, config.levels):
+        flat, growth = _group_level(levels[-1], edges, frames.reshape(-1, 3), flows,
+                                    (t_len, h, w), config, level, state, growth, {})
+        levels.append(flat)
+    return SegmentationHierarchy([lv.reshape(t_len, h, w) for lv in levels])

@@ -26,9 +26,8 @@ from svstream.motionlayers import (MotionRegion, RansacParams,
                                    run_motion_stream)
 from svstream.preprocess import BilateralParams, filter_sequence
 from svstream.rng import SplitMix64
-from svstream.streamseg import (StreamConfig, build_hierarchy,
-                                build_spatial_edges, build_temporal_edges,
-                                combine_distance, segment_level0,
+from svstream.streamseg import (StreamConfig, build_spatial_edges,
+                                build_temporal_edges, combine_distance,
                                 stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate, value_noise
 
@@ -245,9 +244,10 @@ def test_c06_short_stream_equals_batch_build(announce):
         edges = np.concatenate([build_spatial_edges(frames),
                                 build_temporal_edges(frames, flows,
                                                      config.use_flow_edges)])
-        level0 = segment_level0(edges, frames[..., 0].size, config.k0,
-                                config.min_size).reshape(frames.shape[:3])
-        whole = build_hierarchy(level0, frames, flows, config)
+        level0 = oracles.oracle_segment_level0(
+            edges, frames[..., 0].size, config.k0,
+            config.min_size).reshape(frames.shape[:3])
+        whole = oracles.oracle_build_hierarchy(level0, frames, flows, config)
         for lv_s, lv_w in zip(streamed.levels, whole.levels):
             ok &= lv_s.dtype == lv_w.dtype and np.array_equal(lv_s, lv_w)
     _verdict(announce, 6,

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from svstream import cli
 from svstream.cli import main
 from svstream.mediaio import read_flo, read_label_volume, write_label_volume
 from svstream.metrics import read_metrics_csv
@@ -178,6 +179,25 @@ def test_segment_label_overflow_writes_nothing(tmp_path, scene_dir, monkeypatch)
                "--bilateral", "off"])
     assert rc == 2
     assert not (out / "level_00").exists()
+
+
+def test_motion_label_overflow_writes_nothing(tmp_path, scene_dir, monkeypatch):
+    # pair 2's tracked labels overflow the 16-bit range: no pair may be
+    # written, not even pair 1
+    run_motion_stream = cli.run_motion_stream
+
+    def overflowing(*args, **kwargs):
+        results = run_motion_stream(*args, **kwargs)
+        results[1].tracked_labels[-1, -1] = 65536
+        return results
+
+    monkeypatch.setattr("svstream.cli.run_motion_stream", overflowing)
+    out = tmp_path / "motion"
+    rc = main(["motion", "--input", _frames_pattern(scene_dir), "--out", str(out),
+               "--external-flow", os.path.join(str(scene_dir), "flow"),
+               "--bilateral", "off", "--levels", "2", "--canonical", "32x32"])
+    assert rc == 2
+    assert not list(tmp_path.glob("motion/pair_*"))
 
 
 def test_eval_accepts_single_volume_directory(tmp_path, scene_dir):

@@ -97,6 +97,19 @@ def test_forest_size_accounting():
     assert f.size[f.find(3)] == 1
 
 
+def test_forest_union_keeps_component_bookkeeping():
+    # a small marked component joins a larger unmarked one: whichever root
+    # survives, the component keeps the mark, the summed size and the larger
+    # internal difference
+    f = Forest(4, sizes=[2, 5, 1, 1])
+    f.mark[0] = 7
+    f.internal[0] = 0.4
+    f.internal[1] = 0.1
+    r = f.union(f.find(0), f.find(1))
+    assert r == f.find(0) == f.find(1)
+    assert (f.mark[r], f.size[r], f.internal[r]) == (7, 7, 0.4)
+
+
 def test_round_half_up_ties():
     vals = np.array([-1.5, -0.5, 0.0, 0.49999, 0.5, 1.5, 2.5])
     # ties go toward +inf, unlike numpy's bankers rounding

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from svstream.affine import AffineModel
-from svstream.streamseg import (SegmentationHierarchy, StreamConfig, _NodeFeatures,
-                                _pair_weights, build_hierarchy, build_spatial_edges,
-                                build_temporal_edges, chi2_distance,
-                                combine_distance, segment_level0, stream_segment)
+from svstream.streamseg import (StreamConfig, _NodeFeatures, _pair_weights,
+                                build_spatial_edges, build_temporal_edges,
+                                chi2_distance, combine_distance, stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate
+
+from oracles import oracle_build_hierarchy, oracle_segment_level0
 
 
 def _undirected_pairs(edges) -> set:
@@ -112,28 +113,30 @@ def test_single_frame_has_no_temporal_edges():
 
 # ---------------------------------------------------------------- level 0
 
+def _level0(video: np.ndarray, k0: float, min_size: int) -> np.ndarray:
+    """Level 0 of the one-window stream over video, without flow."""
+    config = StreamConfig(subseq_len=video.shape[0], levels=1, k0=k0, min_size=min_size)
+    return stream_segment(video, None, config).levels[0]
+
+
 def test_constant_color_collapses_to_one_region():
     window = np.full((2, 4, 4, 3), 77, dtype=np.uint8)
-    edges = np.concatenate([build_spatial_edges(window),
-                            build_temporal_edges(window, None, True)])
-    labels = segment_level0(edges, 32, k0=0.5, min_size=1)
-    assert np.array_equal(labels, np.zeros(32, dtype=np.int64))
+    labels = _level0(window, k0=0.5, min_size=1)
+    assert np.array_equal(labels, np.zeros((2, 4, 4), dtype=np.int64))
 
 
 def test_distinct_color_blocks_stay_separate():
     window = np.zeros((1, 4, 8, 3), dtype=np.uint8)
     window[..., :4, :] = (200, 30, 30)
     window[..., 4:, :] = (30, 30, 200)
-    edges = build_spatial_edges(window)
-    labels = segment_level0(edges, 32, k0=0.01, min_size=1).reshape(4, 8)
+    labels = _level0(window, k0=0.01, min_size=1)[0]
     assert np.all(labels[:, :4] == 0)
     assert np.all(labels[:, 4:] == 1)
 
 
 def test_no_edges_leaves_singletons():
-    labels = segment_level0(np.empty(0, dtype=build_spatial_edges(
-        np.zeros((1, 1, 1, 3), dtype=np.uint8)).dtype), 5, k0=1.0, min_size=1)
-    assert np.array_equal(labels, np.arange(5))
+    labels = _level0(np.zeros((1, 1, 1, 3), dtype=np.uint8), k0=1.0, min_size=1)
+    assert np.array_equal(labels, np.zeros((1, 1, 1), dtype=np.int64))
 
 
 def test_min_size_cleanup_absorbs_small_components():
@@ -141,16 +144,8 @@ def test_min_size_cleanup_absorbs_small_components():
     # min_size 2 forces the cleanup pass to merge it into its surroundings
     window = np.zeros((1, 3, 3, 3), dtype=np.uint8)
     window[0, 1, 1] = 255
-    edges = build_spatial_edges(window)
-    labels = segment_level0(edges, 9, k0=1e-6, min_size=2)
+    labels = _level0(window, k0=1e-6, min_size=2)
     assert len(np.unique(labels)) == 1
-
-
-def test_edge_endpoint_out_of_range():
-    window = np.zeros((1, 2, 2, 3), dtype=np.uint8)
-    edges = build_spatial_edges(window)
-    with pytest.raises(ValueError):
-        segment_level0(edges, 2, k0=1.0, min_size=1)
 
 
 # ---------------------------------------------------------------- distances
@@ -270,9 +265,9 @@ def test_stream_one_window_equals_whole_build():
     spatial = build_spatial_edges(frames)
     temporal = build_temporal_edges(frames, flows, config.use_flow_edges)
     edges = np.concatenate([spatial, temporal])
-    level0 = segment_level0(edges, frames[..., 0].size, config.k0,
-                            config.min_size).reshape(frames.shape[:3])
-    whole = build_hierarchy(level0, frames, flows, config)
+    level0 = oracle_segment_level0(edges, frames[..., 0].size, config.k0,
+                                   config.min_size).reshape(frames.shape[:3])
+    whole = oracle_build_hierarchy(level0, frames, flows, config)
     for lv_s, lv_w in zip(streamed.levels, whole.levels):
         assert np.array_equal(lv_s, lv_w)
 
