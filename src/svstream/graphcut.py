@@ -15,7 +15,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .imageops import round_half_up
+from .imageops import grid_pairs4, round_half_up
 
 _SCALE = 256.0
 _CAP_MAX = 1 << 28
@@ -29,14 +29,6 @@ def labeling_energy(labels: np.ndarray, data_costs: np.ndarray, lam: float) -> f
     return float(taken.sum()) + lam * cuts
 
 
-def _pair_lists(h: int, w: int):
-    """(p, q) flat index arrays for horizontal and vertical 4-adjacency."""
-    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    p = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
-    q = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
-    return p, q
-
-
 def _expand(labels: np.ndarray, alpha: int, data_costs: np.ndarray, lam: float) -> np.ndarray:
     """Best labeling reachable by switching any pixel subset to alpha."""
     h, w = labels.shape
@@ -45,7 +37,7 @@ def _expand(labels: np.ndarray, alpha: int, data_costs: np.ndarray, lam: float) 
     c0 = np.take_along_axis(data_costs, labels[None], axis=0)[0].ravel().astype(np.float64)
     c1 = data_costs[alpha].ravel().astype(np.float64)
 
-    p_idx, q_idx = _pair_lists(h, w)
+    p_idx, q_idx = grid_pairs4(h, w)
     fp = flat[p_idx]
     fq = flat[q_idx]
     e00 = lam * (fp != fq)

@@ -1,5 +1,5 @@
-"""Shared low-level image numerics: grayscale conversion, resampling and
-first-occurrence relabeling."""
+"""Shared low-level image numerics: grayscale conversion, resampling,
+4-neighbor pairs and first-occurrence relabeling."""
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -63,6 +63,15 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     k /= k.sum()
     out = correlate1d(img, k, axis=0, mode="reflect")
     return correlate1d(out, k, axis=1, mode="reflect")
+
+
+def grid_pairs4(h: int, w: int):
+    """(p, q) flat index arrays of every 4-adjacent pixel pair of an (h, w)
+    grid: the horizontal pairs row by row, then the vertical ones."""
+    idx = np.arange(h * w, dtype=np.int64).reshape(h, w)
+    p = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    q = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    return p, q
 
 
 def relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:

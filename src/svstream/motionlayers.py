@@ -17,10 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .affine import AffineModel, apply_point_matrix, invert_point_map
 from .graphcut import alpha_expansion, labeling_energy
-from .imageops import bilinear_sample, luma_f64, relabel_first_occurrence, round_half_up
+from .imageops import (bilinear_sample, grid_pairs4, luma_f64, relabel_first_occurrence,
+                       round_half_up)
 from .rng import derive_seed, splitmix64_block
 
 log = logging.getLogger(__name__)
@@ -56,8 +59,6 @@ class MotionRegion:
 
 @dataclass
 class CanonicalPatch:
-    width: int
-    height: int
     values: np.ndarray        # (height, width) grayscale
     valid_mask: np.ndarray    # (height, width) bool
 
@@ -65,7 +66,6 @@ class CanonicalPatch:
 @dataclass
 class MotionHierarchy:
     levels: list              # per level: (labels (H, W), {label: AffineModel})
-    tau_schedule: list
 
 
 @dataclass
@@ -173,7 +173,7 @@ def warp_to_canonical(frame_gray: np.ndarray, region: MotionRegion,
     try:
         inv = invert_point_map(transform)
     except ValueError:
-        return CanonicalPatch(p, q, np.zeros((q, p)), np.zeros((q, p), dtype=bool))
+        return CanonicalPatch(np.zeros((q, p)), np.zeros((q, p), dtype=bool))
     sx, sy = apply_point_matrix(inv, gx, gy)
 
     in_frame = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
@@ -183,7 +183,7 @@ def warp_to_canonical(frame_gray: np.ndarray, region: MotionRegion,
     ry = np.clip(round_half_up(sy).astype(np.int64), 0, h - 1)
     valid = in_frame & member[ry, rx]
     values = np.where(valid, bilinear_sample(frame_gray, sx, sy), 0.0)
-    return CanonicalPatch(p, q, values, valid)
+    return CanonicalPatch(values, valid)
 
 
 def _box_extent(d: np.ndarray):
@@ -247,12 +247,10 @@ def region_distance(region_i: MotionRegion, region_k: MotionRegion,
 
 def _label_adjacency(labels: np.ndarray):
     """4-connected adjacency pairs between distinct labels."""
-    pairs = set()
-    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
-        differ = a != b
-        pairs.update(zip(np.minimum(a, b)[differ].tolist(),
-                         np.maximum(a, b)[differ].tolist()))
-    return pairs
+    p, q = grid_pairs4(*labels.shape)
+    a, b = labels.ravel()[p], labels.ravel()[q]
+    differ = a != b
+    return set(zip(np.minimum(a, b)[differ].tolist(), np.maximum(a, b)[differ].tolist()))
 
 
 def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
@@ -321,15 +319,18 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
 
 def _components(labels: np.ndarray):
     """4-connected components of every label value: (ids (H, W), count), ids
-    ordered by label value, then by scipy's scan order within one value."""
-    comp = np.full(labels.shape, -1, dtype=np.int64)
-    count = 0
-    for lab in np.unique(labels):
-        cc, num = ndimage.label(labels == lab)
-        inside = cc > 0
-        comp[inside] = cc[inside] + (count - 1)
-        count += num
-    return comp, count
+    ordered by label value, then by first pixel in row-major scan order."""
+    h, w = labels.shape
+    p, q = grid_pairs4(h, w)
+    flat = labels.ravel()
+    same = flat[p] == flat[q]
+    graph = csr_matrix((np.ones(int(same.sum()), dtype=np.int8), (p[same], q[same])),
+                       shape=(h * w, h * w))
+    count, cc = connected_components(graph, directed=False)
+    _, first = np.unique(cc, return_index=True)
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.lexsort((first, flat[first]))] = np.arange(count)
+    return rank[cc].reshape(h, w), count
 
 
 def _regions_from_labels(labels: np.ndarray, flow: np.ndarray, seed: int,
@@ -367,34 +368,29 @@ def clean_small_components(labels: np.ndarray, min_region: int,
     before any model is fitted.  Smallest component first; ids follow
     first occurrence in row-major scan order.
     """
-    if affinity is None:
-        affinity = np.zeros(labels.shape, dtype=np.int64)   # every neighbor agrees
-    aff_neighbors = _neighbors4(affinity, -1)
+    p, q = grid_pairs4(*labels.shape)
+    agree = (np.ones(len(p), dtype=bool) if affinity is None   # every neighbor agrees
+             else affinity.ravel()[p] == affinity.ravel()[q])
     comp, next_id = _components(labels)
+    comp = comp.ravel()
     while True:
-        sizes = np.bincount(comp.ravel(), minlength=next_id)
+        sizes = np.bincount(comp, minlength=next_id)
         live = np.nonzero(sizes)[0]
         small = live[sizes[live] < min_region]
         if small.size == 0 or live.size == 1:
             break
         tgt = int(small[np.argsort(sizes[small], kind="stable")[0]])
-        mask = comp == tgt
-        touched = np.concatenate([nb[mask] for nb in _neighbors4(comp, tgt)])
-        agree = np.concatenate([nb[mask] == affinity[mask] for nb in aff_neighbors])
-        outside = touched != tgt
-        if not outside.any():
+        inside = comp == tgt
+        cross = inside[p] != inside[q]
+        if not cross.any():
             break
-        border = np.bincount(touched[outside & agree], minlength=next_id)
+        # the component on the far side of each pair crossing the border
+        across = np.where(inside[p[cross]], comp[q[cross]], comp[p[cross]])
+        border = np.bincount(across[agree[cross]], minlength=next_id)
         if not border.any():
-            border = np.bincount(touched[outside], minlength=next_id)
-        comp[mask] = int(np.argmax(border))
-    return relabel_first_occurrence(comp)
-
-
-def _neighbors4(a: np.ndarray, fill) -> list:
-    """The up, down, left and right neighbor of every pixel; `fill` off the grid."""
-    pad = np.pad(a, 1, constant_values=fill)
-    return [pad[:-2, 1:-1], pad[2:, 1:-1], pad[1:-1, :-2], pad[1:-1, 2:]]
+            border = np.bincount(across, minlength=next_id)
+        comp[inside] = int(np.argmax(border))
+    return relabel_first_occurrence(comp.reshape(labels.shape))
 
 
 def motion_hierarchy(init_labels: np.ndarray, frame: np.ndarray,
@@ -415,7 +411,7 @@ def motion_hierarchy(init_labels: np.ndarray, frame: np.ndarray,
                              frame_gray, flow, p, q, derive_seed(seed, 2, li),
                              ransac, mode)
         levels.append(_level(regions, init_labels.shape))
-    return MotionHierarchy(levels=levels, tau_schedule=schedule)
+    return MotionHierarchy(levels=levels)
 
 
 # ---------------------------------------------------------------- MRF

@@ -184,29 +184,6 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> Non
                 internal[r] = w
 
 
-def _labels_from_forest(forest: Forest, first_occ: np.ndarray, counter: int):
-    """Assign labels to roots: marked roots keep their mark, fresh roots get
-    counter, counter+1, ... ordered by first occurrence.
-
-    first_occ[i] is the first-voxel key of item i; items are the forest nodes.
-    Returns (label per item, new counter, {label: size}, {label: internal}).
-    """
-    n = len(first_occ)
-    roots = np.fromiter((forest.find(i) for i in range(n)), dtype=np.int64, count=n)
-    uroots, inv = np.unique(roots, return_inverse=True)
-    root_first = np.full(len(uroots), np.iinfo(np.int64).max, dtype=np.int64)
-    np.minimum.at(root_first, inv, first_occ)
-    marks = np.array([forest.mark[r] for r in uroots], dtype=np.int64)
-    labels_u = marks.copy()
-    fresh = marks < 0
-    fresh_rank = np.argsort(np.argsort(root_first[fresh], kind="stable"), kind="stable")
-    labels_u[fresh] = counter + fresh_rank
-    labs, rs = labels_u.tolist(), uroots.tolist()
-    sizes = {lab: forest.size[r] for lab, r in zip(labs, rs)}
-    ints = {lab: forest.internal[r] for lab, r in zip(labs, rs)}
-    return labels_u[inv], counter + int(fresh.sum()), sizes, ints
-
-
 # ---------------------------------------------------------------- distances
 
 def chi2_distance(h, g) -> float:
@@ -313,22 +290,6 @@ def _pair_weights(feats: _NodeFeatures, pa: np.ndarray, pb: np.ndarray) -> np.nd
     return _fuse(dc, df)
 
 
-def _pre_union(forest: Forest, keys, sizes: dict, ints: dict) -> None:
-    """Union the items sharing a key (an emitted label; None for new items) into
-    one component marked with it, with its size and internal difference."""
-    groups = {}
-    for i, key in enumerate(keys):
-        if key is not None:
-            groups.setdefault(key, []).append(i)
-    for key, members in groups.items():
-        root = forest.find(members[0])
-        for m in members[1:]:
-            root = forest.union(root, forest.find(m))
-        forest.size[root] = sizes[key]
-        forest.internal[root] = ints[key]
-        forest.mark[root] = key
-
-
 class _StreamState:
     """Per-level label counters plus cumulative size / internal-difference
     tables for every label still alive in the newest subsequence."""
@@ -339,31 +300,59 @@ class _StreamState:
         self.ints = [dict() for _ in range(levels)]
 
 
-def _close_level(forest: Forest, first_occ: np.ndarray, state: _StreamState, level: int):
-    """Label a level's forest, advance the level's counter and record the
-    labels' cumulative sizes and internal differences in state.
+def _pre_union(forest: Forest, keys: np.ndarray, grown: np.ndarray,
+               state: _StreamState, level: int) -> None:
+    """Union the items sharing a key (an emitted label; -1 for a new item) into
+    one component marked with it.  Its size is the label's cumulative size
+    plus grown, its members' voxels in the window's new frames; its internal
+    difference is the label's recorded one."""
+    groups = {}
+    for i, key in enumerate(keys.tolist()):
+        if key >= 0:
+            groups.setdefault(key, []).append(i)
+    grown = grown.tolist()
+    for key, members in groups.items():
+        root = forest.find(members[0])
+        for m in members[1:]:
+            root = forest.union(root, forest.find(m))
+        forest.size[root] = state.sizes[level][key] + sum(grown[m] for m in members)
+        forest.internal[root] = state.ints[level][key]
+        forest.mark[root] = key
 
-    Returns (label per item, {label: size growth in this window}).
-    """
-    labels, state.counters[level], sizes, ints = _labels_from_forest(
-        forest, first_occ, state.counters[level])
-    known = state.sizes[level]
-    growth = {lab: size - known.get(lab, 0) for lab, size in sizes.items()}
-    known.update(sizes)
-    state.ints[level].update(ints)
-    return labels, growth
+
+def _close_level(forest: Forest, first_occ: np.ndarray, state: _StreamState,
+                 level: int) -> np.ndarray:
+    """Label a level's forest: marked roots keep their mark, fresh roots get
+    the level's next labels ordered by first occurrence (first_occ[i] is the
+    first-voxel key of item i).  Advances the level's counter, records every
+    label's cumulative size and internal difference, and returns the label
+    of each item."""
+    n = len(first_occ)
+    roots = np.fromiter((forest.find(i) for i in range(n)), dtype=np.int64, count=n)
+    uroots, inv = np.unique(roots, return_inverse=True)
+    root_first = np.full(len(uroots), np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(root_first, inv, first_occ)
+    labels_u = np.array([forest.mark[r] for r in uroots], dtype=np.int64)
+    fresh = labels_u < 0
+    fresh_rank = np.argsort(np.argsort(root_first[fresh], kind="stable"), kind="stable")
+    labels_u[fresh] = state.counters[level] + fresh_rank
+    state.counters[level] += int(fresh.sum())
+    for lab, r in zip(labels_u.tolist(), uroots.tolist()):
+        state.sizes[level][lab] = forest.size[r]
+        state.ints[level][lab] = forest.internal[r]
+    return labels_u[inv]
 
 
-def _group_level(prev_flat: np.ndarray, edges: np.ndarray, colors_u8: np.ndarray,
-                 flows, dims, config: StreamConfig, level: int, state: _StreamState,
-                 growth_of: dict, parent_of: dict):
+def _group_level(prev_flat: np.ndarray, old_level: np.ndarray, edges: np.ndarray,
+                 colors_u8: np.ndarray, flows, dims, config: StreamConfig, level: int,
+                 state: _StreamState) -> np.ndarray:
     """One hierarchy level: regroup the regions of prev_flat and close the
-    level in state.
+    level in state; returns the label per voxel.
 
-    The previous level's regions have their cumulative voxel sizes in
-    state.sizes[level - 1] and their this-window growth in growth_of;
-    parent_of maps old previous-level labels to their already-emitted label
-    at this level.  Returns (label per voxel, {label: growth}).
+    old_level holds this level's emitted labels of the window's first
+    len(old_level) voxels, the frozen ones.  A region grows in this window
+    by exactly its voxels in the new frames: its frozen voxels were counted
+    when the earlier window closed, and a fresh region has none.
     """
     node_labels, node_first, node_index = np.unique(
         prev_flat, return_index=True, return_inverse=True)
@@ -373,20 +362,17 @@ def _group_level(prev_flat: np.ndarray, edges: np.ndarray, colors_u8: np.ndarray
     pa, pb = _region_pairs(edges, node_index, nn)
     weights = _pair_weights(feats, pa, pb)
 
-    labs = node_labels.tolist()
-    forest = Forest(nn, sizes=[state.sizes[level - 1][lab] for lab in labs])
-    keys = [parent_of.get(lab) for lab in labs]
-    sizes = {}
-    for lab, parent in zip(labs, keys):
-        if parent is not None:
-            sizes[parent] = sizes.get(parent, state.sizes[level][parent]) + growth_of.get(lab, 0)
-    _pre_union(forest, keys, sizes, state.ints[level])
+    parent = np.full(nn, -1, dtype=np.int64)
+    parent[node_index[:len(old_level)]] = old_level
+    grown = np.bincount(node_index[len(old_level):], minlength=nn)
+    # a fresh node's size is its new voxels; _pre_union sizes the frozen ones
+    forest = Forest(nn, sizes=grown.tolist())
+    _pre_union(forest, parent, grown, state, level)
 
     # node ids rank like their labels, so ties break by (w, label a, label b)
     _fh_sweep(forest, make_edges(pa, pb, weights),
               config.k0 * config.k_growth ** level, config.min_size)
-    node_out, growth = _close_level(forest, node_first, state, level)
-    return node_out[node_index], growth
+    return _close_level(forest, node_first, state, level)[node_index]
 
 
 def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig) -> np.ndarray:
@@ -395,32 +381,24 @@ def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig) -> np.nda
 
 
 def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
-                 old_labels, state: _StreamState):
+                 old_labels: list, state: _StreamState):
     """Segment one window; old_labels (per level, covering the window's first
-    frames) carry the frozen result of the previous subsequence."""
+    frames, empty in the first window) carry the frozen result of the
+    previous subsequence."""
     t_len, h, w = frames_w.shape[:3]
     n = t_len * h * w
     colors_u8 = frames_w.reshape(-1, 3)
     edges = _window_edges(frames_w, flows_w, config)
 
     forest = Forest(n)
-    if old_labels is not None:
-        _pre_union(forest, old_labels[0].ravel().tolist(), state.sizes[0], state.ints[0])
+    frozen = old_labels[0].ravel()
+    _pre_union(forest, frozen, np.zeros_like(frozen), state, 0)
     _fh_sweep(forest, edges, config.k0, config.min_size)
-    flat, growth = _close_level(forest, np.arange(n, dtype=np.int64), state, 0)
-
-    levels_flat = [flat]
+    levels_flat = [_close_level(forest, np.arange(n, dtype=np.int64), state, 0)]
     for level in range(1, config.levels):
-        parent_of = {}
-        if old_labels is not None:
-            prev_old = old_labels[level - 1].ravel()
-            _, first_idx = np.unique(prev_old, return_index=True)
-            cur_old = old_labels[level].ravel()
-            parent_of = {int(prev_old[i]): int(cur_old[i]) for i in first_idx}
-        flat, growth = _group_level(
-            levels_flat[-1], edges, colors_u8, flows_w, (t_len, h, w), config,
-            level, state, growth, parent_of)
-        levels_flat.append(flat)
+        levels_flat.append(_group_level(
+            levels_flat[-1], old_labels[level].ravel(), edges, colors_u8, flows_w,
+            (t_len, h, w), config, level, state))
     return [lf.reshape(t_len, h, w) for lf in levels_flat]
 
 
@@ -459,7 +437,7 @@ def stream_segment(seq: np.ndarray, flows,
         flows_w = None
         if flows is not None and end - f0 >= 2:
             flows_w = [flows[j] for j in range(f0, end - 1)]
-        old = None if wi == 0 else [out[l][f0:s] for l in range(config.levels)]
+        old = [out[l][f0:s] for l in range(config.levels)]
         volumes = _window_pass(frames_w, flows_w, config, old, state)
         for l in range(config.levels):
             out[l][s:end] = volumes[l][s - f0:]

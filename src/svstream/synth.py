@@ -57,8 +57,10 @@ def _hash_unit(base: int, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
     """Hash integer lattice coordinates to floats in [0, 1)."""
     ux = ix.astype(np.int64).astype(np.uint64)
     uy = iy.astype(np.int64).astype(np.uint64)
-    h = ux * np.uint64(_LAT_X) + uy * np.uint64(_LAT_Y) + np.uint64(base & MASK64)
-    return (mix64_array(h) >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    with np.errstate(over="ignore"):        # the 2**64 wrap is intended
+        h = ux * np.uint64(_LAT_X) + uy * np.uint64(_LAT_Y) + np.uint64(base & MASK64)
+        h = mix64_array(h) >> np.uint64(11)
+    return h.astype(np.float64) * (1.0 / (1 << 53))
 
 
 def value_noise(seed: int, salt: int, xs: np.ndarray, ys: np.ndarray, step: float) -> np.ndarray:

@@ -4,7 +4,8 @@ The metric references are written as plain loops over voxels with exact
 rational arithmetic, independent of the vectorized code under test.  The
 motion references keep the one-hypothesis-at-a-time RANSAC loop and the
 merge pass that computes every pair distance afresh; the batched and
-memoized code in svstream.motionlayers must reproduce them bit for bit.
+memoized code in svstream.motionlayers must reproduce them bit for bit, and
+the per-label-value component loop must match its one-graph components.
 The supervoxel reference is the batch build: one level-0 sweep over the
 whole video, then every higher level regrouped from scratch, which
 svstream.streamseg.stream_segment must reproduce for a video no longer than
@@ -13,14 +14,15 @@ one window.  Slow on purpose.
 from fractions import Fraction
 
 import numpy as np
+from scipy import ndimage
 
 from svstream.affine import AffineModel
 from svstream.imageops import relabel_first_occurrence
 from svstream.motionlayers import (MotionRegion, RansacParams,
                                    region_distance)
 from svstream.rng import SplitMix64, derive_seed
-from svstream.streamseg import (SegmentationHierarchy, _fh_sweep, _group_level,
-                                _labels_from_forest, _StreamState, _window_edges)
+from svstream.streamseg import (SegmentationHierarchy, _close_level, _fh_sweep,
+                                _group_level, _StreamState, _window_edges)
 from svstream.unionfind import Forest
 
 
@@ -264,15 +266,27 @@ def oracle_merge_pass(regions, adjacency, tau, frame_gray, flow, p, q, seed,
     return [by_id[rid] for rid in sorted(by_id)]
 
 
+def oracle_components(labels):
+    """4-connected components of every label value, one ndimage.label call per
+    value: (ids (H, W), count), ids ordered by label value, then by scipy's
+    scan order within one value."""
+    comp = np.full(labels.shape, -1, dtype=np.int64)
+    count = 0
+    for lab in np.unique(labels):
+        cc, num = ndimage.label(labels == lab)
+        inside = cc > 0
+        comp[inside] = cc[inside] + (count - 1)
+        count += num
+    return comp, count
+
+
 # ---------------------------------------------------------------- supervoxels
 
 def oracle_segment_level0(edges, num_voxels, k0, min_size):
     """Group voxels; returns dense labels (first-occurrence order) per voxel id."""
     forest = Forest(num_voxels)
     _fh_sweep(forest, edges, k0, min_size)
-    labels, _, _, _ = _labels_from_forest(
-        forest, np.arange(num_voxels, dtype=np.int64), 0)
-    return labels
+    return _close_level(forest, np.arange(num_voxels, dtype=np.int64), _StreamState(1), 0)
 
 
 def oracle_build_hierarchy(level0, frames, flows, config):
@@ -284,11 +298,9 @@ def oracle_build_hierarchy(level0, frames, flows, config):
     flat = relabel_first_occurrence(level0).ravel()
     edges = _window_edges(frames, flows, config)
     state = _StreamState(config.levels)
-    state.sizes[0] = dict(enumerate(np.bincount(flat).tolist()))
-    growth = dict(state.sizes[0])
+    no_frozen = np.empty(0, dtype=np.int64)
     levels = [flat]
     for level in range(1, config.levels):
-        flat, growth = _group_level(levels[-1], edges, frames.reshape(-1, 3), flows,
-                                    (t_len, h, w), config, level, state, growth, {})
-        levels.append(flat)
+        levels.append(_group_level(levels[-1], no_frozen, edges, frames.reshape(-1, 3),
+                                   flows, (t_len, h, w), config, level, state))
     return SegmentationHierarchy([lv.reshape(t_len, h, w) for lv in levels])

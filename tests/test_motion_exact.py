@@ -1,8 +1,10 @@
-"""Exactness of the batched RANSAC and the memoized merge pass.
+"""Exactness of the batched RANSAC, the memoized merge pass and the
+one-graph connected components.
 
-Both must reproduce the one-hypothesis-at-a-time and recompute-every-pair
-references in tests/oracles.py bit for bit: the same splitmix64 draws, the
-same fitted parameters, the same surviving regions.
+They must reproduce the one-hypothesis-at-a-time, recompute-every-pair and
+per-label-value references in tests/oracles.py bit for bit: the same
+splitmix64 draws, the same fitted parameters, the same surviving regions,
+the same component ids.
 """
 
 import numpy as np
@@ -187,6 +189,23 @@ def test_memoized_merges_equal_oracle_on_random_labels(merge_checker, mode):
     assert len(merged) == 4 * len(schedule)
     # the schedule really merges, at more than one level
     assert sum(1 for m in merged if m > 0) >= 4
+
+
+# ---------------------------------------------------------------- components
+
+def test_components_equal_oracle_on_random_maps():
+    # the ids break clean_small_components' ties, so they must match exactly
+    rng = np.random.default_rng(77)
+    for s in range(200):
+        h, w = int(rng.integers(1, 20)), int(rng.integers(1, 20))
+        labels = rng.integers(-2, int(rng.integers(1, 6)), size=(h, w))
+        if s % 2:       # blocky maps: larger components with holes and nesting
+            labels = np.kron(labels[:(h + 1) // 2, :(w + 1) // 2],
+                             np.ones((2, 2), dtype=np.int64))[:h, :w] * 7
+        got, got_n = motionlayers._components(labels)
+        want, want_n = oracles.oracle_components(labels)
+        assert got_n == want_n
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- modes

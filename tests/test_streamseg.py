@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from svstream import streamseg
 from svstream.affine import AffineModel
 from svstream.streamseg import (StreamConfig, _NodeFeatures, _pair_weights,
                                 build_spatial_edges, build_temporal_edges,
@@ -290,6 +291,32 @@ def test_stream_labels_finalized_per_window():
     prefix = stream_segment(frames[:3], flows[:2], config)
     for lv_f, lv_p in zip(hier.levels, prefix.levels):
         assert np.array_equal(lv_f[:3], lv_p)
+
+
+@pytest.mark.parametrize("with_flow", [True, False])
+def test_stream_state_sizes_count_every_emitted_voxel(monkeypatch, with_flow):
+    # a frozen region's size is rebuilt from its recorded size plus its voxels
+    # in each new window, so the record must equal its footprint in the output
+    states = []
+
+    class RecordedState(streamseg._StreamState):
+        def __init__(self, levels):
+            super().__init__(levels)
+            states.append(self)
+
+    monkeypatch.setattr(streamseg, "_StreamState", RecordedState)
+    frames, _, flows = _scene(7, t=9)
+    config = StreamConfig(subseq_len=2, levels=3, k0=0.5, min_size=4)
+    hier = stream_segment(frames, flows if with_flow else None, config)
+    state, = states
+    for level, vol in enumerate(hier.levels):
+        alive = np.unique(vol[8:]).tolist()
+        assert sorted(state.sizes[level]) == alive
+        counts = np.bincount(vol.ravel())
+        assert {lab: state.sizes[level][lab] for lab in alive} == \
+            {lab: int(counts[lab]) for lab in alive}
+        # labels alive since the first window: sizes carried across four closes
+        assert np.intersect1d(alive, vol[0]).size > 0
 
 
 def test_video_shape_validation():

@@ -1,10 +1,13 @@
 """Synthetic scene generator: geometry, labels, exact flows, parsing."""
+import warnings
+
 import numpy as np
 import pytest
 
 from svstream.affine import AffineModel
 from svstream.errors import DataError
-from svstream.synth import ObjectSpec, SceneSpec, generate, parse_scene_spec
+from svstream.synth import (ObjectSpec, SceneSpec, generate, parse_scene_spec,
+                            value_noise)
 
 
 def _basic_spec(**kw):
@@ -99,6 +102,16 @@ def test_noise_changes_frames_only():
     assert not np.array_equal(clean[0], noisy[0])
     assert np.array_equal(clean[1], noisy[1])
     assert all(np.array_equal(x, y) for x, y in zip(clean[2], noisy[2]))
+
+
+def test_value_noise_scalar_equals_array_element():
+    # the lattice hash wraps modulo 2**64; numpy scalars warn on that wrap
+    # unless it is declared intended
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = value_noise(1, 2, 3.5, 4.5, 2.0)
+        array = value_noise(1, 2, np.array([0.25, 3.5]), np.array([9.0, 4.5]), 2.0)
+    assert scalar == array[1]
 
 
 def test_parse_scene_spec_round_trip():
