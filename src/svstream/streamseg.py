@@ -17,7 +17,14 @@ build.
 
 Voxel ids within a window are x + y*W + t*W*H, t counted from the window's
 first frame.  Edges live in structured arrays of EDGE_DTYPE with fields
-(a, b, w); ties in the grouping sweep break by (w, min id, max id).
+(a, b, w); ties in the grouping sweep break by (w, min id, max id).  A
+window builds no edge between two frozen voxels: such an edge could only
+join one emitted region to itself or to another, which never merge.
+
+The grouping sweep is exact but blockwise: numpy drops, one block of sorted
+edges at a time, every edge that can no longer merge anything (same root,
+two marked roots, or in the cleanup pass two roots already large enough),
+and the merge rule runs in Python over the remaining edges only.
 """
 
 from dataclasses import dataclass
@@ -146,42 +153,73 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.
 
 # ---------------------------------------------------------------- grouping
 
-def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> None:
-    """Ascending-weight merge sweep plus the small-component cleanup pass.
+def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.ndarray:
+    """Ascending-weight merge sweep plus the small-component cleanup pass;
+    returns the final root of every item.
 
     Ties break by (w, min id, max id).  Components whose marks are both set
-    never merge (streaming freeze).
+    never merge (streaming freeze).  The forest must be flat on entry (every
+    parent a root), as Forest() and _pre_union leave it.
+
+    The sorted edges are visited in blocks.  numpy first drops each edge that
+    stays a no-op for the rest of both passes, judged by the roots at the
+    start of the block: its endpoints share a root (unions only merge), both
+    roots are marked (marks survive unions and two marked roots never merge),
+    or, in the cleanup pass, both roots already hold min_size items (sizes
+    only grow).  The merge rule then runs in Python over the surviving edges
+    in sweep order, so every union, size, internal difference and mark equals
+    the edge-by-edge sweep's.  After a block that merged, one gather moves the
+    absorbed roots' items to their new roots.
     """
+    n = len(forest.parent)
     ea, eb, ew = edges["a"], edges["b"], edges["w"]
-    order = np.lexsort((np.maximum(ea, eb), np.minimum(ea, eb), ew)).tolist()
-    ea, eb, ew = ea.tolist(), eb.tolist(), ew.tolist()
+    order = np.lexsort((np.maximum(ea, eb), np.minimum(ea, eb), ew))
+    ea, eb, ew = ea[order], eb[order], ew[order]
+    root = np.array(forest.parent, dtype=np.int64)
+    root_marked = np.array(forest.mark) >= 0
+    root_size = np.array(forest.size, dtype=np.int64)
     find = forest.find
     union = forest.union
     size = forest.size
     internal = forest.internal
     mark = forest.mark
-    for i in order:
-        a = find(ea[i])
-        b = find(eb[i])
-        if a == b or (mark[a] >= 0 and mark[b] >= 0):
-            continue
-        w = ew[i]
-        lim_a = internal[a] + k / size[a]
-        lim_b = internal[b] + k / size[b]
-        if w <= (lim_a if lim_a < lim_b else lim_b):
-            r = union(a, b)
-            if w > internal[r]:
-                internal[r] = w
-    for i in order:
-        a = find(ea[i])
-        b = find(eb[i])
-        if a == b or (mark[a] >= 0 and mark[b] >= 0):
-            continue
-        if size[a] < min_size or size[b] < min_size:
-            r = union(a, b)
-            w = ew[i]
-            if w > internal[r]:
-                internal[r] = w
+    block = max(1024, n // 4)
+    for cleanup in (False, True):
+        for s in range(0, len(ew), block):
+            ra = root[ea[s:s + block]]
+            rb = root[eb[s:s + block]]
+            live = (ra != rb) & ~(root_marked[ra] & root_marked[rb])
+            if cleanup:
+                live &= (root_size[ra] < min_size) | (root_size[rb] < min_size)
+            absorbed = []
+            for a, b, w in zip(ra[live].tolist(), rb[live].tolist(),
+                               ew[s:s + block][live].tolist()):
+                a = find(a)
+                b = find(b)
+                if a == b or (mark[a] >= 0 and mark[b] >= 0):
+                    continue
+                if cleanup:
+                    if size[a] >= min_size and size[b] >= min_size:
+                        continue
+                else:
+                    lim_a = internal[a] + k / size[a]
+                    lim_b = internal[b] + k / size[b]
+                    if w > (lim_a if lim_a < lim_b else lim_b):
+                        continue
+                r = union(a, b)
+                absorbed.append(a + b - r)
+                if w > internal[r]:
+                    internal[r] = w
+            if absorbed:
+                # a root's mark and size only grow, so a stale entry would
+                # only keep more edges; refreshing them keeps the filter sharp
+                now = [find(x) for x in absorbed]
+                remap = np.arange(n, dtype=np.int64)
+                remap[absorbed] = now
+                root = remap[root]
+                root_marked[now] = [mark[r] >= 0 for r in now]
+                root_size[now] = [size[r] for r in now]
+    return root
 
 
 # ---------------------------------------------------------------- distances
@@ -302,33 +340,33 @@ class _StreamState:
 
 def _pre_union(forest: Forest, keys: np.ndarray, grown: np.ndarray,
                state: _StreamState, level: int) -> None:
-    """Union the items sharing a key (an emitted label; -1 for a new item) into
-    one component marked with it.  Its size is the label's cumulative size
-    plus grown, its members' voxels in the window's new frames; its internal
-    difference is the label's recorded one."""
-    groups = {}
-    for i, key in enumerate(keys.tolist()):
-        if key >= 0:
-            groups.setdefault(key, []).append(i)
-    grown = grown.tolist()
-    for key, members in groups.items():
-        root = forest.find(members[0])
-        for m in members[1:]:
-            root = forest.union(root, forest.find(m))
-        forest.size[root] = state.sizes[level][key] + sum(grown[m] for m in members)
-        forest.internal[root] = state.ints[level][key]
-        forest.mark[root] = key
+    """On a fresh forest, link the items sharing a key (an emitted label; -1
+    for a new item) straight to one root marked with it, so the forest stays
+    flat for _fh_sweep.  Its size is the label's cumulative size plus grown,
+    its members' voxels in the window's new frames; its internal difference
+    is the label's recorded one."""
+    members = np.flatnonzero(keys >= 0)
+    ukeys, first, group = np.unique(keys[members], return_index=True,
+                                    return_inverse=True)
+    roots = members[first]
+    parent = np.arange(len(keys), dtype=np.int64)
+    parent[members] = roots[group]
+    forest.parent[:len(keys)] = parent.tolist()
+    group_grown = np.bincount(group, weights=grown[members], minlength=len(ukeys))
+    for key, r, g in zip(ukeys.tolist(), roots.tolist(),
+                         group_grown.astype(np.int64).tolist()):
+        forest.size[r] = state.sizes[level][key] + g
+        forest.internal[r] = state.ints[level][key]
+        forest.mark[r] = key
 
 
-def _close_level(forest: Forest, first_occ: np.ndarray, state: _StreamState,
-                 level: int) -> np.ndarray:
-    """Label a level's forest: marked roots keep their mark, fresh roots get
-    the level's next labels ordered by first occurrence (first_occ[i] is the
-    first-voxel key of item i).  Advances the level's counter, records every
-    label's cumulative size and internal difference, and returns the label
-    of each item."""
-    n = len(first_occ)
-    roots = np.fromiter((forest.find(i) for i in range(n)), dtype=np.int64, count=n)
+def _close_level(forest: Forest, roots: np.ndarray, first_occ: np.ndarray,
+                 state: _StreamState, level: int) -> np.ndarray:
+    """Label a level's forest, given every item's root: marked roots keep
+    their mark, fresh roots get the level's next labels ordered by first
+    occurrence (first_occ[i] is the first-voxel key of item i).  Advances the
+    level's counter, records every label's cumulative size and internal
+    difference, and returns the label of each item."""
     uroots, inv = np.unique(roots, return_inverse=True)
     root_first = np.full(len(uroots), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(root_first, inv, first_occ)
@@ -370,14 +408,27 @@ def _group_level(prev_flat: np.ndarray, old_level: np.ndarray, edges: np.ndarray
     _pre_union(forest, parent, grown, state, level)
 
     # node ids rank like their labels, so ties break by (w, label a, label b)
-    _fh_sweep(forest, make_edges(pa, pb, weights),
-              config.k0 * config.k_growth ** level, config.min_size)
-    return _close_level(forest, node_first, state, level)[node_index]
+    roots = _fh_sweep(forest, make_edges(pa, pb, weights),
+                      config.k0 * config.k_growth ** level, config.min_size)
+    return _close_level(forest, roots, node_first, state, level)[node_index]
 
 
-def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig) -> np.ndarray:
-    return np.concatenate([build_spatial_edges(frames_w),
-                           build_temporal_edges(frames_w, flows_w, config.use_flow_edges)])
+def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig,
+                  frozen: int) -> np.ndarray:
+    """The window's voxel edges except those joining two voxels of its first
+    `frozen` frames: spatial edges of the new frames, temporal edges from the
+    first new frame on.  Each left-out edge joins two voxels of one emitted
+    label or of two, so it could only ever link two marked components."""
+    h, w = frames_w.shape[1:3]
+    spatial = build_spatial_edges(frames_w[frozen:])
+    first = max(frozen - 1, 0)
+    temporal = build_temporal_edges(frames_w[first:],
+                                    None if flows_w is None else flows_w[first:],
+                                    config.use_flow_edges)
+    for edges, t0 in ((spatial, frozen), (temporal, first)):
+        edges["a"] += t0 * h * w
+        edges["b"] += t0 * h * w
+    return np.concatenate([spatial, temporal])
 
 
 def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
@@ -388,13 +439,13 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
     t_len, h, w = frames_w.shape[:3]
     n = t_len * h * w
     colors_u8 = frames_w.reshape(-1, 3)
-    edges = _window_edges(frames_w, flows_w, config)
+    edges = _window_edges(frames_w, flows_w, config, len(old_labels[0]))
 
     forest = Forest(n)
     frozen = old_labels[0].ravel()
     _pre_union(forest, frozen, np.zeros_like(frozen), state, 0)
-    _fh_sweep(forest, edges, config.k0, config.min_size)
-    levels_flat = [_close_level(forest, np.arange(n, dtype=np.int64), state, 0)]
+    roots = _fh_sweep(forest, edges, config.k0, config.min_size)
+    levels_flat = [_close_level(forest, roots, np.arange(n, dtype=np.int64), state, 0)]
     for level in range(1, config.levels):
         levels_flat.append(_group_level(
             levels_flat[-1], old_labels[level].ravel(), edges, colors_u8, flows_w,

@@ -7,9 +7,10 @@ merge pass that computes every pair distance afresh; the batched and
 memoized code in svstream.motionlayers must reproduce them bit for bit, and
 the per-label-value component loop must match its one-graph components.
 The supervoxel reference is the batch build: one level-0 sweep over the
-whole video, then every higher level regrouped from scratch, which
-svstream.streamseg.stream_segment must reproduce for a video no longer than
-one window.  Slow on purpose.
+whole video, then every higher level regrouped from scratch, each with the
+edge-by-edge grouping sweep, which svstream.streamseg.stream_segment and its
+blockwise sweep must reproduce for a video no longer than one window.  Slow
+on purpose.
 """
 from fractions import Fraction
 
@@ -21,8 +22,10 @@ from svstream.imageops import relabel_first_occurrence
 from svstream.motionlayers import (MotionRegion, RansacParams,
                                    region_distance)
 from svstream.rng import SplitMix64, derive_seed
-from svstream.streamseg import (SegmentationHierarchy, _close_level, _fh_sweep,
-                                _group_level, _StreamState, _window_edges)
+from svstream.streamseg import (SegmentationHierarchy, _close_level, _NodeFeatures,
+                                _pair_weights, _region_pairs, _StreamState,
+                                build_spatial_edges, build_temporal_edges,
+                                make_edges)
 from svstream.unionfind import Forest
 
 
@@ -282,11 +285,50 @@ def oracle_components(labels):
 
 # ---------------------------------------------------------------- supervoxels
 
+def oracle_fh_sweep(forest, edges, k, min_size):
+    """Edge-by-edge merge sweep plus the small-component cleanup pass, in
+    (w, min id, max id) order; two marked components never merge."""
+    ea, eb, ew = edges["a"], edges["b"], edges["w"]
+    order = np.lexsort((np.maximum(ea, eb), np.minimum(ea, eb), ew)).tolist()
+    ea, eb, ew = ea.tolist(), eb.tolist(), ew.tolist()
+    find = forest.find
+    size = forest.size
+    internal = forest.internal
+    mark = forest.mark
+    for i in order:
+        a = find(ea[i])
+        b = find(eb[i])
+        if a == b or (mark[a] >= 0 and mark[b] >= 0):
+            continue
+        w = ew[i]
+        lim_a = internal[a] + k / size[a]
+        lim_b = internal[b] + k / size[b]
+        if w <= (lim_a if lim_a < lim_b else lim_b):
+            r = forest.union(a, b)
+            if w > internal[r]:
+                internal[r] = w
+    for i in order:
+        a = find(ea[i])
+        b = find(eb[i])
+        if a == b or (mark[a] >= 0 and mark[b] >= 0):
+            continue
+        if size[a] < min_size or size[b] < min_size:
+            r = forest.union(a, b)
+            w = ew[i]
+            if w > internal[r]:
+                internal[r] = w
+
+
+def _oracle_close(forest, first_occ, state, level):
+    roots = np.array([forest.find(i) for i in range(len(first_occ))], dtype=np.int64)
+    return _close_level(forest, roots, first_occ, state, level)
+
+
 def oracle_segment_level0(edges, num_voxels, k0, min_size):
     """Group voxels; returns dense labels (first-occurrence order) per voxel id."""
     forest = Forest(num_voxels)
-    _fh_sweep(forest, edges, k0, min_size)
-    return _close_level(forest, np.arange(num_voxels, dtype=np.int64), _StreamState(1), 0)
+    oracle_fh_sweep(forest, edges, k0, min_size)
+    return _oracle_close(forest, np.arange(num_voxels, dtype=np.int64), _StreamState(1), 0)
 
 
 def oracle_build_hierarchy(level0, frames, flows, config):
@@ -295,12 +337,21 @@ def oracle_build_hierarchy(level0, frames, flows, config):
     regrouping the one below with threshold constant k0 * k_growth^level."""
     frames = np.asarray(frames)
     t_len, h, w = frames.shape[:3]
-    flat = relabel_first_occurrence(level0).ravel()
-    edges = _window_edges(frames, flows, config)
+    colors_u8 = frames.reshape(-1, 3)
+    edges = np.concatenate([build_spatial_edges(frames),
+                            build_temporal_edges(frames, flows, config.use_flow_edges)])
     state = _StreamState(config.levels)
-    no_frozen = np.empty(0, dtype=np.int64)
-    levels = [flat]
+    levels = [relabel_first_occurrence(level0).ravel()]
     for level in range(1, config.levels):
-        levels.append(_group_level(levels[-1], no_frozen, edges, frames.reshape(-1, 3),
-                                   flows, (t_len, h, w), config, level, state))
+        _, node_first, node_index = np.unique(levels[-1], return_index=True,
+                                              return_inverse=True)
+        nn = len(node_first)
+        feats = _NodeFeatures(node_index, nn, colors_u8,
+                              flows if config.use_flow_feature else None,
+                              (t_len, h, w), config)
+        pa, pb = _region_pairs(edges, node_index, nn)
+        forest = Forest(nn, sizes=np.bincount(node_index).tolist())
+        oracle_fh_sweep(forest, make_edges(pa, pb, _pair_weights(feats, pa, pb)),
+                        config.k0 * config.k_growth ** level, config.min_size)
+        levels.append(_oracle_close(forest, node_first, state, level)[node_index])
     return SegmentationHierarchy([lv.reshape(t_len, h, w) for lv in levels])

@@ -5,12 +5,16 @@ import pytest
 
 from svstream import streamseg
 from svstream.affine import AffineModel
-from svstream.streamseg import (StreamConfig, _NodeFeatures, _pair_weights,
+from svstream.imageops import relabel_first_occurrence
+from svstream.streamseg import (StreamConfig, _fh_sweep, _NodeFeatures, _pair_weights,
+                                _pre_union, _StreamState, _window_edges,
                                 build_spatial_edges, build_temporal_edges,
-                                chi2_distance, combine_distance, stream_segment)
+                                chi2_distance, combine_distance, make_edges,
+                                stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate
+from svstream.unionfind import Forest
 
-from oracles import oracle_build_hierarchy, oracle_segment_level0
+from oracles import oracle_build_hierarchy, oracle_fh_sweep, oracle_segment_level0
 
 
 def _undirected_pairs(edges) -> set:
@@ -110,6 +114,81 @@ def test_flow_edges_disabled_ignores_field():
 def test_single_frame_has_no_temporal_edges():
     window = _rand_video(11, 1, 4, 4)
     assert build_temporal_edges(window, None, True).size == 0
+
+
+def _edge_rows(edges) -> list:
+    return sorted(zip(edges["a"].tolist(), edges["b"].tolist(), edges["w"].tolist()))
+
+
+@pytest.mark.parametrize("use_flow_edges", [True, False])
+def test_window_edges_leave_out_only_frozen_pairs(use_flow_edges):
+    frames, _, flows = _scene(8, t=5)
+    config = StreamConfig(use_flow_edges=use_flow_edges)
+    h, w = frames.shape[1:3]
+    full = np.concatenate([build_spatial_edges(frames),
+                           build_temporal_edges(frames, flows, use_flow_edges)])
+    for frozen in range(5):
+        got = _window_edges(frames, flows, config, frozen)
+        both = (full["a"] < frozen * h * w) & (full["b"] < frozen * h * w)
+        assert _edge_rows(got) == _edge_rows(full[~both])
+        assert len(got) < len(full) or frozen == 0
+
+
+# ---------------------------------------------------------------- sweep
+
+def _sweep_case(seed: int):
+    """Random items and tied-weight edges, some items pre-grouped into
+    marked components with preset sizes and internal differences."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9000 if seed % 10 == 0 else 1500))
+    m = int(rng.integers(1, 4 * n + 2))
+    edges = make_edges(rng.integers(0, n, m), rng.integers(0, n, m),
+                       rng.integers(0, 6, m) * 0.2)
+    base = rng.integers(1, 4, n)
+    keys = np.full(int(rng.integers(0, n + 1)), -1, dtype=np.int64)
+    state = _StreamState(1)
+    for key in rng.choice(1000, int(rng.integers(0, 6)), replace=False).tolist():
+        if len(keys):
+            keys[rng.integers(0, len(keys), int(rng.integers(1, 30)))] = key
+        state.sizes[0][key] = int(rng.integers(1, 40))
+        state.ints[0][key] = float(rng.integers(0, 6) * 0.2)
+    grown = rng.integers(0, 3, len(keys))
+    k = float(rng.choice([0.1, 0.5, 2.0]))
+    min_size = int(rng.choice([1, 2, 5, 20]))
+    return n, edges, base, keys, grown, state, k, min_size
+
+
+def _component_table(forest, roots):
+    return (relabel_first_occurrence(roots),
+            [forest.size[r] for r in roots.tolist()],
+            [forest.internal[r] for r in roots.tolist()],
+            [forest.mark[r] for r in roots.tolist()])
+
+
+def test_fh_sweep_equals_oracle():
+    for seed in range(400):
+        n, edges, base, keys, grown, state, k, min_size = _sweep_case(seed)
+        forest = Forest(n, sizes=base.tolist())
+        _pre_union(forest, keys, grown, state, 0)
+        roots = _fh_sweep(forest, edges, k, min_size)
+        assert roots.tolist() == [forest.find(i) for i in range(n)]
+
+        # the reference pre-groups by one union per member
+        ref = Forest(n, sizes=base.tolist())
+        for key in np.unique(keys[keys >= 0]).tolist():
+            members = np.flatnonzero(keys == key).tolist()
+            root = members[0]
+            for i in members[1:]:
+                root = ref.union(root, ref.find(i))
+            ref.size[root] = state.sizes[0][key] + int(grown[members].sum())
+            ref.internal[root] = state.ints[0][key]
+            ref.mark[root] = key
+        oracle_fh_sweep(ref, edges, k, min_size)
+        ref_roots = np.array([ref.find(i) for i in range(n)], dtype=np.int64)
+
+        got, want = _component_table(forest, roots), _component_table(ref, ref_roots)
+        assert np.array_equal(got[0], want[0]), seed
+        assert got[1:] == want[1:], seed
 
 
 # ---------------------------------------------------------------- level 0
