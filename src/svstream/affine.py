@@ -6,7 +6,7 @@ A model describes a per-pixel displacement field
     v(x, y) = a4 + a5*x + a6*y
 
 in pixel coordinates relative to the frame origin.  The induced point map
-x -> x + (u, v) is itself affine; helpers convert between the two views.
+x -> x + (u, v) is itself affine; point_matrix gives it in homogeneous form.
 """
 
 from dataclasses import dataclass
@@ -49,14 +49,6 @@ class AffineModel:
             [self.a5, 1.0 + self.a6, self.a4],
             [0.0, 0.0, 1.0],
         ])
-
-    @staticmethod
-    def from_point_matrix(m: np.ndarray) -> "AffineModel":
-        """Inverse of point_matrix (the displacement model of a point map)."""
-        return AffineModel(
-            a1=float(m[0, 2]), a2=float(m[0, 0]) - 1.0, a3=float(m[0, 1]),
-            a4=float(m[1, 2]), a5=float(m[1, 0]), a6=float(m[1, 1]) - 1.0,
-        )
 
     @staticmethod
     def fit_lstsq(xs, ys, us, vs) -> "AffineModel":

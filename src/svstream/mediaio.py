@@ -8,7 +8,8 @@ In-memory conventions:
     frame         (H, W, 3) uint8
     sequence      (T, H, W, 3) uint8
     flow field    (H, W, 2) float32, [..., 0] = u (horizontal), [..., 1] = v
-    label volume  (T, H, W) int32, labels >= 0
+    label volume  (T, H, W) int32 from the readers; the writers take any
+                  integer array with labels in 0..65535
 """
 
 import os
@@ -195,27 +196,21 @@ def find_frame_indices(pattern: str):
     return sorted(indices)
 
 
-def load_frame_sequence(pattern: str, start: int | None = None) -> np.ndarray:
+def load_frame_sequence(pattern: str) -> np.ndarray:
     """Load PPM frames matching a printf-style pattern into a (T, H, W, 3) array.
 
-    Frames must form a contiguous index range; a gap raises naming the
-    missing index.  `start` defaults to the smallest index found.
+    Frames must form a contiguous index range from the smallest index found;
+    a gap raises naming the missing index.
     """
     indices = find_frame_indices(pattern)
     if not indices:
         raise DataError(f"no frames found matching {pattern!r}")
-    if start is None:
-        start = indices[0]
-    present = set(indices)
-    if start not in present:
-        raise DataError(f"missing frame index {start} for pattern {pattern!r}")
-    last = start
-    while last + 1 in present:
-        last += 1
-    if any(i > last for i in indices):
-        raise DataError(f"missing frame index {last + 1} for pattern {pattern!r}")
+    start = indices[0]
+    for expected, i in enumerate(indices, start):
+        if i != expected:
+            raise DataError(f"missing frame index {expected} for pattern {pattern!r}")
     frames = []
-    for i in range(start, last + 1):
+    for i in indices:
         frame = read_ppm(pattern % i)
         if frames and frame.shape != frames[0].shape:
             raise FormatError(
@@ -225,34 +220,26 @@ def load_frame_sequence(pattern: str, start: int | None = None) -> np.ndarray:
     return np.stack(frames)
 
 
-def write_frame_sequence(seq: np.ndarray, directory: str, start: int = 0) -> list:
-    """Write frames as zero-padded PPMs (00000.ppm, ...); returns the paths."""
+def write_frame_sequence(seq: np.ndarray, directory: str) -> None:
+    """Write frames as zero-padded PPMs (00000.ppm, ...)."""
     os.makedirs(directory, exist_ok=True)
-    paths = []
     for t, frame in enumerate(seq):
-        p = os.path.join(directory, f"{start + t:05d}.ppm")
-        write_ppm(p, frame)
-        paths.append(p)
-    return paths
+        write_ppm(os.path.join(directory, f"{t:05d}.ppm"), frame)
 
 
 # ---------------------------------------------------------------------------
 # Label volumes
 
-def write_label_volume(volume: np.ndarray, directory: str, start: int = 0) -> list:
-    """Write one 16-bit PGM per frame, named by frame index; returns the paths.
+def write_label_volume(volume: np.ndarray, directory: str) -> None:
+    """Write one 16-bit PGM per frame, named by frame index (00000.pgm, ...).
     A label out of the 16-bit range is reported before anything is written."""
     volume = np.asarray(volume)
     if volume.ndim != 3:
         raise ValueError("label volume must be (T, H, W)")
     check_pgm16_labels(volume)
     os.makedirs(directory, exist_ok=True)
-    paths = []
     for t, labels in enumerate(volume):
-        p = os.path.join(directory, f"{start + t:05d}.pgm")
-        write_pgm16(p, labels)
-        paths.append(p)
-    return paths
+        write_pgm16(os.path.join(directory, f"{t:05d}.pgm"), labels)
 
 
 def read_label_volume(directory: str) -> np.ndarray:

@@ -142,25 +142,16 @@ def _r_squared(values: np.ndarray, inv: np.ndarray) -> Fraction:
     return num / den
 
 
-def explained_variation(pred: np.ndarray, video: np.ndarray,
-                        per_channel: bool = False) -> float:
+def explained_variation(pred: np.ndarray, video: np.ndarray) -> float:
     """R-squared of the per-supervoxel-mean reconstruction of the video's
     luma: sum_i (mu_i - mu)^2 / sum_i (x_i - mu)^2 over voxels i, where mu_i
     is the mean of voxel i's supervoxel.  A constant video scores 1.
-
-    per_channel evaluates R-squared on each color channel and averages,
-    instead of collapsing to luma first.
     """
     pred = np.asarray(pred)
     x = _integer_luma(video)
     if pred.shape != x.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {x.shape}")
     _, inv = np.unique(pred.ravel(), return_inverse=True)
-    video = np.asarray(video)
-    if per_channel and video.ndim == 4:
-        parts = [_r_squared(video[..., c].astype(np.int64), inv)
-                 for c in range(video.shape[-1])]
-        return float(sum(parts) / len(parts))
     return float(_r_squared(x, inv))
 
 
@@ -270,14 +261,9 @@ def evaluate(pred_levels, gt: np.ndarray, video: np.ndarray,
     return [compute_report(np.asarray(vol), gt, video, tol) for vol in levels]
 
 
-def write_metrics_csv(reports, out) -> None:
-    """Write per-level reports as CSV (floats via repr, so they round-trip).
-
-    `out` is a file path or a writable text stream.
-    """
-    own = isinstance(out, (str, bytes))
-    fh = open(out, "w", newline="") if own else out
-    try:
+def write_metrics_csv(reports, path: str) -> None:
+    """Write per-level reports as CSV (floats via repr, so they round-trip)."""
+    with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(CSV_HEADER)
         for level, r in enumerate(reports):
@@ -285,20 +271,12 @@ def write_metrics_csv(reports, out) -> None:
                          repr(r.br2d), repr(r.br3d), repr(r.ev),
                          repr(r.acc2d), repr(r.acc3d),
                          repr(r.ue2d), repr(r.ue3d)])
-    finally:
-        if own:
-            fh.close()
 
 
-def read_metrics_csv(source) -> list:
+def read_metrics_csv(path: str) -> list:
     """Parse write_metrics_csv output back to (level, MetricsReport) pairs."""
-    own = isinstance(source, (str, bytes))
-    fh = open(source, "r", newline="") if own else source
-    try:
+    with open(path, "r", newline="") as fh:
         rows = list(csv.reader(fh))
-    finally:
-        if own:
-            fh.close()
     if not rows or rows[0] != CSV_HEADER:
         raise ValueError("unrecognized metrics CSV header")
     out = []

@@ -29,7 +29,6 @@ from .rng import derive_seed, splitmix64_block
 log = logging.getLogger(__name__)
 
 DIVERGENCE_KAPPA = 64.0
-DIVERGENCE_MODES = ("penalized", "literal")
 _SCORE_BLOCK = 1 << 16      # hypotheses x pixels scored at once by RANSAC
 MIN_REGION = 12             # smaller components of a pair's initial labeling are absorbed
 OVERLAP_FRAC = 0.3          # share of a region's area that must overlap to keep a label
@@ -197,50 +196,38 @@ def _box_extent(d: np.ndarray):
     return lo, hi - lo
 
 
-def _check_mode(mode: str):
-    if mode not in DIVERGENCE_MODES:
-        raise ValueError(f"unknown divergence mode {mode!r}")
-
-
-def _patch_divergence(own, other, n_pixels: int, mode: str) -> float:
+def _patch_divergence(own, other) -> float:
     """Divergence between a region's canonical patch under its own model and
-    under another model (see directed_divergence); mode is already checked."""
+    under another model (see directed_divergence)."""
     joint = own.valid_mask & other.valid_mask
     n_joint = int(np.count_nonzero(joint))
     if n_joint == 0:
         return float("inf")
     diff = float(np.abs(own.values[joint] - other.values[joint]).sum())
-    if mode == "literal":
-        return diff / n_pixels
     n_union = int(np.count_nonzero(own.valid_mask | other.valid_mask))
     return diff / n_joint + DIVERGENCE_KAPPA * (1.0 - n_joint / n_union)
 
 
 def directed_divergence(region_i: MotionRegion, region_k: MotionRegion,
-                        frame_gray: np.ndarray, p: int, q: int,
-                        mode: str = "penalized") -> float:
+                        frame_gray: np.ndarray, p: int, q: int) -> float:
     """How badly region k's model explains region i's content.
 
     Region i is warped to canonical coordinates under both models; the
-    default form is the mean absolute patch difference over jointly valid
+    divergence is the mean absolute patch difference over jointly valid
     pixels plus DIVERGENCE_KAPPA * (1 - joint/union), so identical models
-    give exactly 0 and barely-overlapping warps are penalized.  mode
-    "literal" instead divides the summed difference by region i's pixel
-    count.  No jointly valid pixel gives +inf; other modes raise ValueError.
+    give exactly 0 and barely-overlapping warps are penalized.  No jointly
+    valid pixel gives +inf.
     """
-    _check_mode(mode)
     return _patch_divergence(
         warp_to_canonical(frame_gray, region_i, region_i.model, p, q),
-        warp_to_canonical(frame_gray, region_i, region_k.model, p, q),
-        region_i.n, mode)
+        warp_to_canonical(frame_gray, region_i, region_k.model, p, q))
 
 
 def region_distance(region_i: MotionRegion, region_k: MotionRegion,
-                    frame_gray: np.ndarray, p: int, q: int,
-                    mode: str = "penalized") -> float:
+                    frame_gray: np.ndarray, p: int, q: int) -> float:
     """Symmetric merge distance: max of the two directed divergences."""
-    return max(directed_divergence(region_i, region_k, frame_gray, p, q, mode),
-               directed_divergence(region_k, region_i, frame_gray, p, q, mode))
+    return max(directed_divergence(region_i, region_k, frame_gray, p, q),
+               directed_divergence(region_k, region_i, frame_gray, p, q))
 
 
 # ---------------------------------------------------------------- merging
@@ -255,8 +242,7 @@ def _label_adjacency(labels: np.ndarray):
 
 def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
                flow: np.ndarray, p: int, q: int, seed: int,
-               ransac: RansacParams = RansacParams(),
-               mode: str = "penalized") -> list:
+               ransac: RansacParams = RansacParams()) -> list:
     """First-fit merging: scan regions ascending by id, merge the first
     adjacent region within tau, refit the merged model, and rescan; sweeps
     repeat until stable.  Returns the surviving regions, ascending by id.
@@ -266,7 +252,6 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
     invalidates every entry that involves keep or drop.  A warp under a
     neighbor's model serves only its pair's distance and is not kept.
     """
-    _check_mode(mode)
     by_id = {r.id: r for r in regions}
     neigh = {r.id: set() for r in regions}
     for a, b in adjacency:
@@ -279,8 +264,7 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
         if ri.id not in own_patch:
             own_patch[ri.id] = warp_to_canonical(frame_gray, ri, ri.model, p, q)
         return _patch_divergence(own_patch[ri.id],
-                                 warp_to_canonical(frame_gray, ri, rk.model, p, q),
-                                 ri.n, mode)
+                                 warp_to_canonical(frame_gray, ri, rk.model, p, q))
 
     def first_within_tau(rid: int):
         for other in sorted(neigh[rid]):
@@ -395,11 +379,10 @@ def clean_small_components(labels: np.ndarray, min_region: int,
 
 def motion_hierarchy(init_labels: np.ndarray, frame: np.ndarray,
                      flow: np.ndarray, schedule, p: int = 64, q: int = 64,
-                     seed: int = 0, ransac: RansacParams = RansacParams(),
-                     mode: str = "penalized") -> MotionHierarchy:
+                     seed: int = 0,
+                     ransac: RansacParams = RansacParams()) -> MotionHierarchy:
     """Level 0 = connected components of init_labels with RANSAC models;
     level l+1 = merge_pass of level l at tau = schedule[l]."""
-    _check_mode(mode)
     schedule = list(schedule)
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("tau schedule must be strictly increasing")
@@ -409,7 +392,7 @@ def motion_hierarchy(init_labels: np.ndarray, frame: np.ndarray,
     for li, tau in enumerate(schedule):
         regions = merge_pass(regions, _label_adjacency(levels[-1][0]), tau,
                              frame_gray, flow, p, q, derive_seed(seed, 2, li),
-                             ransac, mode)
+                             ransac)
         levels.append(_level(regions, init_labels.shape))
     return MotionHierarchy(levels=levels)
 
@@ -489,18 +472,17 @@ def _forward_rasterize(labels: np.ndarray, models: dict, shape) -> np.ndarray:
     return out
 
 
-def associate_temporal(prev_labels: np.ndarray, cur_labels: np.ndarray,
-                       prev_models: dict, next_fresh: int):
+def associate_temporal(warped: np.ndarray, cur_labels: np.ndarray, next_fresh: int):
     """Map current-pair region labels onto the previous pair's labels.
 
-    Previous regions are forward-warped by their models; each current region
+    `warped` is the previous pair's labeling pushed forward by
+    _forward_rasterize (-1 where nothing lands); each current region
     adopts the previous label with maximal overlap if that overlap is at
     least OVERLAP_FRAC of the region's area.  The mapping is injective: a
     previous label contested by several regions goes to the largest overlap
     (ties to the lower current label), everyone else gets fresh labels from
     next_fresh upward.  Returns (mapping dict, advanced next_fresh).
     """
-    warped = _forward_rasterize(prev_labels, prev_models, cur_labels.shape)
     cur_ids = [int(c) for c in np.unique(cur_labels)]
     claims = {}
     for cid in cur_ids:
@@ -554,14 +536,15 @@ def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
         else:
             warped = _forward_rasterize(prev_tracked, prev_models,
                                         prev_tracked.shape)
+            filled = warped
             if (warped < 0).any():
                 _, (iy, ix) = ndimage.distance_transform_edt(
                     warped < 0, return_indices=True)
-                warped = warped[iy, ix]
+                filled = warped[iy, ix]
             # refine the warped labeling with the current supervoxel slice:
             # cells of the intersection keep the warp's motion identity but
             # their boundaries come from the frame's own segmentation
-            init = warped * (int(sv_slice.max()) + 1) + sv_slice
+            init = filled * (int(sv_slice.max()) + 1) + sv_slice
         init = clean_small_components(init, MIN_REGION, affinity=sv_slice)
         hier = motion_hierarchy(init, seq[t], flow, schedule, p, q,
                                 derive_seed(seed, 4, t))
@@ -575,8 +558,7 @@ def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
             mapping = {lab: lab for lab in top_models}
             next_fresh = max(top_models, default=-1) + 1
         else:
-            mapping, next_fresh = associate_temporal(
-                prev_tracked, top_labels, prev_models, next_fresh)
+            mapping, next_fresh = associate_temporal(warped, top_labels, next_fresh)
         src = sorted(mapping)
         tracked = np.array([mapping[k] for k in src],
                            dtype=np.int64)[np.searchsorted(src, top_labels)]

@@ -111,8 +111,8 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.
     (round(x+u), round(y+v)) in frame t-1, targets outside the frame dropped.
 
     With use_flow_edges off (or flows None) u = v = 0 and the set reduces to
-    the grid 26-neighborhood's temporal part.  Duplicate pairs keep the
-    minimum weight.
+    the grid 26-neighborhood's temporal part.  No (a, b) pair repeats: a is
+    the voxel the edge starts from, and its nine targets are distinct.
     """
     t_len, h, w = window.shape[:3]
     if t_len < 2:
@@ -140,15 +140,7 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.
                 a = src[ok]
                 b = (tx[ok] + ty[ok] * w + (t - 1) * h * w)
                 chunks.append(make_edges(a, b, _color_weights(colors, a, b)))
-    edges = np.concatenate(chunks) if chunks else np.empty(0, dtype=EDGE_DTYPE)
-    if edges.size == 0:
-        return edges
-    # dedup (a, b) keeping the minimum weight
-    order = np.lexsort((edges["w"], edges["b"], edges["a"]))
-    edges = edges[order]
-    keep = np.r_[True, (edges["a"][1:] != edges["a"][:-1])
-                 | (edges["b"][1:] != edges["b"][:-1])]
-    return edges[keep]
+    return np.concatenate(chunks)
 
 
 # ---------------------------------------------------------------- grouping
@@ -224,16 +216,9 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
 
 # ---------------------------------------------------------------- distances
 
-def chi2_distance(h, g) -> float:
-    """0.5 * sum((h-g)^2 / (h+g+eps)) for normalized histograms; in [0, 1]."""
-    h = np.asarray(h, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if h.shape != g.shape:
-        raise ValueError("histogram lengths differ")
-    return float(_chi2_rows(h, g))
-
-
 def _chi2_rows(ha: np.ndarray, hb: np.ndarray) -> np.ndarray:
+    """0.5 * sum((h-g)^2 / (h+g+eps)) over the last axis, for normalized
+    histograms h, g stacked in rows; each value lies in [0, 1]."""
     d = ha - hb
     return 0.5 * np.sum(d * d / (ha + hb + CHI2_EPS), axis=-1)
 

@@ -222,7 +222,7 @@ def oracle_fit_affine_ransac(pixels, flow, seed, params=RansacParams()):
 
 
 def oracle_merge_pass(regions, adjacency, tau, frame_gray, flow, p, q, seed,
-                      ransac=RansacParams(), mode="penalized"):
+                      ransac=RansacParams()):
     """First-fit merging that calls region_distance for every pair it scans
     and refits merged regions with oracle_fit_affine_ransac."""
     by_id = {r.id: r for r in regions}
@@ -244,7 +244,7 @@ def oracle_merge_pass(regions, adjacency, tau, frame_gray, flow, p, q, seed,
                 region = by_id[rid]
                 for other_id in sorted(neigh[rid]):
                     other = by_id[other_id]
-                    dist = region_distance(region, other, frame_gray, p, q, mode)
+                    dist = region_distance(region, other, frame_gray, p, q)
                     if dist <= tau:
                         keep, drop = min(rid, other_id), max(rid, other_id)
                         pixels = np.concatenate([by_id[keep].pixels,

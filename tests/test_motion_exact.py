@@ -12,9 +12,8 @@ import pytest
 
 from svstream import motionlayers
 from svstream.affine import AffineModel
-from svstream.motionlayers import (MotionRegion, RansacParams,
-                                   directed_divergence, fit_affine_ransac,
-                                   motion_hierarchy, run_motion_stream)
+from svstream.motionlayers import (RansacParams, fit_affine_ransac, motion_hierarchy,
+                                   run_motion_stream)
 from svstream.rng import MASK64, SplitMix64, splitmix64_block
 from svstream.streamseg import StreamConfig, stream_segment
 from svstream.synth import ObjectSpec, SceneSpec, generate
@@ -130,10 +129,10 @@ def merge_checker(monkeypatch):
     passes = []
 
     def checked(regions, adjacency, tau, frame_gray, flow, p, q, seed,
-                ransac=RansacParams(), mode="penalized"):
-        got = real(regions, adjacency, tau, frame_gray, flow, p, q, seed, ransac, mode)
+                ransac=RansacParams()):
+        got = real(regions, adjacency, tau, frame_gray, flow, p, q, seed, ransac)
         want = oracles.oracle_merge_pass(regions, adjacency, tau, frame_gray,
-                                         flow, p, q, seed, ransac, mode)
+                                         flow, p, q, seed, ransac)
         assert [r.id for r in got] == [r.id for r in want]
         for a, b in zip(got, want):
             assert np.array_equal(a.pixels, b.pixels)
@@ -178,13 +177,12 @@ def _random_scene(seed: int, h: int = 32, w: int = 32):
     return labels, _texture(seed, h, w), flow
 
 
-@pytest.mark.parametrize("mode", ["penalized", "literal"])
-def test_memoized_merges_equal_oracle_on_random_labels(merge_checker, mode):
-    schedule = (1.0, 4.0, 16.0, 64.0) if mode == "penalized" else (0.05, 0.5, 5.0)
+def test_memoized_merges_equal_oracle_on_random_labels(merge_checker):
+    schedule = (1.0, 4.0, 16.0, 64.0)
     for seed in range(4):
         labels, tex, flow = _random_scene(seed)
         motion_hierarchy(labels, tex, flow, schedule, p=24, q=24, seed=seed,
-                         ransac=RansacParams(min_pixels=6), mode=mode)
+                         ransac=RansacParams(min_pixels=6))
     merged = [n_in - n_out for n_in, n_out in merge_checker]
     assert len(merged) == 4 * len(schedule)
     # the schedule really merges, at more than one level
@@ -206,35 +204,3 @@ def test_components_equal_oracle_on_random_maps():
         want, want_n = oracles.oracle_components(labels)
         assert got_n == want_n
         assert np.array_equal(got, want)
-
-
-# ---------------------------------------------------------------- modes
-
-def _fail(*args, **kwargs):
-    raise AssertionError("reached before the mode was checked")
-
-
-def test_directed_divergence_rejects_unknown_mode_before_warping(monkeypatch):
-    tex = _texture(5, 32, 32)
-    gy, gx = np.mgrid[0:8, 0:8]
-    a = MotionRegion(0, np.column_stack([gx.ravel(), gy.ravel()]), AffineModel())
-    # a singular other model leaves no jointly valid pixel, which used to
-    # return +inf without looking at the mode
-    sing = MotionRegion(1, a.pixels, AffineModel(a2=-1.0))
-    with pytest.raises(ValueError, match="unknown divergence mode"):
-        directed_divergence(a, sing, tex, 32, 32, mode="bogus")
-    monkeypatch.setattr(motionlayers, "warp_to_canonical", _fail)
-    with pytest.raises(ValueError, match="unknown divergence mode"):
-        directed_divergence(a, a, tex, 32, 32, mode="bogus")
-
-
-def test_motion_hierarchy_rejects_unknown_mode_before_fitting(monkeypatch):
-    # one region has no neighbor, so no distance is ever computed
-    tex = _texture(5, 16, 16)
-    labels = np.zeros((16, 16), dtype=np.int64)
-    flow = np.zeros((16, 16, 2))
-    with pytest.raises(ValueError, match="unknown divergence mode"):
-        motion_hierarchy(labels, tex, flow, (1.0,), p=8, q=8, mode="bogus")
-    monkeypatch.setattr(motionlayers, "fit_affine_ransac", _fail)
-    with pytest.raises(ValueError, match="unknown divergence mode"):
-        motion_hierarchy(labels, tex, flow, (1.0,), p=8, q=8, mode="bogus")

@@ -1,12 +1,15 @@
 """Motion-layer tests: RANSAC fitting, canonical warps, divergence properties,
 merging, MRF smoothing, and the per-pair streaming driver."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from svstream import motionlayers
 from svstream.affine import AffineModel
 from svstream.imageops import bilinear_sample
-from svstream.motionlayers import (MotionRegion, RansacParams,
+from svstream.motionlayers import (DIVERGENCE_KAPPA, MotionRegion, RansacParams,
                                    _forward_rasterize, associate_temporal,
                                    clean_small_components, directed_divergence,
                                    fit_affine_ransac, motion_energy,
@@ -199,19 +202,20 @@ def test_singular_other_model_diverges_to_infinity():
     assert directed_divergence(a, sing, tex, 32, 32) == float("inf")
 
 
-def test_literal_mode_normalizes_by_region_size():
+def test_divergence_is_mean_difference_plus_overlap_penalty():
     tex = _texture(6, 32, 32)
     a = MotionRegion(0, _grid_pixels(2, 14, 2, 14), AffineModel())
     b = MotionRegion(1, _grid_pixels(14, 30, 2, 30),
                      _rot_about(22.0, 16.0, 6.0))
     pa = warp_to_canonical(tex, a, a.model, 32, 32)
     pb = warp_to_canonical(tex, a, b.model, 32, 32)
-    joint = pa.valid_mask & pb.valid_mask
-    want = float(np.abs(pa.values[joint] - pb.values[joint]).sum()) / a.n
-    got = directed_divergence(a, b, tex, 32, 32, mode="literal")
-    assert got == want
-    with pytest.raises(ValueError):
-        directed_divergence(a, b, tex, 32, 32, mode="nonsense")
+    both = pa.valid_mask & pb.valid_mask
+    joint = int(np.count_nonzero(both))
+    union = int(np.count_nonzero(pa.valid_mask | pb.valid_mask))
+    assert 0 < joint < union            # both terms contribute
+    diff = float(np.abs(pa.values[both] - pb.values[both]).sum())
+    want = diff / joint + DIVERGENCE_KAPPA * (1 - joint / union)
+    assert directed_divergence(a, b, tex, 32, 32) == want
 
 
 # ---------------------------------------------------------------- hierarchy
@@ -338,8 +342,8 @@ def test_associate_temporal_is_injective():
     cur = np.zeros((4, 10), dtype=np.int64)
     cur[:, 7:] = 1
     # both current regions overlap previous region 3; the larger one keeps it
-    mapping, next_fresh = associate_temporal(prev, cur, {3: AffineModel()},
-                                             next_fresh=10)
+    warped = _forward_rasterize(prev, {3: AffineModel()}, cur.shape)
+    mapping, next_fresh = associate_temporal(warped, cur, next_fresh=10)
     assert mapping == {0: 3, 1: 10}
     assert next_fresh == 11
     assert len(set(mapping.values())) == len(mapping)
@@ -350,8 +354,8 @@ def test_associate_temporal_low_overlap_gets_fresh_label():
     cur = np.zeros((4, 10), dtype=np.int64)
     cur[:, 5:] = 1
     # previous region warps far off to the right, overlap below the threshold
-    mapping, _ = associate_temporal(prev, cur, {0: AffineModel(a1=-50.0)},
-                                    next_fresh=4)
+    warped = _forward_rasterize(prev, {0: AffineModel(a1=-50.0)}, cur.shape)
+    mapping, _ = associate_temporal(warped, cur, next_fresh=4)
     assert mapping == {0: 4, 1: 5}
 
 
@@ -439,6 +443,31 @@ def test_motion_stream_tracks_planted_objects():
                       / np.count_nonzero(mask | (g == s))
                       for s in np.unique(g))
             assert iou > 0.9
+
+
+def test_motion_stream_warps_each_previous_pair_once(monkeypatch):
+    # the pushed map seeds the next pair's labeling and is reused for
+    # label association, so pairs 2..T-1 each rasterize exactly once
+    calls = []
+    real = motionlayers._forward_rasterize
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(motionlayers, "_forward_rasterize", counted)
+    t_len = 5
+    tex = _texture(3, 16, 16)
+    frames = np.repeat(tex[None, :, :, None], 3, axis=3).astype(np.uint8)
+    frames = np.repeat(frames, t_len, axis=0)
+    labels = np.zeros((t_len, 16, 16), dtype=np.int64)
+    labels[:, :, 8:] = 1
+    flows = [np.zeros((16, 16, 2)) for _ in range(t_len - 1)]
+    sv = SimpleNamespace(levels=[labels])
+    results = run_motion_stream(frames, flows, sv, level_pick=0, schedule=(1.0,),
+                                p=8, q=8)
+    assert len(results) == t_len - 1
+    assert len(calls) == t_len - 2
 
 
 def test_motion_stream_input_validation():

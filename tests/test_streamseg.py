@@ -1,16 +1,17 @@
 """Graph construction, grouping, distances, hierarchy, and streaming tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from svstream import streamseg
 from svstream.affine import AffineModel
 from svstream.imageops import relabel_first_occurrence
-from svstream.streamseg import (StreamConfig, _fh_sweep, _NodeFeatures, _pair_weights,
-                                _pre_union, _StreamState, _window_edges,
+from svstream.streamseg import (StreamConfig, _chi2_rows, _fh_sweep, _NodeFeatures,
+                                _pair_weights, _pre_union, _StreamState, _window_edges,
                                 build_spatial_edges, build_temporal_edges,
-                                chi2_distance, combine_distance, make_edges,
-                                stream_segment)
+                                combine_distance, make_edges, stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate
 from svstream.unionfind import Forest
 
@@ -114,6 +115,30 @@ def test_flow_edges_disabled_ignores_field():
 def test_single_frame_has_no_temporal_edges():
     window = _rand_video(11, 1, 4, 4)
     assert build_temporal_edges(window, None, True).size == 0
+
+
+@pytest.mark.parametrize("use_flow_edges", [True, False])
+def test_temporal_edges_are_unique_pairs(use_flow_edges):
+    rng = np.random.default_rng(12)
+    for case in range(60):
+        t, h, w = (int(v) for v in rng.integers(2, [5, 8, 8], endpoint=True))
+        window = _rand_video(1000 + case, t, h, w)
+        # half-integer flows hit the rounding ties; large ones leave the frame
+        flows = [np.where(rng.random((h, w, 2)) < 0.3,
+                          rng.integers(-6, 7, (h, w, 2)) / 2.0,
+                          rng.uniform(-4.0, 4.0, (h, w, 2))) for _ in range(t - 1)]
+        edges = build_temporal_edges(window, flows, use_flow_edges)
+        pairs = list(zip(edges["a"].tolist(), edges["b"].tolist()))
+        assert len(set(pairs)) == len(pairs)
+        want = 0
+        for tt in range(1, t):
+            for y in range(h):
+                for x in range(w):
+                    u, v = flows[tt - 1][y, x] if use_flow_edges else (0.0, 0.0)
+                    bx, by = math.floor(x + u + 0.5), math.floor(y + v + 0.5)
+                    want += sum(0 <= bx + m < w and 0 <= by + n < h
+                                for m in (-1, 0, 1) for n in (-1, 0, 1))
+        assert len(pairs) == want
 
 
 def _edge_rows(edges) -> list:
@@ -232,18 +257,13 @@ def test_min_size_cleanup_absorbs_small_components():
 
 def test_chi2_identical_is_zero():
     h = np.array([0.25, 0.5, 0.25])
-    assert chi2_distance(h, h) == 0.0
+    assert _chi2_rows(h, h) == 0.0
 
 
 def test_chi2_disjoint_is_one():
     # non-overlapping unit masses: 0.5 * (1/1 + 1/1) = 1 up to the epsilon
-    d = chi2_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    d = _chi2_rows(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
     assert abs(d - 1.0) < 1e-9
-
-
-def test_chi2_shape_mismatch():
-    with pytest.raises(ValueError):
-        chi2_distance(np.ones(3) / 3, np.ones(4) / 4)
 
 
 def test_combine_distance_boundary_values():
