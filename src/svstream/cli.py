@@ -22,7 +22,7 @@ from .mediaio import (check_pgm16_labels, colorize_labels, load_frame_sequence,
                       read_label_volume, write_flo, write_frame_sequence,
                       write_label_volume, write_pgm16, write_ppm)
 from .metrics import evaluate, write_metrics_csv
-from .motionlayers import run_motion_stream
+from .motionlayers import check_motion_params, run_motion_stream
 from .optflow import FlowParams, external_flow_path, flow_for_sequence
 from .preprocess import BilateralParams, filter_sequence
 from .rng import derive_seed
@@ -236,12 +236,13 @@ def _cmd_segment(eff: dict, pool) -> int:
 
 
 def _cmd_motion(eff: dict, pool) -> int:
+    schedule = [eff["tau0"] * eff["tau-growth"] ** i for i in range(eff["levels"])]
+    p, q = eff["canonical"]
+    check_motion_params(schedule, p, q, eff["mrf-lambda"] if eff["mrf"] else 0.0)
     seq, flows = _prepared_input(eff, pool)
     sv_level = eff["supervoxel-level"]
     config = _stream_config(eff, sv_level + 1)
     supervoxels = stream_segment(seq, flows, config)
-    schedule = [eff["tau0"] * eff["tau-growth"] ** i for i in range(eff["levels"])]
-    p, q = eff["canonical"]
     results = run_motion_stream(seq, flows, supervoxels, sv_level, schedule,
                                 p=p, q=q, mrf_lambda=eff["mrf-lambda"],
                                 use_mrf=eff["mrf"], seed=eff["seed"])

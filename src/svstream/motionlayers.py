@@ -75,6 +75,18 @@ class MotionPairResult:
     tracked_models: dict
 
 
+def check_motion_params(schedule, p: int, q: int, mrf_lambda: float = 0.0):
+    """Reject a canonical patch under 2x2, a tau schedule that is not strictly
+    increasing and a negative MRF lambda with ValueError, before any work."""
+    if p < 2 or q < 2:
+        raise ValueError("canonical size must be at least 2x2")
+    schedule = list(schedule)
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("tau schedule must be strictly increasing")
+    if mrf_lambda < 0:
+        raise ValueError("lambda must be >= 0")
+
+
 # ---------------------------------------------------------------- fitting
 
 def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
@@ -85,10 +97,21 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
     largest inlier set (residual norm <= inlier_tol; ties go to the earlier
     sample), and refits it by least squares.  Regions smaller than min_pixels
     get the translation-only model (mean flow); if every sample is collinear
-    the whole region is fit directly.  The stream is drawn as one block
-    (rng.splitmix64_block), one batched solve gives every sample's model, and
-    samples are scored in (samples x pixels) blocks of at most _SCORE_BLOCK
-    elements, bit-identical to drawing and scoring them one at a time.
+    the whole region is fit directly.  The stream is drawn in blocks
+    (rng.splitmix64_block) and one batched solve gives the models of every
+    sample after the first.
+
+    Only samples that can still win are drawn and scored.  Sample 0 is drawn,
+    solved and scored on every pixel first; it is the first best, and when
+    it explains every pixel no other sample is drawn.  A later sample
+    replaces the best only with strictly more inliers, so it must be an
+    inlier somewhere the best misses.  Each block of later samples is
+    therefore scored on the best's missed pixels first, and only the samples
+    that hit one are scored on the best's inlier pixels.  Once the best
+    explains every pixel, nothing after it is scored.  A sample costs at most
+    n pixel tests and a block at most _SCORE_BLOCK (samples x pixels)
+    elements; the result is bit-identical to drawing and scoring the samples
+    one at a time.
     """
     pixels = np.asarray(pixels)
     if len(pixels) == 0:
@@ -101,45 +124,77 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
     if n < params.min_pixels:
         return AffineModel(a1=float(us.mean()), a4=float(vs.mean()))
 
-    tri = _hypothesis_triples(n, params.iterations, seed)
-    i, j, k = tri.T
-    # twice the signed triangle area; zero means collinear
-    area = ((xs[j] - xs[i]) * (ys[k] - ys[i])
-            - (xs[k] - xs[i]) * (ys[j] - ys[i]))
-    tri = tri[area != 0.0]
-    if len(tri) == 0:
-        return AffineModel.fit_lstsq(xs, ys, us, vs)
-    coef = np.linalg.solve(np.stack([np.ones(tri.shape), xs[tri], ys[tri]], axis=-1),
-                           np.stack([us[tri], vs[tri]], axis=-1))[:, :, :, None]
+    draws = _hypothesis_triples(n, seed, 4 * params.iterations)
 
-    def inliers(c):     # one row per sample, in the scalar operation order
-        mu = c[:, 0, 0] + c[:, 1, 0] * xs + c[:, 2, 0] * ys
-        mv = c[:, 0, 1] + c[:, 1, 1] * xs + c[:, 2, 1] * ys
-        return (mu - us) ** 2 + (mv - vs) ** 2 <= params.inlier_tol ** 2
+    def samples(count):     # models of the next count draws, collinear ones dropped
+        tri = np.array(list(itertools.islice(draws, count)), dtype=np.int64).reshape(-1, 3)
+        i, j, k = tri.T
+        # twice the signed triangle area; zero means collinear
+        area = ((xs[j] - xs[i]) * (ys[k] - ys[i])
+                - (xs[k] - xs[i]) * (ys[j] - ys[i]))
+        tri = tri[area != 0.0]
+        return np.linalg.solve(np.stack([np.ones(tri.shape), xs[tri], ys[tri]], axis=-1),
+                               np.stack([us[tri], vs[tri]], axis=-1))[:, :, :, None]
 
+    pts = (xs, ys, us, vs)
+
+    def inliers(c, at):     # one row per sample, rounded as in the scalar order
+        x, y, u, v = at
+        sq, sq_v, tmp = (np.empty((len(c), len(x))) for _ in range(3))
+        for col, w, out in ((0, u, sq), (1, v, sq_v)):  # (a1 + a2 x + a3 y - u)^2
+            np.multiply(c[:, 1, col], x, out=out)
+            out += c[:, 0, col]
+            out += np.multiply(c[:, 2, col], y, out=tmp)
+            out -= w
+            out *= out
+        sq += sq_v
+        return sq <= params.inlier_tol ** 2
+
+    coef = samples(1)
+    sel = inliers(coef, pts)[0] if len(coef) else np.zeros(n, dtype=bool)
+    if not sel.all():   # the other samples are drawn only if they can win
+        first_scored = len(coef) > 0
+        coef = np.concatenate([coef, samples(params.iterations - 1)])
+        if len(coef) == 0:
+            return AffineModel.fit_lstsq(xs, ys, us, vs)
+        if not first_scored:    # sample 0 was collinear; score the first model
+            sel = inliers(coef[:1], pts)[0]
+    best = int(np.count_nonzero(sel))
+    subsets = None
     rows = max(1, _SCORE_BLOCK // n)
-    counts = np.concatenate([np.count_nonzero(inliers(coef[s:s + rows]), axis=1)
-                             for s in range(0, len(coef), rows)])
-    sel = inliers(coef[[int(np.argmax(counts))]])[0]
+    for start in range(1, len(coef), rows):
+        if best == n:
+            break
+        block = coef[start:start + rows]
+        if subsets is None:     # the best's missed and inlier pixels
+            subsets = (tuple(a[~sel] for a in pts), tuple(a[sel] for a in pts))
+        missed, kept = subsets
+        hits = np.count_nonzero(inliers(block, missed), axis=1)
+        live = np.nonzero(hits)[0]
+        if live.size == 0:
+            continue
+        counts = hits[live] + np.count_nonzero(inliers(block[live], kept), axis=1)
+        if counts.max() > best:
+            top = int(np.argmax(counts))
+            best = int(counts[top])
+            sel = inliers(block[live[top]][None], pts)[0]
+            subsets = None
     return AffineModel.fit_lstsq(xs[sel], ys[sel], us[sel], vs[sel])
 
 
-def _hypothesis_triples(n: int, iterations: int, seed: int) -> np.ndarray:
-    """Triples of distinct SplitMix64(seed).next_below(n) draws in stream
-    order, skipping a draw that repeats one of its triple's; 4 * iterations
+def _hypothesis_triples(n: int, seed: int, block: int):
+    """Endless triples of distinct SplitMix64(seed).next_below(n) draws in
+    stream order, skipping a draw that repeats one of its triple's; block
     draws at a time."""
-    size = 4 * iterations
-    stream = (d for start in itertools.count(0, size)
-              for d in (splitmix64_block(seed, start, size) % np.uint64(n)).tolist())
-    triples = []
-    for _ in range(iterations):
+    stream = (d for start in itertools.count(0, block)
+              for d in (splitmix64_block(seed, start, block) % np.uint64(n)).tolist())
+    while True:
         triple = []
         while len(triple) < 3:
             d = next(stream)
             if d not in triple:
                 triple.append(d)
-        triples.append(triple)
-    return np.array(triples, dtype=np.int64)
+        yield triple
 
 
 # ---------------------------------------------------------------- canonical
@@ -155,8 +210,7 @@ def warp_to_canonical(frame_gray: np.ndarray, region: MotionRegion,
     the region.  A singular transform yields an all-invalid patch; a
     degenerate bounding box axis is treated as 1 px wide.
     """
-    if p < 2 or q < 2:
-        raise ValueError("canonical size must be at least 2x2")
+    check_motion_params((), p, q)
     if region.n == 0:
         raise ValueError("empty region")
     h, w = frame_gray.shape
@@ -247,10 +301,12 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
     adjacent region within tau, refit the merged model, and rescan; sweeps
     repeat until stable.  Returns the surviving regions, ascending by id.
 
-    Each region's canonical patch under its own model and each pair's
-    region_distance are memoized for the call; merging drop into keep
-    invalidates every entry that involves keep or drop.  A warp under a
-    neighbor's model serves only its pair's distance and is not kept.
+    Each region's canonical patch under its own model and each pair's tau
+    decision, region_distance <= tau, are memoized for the call; merging drop
+    into keep invalidates every entry that involves keep or drop.  A decision
+    is max(d_ik, d_ki) <= tau, so the second directed divergence is computed
+    only when the first is within tau.  A warp under a neighbor's model serves
+    only its pair's decision and is not kept.
     """
     by_id = {r.id: r for r in regions}
     neigh = {r.id: set() for r in regions}
@@ -258,7 +314,7 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
         if a in neigh and b in neigh and a != b:
             neigh[a].add(b)
             neigh[b].add(a)
-    own_patch, pair_dist = {}, {}
+    own_patch, within_tau = {}, {}
 
     def directed(ri: MotionRegion, rk: MotionRegion) -> float:
         if ri.id not in own_patch:
@@ -269,10 +325,10 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
     def first_within_tau(rid: int):
         for other in sorted(neigh[rid]):
             pair = (min(rid, other), max(rid, other))
-            if pair not in pair_dist:
-                pair_dist[pair] = max(directed(by_id[rid], by_id[other]),
-                                      directed(by_id[other], by_id[rid]))
-            if pair_dist[pair] <= tau:
+            if pair not in within_tau:
+                within_tau[pair] = (directed(by_id[rid], by_id[other]) <= tau
+                                    and directed(by_id[other], by_id[rid]) <= tau)
+            if within_tau[pair]:
                 return pair
         return None
 
@@ -294,8 +350,8 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
                 neigh[keep] = merged
                 own_patch.pop(keep, None)
                 own_patch.pop(drop, None)
-                for stale in [pr for pr in pair_dist if keep in pr or drop in pr]:
-                    del pair_dist[stale]
+                for stale in [pr for pr in within_tau if keep in pr or drop in pr]:
+                    del within_tau[stale]
                 rid = keep
                 changed = True
     return [by_id[rid] for rid in sorted(by_id)]
@@ -384,8 +440,7 @@ def motion_hierarchy(init_labels: np.ndarray, frame: np.ndarray,
     """Level 0 = connected components of init_labels with RANSAC models;
     level l+1 = merge_pass of level l at tau = schedule[l]."""
     schedule = list(schedule)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("tau schedule must be strictly increasing")
+    check_motion_params(schedule, p, q)
     frame_gray = luma_f64(frame) if frame.ndim == 3 else frame.astype(np.float64)
     regions = _regions_from_labels(init_labels, flow, seed, ransac)
     levels = [_level(regions, init_labels.shape)]
@@ -521,6 +576,8 @@ def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
     is associated with the previous pair's output to keep object labels
     stable.
     """
+    schedule = list(schedule)
+    check_motion_params(schedule, p, q, mrf_lambda if use_mrf else 0.0)
     seq = np.asarray(seq)
     if seq.shape[0] < 2:
         raise ValueError("need at least two frames")

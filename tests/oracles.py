@@ -173,23 +173,24 @@ def oracle_ue2d(pred, gt):
 
 # ---------------------------------------------------------------- motion
 
-def oracle_fit_affine_ransac(pixels, flow, seed, params=RansacParams()):
-    """Sequential RANSAC: one splitmix64 draw and one hypothesis at a time."""
+def _ransac_inputs(pixels, flow):
+    """(xs, ys, us, vs) of a region's pixels as float64."""
     pixels = np.asarray(pixels)
     if len(pixels) == 0:
         raise ValueError("cannot fit a model to an empty region")
-    xs = pixels[:, 0].astype(np.float64)
-    ys = pixels[:, 1].astype(np.float64)
-    us = np.asarray(flow[pixels[:, 1], pixels[:, 0], 0], dtype=np.float64)
-    vs = np.asarray(flow[pixels[:, 1], pixels[:, 0], 1], dtype=np.float64)
-    n = len(pixels)
-    if n < params.min_pixels:
-        return AffineModel(a1=float(us.mean()), a4=float(vs.mean()))
+    return (pixels[:, 0].astype(np.float64), pixels[:, 1].astype(np.float64),
+            np.asarray(flow[pixels[:, 1], pixels[:, 0], 0], dtype=np.float64),
+            np.asarray(flow[pixels[:, 1], pixels[:, 0], 1], dtype=np.float64))
 
+
+def oracle_ransac_samples(pixels, flow, seed, params=RansacParams()):
+    """Inlier mask of every non-collinear RANSAC sample in draw order: one
+    splitmix64 draw and one hypothesis at a time, each scored on every pixel."""
+    xs, ys, us, vs = _ransac_inputs(pixels, flow)
+    n = len(xs)
     rng = SplitMix64(seed)
-    best_count = -1
-    best_inliers = None
     tol2 = params.inlier_tol ** 2
+    masks = []
     for _ in range(params.iterations):
         i = rng.next_below(n)
         j = rng.next_below(n)
@@ -210,11 +211,23 @@ def oracle_fit_affine_ransac(pixels, flow, seed, params=RansacParams()):
         coef = np.linalg.solve(design, rhs)
         mu = coef[0, 0] + coef[1, 0] * xs + coef[2, 0] * ys
         mv = coef[0, 1] + coef[1, 1] * xs + coef[2, 1] * ys
-        resid2 = (mu - us) ** 2 + (mv - vs) ** 2
-        count = int(np.count_nonzero(resid2 <= tol2))
+        masks.append((mu - us) ** 2 + (mv - vs) ** 2 <= tol2)
+    return masks
+
+
+def oracle_fit_affine_ransac(pixels, flow, seed, params=RansacParams()):
+    """Sequential RANSAC: the first sample of oracle_ransac_samples with the
+    most inliers, refit by least squares."""
+    xs, ys, us, vs = _ransac_inputs(pixels, flow)
+    if len(xs) < params.min_pixels:
+        return AffineModel(a1=float(us.mean()), a4=float(vs.mean()))
+    best_count = -1
+    best_inliers = None
+    for mask in oracle_ransac_samples(pixels, flow, seed, params):
+        count = int(np.count_nonzero(mask))
         if count > best_count:
             best_count = count
-            best_inliers = resid2 <= tol2
+            best_inliers = mask
     if best_inliers is None:
         return AffineModel.fit_lstsq(xs, ys, us, vs)
     sel = best_inliers

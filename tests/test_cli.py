@@ -200,6 +200,26 @@ def test_motion_label_overflow_writes_nothing(tmp_path, scene_dir, monkeypatch):
     assert not list(tmp_path.glob("motion/pair_*"))
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--canonical", "1x8"], "canonical size must be at least 2x2"),
+    (["--tau0", "-1"], "tau schedule must be strictly increasing"),
+    (["--mrf", "on", "--mrf-lambda", "-1"], "lambda must be >= 0"),
+], ids=["canonical", "tau", "lambda"])
+def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, monkeypatch,
+                                                         capsys, flags, message):
+    def segment(*args, **kwargs):
+        pytest.fail("stream_segment ran before the motion parameters were checked")
+
+    monkeypatch.setattr("svstream.cli.stream_segment", segment)
+    out = tmp_path / "motion"
+    rc = main(["motion", "--input", _frames_pattern(scene_dir), "--out", str(out),
+               "--external-flow", os.path.join(str(scene_dir), "flow"),
+               "--bilateral", "off", *flags])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_accepts_single_volume_directory(tmp_path, scene_dir):
     csv_out = tmp_path / "m.csv"
     rc = main(["eval", "--pred", os.path.join(str(scene_dir), "gt"),

@@ -12,14 +12,15 @@ import pytest
 
 from svstream import motionlayers
 from svstream.affine import AffineModel
-from svstream.motionlayers import (RansacParams, fit_affine_ransac, motion_hierarchy,
+from svstream.motionlayers import (MotionRegion, RansacParams, directed_divergence,
+                                   fit_affine_ransac, merge_pass, motion_hierarchy,
                                    run_motion_stream)
 from svstream.rng import MASK64, SplitMix64, splitmix64_block
 from svstream.streamseg import StreamConfig, stream_segment
 from svstream.synth import ObjectSpec, SceneSpec, generate
 
 import oracles
-from test_motionlayers import _flow_of, _rot_about, _texture
+from test_motionlayers import _flow_of, _grid_pixels, _rot_about, _texture
 
 
 def _random_affine(rng) -> AffineModel:
@@ -96,7 +97,49 @@ def _fit_cases():
     assert len(huge) > motionlayers._SCORE_BLOCK
     flow = _flow_of(_random_affine(rng), h, w) + rng.normal(0, 0.6, (h, w, 2))
     cases.append(("huge", huge, flow, 5000, RansacParams(iterations=20)))
+    # noiseless affine flow: sample 0 explains every pixel
+    for s in range(30):
+        n = int(rng.integers(12, 2500))
+        flow = _flow_of(_random_affine(rng), 60, 60)
+        cases.append(("exact", _scatter(rng, n, 60, 60), flow, 6000 + s, RansacParams()))
+    # noiseless flow with 1-12 displaced pixels: the best misses exactly
+    # those, and most samples tie with it
+    for s in range(40):
+        n = int(rng.integers(200, 2500))
+        pix = _scatter(rng, n, 60, 60)
+        flow = _flow_of(_random_affine(rng), 60, 60)
+        k = 1 + s % 12
+        flow[pix[:k, 1], pix[:k, 0]] += rng.uniform(3.0, 13.0, size=(k, 2))
+        cases.append(("displaced", pix, flow, 7000 + s, RansacParams()))
+    # two motions split about 60/40 with light noise: the best usually changes
+    # in several scoring blocks
+    cols = np.mgrid[0:60, 0:60][1]
+    for s in range(20):
+        n = int(rng.integers(1500, 3000))
+        flow = np.where((cols < 36)[..., None], _flow_of(_random_affine(rng), 60, 60),
+                        _flow_of(_random_affine(rng), 60, 60))
+        flow += rng.normal(0, 0.25, (60, 60, 2))
+        cases.append(("two-motion", _scatter(rng, n, 60, 60), flow, 8000 + s,
+                      RansacParams()))
+    # nearly affine flow: the best misses a few pixels, and a later sample
+    # that hits some of them replaces it
+    for s in range(20):
+        n = int(rng.integers(40, 2500))
+        flow = _flow_of(_random_affine(rng), 60, 60) + rng.normal(0, 0.12, (60, 60, 2))
+        cases.append(("near-affine", _scatter(rng, n, 60, 60), flow, 9000 + s,
+                      RansacParams()))
     return cases
+
+
+def _replacements(counts):
+    """(sample index, inlier count of the best it replaces) of every sample
+    that replaces the best."""
+    out, best = [], counts[0]
+    for i, count in enumerate(counts[1:], start=1):
+        if count > best:
+            out.append((i, best))
+            best = count
+    return out
 
 
 def test_batched_ransac_equals_sequential_oracle():
@@ -109,6 +152,29 @@ def test_batched_ransac_equals_sequential_oracle():
         if got.params != want.params:
             mismatched.append((label, seed))
     assert mismatched == []
+    # the regimes reach the paths that skip samples
+    reached = {"near-affine": [], "two-motion": []}
+    for label, pix, flow, seed, params in cases:
+        if label not in ("exact", "displaced", "near-affine", "two-motion"):
+            continue
+        n = len(pix)
+        counts = [int(np.count_nonzero(m))
+                  for m in oracles.oracle_ransac_samples(pix, flow, seed, params)]
+        if label == "exact":
+            assert counts[0] == n
+        elif label == "displaced":
+            assert n - 12 <= max(counts) < n
+            assert 2 * counts.count(max(counts)) > len(counts)
+        elif label == "near-affine":
+            # a sample replaces a best that misses at most n/32 pixels
+            reached[label].append(any(32 * (n - best) <= n
+                                      for _, best in _replacements(counts)))
+        else:
+            rows = max(1, motionlayers._SCORE_BLOCK // n)
+            reached[label].append(
+                len({(i - 1) // rows for i, _ in _replacements(counts)}) >= 2)
+    for label, hits in reached.items():
+        assert 4 * sum(hits) >= 3 * len(hits), label
 
 
 def test_collinear_region_takes_least_squares_fallback():
@@ -142,6 +208,31 @@ def merge_checker(monkeypatch):
 
     monkeypatch.setattr(motionlayers, "merge_pass", checked)
     return passes
+
+
+def test_merge_test_stops_at_first_direction_above_tau(monkeypatch):
+    # the models differ in their linear part: a translation alone would leave
+    # the canonical patch unchanged
+    tex = _texture(11, 32, 32)
+    a = MotionRegion(0, _grid_pixels(0, 16, 0, 32), AffineModel())
+    b = MotionRegion(1, _grid_pixels(16, 32, 0, 32), _rot_about(24.0, 16.0, 10.0))
+    tau = 0.5 * min(directed_divergence(a, b, tex, 32, 32),
+                    directed_divergence(b, a, tex, 32, 32))
+    assert 0 < tau < float("inf")
+    real = motionlayers.warp_to_canonical
+    warps = []
+
+    def counted(*args):
+        warps.append(args[1].id)
+        return real(*args)
+
+    monkeypatch.setattr(motionlayers, "warp_to_canonical", counted)
+    flow = np.zeros((32, 32, 2))
+    out = merge_pass([a, b], {(0, 1)}, tau, tex, flow, 32, 32, seed=0)
+    assert [r.id for r in out] == [0, 1]
+    # region 0's own and cross warps; d_01 > tau decides the pair, whose
+    # memoized decision serves region 1's scan
+    assert warps == [0, 0]
 
 
 def test_memoized_merges_equal_oracle_on_c09_scene(merge_checker):
