@@ -207,23 +207,31 @@ def _stream_config(eff: dict, levels: int) -> StreamConfig:
                         use_flow_feature=eff["flow-feature"])
 
 
-def _prepared_input(eff: dict, pool):
-    """Load frames, optionally bilateral-filter them, and attach flow."""
-    seq = load_frame_sequence(eff["input"])
+def _input_params(eff: dict):
+    """Bilateral (None when off) and flow parameters; building them checks
+    them, so callers do it before any frame is read."""
+    bilateral = None
     if eff["bilateral"]:
-        params = BilateralParams(sigma_spatial=eff["sigma-s"],
-                                 sigma_range=eff["sigma-r"],
-                                 radius=eff["radius"])
-        seq = filter_sequence(seq, params, pool)
+        bilateral = BilateralParams(sigma_spatial=eff["sigma-s"],
+                                    sigma_range=eff["sigma-r"],
+                                    radius=eff["radius"])
+    return bilateral, _flow_params(eff)
+
+
+def _prepared_input(eff: dict, params, pool):
+    """Load frames, optionally bilateral-filter them, and attach flow."""
+    bilateral, flow_params = params
+    seq = load_frame_sequence(eff["input"])
+    if bilateral is not None:
+        seq = filter_sequence(seq, bilateral, pool)
     external = eff["external-flow"] or None
-    flows = flow_for_sequence(seq, _flow_params(eff), external_dir=external,
-                              pool=pool)
+    flows = flow_for_sequence(seq, flow_params, external_dir=external, pool=pool)
     return seq, flows
 
 
 def _cmd_segment(eff: dict, pool) -> int:
-    seq, flows = _prepared_input(eff, pool)
     config = _stream_config(eff, eff["levels"])
+    seq, flows = _prepared_input(eff, _input_params(eff), pool)
     hierarchy = stream_segment(seq, flows, config)
     for volume in hierarchy.levels:
         check_pgm16_labels(volume)
@@ -239,9 +247,11 @@ def _cmd_motion(eff: dict, pool) -> int:
     schedule = [eff["tau0"] * eff["tau-growth"] ** i for i in range(eff["levels"])]
     p, q = eff["canonical"]
     check_motion_params(schedule, p, q, eff["mrf-lambda"] if eff["mrf"] else 0.0)
-    seq, flows = _prepared_input(eff, pool)
     sv_level = eff["supervoxel-level"]
+    if sv_level < 0:
+        raise ValueError("supervoxel-level must be >= 0")
     config = _stream_config(eff, sv_level + 1)
+    seq, flows = _prepared_input(eff, _input_params(eff), pool)
     supervoxels = stream_segment(seq, flows, config)
     results = run_motion_stream(seq, flows, supervoxels, sv_level, schedule,
                                 p=p, q=q, mrf_lambda=eff["mrf-lambda"],
@@ -275,8 +285,9 @@ def _cmd_motion(eff: dict, pool) -> int:
 
 
 def _cmd_flow(eff: dict, pool) -> int:
+    params = _flow_params(eff)
     seq = load_frame_sequence(eff["input"])
-    flows = flow_for_sequence(seq, _flow_params(eff), pool=pool)
+    flows = flow_for_sequence(seq, params, pool=pool)
     os.makedirs(eff["out"], exist_ok=True)
     for i, field in enumerate(flows):
         write_flo(external_flow_path(eff["out"], i + 1), field)
@@ -285,6 +296,8 @@ def _cmd_flow(eff: dict, pool) -> int:
 
 
 def _cmd_eval(eff: dict, pool) -> int:
+    if eff["tol"] < 0:
+        raise ValueError("tolerance must be >= 0")
     gt = read_label_volume(eff["gt"])
     video = load_frame_sequence(eff["video"])
     level_dirs = sorted(
@@ -337,7 +350,9 @@ def main(argv=None) -> int:
     pool = None
     try:
         eff = _effective_config(args.command, args)
-        if eff.get("threads", 1) > 1:
+        if eff["threads"] < 1:
+            raise ValueError("threads must be >= 1")
+        if eff["threads"] > 1:
             pool = ThreadPoolExecutor(max_workers=eff["threads"])
         return _DISPATCH[args.command](eff, pool)
     except UsageError as exc:

@@ -6,9 +6,11 @@ their models explain each other's appearance: region i is warped into a fixed
 p x q canonical patch once under its own model and once under the other
 region's, and the directed divergence compares the two patches.  The merge
 distance is the max of the two directions, so it is symmetric even though the
-directed divergences generally are not.  An optional Potts-model smoothing
-of the final labeling and forward-warp label association across frame pairs
-complete the streaming driver.
+directed divergences generally are not.  A merge test decides each direction
+on the warp geometry first: when the two patches' valid pixels overlap too
+little for the divergence to be within tau, no pixel is sampled.  An
+optional Potts-model smoothing of the final labeling and forward-warp label
+association across frame pairs complete the streaming driver.
 """
 
 import itertools
@@ -59,6 +61,13 @@ class MotionRegion:
 @dataclass
 class CanonicalPatch:
     values: np.ndarray        # (height, width) grayscale
+    valid_mask: np.ndarray    # (height, width) bool
+
+
+@dataclass
+class CanonicalGeometry:
+    sx: np.ndarray            # (height, width) preimage x of each canonical pixel
+    sy: np.ndarray            # (height, width) preimage y
     valid_mask: np.ndarray    # (height, width) bool
 
 
@@ -207,36 +216,66 @@ def warp_to_canonical(frame_gray: np.ndarray, region: MotionRegion,
     is mapped affinely onto the grid; every canonical pixel is bilinearly
     sampled at its preimage in the source frame.  Valid canonical pixels are
     those whose preimage falls inside the frame and (after rounding) inside
-    the region.  A singular transform yields an all-invalid patch; a
-    degenerate bounding box axis is treated as 1 px wide.
+    the region; invalid ones hold 0.  A singular transform yields an
+    all-invalid patch; a degenerate bounding box axis is treated as 1 px
+    wide.  The geometry (_canonical_geometry) and the samples (_samples) are
+    separate steps, so a caller can decide on the valid masks alone.
     """
     check_motion_params((), p, q)
+    geom = _canonical_geometry(region, _member_box(region), transform, p, q,
+                               frame_gray.shape)
+    values = np.zeros((q, p))
+    values[geom.valid_mask] = _samples(frame_gray, geom, geom.valid_mask)
+    return CanonicalPatch(values, geom.valid_mask)
+
+
+def _member_box(region: MotionRegion):
+    """(x0, y0, mask) of the region's bounding box: mask[y - y0, x - x0] is
+    True at the region's pixels."""
     if region.n == 0:
         raise ValueError("empty region")
-    h, w = frame_gray.shape
+    x0, y0 = (int(c) for c in region.pixels.min(axis=0))
+    x1, y1 = (int(c) for c in region.pixels.max(axis=0))
+    mask = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+    mask[region.pixels[:, 1] - y0, region.pixels[:, 0] - x0] = True
+    return x0, y0, mask
+
+
+def _canonical_geometry(region: MotionRegion, box, transform: AffineModel,
+                        p: int, q: int, shape) -> CanonicalGeometry:
+    """Preimages and valid mask of warp_to_canonical, without sampling; box
+    is the region's _member_box and shape the frame's (H, W)."""
+    try:
+        inv = invert_point_map(transform)
+    except ValueError:
+        zeros = np.zeros((q, p))
+        return CanonicalGeometry(zeros, zeros, np.zeros((q, p), dtype=bool))
+    h, w = shape
     xs = region.pixels[:, 0].astype(np.float64)
     ys = region.pixels[:, 1].astype(np.float64)
     u, v = transform.uv(xs, ys)
     x_lo, span_x = _box_extent(xs + u)
     y_lo, span_y = _box_extent(ys + v)
-    cx, cy = np.meshgrid(np.arange(p, dtype=np.float64),
-                         np.arange(q, dtype=np.float64))
-    gx = x_lo + cx * (span_x / (p - 1))
-    gy = y_lo + cy * (span_y / (q - 1))
-    try:
-        inv = invert_point_map(transform)
-    except ValueError:
-        return CanonicalPatch(np.zeros((q, p)), np.zeros((q, p), dtype=bool))
+    # grid x depends only on the column and y only on the row
+    gx = x_lo + np.arange(p, dtype=np.float64) * (span_x / (p - 1))
+    gy = y_lo + np.arange(q, dtype=np.float64)[:, None] * (span_y / (q - 1))
     sx, sy = apply_point_matrix(inv, gx, gy)
+    valid = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
+    # membership of the in-frame preimages, rounded, in the region's box
+    x0, y0, member = box
+    bh, bw = member.shape
+    rx = round_half_up(sx[valid]).astype(np.int64) - x0
+    ry = round_half_up(sy[valid]).astype(np.int64) - y0
+    hit = (rx >= 0) & (rx < bw) & (ry >= 0) & (ry < bh)
+    hit &= member.ravel().take(ry * bw + rx, mode="clip")   # clips only where hit is False
+    valid[valid] = hit
+    return CanonicalGeometry(sx, sy, valid)
 
-    in_frame = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
-    member = np.zeros((h, w), dtype=bool)
-    member[region.pixels[:, 1], region.pixels[:, 0]] = True
-    rx = np.clip(round_half_up(sx).astype(np.int64), 0, w - 1)
-    ry = np.clip(round_half_up(sy).astype(np.int64), 0, h - 1)
-    valid = in_frame & member[ry, rx]
-    values = np.where(valid, bilinear_sample(frame_gray, sx, sy), 0.0)
-    return CanonicalPatch(values, valid)
+
+def _samples(frame_gray: np.ndarray, geom: CanonicalGeometry, where: np.ndarray):
+    """Bilinear samples of the frame at the preimages selected by `where`, in
+    row-major order."""
+    return bilinear_sample(frame_gray, geom.sx[where], geom.sy[where])
 
 
 def _box_extent(d: np.ndarray):
@@ -250,16 +289,24 @@ def _box_extent(d: np.ndarray):
     return lo, hi - lo
 
 
-def _patch_divergence(own, other) -> float:
-    """Divergence between a region's canonical patch under its own model and
-    under another model (see directed_divergence)."""
+def _divergence(frame_gray: np.ndarray, own: CanonicalGeometry,
+                other: CanonicalGeometry, tau: float = float("inf")) -> float:
+    """Directed divergence of a region from its geometry under its own model
+    and under another model (see directed_divergence), exact whenever it is
+    <= tau.  Above tau it may return the overlap penalty instead, which is
+    then > tau already: the mean difference is >= 0, so the divergence is >=
+    the penalty, and the frame is sampled only when the penalty is <= tau."""
     joint = own.valid_mask & other.valid_mask
     n_joint = int(np.count_nonzero(joint))
     if n_joint == 0:
         return float("inf")
-    diff = float(np.abs(own.values[joint] - other.values[joint]).sum())
     n_union = int(np.count_nonzero(own.valid_mask | other.valid_mask))
-    return diff / n_joint + DIVERGENCE_KAPPA * (1.0 - n_joint / n_union)
+    penalty = DIVERGENCE_KAPPA * (1.0 - n_joint / n_union)
+    if penalty > tau:
+        return penalty
+    diff = float(np.abs(_samples(frame_gray, own, joint)
+                        - _samples(frame_gray, other, joint)).sum())
+    return diff / n_joint + penalty
 
 
 def directed_divergence(region_i: MotionRegion, region_k: MotionRegion,
@@ -272,9 +319,11 @@ def directed_divergence(region_i: MotionRegion, region_k: MotionRegion,
     give exactly 0 and barely-overlapping warps are penalized.  No jointly
     valid pixel gives +inf.
     """
-    return _patch_divergence(
-        warp_to_canonical(frame_gray, region_i, region_i.model, p, q),
-        warp_to_canonical(frame_gray, region_i, region_k.model, p, q))
+    check_motion_params((), p, q)
+    box = _member_box(region_i)
+    return _divergence(frame_gray, *(
+        _canonical_geometry(region_i, box, model, p, q, frame_gray.shape)
+        for model in (region_i.model, region_k.model)))
 
 
 def region_distance(region_i: MotionRegion, region_k: MotionRegion,
@@ -301,12 +350,17 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
     adjacent region within tau, refit the merged model, and rescan; sweeps
     repeat until stable.  Returns the surviving regions, ascending by id.
 
-    Each region's canonical patch under its own model and each pair's tau
-    decision, region_distance <= tau, are memoized for the call; merging drop
-    into keep invalidates every entry that involves keep or drop.  A decision
-    is max(d_ik, d_ki) <= tau, so the second directed divergence is computed
-    only when the first is within tau.  A warp under a neighbor's model serves
-    only its pair's decision and is not kept.
+    A pair's decision, region_distance <= tau, is max(d_ik, d_ki) <= tau, so
+    the second direction is tested only when the first is within tau.  A
+    direction is tested on geometry first: region i's valid canonical pixels
+    under its own and under k's model give the overlap penalty
+    DIVERGENCE_KAPPA * (1 - joint/union).  No joint pixel (divergence +inf)
+    or a penalty above tau decides it without sampling the frame; only
+    otherwise are the jointly valid pixels sampled and the divergence
+    finished.  Each region's member box and own-model geometry and each
+    pair's decision are memoized for the call; merging drop into keep
+    invalidates every entry that involves keep or drop.  A geometry under a
+    neighbor's model serves only its pair's decision and is not kept.
     """
     by_id = {r.id: r for r in regions}
     neigh = {r.id: set() for r in regions}
@@ -314,20 +368,22 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
         if a in neigh and b in neigh and a != b:
             neigh[a].add(b)
             neigh[b].add(a)
-    own_patch, within_tau = {}, {}
+    own, within_tau = {}, {}    # own: region id -> (member box, own-model geometry)
 
-    def directed(ri: MotionRegion, rk: MotionRegion) -> float:
-        if ri.id not in own_patch:
-            own_patch[ri.id] = warp_to_canonical(frame_gray, ri, ri.model, p, q)
-        return _patch_divergence(own_patch[ri.id],
-                                 warp_to_canonical(frame_gray, ri, rk.model, p, q))
+    def within(ri: MotionRegion, rk: MotionRegion) -> bool:
+        if ri.id not in own:
+            box = _member_box(ri)
+            own[ri.id] = box, _canonical_geometry(ri, box, ri.model, p, q, frame_gray.shape)
+        box, geom = own[ri.id]
+        cross = _canonical_geometry(ri, box, rk.model, p, q, frame_gray.shape)
+        return _divergence(frame_gray, geom, cross, tau) <= tau
 
     def first_within_tau(rid: int):
         for other in sorted(neigh[rid]):
             pair = (min(rid, other), max(rid, other))
             if pair not in within_tau:
-                within_tau[pair] = (directed(by_id[rid], by_id[other]) <= tau
-                                    and directed(by_id[other], by_id[rid]) <= tau)
+                within_tau[pair] = (within(by_id[rid], by_id[other])
+                                    and within(by_id[other], by_id[rid]))
             if within_tau[pair]:
                 return pair
         return None
@@ -348,8 +404,8 @@ def merge_pass(regions: list, adjacency, tau: float, frame_gray: np.ndarray,
                     neigh[nb].discard(drop)
                     neigh[nb].add(keep)
                 neigh[keep] = merged
-                own_patch.pop(keep, None)
-                own_patch.pop(drop, None)
+                own.pop(keep, None)
+                own.pop(drop, None)
                 for stale in [pr for pr in within_tau if keep in pr or drop in pr]:
                     del within_tau[stale]
                 rid = keep

@@ -2,9 +2,10 @@
 
 The metric references are written as plain loops over voxels with exact
 rational arithmetic, independent of the vectorized code under test.  The
-motion references keep the one-hypothesis-at-a-time RANSAC loop and the
-merge pass that computes every pair distance afresh; the batched and
-memoized code in svstream.motionlayers must reproduce them bit for bit, and
+motion references keep the one-hypothesis-at-a-time RANSAC loop, the
+canonical warp that samples every pixel and the merge pass that computes
+every pair distance afresh; the batched, geometry-first and memoized code in
+svstream.motionlayers must reproduce them bit for bit, and
 the per-label-value component loop must match its one-graph components.
 The supervoxel reference is the batch build: one level-0 sweep over the
 whole video, then every higher level regrouped from scratch, each with the
@@ -17,10 +18,10 @@ from fractions import Fraction
 import numpy as np
 from scipy import ndimage
 
-from svstream.affine import AffineModel
-from svstream.imageops import relabel_first_occurrence
-from svstream.motionlayers import (MotionRegion, RansacParams,
-                                   region_distance)
+from svstream.affine import AffineModel, apply_point_matrix, invert_point_map
+from svstream.imageops import bilinear_sample, relabel_first_occurrence, round_half_up
+from svstream.motionlayers import (DIVERGENCE_KAPPA, MotionRegion, RansacParams,
+                                   _box_extent, region_distance)
 from svstream.rng import SplitMix64, derive_seed
 from svstream.streamseg import (SegmentationHierarchy, _close_level, _NodeFeatures,
                                 _pair_weights, _region_pairs, _StreamState,
@@ -232,6 +233,48 @@ def oracle_fit_affine_ransac(pixels, flow, seed, params=RansacParams()):
         return AffineModel.fit_lstsq(xs, ys, us, vs)
     sel = best_inliers
     return AffineModel.fit_lstsq(xs[sel], ys[sel], us[sel], vs[sel])
+
+
+def oracle_warp_to_canonical(frame_gray, region, transform, p, q):
+    """(values, valid) of the canonical patch: every canonical pixel is
+    sampled, its preimage found on a full meshgrid, its membership looked up
+    in a full-frame mask after clipping, and the invalid pixels zeroed."""
+    h, w = frame_gray.shape
+    xs = region.pixels[:, 0].astype(np.float64)
+    ys = region.pixels[:, 1].astype(np.float64)
+    u, v = transform.uv(xs, ys)
+    x_lo, span_x = _box_extent(xs + u)
+    y_lo, span_y = _box_extent(ys + v)
+    cx, cy = np.meshgrid(np.arange(p, dtype=np.float64), np.arange(q, dtype=np.float64))
+    gx = x_lo + cx * (span_x / (p - 1))
+    gy = y_lo + cy * (span_y / (q - 1))
+    try:
+        inv = invert_point_map(transform)
+    except ValueError:
+        return np.zeros((q, p)), np.zeros((q, p), dtype=bool)
+    sx, sy = apply_point_matrix(inv, gx, gy)
+    in_frame = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
+    member = np.zeros((h, w), dtype=bool)
+    member[region.pixels[:, 1], region.pixels[:, 0]] = True
+    rx = np.clip(round_half_up(sx).astype(np.int64), 0, w - 1)
+    ry = np.clip(round_half_up(sy).astype(np.int64), 0, h - 1)
+    valid = in_frame & member[ry, rx]
+    return np.where(valid, bilinear_sample(frame_gray, sx, sy), 0.0), valid
+
+
+def oracle_directed_divergence(region_i, region_k, frame_gray, p, q):
+    """(divergence, overlap penalty) from two fully sampled patches; the
+    penalty is None when no pixel is jointly valid."""
+    own_values, own_valid = oracle_warp_to_canonical(frame_gray, region_i,
+                                                     region_i.model, p, q)
+    values, valid = oracle_warp_to_canonical(frame_gray, region_i, region_k.model, p, q)
+    joint = own_valid & valid
+    n_joint = int(np.count_nonzero(joint))
+    if n_joint == 0:
+        return float("inf"), None
+    diff = float(np.abs(own_values[joint] - values[joint]).sum())
+    penalty = DIVERGENCE_KAPPA * (1.0 - n_joint / int(np.count_nonzero(own_valid | valid)))
+    return diff / n_joint + penalty, penalty
 
 
 def oracle_merge_pass(regions, adjacency, tau, frame_gray, flow, p, q, seed,

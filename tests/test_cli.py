@@ -220,6 +220,44 @@ def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("segment", ["--k0", "0"], "k0 and flow_range must be > 0"),
+    ("segment", ["--levels", "0"], "subseq_len, levels, min_size must be >= 1"),
+    ("segment", ["--k-growth", "1"], "k_growth must be > 1"),
+    ("segment", ["--min-size", "0"], "subseq_len, levels, min_size must be >= 1"),
+    ("segment", ["--subseq", "0"], "subseq_len, levels, min_size must be >= 1"),
+    ("segment", ["--alpha", "0"], "alpha must be > 0"),
+    ("segment", ["--radius", "0"], "bilateral radius must be >= 1"),
+    ("segment", ["--threads", "-3"], "threads must be >= 1"),
+    ("motion", ["--k0", "0"], "k0 and flow_range must be > 0"),
+    ("motion", ["--subseq", "0"], "subseq_len, levels, min_size must be >= 1"),
+    ("motion", ["--alpha", "0"], "alpha must be > 0"),
+    ("motion", ["--supervoxel-level", "-1"], "supervoxel-level must be >= 0"),
+    ("flow", ["--alpha", "0"], "alpha must be > 0"),
+    ("eval", ["--tol", "-1"], "tolerance must be >= 0"),
+], ids=["segment-k0", "segment-levels", "segment-k-growth", "segment-min-size",
+        "segment-subseq", "segment-alpha", "segment-radius", "segment-threads",
+        "motion-k0", "motion-subseq", "motion-alpha", "motion-supervoxel-level",
+        "flow-alpha", "eval-tol"])
+def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, capsys,
+                                              command, flags, message):
+    def read(*args, **kwargs):
+        pytest.fail("input was read before the options were checked")
+
+    monkeypatch.setattr("svstream.cli.load_frame_sequence", read)
+    monkeypatch.setattr("svstream.cli.read_label_volume", read)
+    out = tmp_path / "out"
+    if command == "eval":
+        gt = os.path.join(str(scene_dir), "gt")
+        argv = ["eval", "--pred", gt, "--gt", gt, "--video", _frames_pattern(scene_dir)]
+    else:
+        argv = [command, "--input", _frames_pattern(scene_dir)]
+    rc = main([*argv, "--out", str(out), *flags])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_accepts_single_volume_directory(tmp_path, scene_dir):
     csv_out = tmp_path / "m.csv"
     rc = main(["eval", "--pred", os.path.join(str(scene_dir), "gt"),
@@ -255,6 +293,23 @@ def test_thread_count_does_not_change_output(tmp_path, scene_dir):
         outs[threads] = _tree_bytes(out)
     assert set(outs["1"]) == set(outs["4"])
     assert all(outs["1"][k] == outs["4"][k] for k in outs["1"])
+
+
+def test_thread_count_does_not_change_motion_output(tmp_path, scene_dir):
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"motion_t{threads}"
+        # bilateral on and computed flow so the worker pool actually runs
+        rc = main(["motion", "--input", _frames_pattern(scene_dir),
+                   "--out", str(out), "--supervoxel-level", "2", "--levels", "2",
+                   "--k0", "0.5", "--min-size", "8", "--subseq", "3",
+                   "--tau0", "2.0", "--canonical", "32x32", "--mrf", "on",
+                   "--flow-iters", "20", "--flow-min-size", "12",
+                   "--threads", threads])
+        assert rc == 0
+        outs[threads] = _tree_bytes(out)
+    assert sorted(outs["1"]) == sorted(outs["2"])
+    assert all(outs["1"][k] == outs["2"][k] for k in outs["1"])
 
 
 def test_flow_subcommand_writes_fields(tmp_path, scene_dir):

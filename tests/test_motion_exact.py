@@ -1,10 +1,10 @@
-"""Exactness of the batched RANSAC, the memoized merge pass and the
-one-graph connected components.
+"""Exactness of the batched RANSAC, the geometry-first canonical warp, the
+memoized merge pass and the one-graph connected components.
 
-They must reproduce the one-hypothesis-at-a-time, recompute-every-pair and
-per-label-value references in tests/oracles.py bit for bit: the same
-splitmix64 draws, the same fitted parameters, the same surviving regions,
-the same component ids.
+They must reproduce the one-hypothesis-at-a-time, sample-every-pixel,
+recompute-every-pair and per-label-value references in tests/oracles.py bit
+for bit: the same splitmix64 draws, the same fitted parameters, the same
+patches and divergences, the same surviving regions, the same component ids.
 """
 
 import numpy as np
@@ -12,9 +12,10 @@ import pytest
 
 from svstream import motionlayers
 from svstream.affine import AffineModel
+from svstream.imageops import bilinear_sample
 from svstream.motionlayers import (MotionRegion, RansacParams, directed_divergence,
                                    fit_affine_ransac, merge_pass, motion_hierarchy,
-                                   run_motion_stream)
+                                   run_motion_stream, warp_to_canonical)
 from svstream.rng import MASK64, SplitMix64, splitmix64_block
 from svstream.streamseg import StreamConfig, stream_segment
 from svstream.synth import ObjectSpec, SceneSpec, generate
@@ -185,6 +186,103 @@ def test_collinear_region_takes_least_squares_fallback():
     assert fit_affine_ransac(pix, flow, seed=5) == want
 
 
+# ---------------------------------------------------------------- canonical warp
+
+def _warp_cases():
+    """(frame, region, other model, p, q) over the shapes a geometry-first
+    warp could get wrong: thin strips, frame-edge regions, single pixels,
+    scattered pixels, singular and near-singular models, tiny and
+    non-square canonical grids."""
+    rng = np.random.default_rng(4242)
+    h, w = 20, 28
+    frame = _texture(8, h, w)
+    shapes = [_grid_pixels(3, 20, 7, 8),            # one-row strip
+              _grid_pixels(9, 10, 2, 18),           # one-column strip
+              _grid_pixels(0, w, 0, 3),             # top rows
+              _grid_pixels(w - 4, w, 0, h),         # right edge
+              _grid_pixels(w - 6, w, h - 5, h),     # corner
+              _grid_pixels(5, 6, 5, 6),             # one pixel
+              _grid_pixels(4, 16, 3, 15)]
+    for _ in range(3):
+        x0, y0 = int(rng.integers(0, w - 6)), int(rng.integers(0, h - 6))
+        shapes.append(_grid_pixels(x0, x0 + int(rng.integers(2, 8)),
+                                   y0, y0 + int(rng.integers(2, 8))))
+        shapes.append(_scatter(rng, int(rng.integers(1, 40)), h, w))
+    singular = AffineModel(a2=-1.0)                 # x' = 0: no inverse
+    models = [AffineModel(), singular, AffineModel(a2=-0.999, a6=0.4),
+              _rot_about(14.0, 10.0, 30.0), _rot_about(0.0, 0.0, -12.0, (3.0, 1.0)),
+              AffineModel(a1=40.0, a2=0.5, a3=-0.7, a5=0.9)]
+    models += [_random_affine(rng) for _ in range(4)]
+    sizes = [(2, 2), (8, 6), (5, 9), (32, 32)]
+    cases = []
+    for si, pixels in enumerate(shapes):
+        for mi, own in enumerate(models):
+            if (si + mi) % 3:       # a seeded third of the (shape, own model) grid
+                continue
+            region = MotionRegion(0, pixels, own)
+            for other in models:
+                p, q = sizes[int(rng.integers(len(sizes)))]
+                cases.append((frame, region, other, p, q))
+    return cases
+
+
+def test_warp_to_canonical_equals_full_sampling_oracle():
+    for frame, region, model, p, q in _warp_cases():
+        patch = warp_to_canonical(frame, region, model, p, q)
+        values, valid = oracles.oracle_warp_to_canonical(frame, region, model, p, q)
+        assert patch.values.tobytes() == values.tobytes()
+        assert np.array_equal(patch.valid_mask, valid)
+        # the patch is the geometry plus the samples at its valid pixels
+        geom = motionlayers._canonical_geometry(region, motionlayers._member_box(region),
+                                                model, p, q, frame.shape)
+        assert np.array_equal(geom.valid_mask, valid)
+        assert (motionlayers._samples(frame, geom, valid).tobytes()
+                == values[valid].tobytes())
+
+
+def test_geometry_first_decision_equals_full_divergence():
+    seen = {"zero overlap": 0, "penalty above tau": 0, "sampled": 0}
+    for frame, region, model, p, q in _warp_cases():
+        other = MotionRegion(1, region.pixels[:1], model)
+        want, penalty = oracles.oracle_directed_divergence(region, other, frame, p, q)
+        assert directed_divergence(region, other, frame, p, q) == want
+        box = motionlayers._member_box(region)
+        own, cross = (motionlayers._canonical_geometry(region, box, m, p, q, frame.shape)
+                      for m in (region.model, model))
+        taus = [0.0, np.inf, want, np.nextafter(want, -np.inf), np.nextafter(want, np.inf)]
+        if penalty is None:
+            seen["zero overlap"] += 1
+        else:
+            taus += [penalty, np.nextafter(penalty, -np.inf), np.nextafter(penalty, np.inf)]
+        for tau in taus:
+            got = motionlayers._divergence(frame, own, cross, tau)
+            assert (got <= tau) == (want <= tau)
+            if got <= tau:
+                assert got == want
+            if penalty is not None:
+                seen["penalty above tau" if penalty > tau else "sampled"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_pair_decided_on_penalty_samples_nothing(monkeypatch):
+    tex = _texture(11, 32, 32)
+    a = MotionRegion(0, _grid_pixels(0, 16, 0, 32), AffineModel())
+    b = MotionRegion(1, _grid_pixels(16, 32, 0, 32), _rot_about(24.0, 16.0, 30.0))
+    tau = 1.0
+    _, penalty = oracles.oracle_directed_divergence(a, b, tex, 32, 32)
+    assert penalty > tau
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bilinear_sample(*args)
+
+    monkeypatch.setattr(motionlayers, "bilinear_sample", counted)
+    out = merge_pass([a, b], {(0, 1)}, tau, tex, np.zeros((32, 32, 2)), 32, 32, seed=0)
+    assert [r.id for r in out] == [0, 1]
+    assert len(calls) == 0
+
+
 # ---------------------------------------------------------------- merging
 
 @pytest.fixture
@@ -219,14 +317,14 @@ def test_merge_test_stops_at_first_direction_above_tau(monkeypatch):
     tau = 0.5 * min(directed_divergence(a, b, tex, 32, 32),
                     directed_divergence(b, a, tex, 32, 32))
     assert 0 < tau < float("inf")
-    real = motionlayers.warp_to_canonical
+    real = motionlayers._canonical_geometry
     warps = []
 
     def counted(*args):
-        warps.append(args[1].id)
+        warps.append(args[0].id)
         return real(*args)
 
-    monkeypatch.setattr(motionlayers, "warp_to_canonical", counted)
+    monkeypatch.setattr(motionlayers, "_canonical_geometry", counted)
     flow = np.zeros((32, 32, 2))
     out = merge_pass([a, b], {(0, 1)}, tau, tex, flow, 32, 32, seed=0)
     assert [r.id for r in out] == [0, 1]
