@@ -99,23 +99,12 @@ _SUBCOMMAND_KEYS = {
     "segment": ["input", "out", "external-flow", *_STREAM_KEYS,
                 *_BILATERAL_KEYS, *_FLOW_KEYS, "seed", "threads"],
     "motion": ["input", "out", "external-flow", "supervoxel-level", "tau0",
-               "tau-growth", "levels", "canonical", "mrf-lambda", "mrf",
-               "subseq", "k0", "k-growth", "min-size", "color-bins",
-               "flow-bins", "flow-range", "flow-edges", "flow-feature",
+               "tau-growth", "canonical", "mrf-lambda", "mrf", *_STREAM_KEYS,
                *_BILATERAL_KEYS, *_FLOW_KEYS, "seed", "threads"],
     "flow": ["input", "out", *_FLOW_KEYS, "threads"],
     "eval": ["pred", "gt", "video", "tol", "out", "threads"],
     "synth": ["spec", "out", "threads"],
 }
-
-_REQUIRED = {
-    "segment": ["input", "out"],
-    "motion": ["input", "out"],
-    "flow": ["input", "out"],
-    "eval": ["pred", "gt", "video", "out"],
-    "synth": ["spec", "out"],
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage problems; this tool uses 1."""
@@ -183,8 +172,8 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key.replace("-", "_"))
         if value is not None:
             eff[key] = value
-    for key in _REQUIRED[command]:
-        if not eff[key]:
+    for key in keys:
+        if _OPTIONS[key][1] is None and not eff[key]:
             raise UsageError(f"{command} requires --{key}")
     for key in keys:
         log.info("config %s = %s", key, eff[key])

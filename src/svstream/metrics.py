@@ -6,7 +6,8 @@ output.  Every metric is a ratio of integer quantities (boundary counts,
 overlap counts, scaled-integer luma sums), so the implementation carries
 exact rationals via fractions.Fraction and converts to float only on return.
 That makes results independent of summation order and bit-identical to naive
-reference implementations.
+reference implementations.  One boundary pass gives both boundary recalls and
+one overlap count gives accuracy and under-segmentation in 2D and 3D.
 """
 
 import csv
@@ -20,45 +21,53 @@ CSV_HEADER = ["level", "num_supervoxels", "br2d", "br3d", "ev",
               "acc2d", "acc3d", "ue2d", "ue3d"]
 
 
-def _check_volumes(pred: np.ndarray, gt: np.ndarray):
+def _indexed(pred: np.ndarray, gt: np.ndarray, tol: int = 0):
+    """Checked label volumes, each as indices 0..n-1 in ascending label
+    order."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.ndim != 3 or gt.ndim != 3:
         raise ValueError("label volumes must be (frames, height, width)")
     if pred.shape != gt.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
-    return pred, gt
+    if tol < 0:
+        raise ValueError("tolerance must be >= 0")
+    return tuple(np.unique(v, return_inverse=True)[1].reshape(v.shape) for v in (pred, gt))
 
 
 # ---------------------------------------------------------------- boundaries
 
-def _within_frame_boundaries(labels: np.ndarray) -> np.ndarray:
-    """Per-frame mask of boundary element anchors.
+def _anchors(labels: np.ndarray) -> np.ndarray:
+    """Boundary element anchors of both classes, stacked along axis 0.
 
-    An element sits between 4-adjacent pixels with different labels and is
-    anchored at the lower-coordinate pixel; x- and y-oriented elements share
-    one within-frame class.
+    Slice t < T holds frame t's within-frame elements: an element sits
+    between 4-adjacent pixels with different labels and is anchored at the
+    lower-coordinate pixel; x- and y-oriented elements share the class.
+    Slice T + t holds the between-frame elements of frames t and t+1.
     """
-    t, h, w = labels.shape
-    out = np.zeros((t, h, w), dtype=bool)
-    out[:, :, :-1] |= labels[:, :, :-1] != labels[:, :, 1:]
-    out[:, :-1, :] |= labels[:, :-1, :] != labels[:, 1:, :]
+    t = labels.shape[0]
+    out = np.zeros((2 * t - 1,) + labels.shape[1:], dtype=bool)
+    out[:t, :, :-1] = labels[:, :, :-1] != labels[:, :, 1:]
+    out[:t, :-1, :] |= labels[:, :-1, :] != labels[:, 1:, :]
+    out[t:] = labels[:-1] != labels[1:]
     return out
 
-def _between_frame_boundaries(labels: np.ndarray) -> np.ndarray:
-    """Per-frame-pair mask of temporal boundary anchors (t vs t+1)."""
-    return labels[:-1] != labels[1:]
 
-
-def _recalled(gt_mask: np.ndarray, pred_mask: np.ndarray, tol: int) -> int:
-    """GT anchors with a predicted anchor within Chebyshev distance tol,
-    evaluated frame by frame (axis 0 never dilates)."""
-    if tol == 0:
-        hit = pred_mask
-    else:
-        ball = np.ones((1, 2 * tol + 1, 2 * tol + 1), dtype=bool)
-        hit = ndimage.binary_dilation(pred_mask, structure=ball)
-    return int(np.count_nonzero(gt_mask & hit))
+def _boundary_recalls(pred: np.ndarray, gt: np.ndarray, tol: int):
+    """(br2d, br3d).  A GT anchor is recalled when a predicted anchor of its
+    class lies within Chebyshev distance tol in the same slice (axis 0 never
+    dilates); any tol >= max(H, W) - 1 reaches the whole frame."""
+    gt_mask = _anchors(gt)
+    r = min(tol, max(gt.shape[1:]) - 1)
+    hit = ndimage.maximum_filter(_anchors(pred), size=(1, 2 * r + 1, 2 * r + 1),
+                                 mode="constant")
+    total = np.count_nonzero(gt_mask, axis=(1, 2)).tolist()
+    hits = np.count_nonzero(gt_mask & hit, axis=(1, 2)).tolist()
+    t = gt.shape[0]
+    frames = [Fraction(k, n) for k, n in zip(hits[:t], total[:t]) if n]
+    br2d = float(sum(frames) / len(frames)) if frames else 1.0
+    br3d = float(Fraction(sum(hits), sum(total))) if sum(total) else 1.0
+    return br2d, br3d
 
 
 def boundary_recall_3d(pred: np.ndarray, gt: np.ndarray, tol: int = 1) -> float:
@@ -66,45 +75,19 @@ def boundary_recall_3d(pred: np.ndarray, gt: np.ndarray, tol: int = 1) -> float:
     classes pooled) matched by a predicted element of the same class within
     Chebyshev distance tol inside the same frame or frame pair.  A GT volume
     without boundaries scores 1."""
-    pred, gt = _check_volumes(pred, gt)
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    gt_w = _within_frame_boundaries(gt)
-    gt_b = _between_frame_boundaries(gt)
-    total = int(np.count_nonzero(gt_w)) + int(np.count_nonzero(gt_b))
-    if total == 0:
-        return 1.0
-    rec = _recalled(gt_w, _within_frame_boundaries(pred), tol)
-    rec += _recalled(gt_b, _between_frame_boundaries(pred), tol)
-    return float(Fraction(rec, total))
+    return _boundary_recalls(*_indexed(pred, gt, tol), tol)[1]
 
 
 def boundary_recall_2d(pred: np.ndarray, gt: np.ndarray, tol: int = 1) -> float:
     """Within-frame boundary recall averaged over frames that have GT
     boundaries; 1 when no frame does."""
-    pred, gt = _check_volumes(pred, gt)
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    gt_w = _within_frame_boundaries(gt)
-    pr_w = _within_frame_boundaries(pred)
-    acc = Fraction(0)
-    frames = 0
-    for t in range(gt.shape[0]):
-        total = int(np.count_nonzero(gt_w[t]))
-        if total == 0:
-            continue
-        rec = _recalled(gt_w[t:t + 1], pr_w[t:t + 1], tol)
-        acc += Fraction(rec, total)
-        frames += 1
-    if frames == 0:
-        return 1.0
-    return float(acc / frames)
+    return _boundary_recalls(*_indexed(pred, gt, tol), tol)[0]
 
 
 # ---------------------------------------------------------------- variation
 
-def _integer_luma(video: np.ndarray) -> np.ndarray:
-    """Per-voxel intensity as exact integers.
+def _integer_luma(video: np.ndarray, shape) -> np.ndarray:
+    """Per-voxel intensity as exact integers, checked against the label shape.
 
     RGB becomes 299 R + 587 G + 114 B (BT.601 luma times 1000); grayscale is
     used as-is.  Explained variation is scale invariant, so the factor drops
@@ -115,31 +98,39 @@ def _integer_luma(video: np.ndarray) -> np.ndarray:
         raise ValueError("video must have an integer dtype")
     if video.ndim == 4 and video.shape[-1] == 3:
         v = video.astype(np.int64)
-        return 299 * v[..., 0] + 587 * v[..., 1] + 114 * v[..., 2]
-    if video.ndim == 3:
-        return video.astype(np.int64)
-    raise ValueError("video must be (t, h, w) or (t, h, w, 3)")
+        x = 299 * v[..., 0] + 587 * v[..., 1] + 114 * v[..., 2]
+    elif video.ndim == 3:
+        x = video.astype(np.int64)
+    else:
+        raise ValueError("video must be (t, h, w) or (t, h, w, 3)")
+    if x.shape != shape:
+        raise ValueError(f"shape mismatch: {shape} vs {x.shape}")
+    return x
 
 
-def _r_squared(values: np.ndarray, inv: np.ndarray) -> Fraction:
-    """Exact R-squared of the groupwise-mean reconstruction of integer values.
-
-    inv assigns each element a dense group index.  A constant signal gives 1.
-    """
-    flat = values.ravel().astype(np.int64)
-    # partial sums stay integral in float64 well below 2^53 per group
-    group_sum = np.bincount(inv, weights=flat.astype(np.float64))
-    group_n = np.bincount(inv)
-    n = flat.size
-    sx = int(np.sum(flat, dtype=np.int64))
-    sxx = int(np.sum(flat ** 2, dtype=np.int64))
+def _r_squared(x: np.ndarray, inv: np.ndarray) -> float:
+    """Exact R-squared of the groupwise-mean reconstruction of a (t, h, w)
+    int64 volume, which is shifted in place; inv gives each voxel a dense
+    group index.  A constant signal gives 1.  The shift to a minimum of 0
+    leaves R-squared unchanged and bounds every partial sum by its total, so
+    per-frame sums stay exact in int64 and group sums in float64; values too
+    spread for that raise ValueError."""
+    lo, hi = int(x.min()), int(x.max())
+    n = x.size
+    if (hi - lo) ** 2 * (n // x.shape[0]) >= 2 ** 63 or (hi - lo) * n >= 2 ** 53:
+        raise ValueError("video values too large for exact explained variation")
+    x -= lo
+    frames = x.reshape(x.shape[0], -1)
+    sx = sum(frames.sum(axis=1).tolist())
+    sxx = sum(np.einsum("ij,ij->i", frames, frames).tolist())
     den = Fraction(sxx) - Fraction(sx * sx, n)
     if den == 0:
-        return Fraction(1)
+        return 1.0
+    group_sum = np.bincount(inv.ravel(), weights=x.ravel())
     num = -Fraction(sx * sx, n)
-    for s, c in zip(group_sum.tolist(), group_n.tolist()):
-        num += Fraction(int(s) ** 2, int(c))
-    return num / den
+    for s, c in zip(group_sum.tolist(), np.bincount(inv.ravel()).tolist()):
+        num += Fraction(int(s) ** 2, c)
+    return float(num / den)
 
 
 def explained_variation(pred: np.ndarray, video: np.ndarray) -> float:
@@ -148,79 +139,81 @@ def explained_variation(pred: np.ndarray, video: np.ndarray) -> float:
     is the mean of voxel i's supervoxel.  A constant video scores 1.
     """
     pred = np.asarray(pred)
-    x = _integer_luma(video)
-    if pred.shape != x.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {x.shape}")
-    _, inv = np.unique(pred.ravel(), return_inverse=True)
-    return float(_r_squared(x, inv))
+    return _r_squared(_integer_luma(video, pred.shape),
+                      np.unique(pred, return_inverse=True)[1])
 
 
-# ---------------------------------------------------------------- accuracy
+# ---------------------------------------------------------------- overlaps
 
-def _overlap_counts(pred_flat: np.ndarray, gt_flat: np.ndarray):
-    """Dense overlap matrix (pred regions x gt segments) and both size
-    vectors; row/column order follows ascending original labels."""
-    _, pi = np.unique(pred_flat, return_inverse=True)
-    _, gi = np.unique(gt_flat, return_inverse=True)
-    np_, ng = pi.max() + 1, gi.max() + 1
-    counts = np.bincount(pi * ng + gi, minlength=np_ * ng).reshape(np_, ng)
-    return counts, np.bincount(pi), np.bincount(gi)
+def _scope_means(scope, p, g, n):
+    """Accuracy and under-segmentation error averaged over scopes 0..k-1.
+
+    (scope, p, g) are the distinct (scope, pred, gt) cells in lexicographic
+    order and n their voxel counts.  Within a scope a supervoxel goes to the
+    GT segment it overlaps most, ties to the lower GT index: the first of its
+    cells at the maximum.
+    """
+    first = np.r_[True, (scope[1:] != scope[:-1]) | (p[1:] != p[:-1])]
+    start, sv = np.flatnonzero(first), np.cumsum(first) - 1   # each cell's supervoxel
+    best = np.flatnonzero(n == np.maximum.reduceat(n, start)[sv])
+    best = best[np.r_[True, sv[best[1:]] != sv[best[:-1]]]]   # first maximum per supervoxel
+    n_g = int(g.max()) + 1
+    seg, cell_seg = np.unique(scope * n_g + g, return_inverse=True)
+    size = np.bincount(cell_seg, weights=n).tolist()
+    covered = np.bincount(cell_seg[best], weights=n[best], minlength=len(seg)).tolist()
+    # sizes of the supervoxels touching each segment
+    leak = np.bincount(cell_seg, weights=np.add.reduceat(n, start)[sv]).tolist()
+    seg_scope = (seg // n_g).tolist()
+    count = np.bincount(seg_scope).tolist()
+    acc = err = Fraction(0)
+    for s, m, c, k in zip(seg_scope, size, covered, leak):
+        weight = int(m) * count[s] * len(count)   # mean over segments, then over scopes
+        acc += Fraction(int(c), weight)
+        err += Fraction(int(k - m), weight)
+    return float(acc), float(err)
 
 
-def _accuracy_flat(pred_flat: np.ndarray, gt_flat: np.ndarray) -> Fraction:
-    counts, _, gt_sizes = _overlap_counts(pred_flat, gt_flat)
-    # ties go to the lower gt label; argmax picks the first maximum
-    assign = np.argmax(counts, axis=1)
-    ng = counts.shape[1]
-    covered = np.zeros(ng, dtype=np.int64)
-    np.add.at(covered, assign, counts[np.arange(counts.shape[0]), assign])
-    acc = Fraction(0)
-    for g in range(ng):
-        acc += Fraction(int(covered[g]), int(gt_sizes[g]))
-    return acc / ng
+def _overlap_scores(pred: np.ndarray, gt: np.ndarray):
+    """(acc2d, acc3d, ue2d, ue3d) of dense label volumes from one sparse
+    count of (frame, pred, gt) cells; the 3D cells are its sums over frames."""
+    t, h, w = pred.shape
+    n_p, n_g = int(pred.max()) + 1, int(gt.max()) + 1
+    if t * n_p * n_g >= 2 ** 63:
+        raise ValueError("too many labels for an exact overlap count")
+    key = np.repeat(np.arange(t, dtype=np.int64) * n_p, h * w) + pred.ravel()
+    key *= n_g
+    key += gt.ravel()
+    cells, n = np.unique(key, return_counts=True)
+    frame_pred, g = np.divmod(cells, n_g)
+    frame, p = np.divmod(frame_pred, n_p)
+    acc2d, ue2d = _scope_means(frame, p, g, n)
+    pairs, cell_pair = np.unique(p * n_g + g, return_inverse=True)
+    n3 = np.bincount(cell_pair, weights=n).astype(np.int64)
+    acc3d, ue3d = _scope_means(np.zeros_like(pairs), pairs // n_g, pairs % n_g, n3)
+    return acc2d, acc3d, ue2d, ue3d
 
 
 def accuracy_3d(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean over GT segments of the fraction of the segment covered by the
     supervoxels assigned to it; each supervoxel goes to the GT segment it
     overlaps most (ties to the lower GT label)."""
-    pred, gt = _check_volumes(pred, gt)
-    return float(_accuracy_flat(pred.ravel(), gt.ravel()))
+    return _overlap_scores(*_indexed(pred, gt))[1]
 
 
 def accuracy_2d(pred: np.ndarray, gt: np.ndarray) -> float:
     """accuracy_3d applied independently per frame, averaged over frames."""
-    pred, gt = _check_volumes(pred, gt)
-    acc = Fraction(0)
-    for t in range(gt.shape[0]):
-        acc += _accuracy_flat(pred[t].ravel(), gt[t].ravel())
-    return float(acc / gt.shape[0])
-
-
-def _undersegmentation_flat(pred_flat: np.ndarray, gt_flat: np.ndarray) -> Fraction:
-    counts, pred_sizes, gt_sizes = _overlap_counts(pred_flat, gt_flat)
-    touches = counts > 0
-    err = Fraction(0)
-    for g in range(counts.shape[1]):
-        leak = int(pred_sizes[touches[:, g]].sum())
-        err += Fraction(leak - int(gt_sizes[g]), int(gt_sizes[g]))
-    return err / counts.shape[1]
+    return _overlap_scores(*_indexed(pred, gt))[0]
 
 
 def undersegmentation_error_3d(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean over GT segments g of (sum of sizes of supervoxels intersecting
     g minus |g|) / |g|; 0 iff supervoxels nest inside GT segments."""
-    pred, gt = _check_volumes(pred, gt)
-    return float(_undersegmentation_flat(pred.ravel(), gt.ravel()))
+    return _overlap_scores(*_indexed(pred, gt))[3]
 
 
 def undersegmentation_error_2d(pred: np.ndarray, gt: np.ndarray) -> float:
     """undersegmentation_error_3d per frame, averaged over frames."""
-    pred, gt = _check_volumes(pred, gt)
-    err = Fraction(0)
-    for t in range(gt.shape[0]):
-        err += _undersegmentation_flat(pred[t].ravel(), gt[t].ravel())
-    return float(err / gt.shape[0])
+    return _overlap_scores(*_indexed(pred, gt))[2]
 
 
 # ---------------------------------------------------------------- reports
@@ -239,16 +232,13 @@ class MetricsReport:
 
 def compute_report(pred: np.ndarray, gt: np.ndarray, video: np.ndarray,
                    tol: int = 1) -> MetricsReport:
-    return MetricsReport(
-        num_supervoxels=int(len(np.unique(pred))),
-        br2d=boundary_recall_2d(pred, gt, tol),
-        br3d=boundary_recall_3d(pred, gt, tol),
-        ev=explained_variation(pred, video),
-        acc2d=accuracy_2d(pred, gt),
-        acc3d=accuracy_3d(pred, gt),
-        ue2d=undersegmentation_error_2d(pred, gt),
-        ue3d=undersegmentation_error_3d(pred, gt),
-    )
+    """Every metric of one level from one indexing of each label volume."""
+    pred, gt = _indexed(pred, gt, tol)
+    x = _integer_luma(video, pred.shape)
+    br2d, br3d = _boundary_recalls(pred, gt, tol)
+    acc2d, acc3d, ue2d, ue3d = _overlap_scores(pred, gt)
+    return MetricsReport(int(pred.max()) + 1, br2d, br3d, _r_squared(x, pred),
+                         acc2d, acc3d, ue2d, ue3d)
 
 
 def evaluate(pred_levels, gt: np.ndarray, video: np.ndarray,

@@ -43,7 +43,7 @@ class RansacParams:
     min_pixels: int = 12
 
     def __post_init__(self):
-        if self.inlier_tol <= 0 or self.iterations < 1 or self.min_pixels < 3:
+        if not self.inlier_tol > 0 or self.iterations < 1 or self.min_pixels < 3:
             raise ValueError("invalid RANSAC parameters")
 
 
@@ -90,9 +90,9 @@ def check_motion_params(schedule, p: int, q: int, mrf_lambda: float = 0.0):
     if p < 2 or q < 2:
         raise ValueError("canonical size must be at least 2x2")
     schedule = list(schedule)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+    if not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("tau schedule must be strictly increasing")
-    if mrf_lambda < 0:
+    if not mrf_lambda >= 0:
         raise ValueError("lambda must be >= 0")
 
 

@@ -36,7 +36,7 @@ class FlowParams:
     warp_steps: int = 3
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
         if not 0.0 < self.pyramid_scale < 1.0:
             raise ValueError("pyramid_scale must be in (0, 1)")

@@ -13,7 +13,7 @@ class BilateralParams:
     radius: int = 6
 
     def __post_init__(self):
-        if self.sigma_spatial <= 0 or self.sigma_range <= 0:
+        if not (self.sigma_spatial > 0 and self.sigma_range > 0):
             raise ValueError("bilateral sigmas must be strictly positive")
         if self.radius < 1:
             raise ValueError("bilateral radius must be >= 1")

@@ -204,7 +204,10 @@ def test_motion_label_overflow_writes_nothing(tmp_path, scene_dir, monkeypatch):
     (["--canonical", "1x8"], "canonical size must be at least 2x2"),
     (["--tau0", "-1"], "tau schedule must be strictly increasing"),
     (["--mrf", "on", "--mrf-lambda", "-1"], "lambda must be >= 0"),
-], ids=["canonical", "tau", "lambda"])
+    (["--tau0", "nan"], "tau schedule must be strictly increasing"),
+    (["--tau-growth", "nan"], "tau schedule must be strictly increasing"),
+    (["--mrf", "on", "--mrf-lambda", "nan"], "lambda must be >= 0"),
+], ids=["canonical", "tau", "lambda", "tau-nan", "tau-growth-nan", "lambda-nan"])
 def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, monkeypatch,
                                                          capsys, flags, message):
     def segment(*args, **kwargs):
@@ -235,10 +238,16 @@ def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, mon
     ("motion", ["--supervoxel-level", "-1"], "supervoxel-level must be >= 0"),
     ("flow", ["--alpha", "0"], "alpha must be > 0"),
     ("eval", ["--tol", "-1"], "tolerance must be >= 0"),
+    ("segment", ["--k0", "nan"], "k0 and flow_range must be > 0"),
+    ("segment", ["--k-growth", "nan"], "k_growth must be > 1"),
+    ("segment", ["--flow-range", "nan"], "k0 and flow_range must be > 0"),
+    ("segment", ["--alpha", "nan"], "alpha must be > 0"),
+    ("segment", ["--sigma-s", "nan"], "bilateral sigmas must be strictly positive"),
 ], ids=["segment-k0", "segment-levels", "segment-k-growth", "segment-min-size",
         "segment-subseq", "segment-alpha", "segment-radius", "segment-threads",
         "motion-k0", "motion-subseq", "motion-alpha", "motion-supervoxel-level",
-        "flow-alpha", "eval-tol"])
+        "flow-alpha", "eval-tol", "segment-k0-nan", "segment-k-growth-nan",
+        "segment-flow-range-nan", "segment-alpha-nan", "segment-sigma-s-nan"])
 def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, capsys,
                                               command, flags, message):
     def read(*args, **kwargs):

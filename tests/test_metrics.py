@@ -146,6 +146,62 @@ def test_oracle_equivalence_sample():
         assert accuracy_2d(pred, gt) == oracle_acc2d(pred, gt)
         assert undersegmentation_error_3d(pred, gt) == oracle_ue3d(pred, gt)
         assert undersegmentation_error_2d(pred, gt) == oracle_ue2d(pred, gt)
+        _assert_report_matches_oracles(pred, gt, video, tol)
+
+
+def _assert_report_matches_oracles(pred, gt, video, tol):
+    rep = compute_report(pred, gt, video, tol)
+    assert rep.num_supervoxels == len(np.unique(pred))
+    assert rep.br2d == oracle_br2d(pred, gt, tol)
+    assert rep.br3d == oracle_br3d(pred, gt, tol)
+    assert rep.ev == oracle_ev(pred, video)
+    assert rep.acc2d == oracle_acc2d(pred, gt)
+    assert rep.acc3d == oracle_acc3d(pred, gt)
+    assert rep.ue2d == oracle_ue2d(pred, gt)
+    assert rep.ue3d == oracle_ue3d(pred, gt)
+
+
+def test_oracle_equivalence_segments_missing_from_frames():
+    # 3-4 frames and up to 5 labels; each gt frame draws from its own subset
+    # of the labels, so segments come and go between frames
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        t = int(rng.integers(3, 5))
+        h = int(rng.integers(1, 5))
+        w = int(rng.integers(1, 5))
+        pred = rng.integers(0, int(rng.integers(1, 6)), size=(t, h, w)) * 3 - 4
+        gt = np.stack([rng.choice(rng.choice(5, size=int(rng.integers(1, 4)), replace=False),
+                                  size=(h, w)) for _ in range(t)])
+        video = rng.integers(0, 256, size=(t, h, w, 3)).astype(np.uint8)
+        tol = int(rng.integers(0, 3))
+        assert accuracy_2d(pred, gt) == oracle_acc2d(pred, gt)
+        assert undersegmentation_error_2d(pred, gt) == oracle_ue2d(pred, gt)
+        assert boundary_recall_2d(pred, gt, tol) == oracle_br2d(pred, gt, tol)
+        _assert_report_matches_oracles(pred, gt, video, tol)
+
+
+def test_boundary_recall_tolerance_beyond_the_frame():
+    # any tolerance reaching across the frame recalls the same elements
+    rng = np.random.default_rng(10)
+    pred = rng.integers(0, 3, size=(3, 5, 6))
+    gt = rng.integers(0, 3, size=(3, 5, 6))
+    assert boundary_recall_2d(pred, gt, 10 ** 6) == oracle_br2d(pred, gt, 10 ** 6)
+    assert boundary_recall_3d(pred, gt, 10 ** 6) == oracle_br3d(pred, gt, 10 ** 6)
+
+
+def test_explained_variation_sums_stay_exact():
+    # sum of squares 1.2e19 exceeds int64 over the volume but not per frame
+    video = np.array([0, 2 * 10 ** 9, 2 * 10 ** 9, 2 * 10 ** 9, 1],
+                     dtype=np.int64).reshape(5, 1, 1)
+    pred = np.array([0, 0, 1, 1, 1]).reshape(5, 1, 1)
+    assert explained_variation(pred, video) == oracle_ev(pred, video)
+    # a large offset with a small spread: the sums only fit after the shift
+    video = 10 ** 15 + np.array([3, 0, 9, 4, 4], dtype=np.int64).reshape(5, 1, 1)
+    assert explained_variation(pred, video) == oracle_ev(pred, video)
+    # one frame's squares exceed int64: refused rather than wrapped
+    video = np.array([[[3 * 10 ** 9, 0], [3 * 10 ** 9, 1]]], dtype=np.int64)
+    with pytest.raises(ValueError):
+        explained_variation(np.array([[[0, 1], [0, 1]]]), video)
 
 
 # ---------------------------------------------------------------- validation

@@ -103,6 +103,8 @@ def test_ransac_params_validation():
     with pytest.raises(ValueError):
         RansacParams(inlier_tol=0.0)
     with pytest.raises(ValueError):
+        RansacParams(inlier_tol=float("nan"))
+    with pytest.raises(ValueError):
         RansacParams(iterations=0)
     with pytest.raises(ValueError):
         RansacParams(min_pixels=2)
