@@ -9,13 +9,24 @@ or switches to the candidate label alpha.  Cuts run on integer capacities
 (costs scaled by 256); a move is accepted only when the exact float energy
 strictly decreases, so rounding can never push the energy up.  lambda = 0
 short-circuits to the per-pixel argmin (ties to the lowest label id).
+
+A pixel keeps its label exactly when the source reaches it in the residual
+graph of a maximum flow.  That set, the smallest minimum-cut source set, is
+the same for every maximum flow (Picard & Queyranne 1980), so tied integer
+cuts always resolve the same way.  The flow runs on the reversed graph, from
+the sink to the source: an expansion has far fewer sink arcs than source
+arcs, and Dinic's level graphs grow from the sparse side in fewer steps.
+Turned around, that flow is a maximum flow of the original graph, so a search
+from the source over the transpose of its residual finds the same set.  (A
+search from the sink of the reversed residual would find the other extreme
+minimum cut, which differs wherever cuts tie.)
 """
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
-from .imageops import grid_pairs4, round_half_up
+from .imageops import round_half_up
 
 _SCALE = 256.0
 _CAP_MAX = 1 << 28
@@ -29,57 +40,64 @@ def labeling_energy(labels: np.ndarray, data_costs: np.ndarray, lam: float) -> f
     return float(taken.sum()) + lam * cuts
 
 
+def _capacity(x: np.ndarray, low: int) -> np.ndarray:
+    """Cut capacity of an energy term: scaled, rounded half up and clipped,
+    as int32, the type scipy's maximum_flow computes in."""
+    return np.clip(round_half_up(x * _SCALE), low, _CAP_MAX).astype(np.int32)
+
+
 def _expand(labels: np.ndarray, alpha: int, data_costs: np.ndarray, lam: float) -> np.ndarray:
     """Best labeling reachable by switching any pixel subset to alpha."""
     h, w = labels.shape
     n = h * w
-    flat = labels.ravel()
-    c0 = np.take_along_axis(data_costs, labels[None], axis=0)[0].ravel().astype(np.float64)
-    c1 = data_costs[alpha].ravel().astype(np.float64)
-
-    p_idx, q_idx = grid_pairs4(h, w)
-    fp = flat[p_idx]
-    fq = flat[q_idx]
-    e00 = lam * (fp != fq)
-    e01 = lam * (fp != alpha)
-    e10 = lam * (fq != alpha)
+    # Each 4-adjacent pair (p, q), q right of or below p, has
     # E(xp, xq) = e00 + (e11-e01) xp + (e01-e00) xq + (e01+e10-e00-e11) xp (1-xq)
-    pair_w = e01 + e10 - e00
-    adj1 = np.zeros(n)
-    np.add.at(adj1, p_idx, -e01)
-    np.add.at(adj1, q_idx, e01 - e00)
-    d = (c1 + adj1) - c0
+    # with e11 = 0, e01 = e_alpha[p] and e10 = e_alpha[q].  adj1 adds a
+    # pixel's shares in a fixed order (as p of its right, then its lower pair;
+    # as q of its left, then its upper pair), the order of the reference
+    # expansion in tests/oracles.py, so every capacity matches it bit for bit.
+    e_alpha = lam * (labels != alpha)
+    e00_h = lam * (labels[:, :-1] != labels[:, 1:])
+    e00_v = lam * (labels[:-1] != labels[1:])
+    adj1 = np.zeros((h, w))
+    adj1[:, :-1] -= e_alpha[:, :-1]
+    adj1[:-1] -= e_alpha[:-1]
+    adj1[:, 1:] += e_alpha[:, :-1] - e00_h
+    adj1[1:] += e_alpha[:-1] - e00_v
+    c0 = np.take_along_axis(data_costs, labels[None], axis=0)[0].astype(np.float64)
+    d = (data_costs[alpha].astype(np.float64) + adj1) - c0
+    di = _capacity(d, -_CAP_MAX).ravel()
+    right = np.zeros((h, w), dtype=np.int32)
+    right[:, :-1] = _capacity(e_alpha[:, :-1] + e_alpha[:, 1:] - e00_h, 0)
+    down = np.zeros((h, w), dtype=np.int32)
+    down[:-1] = _capacity(e_alpha[:-1] + e_alpha[1:] - e00_v, 0)
 
-    di = np.clip(round_half_up(d * _SCALE), -_CAP_MAX, _CAP_MAX).astype(np.int64)
-    wi = np.clip(round_half_up(pair_w * _SCALE), 0, _CAP_MAX).astype(np.int64)
-
+    # The cut graph has src -> p (di > 0), p -> snk (-di, di < 0) and q -> p
+    # (the pair weight).  Its reverse is built row by row in CSR order: pixel
+    # p has p -> p+1 (right), p -> p+w (down) and p -> src, and snk has
+    # snk -> p.
     src, snk = n, n + 1
-    rows, cols, caps = [], [], []
-    pos = di > 0
-    rows.append(np.full(int(pos.sum()), src, dtype=np.int64))
-    cols.append(np.flatnonzero(pos).astype(np.int64))
-    caps.append(di[pos])
-    neg = di < 0
-    rows.append(np.flatnonzero(neg).astype(np.int64))
-    cols.append(np.full(int(neg.sum()), snk, dtype=np.int64))
-    caps.append(-di[neg])
-    wpos = wi > 0
-    rows.append(q_idx[wpos])
-    cols.append(p_idx[wpos])
-    caps.append(wi[wpos])
-
-    graph = csr_matrix((np.concatenate(caps),
-                        (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n + 2, n + 2), dtype=np.int64)
-    result = maximum_flow(graph, src, snk)
-    residual = graph - result.flow
+    pix = np.arange(n)
+    cols = np.stack([pix + 1, pix + w, np.full(n, src)], axis=1)
+    caps = np.stack([right.ravel(), down.ravel(), di], axis=1)
+    arc = caps > 0
+    to_pix = np.flatnonzero(di < 0)
+    row_len = np.zeros(n + 2, dtype=np.int64)
+    row_len[:n] = arc.sum(axis=1)
+    row_len[snk] = len(to_pix)
+    rgraph = csr_matrix((np.concatenate([caps[arc], -di[to_pix]]),
+                         np.concatenate([cols[arc], to_pix]),
+                         np.concatenate([[0], np.cumsum(row_len)])),
+                        shape=(n + 2, n + 2))
+    result = maximum_flow(rgraph, snk, src)
+    residual = rgraph - result.flow
     residual.data = np.where(residual.data > 0, residual.data, 0)
     residual.eliminate_zeros()
-    reachable = breadth_first_order(residual, src, directed=True,
+    reachable = breadth_first_order(residual.T, src, directed=True,
                                     return_predecessors=False)
     take = np.ones(n + 2, dtype=bool)
     take[reachable] = False
-    out = flat.copy()
+    out = labels.ravel().copy()
     out[take[:n]] = alpha
     return out.reshape(h, w)
 
@@ -89,7 +107,9 @@ def alpha_expansion(data_costs: np.ndarray, lam: float,
     """Minimize the Potts energy from init_labels; never increases energy.
 
     data_costs has shape (L, H, W); labels take values in [0, L).  Candidate
-    labels are visited in ascending order, sweeping until no move is accepted.
+    labels are tried in ascending order, cyclically, until every label in a
+    row has been rejected: a retry on unchanged labels would give the same
+    candidate again.
     """
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -98,14 +118,15 @@ def alpha_expansion(data_costs: np.ndarray, lam: float,
         return np.argmin(data_costs, axis=0).astype(init_labels.dtype)
     labels = init_labels.copy()
     energy = labeling_energy(labels, data_costs, lam)
-    improved = True
-    while improved:
-        improved = False
-        for alpha in range(num_labels):
-            candidate = _expand(labels, alpha, data_costs, lam)
-            cand_energy = labeling_energy(candidate, data_costs, lam)
-            if cand_energy < energy - 1e-9:
-                labels = candidate
-                energy = cand_energy
-                improved = True
+    alpha = rejected = 0
+    while rejected < num_labels:
+        candidate = _expand(labels, alpha, data_costs, lam)
+        cand_energy = labeling_energy(candidate, data_costs, lam)
+        if cand_energy < energy - 1e-9:
+            labels = candidate
+            energy = cand_energy
+            rejected = 0
+        else:
+            rejected += 1
+        alpha = (alpha + 1) % num_labels
     return labels

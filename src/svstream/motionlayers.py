@@ -86,12 +86,15 @@ class MotionPairResult:
 
 def check_motion_params(schedule, p: int, q: int, mrf_lambda: float = 0.0):
     """Reject a canonical patch under 2x2, a tau schedule that is not strictly
-    increasing and a negative MRF lambda with ValueError, before any work."""
+    increasing or holds a NaN, and a negative MRF lambda with ValueError,
+    before any work."""
     if p < 2 or q < 2:
         raise ValueError("canonical size must be at least 2x2")
     schedule = list(schedule)
     if not all(b > a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("tau schedule must be strictly increasing")
+    if any(tau != tau for tau in schedule):
+        raise ValueError("tau must not be NaN")
     if not mrf_lambda >= 0:
         raise ValueError("lambda must be >= 0")
 

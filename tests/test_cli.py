@@ -243,11 +243,13 @@ def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, mon
     ("segment", ["--flow-range", "nan"], "k0 and flow_range must be > 0"),
     ("segment", ["--alpha", "nan"], "alpha must be > 0"),
     ("segment", ["--sigma-s", "nan"], "bilateral sigmas must be strictly positive"),
+    ("motion", ["--levels", "1", "--tau0", "nan"], "tau must not be NaN"),
 ], ids=["segment-k0", "segment-levels", "segment-k-growth", "segment-min-size",
         "segment-subseq", "segment-alpha", "segment-radius", "segment-threads",
         "motion-k0", "motion-subseq", "motion-alpha", "motion-supervoxel-level",
         "flow-alpha", "eval-tol", "segment-k0-nan", "segment-k-growth-nan",
-        "segment-flow-range-nan", "segment-alpha-nan", "segment-sigma-s-nan"])
+        "segment-flow-range-nan", "segment-alpha-nan", "segment-sigma-s-nan",
+        "motion-single-tau-nan"])
 def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, capsys,
                                               command, flags, message):
     def read(*args, **kwargs):

@@ -1,11 +1,14 @@
-"""Potts alpha-expansion tests: exactness on small instances, monotone energy."""
+"""Potts alpha-expansion tests: exactness on small instances, monotone energy,
+and the same labels as the forward-flow reference in tests/oracles.py."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from svstream.graphcut import alpha_expansion, labeling_energy
+from oracles import oracle_alpha_expansion, oracle_expand
+from svstream import graphcut
+from svstream.graphcut import _CAP_MAX, _SCALE, _expand, alpha_expansion, labeling_energy
 
 
 def _brute_force_min(data_costs: np.ndarray, lam: float) -> float:
@@ -103,3 +106,69 @@ def test_smoothing_repairs_flipped_pixels():
     want = np.zeros((8, 8), dtype=np.int64)
     want[:, 4:] = 1
     assert np.array_equal(labels, want)
+
+
+def _oracle_instances():
+    """Seeded (costs, lam, init, alpha) draws: integer costs and lambda, whose
+    cuts often tie, strips one pixel wide, a single label, pixels that all
+    carry alpha already, costs beyond the capacity clip and lambda = 0.1."""
+    big = 2 * _CAP_MAX / _SCALE
+    for seed in range(320):
+        rng = np.random.default_rng(9000 + seed)
+        kind = seed % 8
+        h, w = (int(x) for x in rng.integers(1, 8, size=2))
+        if kind == 1:
+            h = 1
+        elif kind == 2:
+            w = 1
+        num_labels = 1 if kind == 3 else int(rng.integers(2, 5))
+        costs = rng.integers(0, 11, size=(num_labels, h, w)).astype(np.float64)
+        lam = float(rng.integers(1, 6))
+        if kind == 5:
+            costs[rng.random(costs.shape) < 0.3] = big
+            lam = float(rng.choice([3.0, big]))
+        elif kind == 6:
+            costs = np.round(rng.random((num_labels, h, w)), 1)
+            lam = 0.1
+        init = rng.integers(0, num_labels, size=(h, w)).astype(np.int64)
+        alpha = int(rng.integers(0, num_labels))
+        if kind == 4:
+            init[:] = alpha
+        yield costs, lam, init, alpha
+
+
+def test_expand_matches_forward_flow_oracle():
+    count = 0
+    for costs, lam, init, alpha in _oracle_instances():
+        got = _expand(init, alpha, costs, lam)
+        want = oracle_expand(init, alpha, costs, lam)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (costs, lam, init, alpha)
+        count += 1
+    assert count >= 300
+
+
+def test_alpha_expansion_matches_oracle():
+    for costs, lam, init, _ in _oracle_instances():
+        got = alpha_expansion(costs, lam, init)
+        want = oracle_alpha_expansion(costs, lam, init)
+        assert np.array_equal(got, want), (costs, lam, init)
+
+
+@pytest.mark.parametrize("start, best, calls", [(1, 0, 4), (0, 1, 5)])
+def test_sweep_stops_once_every_label_is_rejected_in_a_row(monkeypatch, start, best, calls):
+    # one accepted move relabels every pixel; the labels it leaves are then
+    # rejected once each, which ends the loop in the middle of a sweep
+    tried = []
+
+    def counted(labels, alpha, data_costs, lam):
+        tried.append(alpha)
+        return _expand(labels, alpha, data_costs, lam)
+
+    monkeypatch.setattr(graphcut, "_expand", counted)
+    costs = np.full((3, 4, 5), 10.0)
+    costs[best] = 0.0
+    init = np.full((4, 5), start, dtype=np.int64)
+    labels = alpha_expansion(costs, 1.0, init)
+    assert np.array_equal(labels, np.full((4, 5), best))
+    assert np.array_equal(labels, oracle_alpha_expansion(costs, 1.0, init))
+    assert tried == [a % 3 for a in range(calls)]
