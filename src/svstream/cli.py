@@ -5,22 +5,28 @@ subcommands.  Options resolve as defaults < config file < command-line flags;
 the config file is flat `key = value` lines with `#` comments, keys matching
 the long flag names with underscores.  Every effective value is logged at
 startup.  Exit codes: 0 success, 1 usage error, 2 data or format error.
+`--out` must be absent or an empty directory (or, for `eval`, a file to
+replace); a non-empty directory exits 2 before any input is read.  Each
+command writes into a fresh stage directory next to `--out` that replaces
+`--out` in one rename on success, so a failing command leaves nothing there.
 """
 
 import argparse
 import logging
 import os
 import re
+import shutil
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .errors import ToolError
-from .mediaio import (check_pgm16_labels, colorize_labels, load_frame_sequence,
-                      read_label_volume, write_flo, write_frame_sequence,
-                      write_label_volume, write_pgm16, write_ppm)
+from .errors import DataError, ToolError
+from .mediaio import (colorize_labels, load_frame_sequence, read_label_volume,
+                      write_flo, write_frame_sequence, write_label_volume,
+                      write_pgm16, write_ppm)
 from .metrics import evaluate, write_metrics_csv
 from .motionlayers import check_motion_params, run_motion_stream
 from .optflow import FlowParams, external_flow_path, flow_for_sequence
@@ -207,10 +213,9 @@ def _input_params(eff: dict):
     return bilateral, _flow_params(eff)
 
 
-def _prepared_input(eff: dict, params, pool):
-    """Load frames, optionally bilateral-filter them, and attach flow."""
+def _prepared_input(eff: dict, params, seq, pool):
+    """Optionally bilateral-filter loaded frames, and attach flow."""
     bilateral, flow_params = params
-    seq = load_frame_sequence(eff["input"])
     if bilateral is not None:
         seq = filter_sequence(seq, bilateral, pool)
     external = eff["external-flow"] or None
@@ -218,21 +223,19 @@ def _prepared_input(eff: dict, params, pool):
     return seq, flows
 
 
-def _cmd_segment(eff: dict, pool) -> int:
+def _cmd_segment(eff: dict, pool) -> None:
     config = _stream_config(eff, eff["levels"])
-    seq, flows = _prepared_input(eff, _input_params(eff), pool)
+    seq, flows = _prepared_input(eff, _input_params(eff),
+                                 load_frame_sequence(eff["input"]), pool)
     hierarchy = stream_segment(seq, flows, config)
-    for volume in hierarchy.levels:
-        check_pgm16_labels(volume)
     for level, volume in enumerate(hierarchy.levels):
         write_label_volume(volume, os.path.join(eff["out"], f"level_{level:02d}"))
         vis = colorize_labels(volume, derive_seed(eff["seed"], 7, level))
         write_frame_sequence(vis, os.path.join(eff["out"], f"level_{level:02d}_vis"))
         log.info("level %d: %d regions", level, len(np.unique(volume)))
-    return 0
 
 
-def _cmd_motion(eff: dict, pool) -> int:
+def _cmd_motion(eff: dict, pool) -> None:
     schedule = [eff["tau0"] * eff["tau-growth"] ** i for i in range(eff["levels"])]
     p, q = eff["canonical"]
     check_motion_params(schedule, p, q, eff["mrf-lambda"] if eff["mrf"] else 0.0)
@@ -240,51 +243,46 @@ def _cmd_motion(eff: dict, pool) -> int:
     if sv_level < 0:
         raise ValueError("supervoxel-level must be >= 0")
     config = _stream_config(eff, sv_level + 1)
-    seq, flows = _prepared_input(eff, _input_params(eff), pool)
+    input_params = _input_params(eff)
+    seq = load_frame_sequence(eff["input"])
+    if len(seq) < 2:
+        raise ValueError("need at least two frames")
+    seq, flows = _prepared_input(eff, input_params, seq, pool)
     supervoxels = stream_segment(seq, flows, config)
     results = run_motion_stream(seq, flows, supervoxels, sv_level, schedule,
                                 p=p, q=q, mrf_lambda=eff["mrf-lambda"],
                                 use_mrf=eff["mrf"], seed=eff["seed"])
     for res in results:
-        for labels, _ in res.hierarchy.levels:
-            check_pgm16_labels(labels)
-        check_pgm16_labels(res.tracked_labels)
-    for res in results:
         pair_dir = os.path.join(eff["out"], f"pair_{res.pair:04d}")
-        os.makedirs(pair_dir, exist_ok=True)
+        os.makedirs(pair_dir)
+        labelings = [(f"level_{level:02d}", f"level {level}", labels, models, (8, level))
+                     for level, (labels, models) in enumerate(res.hierarchy.levels)]
+        labelings.append(("tracked", "tracked", res.tracked_labels, res.tracked_models, (9,)))
         lines = []
-        for level, (labels, models) in enumerate(res.hierarchy.levels):
-            write_pgm16(os.path.join(pair_dir, f"level_{level:02d}.pgm"), labels)
-            vis = colorize_labels(labels, derive_seed(eff["seed"], 8, level))
-            write_ppm(os.path.join(pair_dir, f"level_{level:02d}.ppm"), vis)
+        for stem, prefix, labels, models, salt in labelings:
+            write_pgm16(os.path.join(pair_dir, f"{stem}.pgm"), labels)
+            vis = colorize_labels(labels, derive_seed(eff["seed"], *salt))
+            write_ppm(os.path.join(pair_dir, f"{stem}.ppm"), vis)
             for lab in sorted(models):
                 params = " ".join(repr(v) for v in models[lab].params)
-                lines.append(f"level {level} region {lab} {params}")
-        write_pgm16(os.path.join(pair_dir, "tracked.pgm"), res.tracked_labels)
-        vis = colorize_labels(res.tracked_labels, derive_seed(eff["seed"], 9))
-        write_ppm(os.path.join(pair_dir, "tracked.ppm"), vis)
-        for lab in sorted(res.tracked_models):
-            params = " ".join(repr(v) for v in res.tracked_models[lab].params)
-            lines.append(f"tracked region {lab} {params}")
+                lines.append(f"{prefix} region {lab} {params}")
         with open(os.path.join(pair_dir, "models.txt"), "w") as fh:
             fh.write("\n".join(lines) + "\n")
         log.info("pair %d: %d tracked regions", res.pair,
                  len(res.tracked_models))
-    return 0
 
 
-def _cmd_flow(eff: dict, pool) -> int:
+def _cmd_flow(eff: dict, pool) -> None:
     params = _flow_params(eff)
     seq = load_frame_sequence(eff["input"])
     flows = flow_for_sequence(seq, params, pool=pool)
-    os.makedirs(eff["out"], exist_ok=True)
+    os.makedirs(eff["out"])
     for i, field in enumerate(flows):
         write_flo(external_flow_path(eff["out"], i + 1), field)
     log.info("wrote %d flow fields", len(flows))
-    return 0
 
 
-def _cmd_eval(eff: dict, pool) -> int:
+def _cmd_eval(eff: dict, pool) -> None:
     if eff["tol"] < 0:
         raise ValueError("tolerance must be >= 0")
     gt = read_label_volume(eff["gt"])
@@ -302,21 +300,19 @@ def _cmd_eval(eff: dict, pool) -> int:
     for level, rep in enumerate(reports):
         log.info("level %d: %d supervoxels br3d %.4f ev %.4f acc3d %.4f",
                  level, rep.num_supervoxels, rep.br3d, rep.ev, rep.acc3d)
-    return 0
 
 
-def _cmd_synth(eff: dict, pool) -> int:
+def _cmd_synth(eff: dict, pool) -> None:
     with open(eff["spec"]) as fh:
         scene = parse_scene_spec(fh.read())
     frames, labels, flows = generate(scene)
     write_frame_sequence(frames, os.path.join(eff["out"], "frames"))
     write_label_volume(labels, os.path.join(eff["out"], "gt"))
     flow_dir = os.path.join(eff["out"], "flow")
-    os.makedirs(flow_dir, exist_ok=True)
+    os.makedirs(flow_dir)
     for i, field in enumerate(flows):
         write_flo(external_flow_path(flow_dir, i + 1), field)
     log.info("wrote %d frames, %d objects", scene.num_frames, len(scene.objects))
-    return 0
 
 
 _DISPATCH = {
@@ -336,14 +332,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    pool = None
+    pool = stage = None
     try:
         eff = _effective_config(args.command, args)
         if eff["threads"] < 1:
             raise ValueError("threads must be >= 1")
+        out = eff["out"]
+        if os.path.isdir(out) and os.listdir(out):
+            raise DataError(f"--out {out} is a directory that is not empty")
+        parent = os.path.dirname(os.path.abspath(out))
+        os.makedirs(parent, exist_ok=True)
+        # a stage next to --out keeps the final os.replace on one filesystem
+        stage = tempfile.mkdtemp(prefix=".svstream-", dir=parent)
+        eff["out"] = os.path.join(stage, "out")
         if eff["threads"] > 1:
             pool = ThreadPoolExecutor(max_workers=eff["threads"])
-        return _DISPATCH[args.command](eff, pool)
+        _DISPATCH[args.command](eff, pool)
+        os.replace(eff["out"], out)
+        return 0
     except UsageError as exc:
         sys.stderr.write(f"svstream: error: {exc}\n")
         return 1
@@ -353,6 +359,8 @@ def main(argv=None) -> int:
     finally:
         if pool is not None:
             pool.shutdown()
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -200,6 +200,110 @@ def test_motion_label_overflow_writes_nothing(tmp_path, scene_dir, monkeypatch):
     assert not list(tmp_path.glob("motion/pair_*"))
 
 
+def _scene_spec(scene_dir) -> str:
+    return os.path.join(os.path.dirname(str(scene_dir)), "scene.txt")
+
+
+def _command_argv(command, scene_dir) -> list:
+    """A small, successful invocation of each subcommand, without --out."""
+    flow = os.path.join(str(scene_dir), "flow")
+    gt = os.path.join(str(scene_dir), "gt")
+    return {
+        "segment": ["segment", "--input", _frames_pattern(scene_dir), "--external-flow", flow,
+                    "--bilateral", "off", "--levels", "2", "--k0", "0.5", "--min-size", "8"],
+        "motion": ["motion", "--input", _frames_pattern(scene_dir), "--external-flow", flow,
+                   "--bilateral", "off", "--supervoxel-level", "1", "--levels", "2",
+                   "--k0", "0.5", "--min-size", "8", "--canonical", "32x32"],
+        "flow": ["flow", "--input", _frames_pattern(scene_dir),
+                 "--flow-iters", "10", "--flow-min-size", "12"],
+        "eval": ["eval", "--pred", gt, "--gt", gt, "--video", _frames_pattern(scene_dir)],
+        "synth": ["synth", "--spec", _scene_spec(scene_dir)],
+    }[command]
+
+
+@pytest.mark.parametrize("command, writer", [
+    ("segment", "write_label_volume"),
+    ("motion", "write_pgm16"),
+    ("flow", "write_flo"),
+    ("eval", "write_metrics_csv"),
+    ("synth", "write_flo"),
+])
+def test_failure_after_first_write_leaves_nothing(tmp_path, scene_dir, monkeypatch, capsys,
+                                                  command, writer):
+    # the first write completes and then fails, as a full disk would
+    real = getattr(cli, writer)
+
+    def write_then_fail(*args, **kwargs):
+        real(*args, **kwargs)
+        raise OSError("injected write failure")
+
+    monkeypatch.setattr(f"svstream.cli.{writer}", write_then_fail)
+    out = tmp_path / "results" / "out"
+    out.parent.mkdir()
+    rc = main([*_command_argv(command, scene_dir), "--out", str(out)])
+    assert rc == 2
+    assert "injected write failure" in capsys.readouterr().err
+    assert not out.exists()
+    assert os.listdir(out.parent) == []
+
+
+def test_motion_refuses_one_frame_before_segmenting(tmp_path, scene_dir, monkeypatch, capsys):
+    def segment(*args, **kwargs):
+        pytest.fail("stream_segment ran on a one-frame input")
+
+    monkeypatch.setattr("svstream.cli.stream_segment", segment)
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "00000.ppm").write_bytes((scene_dir / "frames" / "00000.ppm").read_bytes())
+    out = tmp_path / "motion"
+    rc = main(["motion", "--input", str(frames / "%05d.ppm"), "--out", str(out)])
+    assert rc == 2
+    assert "need at least two frames" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_filled_out_is_refused_before_any_read(tmp_path, scene_dir, monkeypatch, capsys):
+    # a second run with fewer levels must not leave the first run's extra levels
+    out = tmp_path / "seg"
+    argv = _command_argv("segment", scene_dir)
+    assert main([*argv, "--levels", "3", "--out", str(out)]) == 0
+    before = _tree_bytes(out)
+
+    def read(*args, **kwargs):
+        pytest.fail("input was read before --out was checked")
+
+    monkeypatch.setattr("svstream.cli.load_frame_sequence", read)
+    capsys.readouterr()
+    assert main([*argv, "--levels", "2", "--out", str(out)]) == 2
+    assert "not empty" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
+    assert os.listdir(tmp_path) == ["seg"]
+
+
+def test_out_may_be_an_empty_directory(tmp_path, scene_dir):
+    out = tmp_path / "flowfields"
+    out.mkdir()
+    assert main([*_command_argv("flow", scene_dir), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["flow_0001.flo", "flow_0002.flo", "flow_0003.flo"]
+    assert os.listdir(tmp_path) == ["flowfields"]
+
+
+def test_eval_replaces_an_existing_csv(tmp_path, scene_dir):
+    csv_out = tmp_path / "m.csv"
+    csv_out.write_text("stale\n")
+    assert main([*_command_argv("eval", scene_dir), "--out", str(csv_out)]) == 0
+    (_, rep), = read_metrics_csv(str(csv_out))
+    assert rep.acc3d == 1.0
+    assert os.listdir(tmp_path) == ["m.csv"]
+
+
+def test_synth_out_with_trailing_slash(tmp_path, scene_dir):
+    out = str(tmp_path / "scene") + os.sep
+    assert main(["synth", "--spec", _scene_spec(scene_dir), "--out", out]) == 0
+    assert os.listdir(tmp_path) == ["scene"]
+    assert _tree_bytes(out) == _tree_bytes(scene_dir)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--canonical", "1x8"], "canonical size must be at least 2x2"),
     (["--tau0", "-1"], "tau schedule must be strictly increasing"),
