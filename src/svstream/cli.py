@@ -5,10 +5,10 @@ subcommands.  Options resolve as defaults < config file < command-line flags;
 the config file is flat `key = value` lines with `#` comments, keys matching
 the long flag names with underscores.  Every effective value is logged at
 startup.  Exit codes: 0 success, 1 usage error, 2 data or format error.
-`--out` must be absent or an empty directory (or, for `eval`, a file to
-replace); a non-empty directory exits 2 before any input is read.  Each
-command writes into a fresh stage directory next to `--out` that replaces
-`--out` in one rename on success, so a failing command leaves nothing there.
+`--out` is checked before any input is read: an `--out` of the wrong kind
+(`eval` writes a file, the others a directory) or a non-empty directory exits
+2.  Each command writes into a stage that replaces `--out` in one rename on
+success, so a failing command leaves nothing behind, not even parents.
 """
 
 import argparse
@@ -43,11 +43,9 @@ class UsageError(Exception):
 
 
 def _onoff(text: str) -> bool:
-    if text == "on":
-        return True
-    if text == "off":
-        return False
-    raise argparse.ArgumentTypeError(f"expected on|off, got {text!r}")
+    if text not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on|off, got {text!r}")
+    return text == "on"
 
 
 def _canonical(text: str):
@@ -101,16 +99,6 @@ _BILATERAL_KEYS = ["bilateral", "sigma-s", "sigma-r", "radius"]
 _STREAM_KEYS = ["levels", "subseq", "k0", "k-growth", "min-size", "color-bins",
                 "flow-bins", "flow-range", "flow-edges", "flow-feature"]
 
-_SUBCOMMAND_KEYS = {
-    "segment": ["input", "out", "external-flow", *_STREAM_KEYS,
-                *_BILATERAL_KEYS, *_FLOW_KEYS, "seed", "threads"],
-    "motion": ["input", "out", "external-flow", "supervoxel-level", "tau0",
-               "tau-growth", "canonical", "mrf-lambda", "mrf", *_STREAM_KEYS,
-               *_BILATERAL_KEYS, *_FLOW_KEYS, "seed", "threads"],
-    "flow": ["input", "out", *_FLOW_KEYS, "threads"],
-    "eval": ["pred", "gt", "video", "tol", "out", "threads"],
-    "synth": ["spec", "out", "threads"],
-}
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with code 2 on usage problems; this tool uses 1."""
@@ -127,15 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"svstream {__version__}")
     subs = parser.add_subparsers(dest="command", required=True,
                                  parser_class=_Parser)
-    descriptions = {
-        "segment": "streaming hierarchical supervoxel segmentation",
-        "motion": "hierarchical affine motion-layer segmentation",
-        "flow": "backward optical flow as .flo files",
-        "eval": "benchmark metrics against ground truth",
-        "synth": "synthetic scene with ground-truth labels and flow",
-    }
-    for name, keys in _SUBCOMMAND_KEYS.items():
-        sp = subs.add_parser(name, description=descriptions[name])
+    for name, (_, description, _, keys) in _COMMANDS.items():
+        sp = subs.add_parser(name, description=description)
         sp.add_argument("--config", default=None,
                         help="flat key = value config file")
         for key in keys:
@@ -168,7 +149,7 @@ def _parse_config_text(text: str, path: str, allowed) -> dict:
 
 
 def _effective_config(command: str, args: argparse.Namespace) -> dict:
-    keys = _SUBCOMMAND_KEYS[command]
+    keys = _COMMANDS[command][3]
     eff = {k: _OPTIONS[k][1] for k in keys}
     if args.config is not None:
         with open(args.config) as fh:
@@ -291,10 +272,7 @@ def _cmd_eval(eff: dict, pool) -> None:
         os.path.join(eff["pred"], name) for name in os.listdir(eff["pred"])
         if re.fullmatch(r"level_\d+", name)
         and os.path.isdir(os.path.join(eff["pred"], name)))
-    if level_dirs:
-        levels = [read_label_volume(d) for d in level_dirs]
-    else:
-        levels = [read_label_volume(eff["pred"])]
+    levels = [read_label_volume(d) for d in level_dirs or [eff["pred"]]]
     reports = evaluate(levels, gt, video, eff["tol"])
     write_metrics_csv(reports, eff["out"])
     for level, rep in enumerate(reports):
@@ -315,13 +293,37 @@ def _cmd_synth(eff: dict, pool) -> None:
     log.info("wrote %d frames, %d objects", scene.num_frames, len(scene.objects))
 
 
-_DISPATCH = {
-    "segment": _cmd_segment,
-    "motion": _cmd_motion,
-    "flow": _cmd_flow,
-    "eval": _cmd_eval,
-    "synth": _cmd_synth,
+# name -> (handler, description, whether --out is a directory, option keys)
+_COMMANDS = {
+    "segment": (_cmd_segment, "streaming hierarchical supervoxel segmentation", True,
+                ["input", "out", "external-flow", *_STREAM_KEYS, *_BILATERAL_KEYS,
+                 *_FLOW_KEYS, "seed", "threads"]),
+    "motion": (_cmd_motion, "hierarchical affine motion-layer segmentation", True,
+               ["input", "out", "external-flow", "supervoxel-level", "tau0", "tau-growth",
+                "canonical", "mrf-lambda", "mrf", *_STREAM_KEYS, *_BILATERAL_KEYS,
+                *_FLOW_KEYS, "seed", "threads"]),
+    "flow": (_cmd_flow, "backward optical flow as .flo files", True,
+             ["input", "out", *_FLOW_KEYS, "threads"]),
+    "eval": (_cmd_eval, "benchmark metrics against ground truth", False,
+             ["pred", "gt", "video", "tol", "out", "threads"]),
+    "synth": (_cmd_synth, "synthetic scene with ground-truth labels and flow", True,
+              ["spec", "out", "threads"]),
 }
+
+
+def _stage_parent(out: str, out_is_dir: bool) -> str:
+    """Refuse an --out of the wrong kind or a filled one; return its nearest
+    existing ancestor, where a stage stays on --out's filesystem."""
+    if os.path.exists(out) and os.path.isdir(out) != out_is_dir:
+        raise DataError(f"--out {out} is {'not ' if out_is_dir else ''}a directory")
+    if out_is_dir and os.path.isdir(out) and os.listdir(out):
+        raise DataError(f"--out {out} is a directory that is not empty")
+    parent = os.path.dirname(os.path.abspath(out))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise DataError(f"--out {out} lies under {parent}, which is not a directory")
+    return parent
 
 
 def main(argv=None) -> int:
@@ -337,17 +339,14 @@ def main(argv=None) -> int:
         eff = _effective_config(args.command, args)
         if eff["threads"] < 1:
             raise ValueError("threads must be >= 1")
+        handler, _, out_is_dir, _ = _COMMANDS[args.command]
         out = eff["out"]
-        if os.path.isdir(out) and os.listdir(out):
-            raise DataError(f"--out {out} is a directory that is not empty")
-        parent = os.path.dirname(os.path.abspath(out))
-        os.makedirs(parent, exist_ok=True)
-        # a stage next to --out keeps the final os.replace on one filesystem
-        stage = tempfile.mkdtemp(prefix=".svstream-", dir=parent)
+        stage = tempfile.mkdtemp(prefix=".svstream-", dir=_stage_parent(out, out_is_dir))
         eff["out"] = os.path.join(stage, "out")
         if eff["threads"] > 1:
             pool = ThreadPoolExecutor(max_workers=eff["threads"])
-        _DISPATCH[args.command](eff, pool)
+        handler(eff, pool)
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         os.replace(eff["out"], out)
         return 0
     except UsageError as exc:

@@ -25,54 +25,51 @@ FLO_MAGIC = 202021.25
 
 
 # ---------------------------------------------------------------------------
-# PNM header parsing
+# Netpbm (PPM, PGM)
 
-def _read_pnm_tokens(data: bytes, n_tokens: int):
-    """Return the first n_tokens whitespace/comment-separated header tokens
-    and the offset of the byte after the single whitespace that ends the last one."""
-    tokens = []
-    i = 0
-    while len(tokens) < n_tokens:
-        if i >= len(data):
-            raise FormatError("truncated PNM header")
-        c = data[i:i + 1]
-        if c == b"#":
-            while i < len(data) and data[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-            if len(tokens) == n_tokens:
-                if i >= len(data) or not data[i:i + 1].isspace():
-                    raise FormatError("PNM header not terminated by whitespace")
-                i += 1
-    return tokens, i
+# magic -> (format name, channels, maxval -> payload sample type)
+_NETPBM = {
+    b"P6": ("PPM", 3, {255: np.dtype(np.uint8)}),
+    b"P5": ("PGM", 1, {255: np.dtype(np.uint8), 65535: np.dtype(">u2")}),
+}
+# magic, width, height and maxval; each field may be preceded by whitespace
+# and by comments running to the end of their line, and matches empty only
+# where the data ends
+_NETPBM_HEADER = re.compile(rb"([^\s#]*)" + rb"(?:\s|#[^\n\r]*)*([^\s#]*)" * 3)
+
+
+def _read_netpbm(path: str, magic: bytes) -> np.ndarray:
+    """Read a binary netpbm file of the given magic into a read-only
+    (H, W, channels) array of its payload sample type."""
+    kind, channels, dtypes = _NETPBM[magic]
+    with open(path, "rb") as f:
+        data = f.read()
+    if not data.startswith(magic):
+        raise FormatError(f"{path}: not a binary {kind} (missing {magic.decode()} magic)")
+    header = _NETPBM_HEADER.match(data)
+    if not all(header.groups()):
+        raise FormatError(f"{path}: truncated {kind} header")
+    offset = header.end() + 1   # past the one whitespace byte that ends the header
+    if not data[offset - 1:offset].isspace():
+        raise FormatError(f"{path}: {kind} header not terminated by whitespace")
+    try:
+        w, h, maxval = map(int, header.groups()[1:])
+    except ValueError:
+        raise FormatError(f"{path}: malformed {kind} header") from None
+    if w < 1 or h < 1:
+        raise FormatError(f"{path}: invalid {kind} dimensions {w}x{h}")
+    if maxval not in dtypes:
+        raise FormatError(f"{path}: unsupported {kind} maxval {maxval}")
+    nbytes = dtypes[maxval].itemsize * channels * w * h
+    body = data[offset:offset + nbytes]
+    if len(body) != nbytes:
+        raise FormatError(f"{path}: {kind} payload truncated")
+    return np.frombuffer(body, dtype=dtypes[maxval]).reshape(h, w, channels)
 
 
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary P6 PPM into an (H, W, 3) uint8 array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(b"P6"):
-        raise FormatError(f"{path}: not a binary PPM (missing P6 magic)")
-    tokens, offset = _read_pnm_tokens(data, 4)
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise FormatError(f"{path}: malformed PPM header") from None
-    if maxval != 255:
-        raise FormatError(f"{path}: unsupported PPM maxval {maxval}")
-    if w < 1 or h < 1:
-        raise FormatError(f"{path}: invalid PPM dimensions {w}x{h}")
-    body = data[offset:offset + 3 * w * h]
-    if len(body) != 3 * w * h:
-        raise FormatError(f"{path}: PPM payload truncated")
-    return np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3).copy()
+    return _read_netpbm(path, b"P6").copy()
 
 
 def write_ppm(path: str, frame: np.ndarray) -> None:
@@ -87,27 +84,7 @@ def write_ppm(path: str, frame: np.ndarray) -> None:
 
 def read_pgm16(path: str) -> np.ndarray:
     """Read a binary P5 PGM (8- or 16-bit) into an (H, W) int32 array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if not data.startswith(b"P5"):
-        raise FormatError(f"{path}: not a binary PGM (missing P5 magic)")
-    tokens, offset = _read_pnm_tokens(data, 4)
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise FormatError(f"{path}: malformed PGM header") from None
-    if w < 1 or h < 1:
-        raise FormatError(f"{path}: invalid PGM dimensions {w}x{h}")
-    if maxval == 255:
-        dtype, nbytes = np.dtype(np.uint8), w * h
-    elif maxval == 65535:
-        dtype, nbytes = np.dtype(">u2"), 2 * w * h
-    else:
-        raise FormatError(f"{path}: unsupported PGM maxval {maxval}")
-    body = data[offset:offset + nbytes]
-    if len(body) != nbytes:
-        raise FormatError(f"{path}: PGM payload truncated")
-    return np.frombuffer(body, dtype=dtype).reshape(h, w).astype(np.int32)
+    return _read_netpbm(path, b"P5")[..., 0].astype(np.int32)
 
 
 def check_pgm16_labels(labels: np.ndarray) -> None:
@@ -196,6 +173,19 @@ def find_frame_indices(pattern: str):
     return sorted(indices)
 
 
+def _stack_frames(read, paths) -> np.ndarray:
+    """Read every path with `read` and stack the frames; the first frame
+    whose size differs from the first path's raises, naming both paths."""
+    frames = []
+    for path in paths:
+        frame = read(path)
+        if frames and frame.shape != frames[0].shape:
+            raise FormatError(f"{path} is {frame.shape[1]}x{frame.shape[0]} but {paths[0]} "
+                              f"is {frames[0].shape[1]}x{frames[0].shape[0]}")
+        frames.append(frame)
+    return np.stack(frames)
+
+
 def load_frame_sequence(pattern: str) -> np.ndarray:
     """Load PPM frames matching a printf-style pattern into a (T, H, W, 3) array.
 
@@ -209,15 +199,7 @@ def load_frame_sequence(pattern: str) -> np.ndarray:
     for expected, i in enumerate(indices, start):
         if i != expected:
             raise DataError(f"missing frame index {expected} for pattern {pattern!r}")
-    frames = []
-    for i in indices:
-        frame = read_ppm(pattern % i)
-        if frames and frame.shape != frames[0].shape:
-            raise FormatError(
-                f"frame {i} is {frame.shape[1]}x{frame.shape[0]} but frame {start} "
-                f"is {frames[0].shape[1]}x{frames[0].shape[0]}")
-        frames.append(frame)
-    return np.stack(frames)
+    return _stack_frames(read_ppm, [pattern % i for i in indices])
 
 
 def write_frame_sequence(seq: np.ndarray, directory: str) -> None:
@@ -252,11 +234,7 @@ def read_label_volume(directory: str) -> np.ndarray:
         stem = os.path.splitext(name)[0]
         return (0, int(stem)) if stem.isdigit() else (1, stem)
 
-    frames = [read_pgm16(os.path.join(directory, n)) for n in sorted(names, key=key)]
-    shapes = {f.shape for f in frames}
-    if len(shapes) > 1:
-        raise FormatError(f"label frames in {directory!r} differ in size: {sorted(shapes)}")
-    return np.stack(frames)
+    return _stack_frames(read_pgm16, [os.path.join(directory, n) for n in sorted(names, key=key)])
 
 
 def colorize_labels(volume: np.ndarray, seed: int) -> np.ndarray:

@@ -11,14 +11,11 @@ one overlap count gives accuracy and under-segmentation in 2D and 3D.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
-
-CSV_HEADER = ["level", "num_supervoxels", "br2d", "br3d", "ev",
-              "acc2d", "acc3d", "ue2d", "ue3d"]
 
 
 def _indexed(pred: np.ndarray, gt: np.ndarray, tol: int = 0):
@@ -230,23 +227,21 @@ class MetricsReport:
     ue3d: float
 
 
+CSV_HEADER = ["level"] + [f.name for f in fields(MetricsReport)]
+
+
 def compute_report(pred: np.ndarray, gt: np.ndarray, video: np.ndarray,
                    tol: int = 1) -> MetricsReport:
     """Every metric of one level from one indexing of each label volume."""
     pred, gt = _indexed(pred, gt, tol)
-    x = _integer_luma(video, pred.shape)
-    br2d, br3d = _boundary_recalls(pred, gt, tol)
-    acc2d, acc3d, ue2d, ue3d = _overlap_scores(pred, gt)
-    return MetricsReport(int(pred.max()) + 1, br2d, br3d, _r_squared(x, pred),
-                         acc2d, acc3d, ue2d, ue3d)
+    ev = _r_squared(_integer_luma(video, pred.shape), pred)
+    return MetricsReport(int(pred.max()) + 1, *_boundary_recalls(pred, gt, tol), ev,
+                         *_overlap_scores(pred, gt))
 
 
-def evaluate(pred_levels, gt: np.ndarray, video: np.ndarray,
-             tol: int = 1) -> list:
-    """One MetricsReport per hierarchy level.
-
-    Accepts a SegmentationHierarchy or any sequence of label volumes.
-    """
+def evaluate(pred_levels, gt: np.ndarray, video: np.ndarray, tol: int = 1) -> list:
+    """One MetricsReport per level of a SegmentationHierarchy or of any
+    sequence of label volumes."""
     levels = getattr(pred_levels, "levels", pred_levels)
     return [compute_report(np.asarray(vol), gt, video, tol) for vol in levels]
 
@@ -254,13 +249,9 @@ def evaluate(pred_levels, gt: np.ndarray, video: np.ndarray,
 def write_metrics_csv(reports, path: str) -> None:
     """Write per-level reports as CSV (floats via repr, so they round-trip)."""
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(CSV_HEADER)
-        for level, r in enumerate(reports):
-            wr.writerow([level, r.num_supervoxels,
-                         repr(r.br2d), repr(r.br3d), repr(r.ev),
-                         repr(r.acc2d), repr(r.acc3d),
-                         repr(r.ue2d), repr(r.ue3d)])
+        csv.writer(fh).writerows([CSV_HEADER] + [
+            [level] + [repr(f.type(getattr(r, f.name))) for f in fields(r)]
+            for level, r in enumerate(reports)])
 
 
 def read_metrics_csv(path: str) -> list:
@@ -270,12 +261,9 @@ def read_metrics_csv(path: str) -> list:
     if not rows or rows[0] != CSV_HEADER:
         raise ValueError("unrecognized metrics CSV header")
     out = []
-    for row in rows[1:]:
-        level = int(row[0])
-        rep = MetricsReport(num_supervoxels=int(row[1]),
-                            br2d=float(row[2]), br3d=float(row[3]),
-                            ev=float(row[4]), acc2d=float(row[5]),
-                            acc3d=float(row[6]), ue2d=float(row[7]),
-                            ue3d=float(row[8]))
-        out.append((level, rep))
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"{path}: row {lineno} has {len(row)} fields, not {len(CSV_HEADER)}")
+        values = (f.type(v) for f, v in zip(fields(MetricsReport), row[1:]))
+        out.append((int(row[0]), MetricsReport(*values)))
     return out

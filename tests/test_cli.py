@@ -280,6 +280,55 @@ def test_filled_out_is_refused_before_any_read(tmp_path, scene_dir, monkeypatch,
     assert os.listdir(tmp_path) == ["seg"]
 
 
+@pytest.mark.parametrize("command, kind, message", [
+    ("segment", "file", "is not a directory"),
+    ("motion", "file", "is not a directory"),
+    ("flow", "file", "is not a directory"),
+    ("synth", "file", "is not a directory"),
+    ("eval", "empty-dir", "is a directory"),
+    ("eval", "filled-dir", "is a directory"),
+    ("segment", "under-a-file", "lies under"),
+], ids=["segment-file", "motion-file", "flow-file", "synth-file", "eval-empty-dir",
+        "eval-filled-dir", "segment-under-a-file"])
+def test_out_of_the_wrong_kind_is_refused_before_any_read(tmp_path, scene_dir, monkeypatch,
+                                                          capsys, command, kind, message):
+    def read(*args, **kwargs):
+        pytest.fail("input was read before --out was checked")
+
+    for name in ("load_frame_sequence", "read_label_volume", "parse_scene_spec"):
+        monkeypatch.setattr(f"svstream.cli.{name}", read)
+    out = tmp_path / "out"
+    if kind.endswith("-dir"):
+        out.mkdir()
+        if kind == "filled-dir":
+            (out / "old.csv").write_text("kept\n")
+    else:
+        out.write_text("kept\n")
+    target = out / "seg" if kind == "under-a-file" else out
+    before = _tree_bytes(tmp_path)
+    rc = main([*_command_argv(command, scene_dir), "--out", str(target)])
+    assert rc == 2
+    assert f"--out {target} {message}" in capsys.readouterr().err
+    assert _tree_bytes(tmp_path) == before
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_refused_run_leaves_no_out_parents(tmp_path, capsys):
+    out = tmp_path / "a" / "b" / "c"
+    rc = main(["segment", "--input", str(tmp_path / "x%05d.ppm"), "--k0", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert "k0 and flow_range must be > 0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_parents_are_made_on_success(tmp_path, scene_dir):
+    out = tmp_path / "a" / "b" / "scene"
+    assert main([*_command_argv("synth", scene_dir), "--out", str(out)]) == 0
+    assert _tree_bytes(out) == _tree_bytes(scene_dir)
+    assert os.listdir(tmp_path / "a" / "b") == ["scene"]
+
+
 def test_out_may_be_an_empty_directory(tmp_path, scene_dir):
     out = tmp_path / "flowfields"
     out.mkdir()

@@ -51,6 +51,25 @@ def test_ppm_errors(tmp_path):
         write_ppm(p, np.zeros((2, 2), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("read, magic, channels", [(read_ppm, b"P6", 3), (read_pgm16, b"P5", 1)],
+                         ids=["P6", "P5"])
+@pytest.mark.parametrize("header, pixels", [
+    (b"P3\n2 2\n255\n", 4),
+    (b"MAGIC\n2 two\n255\n", 4),
+    (b"MAGIC\n0 2\n255\n", 4),
+    (b"MAGIC\n2 2\n1023\n", 4),
+    (b"MAGIC\n2 2\n255\n", 3),
+    (b"MAGIC\n2 2\n255#", 4),
+    (b"MAGIC\n2 2", 0),
+], ids=["wrong-magic", "non-numeric", "zero-dimension", "unsupported-maxval",
+        "truncated-payload", "header-not-ended-by-whitespace", "truncated-header"])
+def test_malformed_netpbm_rejected(tmp_path, read, magic, channels, header, pixels):
+    p = tmp_path / "bad.pnm"
+    p.write_bytes(header.replace(b"MAGIC", magic) + bytes(channels * pixels))
+    with pytest.raises(FormatError):
+        read(str(p))
+
+
 def test_pgm16_round_trip_and_range(tmp_path):
     labels = np.array([[0, 1], [65535, 300]], dtype=np.int64)
     p = str(tmp_path / "l.pgm")
@@ -112,6 +131,19 @@ def test_frame_sequence_gap_rejected(tmp_path):
 def test_frame_sequence_empty_rejected(tmp_path):
     with pytest.raises(DataError):
         load_frame_sequence(str(tmp_path / "nope_%d.ppm"))
+
+
+def test_frame_of_another_size_rejected(tmp_path):
+    write_ppm(str(tmp_path / "f0.ppm"), _rand_frame(0, 2, 2))
+    write_ppm(str(tmp_path / "f1.ppm"), _rand_frame(1, 2, 3))
+    with pytest.raises(FormatError, match=r"f1\.ppm is 3x2 but .*f0\.ppm is 2x2"):
+        load_frame_sequence(str(tmp_path / "f%d.ppm"))
+    d = tmp_path / "lv"
+    d.mkdir()
+    write_pgm16(str(d / "00000.pgm"), np.zeros((2, 2), dtype=np.int32))
+    write_pgm16(str(d / "00001.pgm"), np.zeros((3, 2), dtype=np.int32))
+    with pytest.raises(FormatError, match=r"00001\.pgm is 2x3 but .*00000\.pgm is 2x2"):
+        read_label_volume(str(d))
 
 
 def test_write_frame_sequence_names(tmp_path):

@@ -255,3 +255,15 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("level,whatever\n0,1\n")
     with pytest.raises(ValueError):
         read_metrics_csv(str(path))
+
+
+@pytest.mark.parametrize("edit", [lambda f: f[:-1], lambda f: f + ["0.5"], lambda f: []],
+                         ids=["short", "long", "blank"])
+def test_csv_rejects_a_row_of_another_length(tmp_path, edit):
+    path = tmp_path / "m.csv"
+    write_metrics_csv([MetricsReport(3, 0.5, 0.5, 0.5, 0.5, 0.5, 0.0, 0.0)] * 3, str(path))
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="row 3 has"):
+        read_metrics_csv(str(path))
