@@ -305,15 +305,17 @@ _COMMANDS = {
     "flow": (_cmd_flow, "backward optical flow as .flo files", True,
              ["input", "out", *_FLOW_KEYS, "threads"]),
     "eval": (_cmd_eval, "benchmark metrics against ground truth", False,
-             ["pred", "gt", "video", "tol", "out", "threads"]),
+             ["pred", "gt", "video", "tol", "out"]),
     "synth": (_cmd_synth, "synthetic scene with ground-truth labels and flow", True,
-              ["spec", "out", "threads"]),
+              ["spec", "out"]),
 }
 
 
 def _stage_parent(out: str, out_is_dir: bool) -> str:
     """Refuse an --out of the wrong kind or a filled one; return its nearest
     existing ancestor, where a stage stays on --out's filesystem."""
+    if not out_is_dir and os.path.basename(out) in ("", os.curdir, os.pardir):
+        raise DataError(f"--out {out} does not name a file")
     if os.path.exists(out) and os.path.isdir(out) != out_is_dir:
         raise DataError(f"--out {out} is {'not ' if out_is_dir else ''}a directory")
     if out_is_dir and os.path.isdir(out) and os.listdir(out):
@@ -337,14 +339,15 @@ def main(argv=None) -> int:
     pool = stage = None
     try:
         eff = _effective_config(args.command, args)
-        if eff["threads"] < 1:
+        threads = eff.get("threads", 1)     # eval and synth run on one thread
+        if threads < 1:
             raise ValueError("threads must be >= 1")
         handler, _, out_is_dir, _ = _COMMANDS[args.command]
         out = eff["out"]
         stage = tempfile.mkdtemp(prefix=".svstream-", dir=_stage_parent(out, out_is_dir))
         eff["out"] = os.path.join(stage, "out")
-        if eff["threads"] > 1:
-            pool = ThreadPoolExecutor(max_workers=eff["threads"])
+        if threads > 1:
+            pool = ThreadPoolExecutor(max_workers=threads)
         handler(eff, pool)
         os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         os.replace(eff["out"], out)

@@ -109,21 +109,16 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
     largest inlier set (residual norm <= inlier_tol; ties go to the earlier
     sample), and refits it by least squares.  Regions smaller than min_pixels
     get the translation-only model (mean flow); if every sample is collinear
-    the whole region is fit directly.  The stream is drawn in blocks
-    (rng.splitmix64_block) and one batched solve gives the models of every
-    sample after the first.
+    the whole region is fit directly.
 
-    Only samples that can still win are drawn and scored.  Sample 0 is drawn,
-    solved and scored on every pixel first; it is the first best, and when
-    it explains every pixel no other sample is drawn.  A later sample
+    The samples are drawn, solved and scored in blocks: sample 0 alone, then
+    max(1, _SCORE_BLOCK // n) samples per block for n pixels.  A sample
     replaces the best only with strictly more inliers, so it must be an
-    inlier somewhere the best misses.  Each block of later samples is
-    therefore scored on the best's missed pixels first, and only the samples
-    that hit one are scored on the best's inlier pixels.  Once the best
-    explains every pixel, nothing after it is scored.  A sample costs at most
-    n pixel tests and a block at most _SCORE_BLOCK (samples x pixels)
-    elements; the result is bit-identical to drawing and scoring the samples
-    one at a time.
+    inlier somewhere the best misses: each block is scored on the best's
+    missed pixels first, and only the samples that hit one are scored on the
+    best's inlier pixels.  The best starts with no inliers, and nothing is
+    drawn once it explains every pixel.  The result is bit-identical to
+    drawing and scoring the samples one at a time.
     """
     pixels = np.asarray(pixels)
     if len(pixels) == 0:
@@ -135,18 +130,6 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
     n = len(pixels)
     if n < params.min_pixels:
         return AffineModel(a1=float(us.mean()), a4=float(vs.mean()))
-
-    draws = _hypothesis_triples(n, seed, 4 * params.iterations)
-
-    def samples(count):     # models of the next count draws, collinear ones dropped
-        tri = np.array(list(itertools.islice(draws, count)), dtype=np.int64).reshape(-1, 3)
-        i, j, k = tri.T
-        # twice the signed triangle area; zero means collinear
-        area = ((xs[j] - xs[i]) * (ys[k] - ys[i])
-                - (xs[k] - xs[i]) * (ys[j] - ys[i]))
-        tri = tri[area != 0.0]
-        return np.linalg.solve(np.stack([np.ones(tri.shape), xs[tri], ys[tri]], axis=-1),
-                               np.stack([us[tri], vs[tri]], axis=-1))[:, :, :, None]
 
     pts = (xs, ys, us, vs)
 
@@ -162,35 +145,37 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
         sq += sq_v
         return sq <= params.inlier_tol ** 2
 
-    coef = samples(1)
-    sel = inliers(coef, pts)[0] if len(coef) else np.zeros(n, dtype=bool)
-    if not sel.all():   # the other samples are drawn only if they can win
-        first_scored = len(coef) > 0
-        coef = np.concatenate([coef, samples(params.iterations - 1)])
-        if len(coef) == 0:
-            return AffineModel.fit_lstsq(xs, ys, us, vs)
-        if not first_scored:    # sample 0 was collinear; score the first model
-            sel = inliers(coef[:1], pts)[0]
-    best = int(np.count_nonzero(sel))
-    subsets = None
+    draws = itertools.islice(_hypothesis_triples(n, seed, 4 * params.iterations),
+                             params.iterations)
+    sel = np.zeros(n, dtype=bool)   # the best's inliers
+    best = 0
     rows = max(1, _SCORE_BLOCK // n)
-    for start in range(1, len(coef), rows):
+    for start in [0, *range(1, params.iterations, rows)]:
         if best == n:
             break
-        block = coef[start:start + rows]
-        if subsets is None:     # the best's missed and inlier pixels
-            subsets = (tuple(a[~sel] for a in pts), tuple(a[sel] for a in pts))
-        missed, kept = subsets
-        hits = np.count_nonzero(inliers(block, missed), axis=1)
+        tri = np.array(list(itertools.islice(draws, rows if start else 1)),
+                       dtype=np.int64).reshape(-1, 3)
+        i, j, k = tri.T
+        # twice the signed triangle area; zero means collinear
+        area = ((xs[j] - xs[i]) * (ys[k] - ys[i])
+                - (xs[k] - xs[i]) * (ys[j] - ys[i]))
+        tri = tri[area != 0.0]
+        block = np.linalg.solve(np.stack([np.ones(tri.shape), xs[tri], ys[tri]], axis=-1),
+                                np.stack([us[tri], vs[tri]], axis=-1))[:, :, :, None]
+        hits = np.count_nonzero(inliers(block, tuple(a[~sel] for a in pts)), axis=1)
         live = np.nonzero(hits)[0]
         if live.size == 0:
             continue
+        kept = tuple(a[sel] for a in pts)
         counts = hits[live] + np.count_nonzero(inliers(block[live], kept), axis=1)
         if counts.max() > best:
             top = int(np.argmax(counts))
             best = int(counts[top])
             sel = inliers(block[live[top]][None], pts)[0]
-            subsets = None
+    # a non-collinear sample fits its own three pixels, so no inliers means
+    # that every draw was collinear
+    if best == 0:
+        return AffineModel.fit_lstsq(xs, ys, us, vs)
     return AffineModel.fit_lstsq(xs[sel], ys[sel], us[sel], vs[sel])
 
 
@@ -221,15 +206,16 @@ def warp_to_canonical(frame_gray: np.ndarray, region: MotionRegion,
     those whose preimage falls inside the frame and (after rounding) inside
     the region; invalid ones hold 0.  A singular transform yields an
     all-invalid patch; a degenerate bounding box axis is treated as 1 px
-    wide.  The geometry (_canonical_geometry) and the samples (_samples) are
-    separate steps, so a caller can decide on the valid masks alone.
+    wide.  The geometry (_canonical_geometry) and the samples are separate
+    steps, so a caller can decide on the valid masks alone.
     """
     check_motion_params((), p, q)
     geom = _canonical_geometry(region, _member_box(region), transform, p, q,
                                frame_gray.shape)
+    valid = geom.valid_mask
     values = np.zeros((q, p))
-    values[geom.valid_mask] = _samples(frame_gray, geom, geom.valid_mask)
-    return CanonicalPatch(values, geom.valid_mask)
+    values[valid] = bilinear_sample(frame_gray, geom.sx[valid], geom.sy[valid])
+    return CanonicalPatch(values, valid)
 
 
 def _member_box(region: MotionRegion):
@@ -275,12 +261,6 @@ def _canonical_geometry(region: MotionRegion, box, transform: AffineModel,
     return CanonicalGeometry(sx, sy, valid)
 
 
-def _samples(frame_gray: np.ndarray, geom: CanonicalGeometry, where: np.ndarray):
-    """Bilinear samples of the frame at the preimages selected by `where`, in
-    row-major order."""
-    return bilinear_sample(frame_gray, geom.sx[where], geom.sy[where])
-
-
 def _box_extent(d: np.ndarray):
     """(start, span) of one box axis.  A span under one pixel, degenerate or
     not, widens to one pixel centered on the box: thin regions then warp
@@ -307,8 +287,8 @@ def _divergence(frame_gray: np.ndarray, own: CanonicalGeometry,
     penalty = DIVERGENCE_KAPPA * (1.0 - n_joint / n_union)
     if penalty > tau:
         return penalty
-    diff = float(np.abs(_samples(frame_gray, own, joint)
-                        - _samples(frame_gray, other, joint)).sum())
+    diff = float(np.abs(bilinear_sample(frame_gray, own.sx[joint], own.sy[joint])
+                        - bilinear_sample(frame_gray, other.sx[joint], other.sy[joint])).sum())
     return diff / n_joint + penalty
 
 

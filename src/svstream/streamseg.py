@@ -465,21 +465,17 @@ def stream_segment(seq: np.ndarray, flows,
     h, w = seq.shape[1], seq.shape[2]
     state = _StreamState(config.levels)
     out = [np.empty((t_total, h, w), dtype=np.int64) for _ in range(config.levels)]
-    starts = list(range(0, t_total, config.subseq_len))
-    for wi, s in enumerate(starts):
+    old = [np.empty((0, h, w), dtype=np.int64)] * config.levels
+    for s in range(0, t_total, config.subseq_len):
         end = min(s + config.subseq_len, t_total)
-        f0 = s if wi == 0 else starts[wi - 1]
-        frames_w = seq[f0:end]
-        flows_w = None
-        if flows is not None and end - f0 >= 2:
-            flows_w = [flows[j] for j in range(f0, end - 1)]
-        old = [out[l][f0:s] for l in range(config.levels)]
-        volumes = _window_pass(frames_w, flows_w, config, old, state)
-        for l in range(config.levels):
-            out[l][s:end] = volumes[l][s - f0:]
-        # drop bookkeeping for labels that left the stream
-        for l in range(config.levels):
-            alive = set(np.unique(out[l][s:end]).tolist())
+        f0 = max(s - config.subseq_len, 0)
+        flows_w = None if flows is None else flows[f0:end - 1]
+        volumes = _window_pass(seq[f0:end], flows_w, config, old, state)
+        old = [v[s - f0:] for v in volumes]
+        for l, labels in enumerate(old):
+            out[l][s:end] = labels
+            # drop bookkeeping for labels that left the stream
+            alive = set(np.unique(labels).tolist())
             state.sizes[l] = {k: v for k, v in state.sizes[l].items() if k in alive}
             state.ints[l] = {k: v for k, v in state.ints[l].items() if k in alive}
     return SegmentationHierarchy(out)

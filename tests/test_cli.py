@@ -56,6 +56,16 @@ def test_unknown_flag_is_usage_error():
     assert main(["segment", "--input", "x", "--out", "y", "--frobnicate"]) == 1
 
 
+@pytest.mark.parametrize("command", ["eval", "synth"])
+def test_threads_on_a_one_thread_command_is_usage_error(tmp_path, scene_dir, capsys, command):
+    # eval and synth use no pool, so --threads would set nothing
+    rc = main([*_command_argv(command, scene_dir), "--threads", "2",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_missing_subcommand_is_usage_error():
     assert main([]) == 1
 
@@ -288,8 +298,9 @@ def test_filled_out_is_refused_before_any_read(tmp_path, scene_dir, monkeypatch,
     ("eval", "empty-dir", "is a directory"),
     ("eval", "filled-dir", "is a directory"),
     ("segment", "under-a-file", "lies under"),
+    ("eval", "trailing-separator", "does not name a file"),
 ], ids=["segment-file", "motion-file", "flow-file", "synth-file", "eval-empty-dir",
-        "eval-filled-dir", "segment-under-a-file"])
+        "eval-filled-dir", "segment-under-a-file", "eval-trailing-separator"])
 def test_out_of_the_wrong_kind_is_refused_before_any_read(tmp_path, scene_dir, monkeypatch,
                                                           capsys, command, kind, message):
     def read(*args, **kwargs):
@@ -304,7 +315,8 @@ def test_out_of_the_wrong_kind_is_refused_before_any_read(tmp_path, scene_dir, m
             (out / "old.csv").write_text("kept\n")
     else:
         out.write_text("kept\n")
-    target = out / "seg" if kind == "under-a-file" else out
+    target = {"under-a-file": out / "seg",
+              "trailing-separator": f"{out}{os.sep}"}.get(kind, out)
     before = _tree_bytes(tmp_path)
     rc = main([*_command_argv(command, scene_dir), "--out", str(target)])
     assert rc == 2

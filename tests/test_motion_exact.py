@@ -178,6 +178,30 @@ def test_batched_ransac_equals_sequential_oracle():
         assert 4 * sum(hits) >= 3 * len(hits), label
 
 
+@pytest.mark.parametrize("region, taken", [("exact", 1),
+                                           ("collinear", RansacParams().iterations)])
+def test_ransac_draws_only_triples_that_can_win(monkeypatch, region, taken):
+    # an exact fit explains every pixel with sample 0, so nothing else is
+    # drawn; a collinear region has no sample to score, so all are drawn
+    drawn = []
+    real = motionlayers._hypothesis_triples
+
+    def counted(*args):
+        for triple in real(*args):
+            drawn.append(triple)
+            yield triple
+
+    monkeypatch.setattr(motionlayers, "_hypothesis_triples", counted)
+    if region == "exact":
+        pix = _scatter(np.random.default_rng(5), 400, 30, 30)
+        flow = _flow_of(_random_affine(np.random.default_rng(6)), 30, 30)
+    else:
+        pix = np.column_stack([np.arange(20), np.full(20, 3)]).astype(np.int64)
+        flow = _flow_of(AffineModel(a1=0.4, a2=0.01), 8, 20)
+    fit_affine_ransac(pix, flow, seed=5)
+    assert len(drawn) == taken
+
+
 def test_collinear_region_takes_least_squares_fallback():
     pix = np.column_stack([np.arange(20), np.full(20, 3)]).astype(np.int64)
     flow = _flow_of(AffineModel(a1=0.4, a2=0.01), 8, 20)
@@ -236,7 +260,7 @@ def test_warp_to_canonical_equals_full_sampling_oracle():
         geom = motionlayers._canonical_geometry(region, motionlayers._member_box(region),
                                                 model, p, q, frame.shape)
         assert np.array_equal(geom.valid_mask, valid)
-        assert (motionlayers._samples(frame, geom, valid).tobytes()
+        assert (bilinear_sample(frame, geom.sx[valid], geom.sy[valid]).tobytes()
                 == values[valid].tobytes())
 
 
