@@ -194,20 +194,22 @@ def _input_params(eff: dict):
     return bilateral, _flow_params(eff)
 
 
-def _prepared_input(eff: dict, params, seq, pool):
-    """Optionally bilateral-filter loaded frames, and attach flow."""
+def _prepared_input(eff: dict, params, seq, pool, use_flow: bool):
+    """Optionally bilateral-filter loaded frames, and attach flow if use_flow."""
     bilateral, flow_params = params
     if bilateral is not None:
         seq = filter_sequence(seq, bilateral, pool)
+    if not use_flow:
+        return seq, None
     external = eff["external-flow"] or None
-    flows = flow_for_sequence(seq, flow_params, external_dir=external, pool=pool)
-    return seq, flows
+    return seq, flow_for_sequence(seq, flow_params, external_dir=external, pool=pool)
 
 
 def _cmd_segment(eff: dict, pool) -> None:
     config = _stream_config(eff, eff["levels"])
+    use_flow = config.use_flow_edges or config.use_flow_feature
     seq, flows = _prepared_input(eff, _input_params(eff),
-                                 load_frame_sequence(eff["input"]), pool)
+                                 load_frame_sequence(eff["input"]), pool, use_flow)
     hierarchy = stream_segment(seq, flows, config)
     for level, volume in enumerate(hierarchy.levels):
         write_label_volume(volume, os.path.join(eff["out"], f"level_{level:02d}"))
@@ -228,7 +230,7 @@ def _cmd_motion(eff: dict, pool) -> None:
     seq = load_frame_sequence(eff["input"])
     if len(seq) < 2:
         raise ValueError("need at least two frames")
-    seq, flows = _prepared_input(eff, input_params, seq, pool)
+    seq, flows = _prepared_input(eff, input_params, seq, pool, use_flow=True)
     supervoxels = stream_segment(seq, flows, config)
     results = run_motion_stream(seq, flows, supervoxels, sv_level, schedule,
                                 p=p, q=q, mrf_lambda=eff["mrf-lambda"],
@@ -269,9 +271,10 @@ def _cmd_eval(eff: dict, pool) -> None:
     gt = read_label_volume(eff["gt"])
     video = load_frame_sequence(eff["video"])
     level_dirs = sorted(
-        os.path.join(eff["pred"], name) for name in os.listdir(eff["pred"])
-        if re.fullmatch(r"level_\d+", name)
-        and os.path.isdir(os.path.join(eff["pred"], name)))
+        (os.path.join(eff["pred"], name) for name in os.listdir(eff["pred"])
+         if re.fullmatch(r"level_\d+", name)
+         and os.path.isdir(os.path.join(eff["pred"], name))),
+        key=lambda d: (int(d.rsplit("_", 1)[1]), d))
     levels = [read_label_volume(d) for d in level_dirs or [eff["pred"]]]
     reports = evaluate(levels, gt, video, eff["tol"])
     write_metrics_csv(reports, eff["out"])

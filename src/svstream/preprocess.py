@@ -57,7 +57,8 @@ def bilateral_filter(frame: np.ndarray, params: BilateralParams) -> np.ndarray:
     if frame.ndim != 3 or frame.shape[2] != 3:
         raise ValueError("frame must be (H, W, 3)")
     h, w = frame.shape[:2]
-    r = params.radius
+    # an offset past the frame has no in-frame neighbour, so it adds nothing
+    r = min(params.radius, max(h, w) - 1)
     src_i = frame.astype(np.int32)
     src_f = frame.astype(np.float64)
 

@@ -315,7 +315,7 @@ def _pair_weights(feats: _NodeFeatures, pa: np.ndarray, pb: np.ndarray) -> np.nd
 
 class _StreamState:
     """Per-level label counters plus cumulative size / internal-difference
-    tables for every label still alive in the newest subsequence."""
+    tables for every label in the newest subsequence, kept by _close_level."""
 
     def __init__(self, levels: int):
         self.counters = [0] * levels
@@ -345,13 +345,14 @@ def _pre_union(forest: Forest, keys: np.ndarray, grown: np.ndarray,
         forest.mark[r] = key
 
 
-def _close_level(forest: Forest, roots: np.ndarray, first_occ: np.ndarray,
+def _close_level(forest: Forest, roots: np.ndarray, first_occ, grown: np.ndarray,
                  state: _StreamState, level: int) -> np.ndarray:
     """Label a level's forest, given every item's root: marked roots keep
     their mark, fresh roots get the level's next labels ordered by first
     occurrence (first_occ[i] is the first-voxel key of item i).  Advances the
-    level's counter, records every label's cumulative size and internal
-    difference, and returns the label of each item."""
+    level's counter, keeps the cumulative size and internal difference of
+    every label that reaches the window's new frames (one of its items has
+    grown > 0), drops the rest, and returns the label of each item."""
     uroots, inv = np.unique(roots, return_inverse=True)
     root_first = np.full(len(uroots), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(root_first, inv, first_occ)
@@ -360,42 +361,25 @@ def _close_level(forest: Forest, roots: np.ndarray, first_occ: np.ndarray,
     fresh_rank = np.argsort(np.argsort(root_first[fresh], kind="stable"), kind="stable")
     labels_u[fresh] = state.counters[level] + fresh_rank
     state.counters[level] += int(fresh.sum())
-    for lab, r in zip(labels_u.tolist(), uroots.tolist()):
-        state.sizes[level][lab] = forest.size[r]
-        state.ints[level][lab] = forest.internal[r]
+    reach = np.bincount(inv[grown > 0], minlength=len(uroots)) > 0
+    live = list(zip(labels_u[reach].tolist(), uroots[reach].tolist()))
+    state.sizes[level] = {lab: forest.size[r] for lab, r in live}
+    state.ints[level] = {lab: forest.internal[r] for lab, r in live}
     return labels_u[inv]
 
 
-def _group_level(prev_flat: np.ndarray, old_level: np.ndarray, edges: np.ndarray,
-                 colors_u8: np.ndarray, flows, dims, config: StreamConfig, level: int,
-                 state: _StreamState) -> np.ndarray:
-    """One hierarchy level: regroup the regions of prev_flat and close the
-    level in state; returns the label per voxel.
-
-    old_level holds this level's emitted labels of the window's first
-    len(old_level) voxels, the frozen ones.  A region grows in this window
-    by exactly its voxels in the new frames: its frozen voxels were counted
-    when the earlier window closed, and a fresh region has none.
-    """
-    node_labels, node_first, node_index = np.unique(
-        prev_flat, return_index=True, return_inverse=True)
-    nn = len(node_labels)
-    feats = _NodeFeatures(node_index, nn, colors_u8, flows if config.use_flow_feature else None,
-                          dims, config)
-    pa, pb = _region_pairs(edges, node_index, nn)
-    weights = _pair_weights(feats, pa, pb)
-
-    parent = np.full(nn, -1, dtype=np.int64)
-    parent[node_index[:len(old_level)]] = old_level
-    grown = np.bincount(node_index[len(old_level):], minlength=nn)
-    # a fresh node's size is its new voxels; _pre_union sizes the frozen ones
-    forest = Forest(nn, sizes=grown.tolist())
-    _pre_union(forest, parent, grown, state, level)
-
-    # node ids rank like their labels, so ties break by (w, label a, label b)
-    roots = _fh_sweep(forest, make_edges(pa, pb, weights),
-                      config.k0 * config.k_growth ** level, config.min_size)
-    return _close_level(forest, roots, node_first, state, level)[node_index]
+def _group_level(keys: np.ndarray, grown: np.ndarray, first_occ, edges: np.ndarray,
+                 config: StreamConfig, level: int, state: _StreamState) -> np.ndarray:
+    """Group one level's items and close the level in state; returns each
+    item's label.  keys[i] is item i's emitted label (-1, or past the end of
+    keys, for a new item), grown[i] its voxels in the window's new frames
+    and first_occ[i] its first-voxel key.  Frozen voxels were counted when an
+    earlier window closed, so an item starts at its grown voxels and
+    _pre_union adds its label's recorded size."""
+    forest = Forest(len(grown), sizes=grown.tolist())
+    _pre_union(forest, keys, grown, state, level)
+    roots = _fh_sweep(forest, edges, config.k0 * config.k_growth ** level, config.min_size)
+    return _close_level(forest, roots, first_occ, grown, state, level)
 
 
 def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig,
@@ -420,21 +404,31 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
                  old_labels: list, state: _StreamState):
     """Segment one window; old_labels (per level, covering the window's first
     frames, empty in the first window) carry the frozen result of the
-    previous subsequence."""
+    previous subsequence.  Level 0 groups voxels; each higher level groups
+    the regions of the level below."""
     t_len, h, w = frames_w.shape[:3]
     n = t_len * h * w
+    frozen = old_labels[0].size
     colors_u8 = frames_w.reshape(-1, 3)
     edges = _window_edges(frames_w, flows_w, config, len(old_labels[0]))
-
-    forest = Forest(n)
-    frozen = old_labels[0].ravel()
-    _pre_union(forest, frozen, np.zeros_like(frozen), state, 0)
-    roots = _fh_sweep(forest, edges, config.k0, config.min_size)
-    levels_flat = [_close_level(forest, roots, np.arange(n, dtype=np.int64), state, 0)]
+    grown = np.ones(n, dtype=np.int8)
+    grown[:frozen] = 0
+    levels_flat = [_group_level(old_labels[0].ravel(), grown, range(n), edges,
+                                config, 0, state)]
+    feature_flows = flows_w if config.use_flow_feature else None
     for level in range(1, config.levels):
-        levels_flat.append(_group_level(
-            levels_flat[-1], old_labels[level].ravel(), edges, colors_u8, flows_w,
-            (t_len, h, w), config, level, state))
+        _, node_first, node_index = np.unique(levels_flat[-1], return_index=True,
+                                              return_inverse=True)
+        nn = len(node_first)
+        feats = _NodeFeatures(node_index, nn, colors_u8, feature_flows, (t_len, h, w), config)
+        pa, pb = _region_pairs(edges, node_index, nn)
+        keys = np.full(nn, -1, dtype=np.int64)
+        keys[node_index[:frozen]] = old_labels[level].ravel()
+        # node ids rank like their labels, so ties break by (w, label a, label b)
+        labels = _group_level(keys, np.bincount(node_index[frozen:], minlength=nn),
+                              node_first, make_edges(pa, pb, _pair_weights(feats, pa, pb)),
+                              config, level, state)
+        levels_flat.append(labels[node_index])
     return [lf.reshape(t_len, h, w) for lf in levels_flat]
 
 
@@ -474,8 +468,4 @@ def stream_segment(seq: np.ndarray, flows,
         old = [v[s - f0:] for v in volumes]
         for l, labels in enumerate(old):
             out[l][s:end] = labels
-            # drop bookkeeping for labels that left the stream
-            alive = set(np.unique(labels).tolist())
-            state.sizes[l] = {k: v for k, v in state.sizes[l].items() if k in alive}
-            state.ints[l] = {k: v for k, v in state.ints[l].items() if k in alive}
     return SegmentationHierarchy(out)

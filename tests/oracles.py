@@ -384,7 +384,8 @@ def oracle_fh_sweep(forest, edges, k, min_size):
 
 def _oracle_close(forest, first_occ, state, level):
     roots = np.array([forest.find(i) for i in range(len(first_occ))], dtype=np.int64)
-    return _close_level(forest, roots, first_occ, state, level)
+    # a batch build has no frozen items: every item is new
+    return _close_level(forest, roots, first_occ, np.ones(len(first_occ)), state, level)
 
 
 def oracle_segment_level0(edges, num_voxels, k0, min_size):

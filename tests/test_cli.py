@@ -445,6 +445,43 @@ def test_eval_accepts_single_volume_directory(tmp_path, scene_dir):
     assert rep.acc3d == 1.0 and rep.br3d == 1.0 and rep.ue3d == 0.0
 
 
+def test_eval_scores_level_dirs_in_numeric_order(tmp_path, scene_dir):
+    # as strings both level_10 and level_100 sort before level_2
+    ys, xs = np.mgrid[0:24, 0:24]
+    blocks = np.broadcast_to((ys // 3) * 8 + xs // 3, (4, 24, 24))
+    pred = tmp_path / "pred"
+    for name, volume in (("level_10", blocks), ("level_2", np.zeros((4, 24, 24), int)),
+                         ("level_100", blocks % 2)):
+        write_label_volume(volume, str(pred / name))
+    csv_out = tmp_path / "m.csv"
+    rc = main(["eval", "--pred", str(pred), "--gt", os.path.join(str(scene_dir), "gt"),
+               "--video", _frames_pattern(scene_dir), "--out", str(csv_out)])
+    assert rc == 0
+    reports = read_metrics_csv(str(csv_out))
+    assert [level for level, _ in reports] == [0, 1, 2]
+    assert [rep.num_supervoxels for _, rep in reports] == [1, 64, 2]
+
+
+@pytest.mark.parametrize("command, rc", [("segment", 0), ("motion", 2)])
+def test_flow_is_computed_only_for_a_command_that_uses_it(tmp_path, scene_dir, monkeypatch,
+                                                        capsys, command, rc):
+    # with both flow cues off segment never looks at flow; motion fits its
+    # affine models to the flow whatever the supervoxel cues are
+    def no_flow(*args, **kwargs):
+        raise ValueError("flow was computed")
+
+    monkeypatch.setattr("svstream.cli.flow_for_sequence", no_flow)
+    out = tmp_path / command
+    argv = [command, "--input", _frames_pattern(scene_dir), "--out", str(out),
+            "--flow-edges", "off", "--flow-feature", "off", "--levels", "2",
+            "--k0", "0.5", "--min-size", "8"]
+    if command == "motion":
+        argv += ["--supervoxel-level", "1"]
+    assert main(argv) == rc
+    assert ("flow was computed" in capsys.readouterr().err) == (rc != 0)
+    assert out.exists() == (rc == 0)
+
+
 def _tree_bytes(root) -> dict:
     data = {}
     for dirpath, _, names in os.walk(root):

@@ -69,6 +69,23 @@ def test_bilateral_preserves_strong_edge():
     assert out[:, 4:].min() >= 195
 
 
+@pytest.mark.parametrize("h, w", [(7, 11), (12, 5), (1, 9)])
+def test_radius_past_the_frame_is_clamped(h, w):
+    frame = _rand_frame(h * 100 + w, h, w)
+    clamped = BilateralParams(sigma_spatial=4.0, sigma_range=30.0, radius=max(h, w) - 1)
+    huge = BilateralParams(sigma_spatial=4.0, sigma_range=30.0, radius=10**6)
+    assert np.array_equal(bilateral_filter(frame, huge), bilateral_filter(frame, clamped))
+
+
+@pytest.mark.parametrize("h, w", [(4, 3), (1, 1)])
+def test_radius_past_the_frame_matches_reference(h, w):
+    # the reference visits every offset of the full window, in frame or not
+    frame = _rand_frame(5, h, w)
+    params = BilateralParams(sigma_spatial=4.0, sigma_range=30.0, radius=6)
+    assert np.array_equal(bilateral_filter(frame, params),
+                          _reference_bilateral(frame, params))
+
+
 def test_bilateral_param_validation():
     with pytest.raises(ValueError):
         BilateralParams(sigma_spatial=0.0)

@@ -403,10 +403,30 @@ def test_stream_state_sizes_count_every_emitted_voxel(monkeypatch, with_flow):
             super().__init__(levels)
             states.append(self)
 
+    # at the start of every window the tables hold exactly the frozen labels,
+    # each sized by its voxels in the frames emitted so far
+    emitted = [np.zeros(0, dtype=np.int64)] * 3
+    window_pass = streamseg._window_pass
+    windows = []
+
+    def checked_window_pass(frames_w, flows_w, config, old_labels, state):
+        for level, old in enumerate(old_labels):
+            frozen = np.unique(old).tolist()
+            assert sorted(state.sizes[level]) == sorted(state.ints[level]) == frozen
+            counts = np.bincount(emitted[level])
+            assert state.sizes[level] == {lab: int(counts[lab]) for lab in frozen}
+        volumes = window_pass(frames_w, flows_w, config, old_labels, state)
+        for level, vol in enumerate(volumes):
+            emitted[level] = np.concatenate([emitted[level], vol[len(old_labels[0]):].ravel()])
+        windows.append(len(frames_w))
+        return volumes
+
     monkeypatch.setattr(streamseg, "_StreamState", RecordedState)
+    monkeypatch.setattr(streamseg, "_window_pass", checked_window_pass)
     frames, _, flows = _scene(7, t=9)
     config = StreamConfig(subseq_len=2, levels=3, k0=0.5, min_size=4)
     hier = stream_segment(frames, flows if with_flow else None, config)
+    assert windows == [2, 4, 4, 4, 3]
     state, = states
     for level, vol in enumerate(hier.levels):
         alive = np.unique(vol[8:]).tolist()
