@@ -111,8 +111,8 @@ def alpha_expansion(data_costs: np.ndarray, lam: float,
     row has been rejected: a retry on unchanged labels would give the same
     candidate again.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0 <= lam < np.inf:
+        raise ValueError("lambda must be >= 0 and finite")
     num_labels = data_costs.shape[0]
     if lam == 0:
         return np.argmin(data_costs, axis=0).astype(init_labels.dtype)

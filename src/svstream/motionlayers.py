@@ -86,8 +86,8 @@ class MotionPairResult:
 
 def check_motion_params(schedule, p: int, q: int, mrf_lambda: float = 0.0):
     """Reject a canonical patch under 2x2, a tau schedule that is not strictly
-    increasing or holds a NaN, and a negative MRF lambda with ValueError,
-    before any work."""
+    increasing or holds a NaN, and a negative, NaN or infinite MRF lambda with
+    ValueError, before any work."""
     if p < 2 or q < 2:
         raise ValueError("canonical size must be at least 2x2")
     schedule = list(schedule)
@@ -95,8 +95,8 @@ def check_motion_params(schedule, p: int, q: int, mrf_lambda: float = 0.0):
         raise ValueError("tau schedule must be strictly increasing")
     if any(tau != tau for tau in schedule):
         raise ValueError("tau must not be NaN")
-    if not mrf_lambda >= 0:
-        raise ValueError("lambda must be >= 0")
+    if not 0 <= mrf_lambda < np.inf:
+        raise ValueError("lambda must be >= 0 and finite")
 
 
 # ---------------------------------------------------------------- fitting
@@ -418,10 +418,10 @@ def _regions_from_labels(labels: np.ndarray, flow: np.ndarray, seed: int,
     follow first occurrence in row-major scan order."""
     comp = relabel_first_occurrence(_components(labels)[0])
     regions = []
-    for rid in range(comp.max() + 1):
-        ys, xs = np.nonzero(comp == rid)
+    # row-major pixel order within a region, which RANSAC's index draws read
+    for rid, (ys, xs) in ndimage.value_indices(comp).items():
         pixels = np.column_stack([xs, ys]).astype(np.int64)
-        model = fit_affine_ransac(pixels, flow, derive_seed(seed, 1, rid), ransac)
+        model = fit_affine_ransac(pixels, flow, derive_seed(seed, 1, int(rid)), ransac)
         regions.append(MotionRegion(int(rid), pixels, model))
     return regions
 
@@ -546,16 +546,14 @@ def _forward_rasterize(labels: np.ndarray, models: dict, shape) -> np.ndarray:
     rasterization (foreground occludes).  Unclaimed pixels get -1."""
     out = np.full(shape, -1, dtype=np.int64)
     h, w = shape
-    sizes = {lab: int(np.count_nonzero(labels == lab)) for lab in models}
-    for lab in sorted(models, key=lambda l: (sizes[l], l)):
-        if sizes[lab] == 0:
-            continue
+    at = ndimage.value_indices(labels)
+    for lab in sorted((l for l in models if l in at), key=lambda l: (len(at[l][0]), l)):
         try:
             fwd = invert_point_map(models[lab])
         except ValueError:
             log.warning("label %d has a singular model; not warped", lab)
             continue
-        ys, xs = np.nonzero(labels == lab)
+        ys, xs = at[lab]
         px, py = apply_point_matrix(fwd, xs.astype(np.float64), ys.astype(np.float64))
         ix = round_half_up(px).astype(np.int64)
         iy = round_half_up(py).astype(np.int64)
@@ -577,23 +575,21 @@ def associate_temporal(warped: np.ndarray, cur_labels: np.ndarray, next_fresh: i
     (ties to the lower current label), everyone else gets fresh labels from
     next_fresh upward.  Returns (mapping dict, advanced next_fresh).
     """
-    cur_ids = [int(c) for c in np.unique(cur_labels)]
+    at = {int(c): idx for c, idx in ndimage.value_indices(cur_labels).items()}
     claims = {}
-    for cid in cur_ids:
-        mask = cur_labels == cid
-        area = int(np.count_nonzero(mask))
-        hit = warped[mask]
+    for cid, idx in at.items():
+        hit = warped[idx]
         hit = hit[hit >= 0]
         if hit.size:
             vals, counts = np.unique(hit, return_counts=True)
             best = int(np.argmax(counts))   # ties: np.unique sorts, so lower label
-            if counts[best] >= OVERLAP_FRAC * area:
+            if counts[best] >= OVERLAP_FRAC * len(idx[0]):
                 claims[cid] = (int(vals[best]), int(counts[best]))
     winner = {}
     for cid in sorted(claims, key=lambda c: (-claims[c][1], c)):
         winner.setdefault(claims[cid][0], cid)
     mapping = {cid: prev_lab for prev_lab, cid in winner.items()}
-    for cid in cur_ids:
+    for cid in at:
         if cid not in mapping:
             mapping[cid] = next_fresh
             next_fresh += 1

@@ -55,8 +55,9 @@ class StreamConfig:
     def __post_init__(self):
         if self.subseq_len < 1 or self.levels < 1 or self.min_size < 1:
             raise ValueError("subseq_len, levels, min_size must be >= 1")
-        if not (self.k0 > 0 and self.flow_range > 0):
-            raise ValueError("k0 and flow_range must be > 0")
+        if not (self.k0 > 0 and self.flow_range > 0
+                and 2.0 * self.flow_range * self.flow_bins < np.inf):
+            raise ValueError("k0 and flow_range must be > 0, 2*flow_range*flow_bins finite")
         if not self.k_growth > 1:
             raise ValueError("k_growth must be > 1")
         if self.color_bins < 2 or self.flow_bins < 2:

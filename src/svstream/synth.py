@@ -20,6 +20,7 @@ flow estimation and model comparison degenerate.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .affine import AffineModel, apply_point_matrix, invert_point_map
 from .errors import DataError
@@ -116,17 +117,18 @@ def _check_static(spec: SceneSpec) -> None:
         raise DataError("scene must be at least 4x4 pixels")
     if spec.num_frames < 1:
         raise DataError("scene needs at least one frame")
-    if spec.noise_sigma < 0:
-        raise DataError("noise_sigma must be >= 0")
+    # NaN fails every comparison, so each bound is stated as what must hold
+    if not 0 <= spec.noise_sigma < np.inf:
+        raise DataError("noise_sigma must be finite and >= 0")
+    if not np.isfinite(spec.texture_amplitude):
+        raise DataError("texture_amplitude must be finite")
     for i, obj in enumerate(spec.objects, start=1):
         if obj.shape not in ("rect", "ellipse"):
             raise DataError(f"object {i}: unknown shape {obj.shape!r}")
         if len(obj.geometry) != 4:
             raise DataError(f"object {i}: geometry needs 4 numbers")
-        if obj.shape == "rect" and (obj.geometry[2] <= 0 or obj.geometry[3] <= 0):
-            raise DataError(f"object {i}: rect needs positive width and height")
-        if obj.shape == "ellipse" and (obj.geometry[2] <= 0 or obj.geometry[3] <= 0):
-            raise DataError(f"object {i}: ellipse needs positive radii")
+        if not (np.all(np.isfinite(obj.geometry)) and min(obj.geometry[2:]) > 0):
+            raise DataError(f"object {i}: geometry must be finite with a positive size")
         for c in tuple(obj.color) + tuple(spec.background_color):
             if not 0 <= int(c) <= 255:
                 raise DataError("colors must be in 0..255")
@@ -211,16 +213,10 @@ def generate(spec: SceneSpec):
         labels[t] = lab
 
         if t > 0:
-            u = np.zeros((H, W), dtype=np.float64)
-            v = np.zeros((H, W), dtype=np.float64)
-            for idx, model in enumerate(models):
-                mask = lab == idx
-                if not mask.any():
-                    continue
-                mu, mv = model.uv(px[mask], py[mask])
-                u[mask] = mu
-                v[mask] = mv
-            flows.append(np.stack([u, v], axis=-1).astype(np.float32))
+            uv = np.zeros((H, W, 2), dtype=np.float64)
+            for idx, at in ndimage.value_indices(lab).items():
+                uv[at] = np.stack(models[idx].uv(px[at], py[at]), axis=-1)
+            flows.append(uv.astype(np.float32))
 
     return frames, labels, flows
 

@@ -6,7 +6,9 @@ motion references keep the one-hypothesis-at-a-time RANSAC loop, the
 canonical warp that samples every pixel and the merge pass that computes
 every pair distance afresh; the batched, geometry-first and memoized code in
 svstream.motionlayers must reproduce them bit for bit, and
-the per-label-value component loop must match its one-graph components.
+the per-label-value component loop must match its one-graph components,
+and the forward rasterization and temporal association that scan the frame
+once per label must match the grouped ones.
 The supervoxel reference is the batch build: one level-0 sweep over the
 whole video, then every higher level regrouped from scratch, each with the
 edge-by-edge grouping sweep, which svstream.streamseg.stream_segment and its
@@ -27,8 +29,8 @@ from svstream.affine import AffineModel, apply_point_matrix, invert_point_map
 from svstream.graphcut import _CAP_MAX, _SCALE, labeling_energy
 from svstream.imageops import (bilinear_sample, grid_pairs4, relabel_first_occurrence,
                                round_half_up)
-from svstream.motionlayers import (DIVERGENCE_KAPPA, MotionRegion, RansacParams,
-                                   _box_extent, region_distance)
+from svstream.motionlayers import (DIVERGENCE_KAPPA, OVERLAP_FRAC, MotionRegion,
+                                   RansacParams, _box_extent, region_distance)
 from svstream.rng import SplitMix64, derive_seed
 from svstream.streamseg import (SegmentationHierarchy, _close_level, _NodeFeatures,
                                 _pair_weights, _region_pairs, _StreamState,
@@ -344,6 +346,55 @@ def oracle_components(labels):
         comp[inside] = cc[inside] + (count - 1)
         count += num
     return comp, count
+
+
+def oracle_forward_rasterize(labels, models, shape):
+    """_forward_rasterize with one full-frame scan per model to size its
+    label and another to find its pixels."""
+    out = np.full(shape, -1, dtype=np.int64)
+    h, w = shape
+    sizes = {lab: int(np.count_nonzero(labels == lab)) for lab in models}
+    for lab in sorted(models, key=lambda l: (sizes[l], l)):
+        if sizes[lab] == 0:
+            continue
+        try:
+            fwd = invert_point_map(models[lab])
+        except ValueError:
+            continue
+        ys, xs = np.nonzero(labels == lab)
+        px, py = apply_point_matrix(fwd, xs.astype(np.float64), ys.astype(np.float64))
+        ix = round_half_up(px).astype(np.int64)
+        iy = round_half_up(py).astype(np.int64)
+        ok = (ix >= 0) & (ix < w) & (iy >= 0) & (iy < h)
+        ix, iy = ix[ok], iy[ok]
+        empty = out[iy, ix] == -1
+        out[iy[empty], ix[empty]] = lab
+    return out
+
+
+def oracle_associate_temporal(warped, cur_labels, next_fresh):
+    """associate_temporal with one full-frame mask per current region."""
+    cur_ids = [int(c) for c in np.unique(cur_labels)]
+    claims = {}
+    for cid in cur_ids:
+        mask = cur_labels == cid
+        area = int(np.count_nonzero(mask))
+        hit = warped[mask]
+        hit = hit[hit >= 0]
+        if hit.size:
+            vals, counts = np.unique(hit, return_counts=True)
+            best = int(np.argmax(counts))
+            if counts[best] >= OVERLAP_FRAC * area:
+                claims[cid] = (int(vals[best]), int(counts[best]))
+    winner = {}
+    for cid in sorted(claims, key=lambda c: (-claims[c][1], c)):
+        winner.setdefault(claims[cid][0], cid)
+    mapping = {cid: prev_lab for prev_lab, cid in winner.items()}
+    for cid in cur_ids:
+        if cid not in mapping:
+            mapping[cid] = next_fresh
+            next_fresh += 1
+    return mapping, next_fresh
 
 
 # ---------------------------------------------------------------- supervoxels

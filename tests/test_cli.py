@@ -365,6 +365,16 @@ def test_synth_out_with_trailing_slash(tmp_path, scene_dir):
     assert _tree_bytes(out) == _tree_bytes(scene_dir)
 
 
+def test_synth_refuses_a_non_finite_spec_value(tmp_path, capsys):
+    spec = tmp_path / "scene.txt"
+    spec.write_text("width = 24\nheight = 24\nframes = 2\nnoise_sigma = nan\n"
+                    "object = rect 6 6 9 8 color 200 70 50\n")
+    out = tmp_path / "scene"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "noise_sigma must be finite" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scene.txt"]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--canonical", "1x8"], "canonical size must be at least 2x2"),
     (["--tau0", "-1"], "tau schedule must be strictly increasing"),
@@ -372,7 +382,9 @@ def test_synth_out_with_trailing_slash(tmp_path, scene_dir):
     (["--tau0", "nan"], "tau schedule must be strictly increasing"),
     (["--tau-growth", "nan"], "tau schedule must be strictly increasing"),
     (["--mrf", "on", "--mrf-lambda", "nan"], "lambda must be >= 0"),
-], ids=["canonical", "tau", "lambda", "tau-nan", "tau-growth-nan", "lambda-nan"])
+    (["--mrf", "on", "--mrf-lambda", "inf"], "lambda must be >= 0"),
+], ids=["canonical", "tau", "lambda", "tau-nan", "tau-growth-nan", "lambda-nan",
+        "lambda-inf"])
 def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, monkeypatch,
                                                          capsys, flags, message):
     def segment(*args, **kwargs):
@@ -409,12 +421,14 @@ def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, mon
     ("segment", ["--alpha", "nan"], "alpha must be > 0"),
     ("segment", ["--sigma-s", "nan"], "bilateral sigmas must be strictly positive"),
     ("motion", ["--levels", "1", "--tau0", "nan"], "tau must not be NaN"),
+    ("segment", ["--flow-range", "inf"], "k0 and flow_range must be > 0"),
+    ("segment", ["--flow-range", "1e308"], "k0 and flow_range must be > 0"),
 ], ids=["segment-k0", "segment-levels", "segment-k-growth", "segment-min-size",
         "segment-subseq", "segment-alpha", "segment-radius", "segment-threads",
         "motion-k0", "motion-subseq", "motion-alpha", "motion-supervoxel-level",
         "flow-alpha", "eval-tol", "segment-k0-nan", "segment-k-growth-nan",
         "segment-flow-range-nan", "segment-alpha-nan", "segment-sigma-s-nan",
-        "motion-single-tau-nan"])
+        "motion-single-tau-nan", "segment-flow-range-inf", "segment-flow-range-1e308"])
 def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, capsys,
                                               command, flags, message):
     def read(*args, **kwargs):

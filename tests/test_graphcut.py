@@ -43,9 +43,11 @@ def test_lambda_zero_ties_take_lowest_label():
     assert np.array_equal(labels, np.zeros((2, 2), dtype=np.int64))
 
 
-def test_negative_lambda_rejected():
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")],
+                         ids=["negative", "nan", "inf"])
+def test_negative_lambda_rejected(lam):
     with pytest.raises(ValueError):
-        alpha_expansion(np.zeros((2, 2, 2)), -1.0, np.zeros((2, 2), dtype=np.int64))
+        alpha_expansion(np.zeros((2, 2, 2)), lam, np.zeros((2, 2), dtype=np.int64))
 
 
 def test_binary_matches_brute_force():

@@ -9,6 +9,7 @@ patches and divergences, the same surviving regions, the same component ids.
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from svstream import motionlayers
 from svstream.affine import AffineModel
@@ -417,3 +418,95 @@ def test_components_equal_oracle_on_random_maps():
         want, want_n = oracles.oracle_components(labels)
         assert got_n == want_n
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------- label grouping
+
+def _labelings(rng):
+    """Seeded C-contiguous int64 labelings: negative values, a single value,
+    1 x N and N x 1 frames, and blocky maps."""
+    yield np.full((5, 7), -3, dtype=np.int64)
+    yield rng.integers(-4, 4, size=(1, 17))
+    yield rng.integers(-4, 4, size=(17, 1))
+    for s in range(40):
+        h, w = int(rng.integers(1, 24)), int(rng.integers(1, 24))
+        labels = rng.integers(int(rng.integers(-9, 1)), int(rng.integers(1, 9)), size=(h, w))
+        if s % 2:
+            labels = np.kron(labels, np.ones((3, 2), dtype=np.int64))
+        yield labels
+
+
+def test_value_indices_lists_each_value_in_row_major_order():
+    # _regions_from_labels feeds each region's pixel order to RANSAC's index
+    # draws and its value order to the region ids, so both must be those of
+    # np.unique and np.nonzero(x == v), which scipy does not document
+    for labels in _labelings(np.random.default_rng(5)):
+        groups = ndimage.value_indices(labels)
+        assert [int(v) for v in groups] == np.unique(labels).tolist()
+        for v, idx in groups.items():
+            want = np.nonzero(labels == v)
+            assert len(idx) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(idx, want))
+
+
+def _views(labels):
+    """The labeling, its transpose and a reversed view (neither contiguous)."""
+    return [labels, labels.T, labels[::-1, ::-1]]
+
+
+def _random_models(rng, ids) -> dict:
+    """Models for some of the ids and for absent ones: small motions,
+    contractions that pile pixels onto one another, and a singular map."""
+    models = {}
+    for lab in ids:
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            continue                                    # a label without a model
+        if kind == 1:
+            models[lab] = AffineModel(a2=-1.0, a3=0.5)  # singular point map
+        elif kind == 2:
+            models[lab] = AffineModel(a1=rng.uniform(-3, 3), a2=-0.6, a4=rng.uniform(-3, 3),
+                                      a6=-0.6)
+        else:
+            models[lab] = _random_affine(rng)
+    return models
+
+
+def test_forward_rasterize_equals_per_label_scan_oracle():
+    rng = np.random.default_rng(31)
+    checked = collided = 0
+    for labels in _labelings(rng):
+        ids = np.unique(labels).tolist()
+        # absent labels join the models, next to the present ones
+        models = _random_models(rng, ids + [max(ids) + 1, min(ids) - 5])
+        for view in _views(labels):
+            got = motionlayers._forward_rasterize(view, models, view.shape)
+            want = oracles.oracle_forward_rasterize(view, models, view.shape)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            checked += 1
+            # each label pushed alone: their footprints overlap when a later
+            # label lost pixels to an earlier one
+            alone = sum(int(np.count_nonzero(oracles.oracle_forward_rasterize(
+                view, {lab: models[lab]}, view.shape) >= 0)) for lab in models)
+            collided += alone > np.count_nonzero(got >= 0)
+    # first-write-wins ties were exercised, not only disjoint pushes
+    assert checked == 3 * 43 and collided > 20
+
+
+def test_associate_temporal_equals_per_region_mask_oracle():
+    rng = np.random.default_rng(47)
+    for s, cur in enumerate(_labelings(rng)):
+        h, w = cur.shape
+        if s == 0:
+            warped = np.full((h, w), -1, dtype=np.int64)   # nothing landed
+        elif s % 3 == 1:
+            # few previous labels over big blocks: overlap ties between regions
+            warped = np.kron(rng.integers(-1, 3, size=((h + 1) // 2, (w + 1) // 2)),
+                             np.ones((2, 2), dtype=np.int64))[:h, :w]
+        else:
+            warped = rng.integers(-1, 6, size=(h, w))
+        for cur_view, warped_view in zip(_views(cur), _views(warped)):
+            got = motionlayers.associate_temporal(warped_view, cur_view, next_fresh=100)
+            want = oracles.oracle_associate_temporal(warped_view, cur_view, next_fresh=100)
+            assert got == want
+            assert all(type(k) is int for k in got[0])

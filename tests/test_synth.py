@@ -96,6 +96,19 @@ def test_static_validation():
                                                  (0, 0, 0), AffineModel())]))
 
 
+@pytest.mark.parametrize("change", [
+    dict(noise_sigma=float("nan")),
+    dict(noise_sigma=float("inf")),
+    dict(texture_amplitude=float("nan")),
+    dict(objects=[ObjectSpec("rect", (float("nan"), 4.0, 8.0, 6.0), (200, 60, 40))]),
+    dict(objects=[ObjectSpec("ellipse", (10.0, 10.0, float("nan"), 3.0), (200, 60, 40))]),
+], ids=["noise-nan", "noise-inf", "texture-nan", "rect-x-nan", "ellipse-rx-nan"])
+def test_non_finite_spec_values_rejected(change):
+    # NaN passes a `< 0` or `<= 0` test, so these used to render silently
+    with pytest.raises(DataError):
+        generate(_basic_spec(**change))
+
+
 def test_noise_changes_frames_only():
     clean = generate(_basic_spec(noise_sigma=0.0))
     noisy = generate(_basic_spec(noise_sigma=4.0))
