@@ -32,7 +32,7 @@ from .motionlayers import check_motion_params, run_motion_stream
 from .optflow import FlowParams, external_flow_path, flow_for_sequence
 from .preprocess import BilateralParams, filter_sequence
 from .rng import derive_seed
-from .streamseg import StreamConfig, stream_segment
+from .streamseg import StreamConfig, check_window_size, stream_segment
 from .synth import generate, parse_scene_spec
 
 log = logging.getLogger("svstream")
@@ -208,8 +208,10 @@ def _prepared_input(eff: dict, params, seq, pool, use_flow: bool):
 def _cmd_segment(eff: dict, pool) -> None:
     config = _stream_config(eff, eff["levels"])
     use_flow = config.use_flow_edges or config.use_flow_feature
-    seq, flows = _prepared_input(eff, _input_params(eff),
-                                 load_frame_sequence(eff["input"]), pool, use_flow)
+    input_params = _input_params(eff)
+    seq = load_frame_sequence(eff["input"])
+    check_window_size(seq.shape, config)
+    seq, flows = _prepared_input(eff, input_params, seq, pool, use_flow)
     hierarchy = stream_segment(seq, flows, config)
     for level, volume in enumerate(hierarchy.levels):
         write_label_volume(volume, os.path.join(eff["out"], f"level_{level:02d}"))
@@ -230,6 +232,7 @@ def _cmd_motion(eff: dict, pool) -> None:
     seq = load_frame_sequence(eff["input"])
     if len(seq) < 2:
         raise ValueError("need at least two frames")
+    check_window_size(seq.shape, config)
     seq, flows = _prepared_input(eff, input_params, seq, pool, use_flow=True)
     supervoxels = stream_segment(seq, flows, config)
     results = run_motion_stream(seq, flows, supervoxels, sv_level, schedule,

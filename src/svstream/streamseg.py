@@ -16,15 +16,19 @@ a video no longer than one subsequence reduces exactly to the non-streaming
 build.
 
 Voxel ids within a window are x + y*W + t*W*H, t counted from the window's
-first frame.  Edges live in structured arrays of EDGE_DTYPE with fields
-(a, b, w); ties in the grouping sweep break by (w, min id, max id).  A
-window builds no edge between two frozen voxels: such an edge could only
-join one emitted region to itself or to another, which never merge.
+first frame.  Edges live in structured arrays of EDGE_DTYPE with int32
+endpoints a, b and a float64 weight w (16 B an edge), so a window must hold
+fewer than 2**31 voxels; stream_segment refuses a video whose window would
+not.  Ties in the grouping sweep break by (w, min id, max id).  A window
+builds no edge between two frozen voxels: such an edge could only join one
+emitted region to itself or to another, which never merge.
 
-The grouping sweep is exact but blockwise: numpy drops, one block of sorted
-edges at a time, every edge that can no longer merge anything (same root,
-two marked roots, or in the cleanup pass two roots already large enough),
-and the merge rule runs in Python over the remaining edges only.
+The grouping sweep is exact but blockwise.  It sorts the edges it is given
+into sweep order in place, so a window keeps one edge array; the higher
+levels read only its endpoints, in any order.  numpy drops, one block of
+sorted edges at a time, every edge that can no longer merge anything (same
+root, two marked roots, or in the cleanup pass two roots already large
+enough), and the merge rule runs in Python over the remaining edges only.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ import numpy as np
 from .imageops import round_half_up
 from .unionfind import Forest
 
-EDGE_DTYPE = np.dtype([("a", np.int64), ("b", np.int64), ("w", np.float64)])
+EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("w", np.float64)])
 CHI2_EPS = 1e-12
 _COLOR_NORM = 255.0 * np.sqrt(3.0)
 
@@ -150,9 +154,10 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
     """Ascending-weight merge sweep plus the small-component cleanup pass;
     returns the final root of every item.
 
-    Ties break by (w, min id, max id).  Components whose marks are both set
-    never merge (streaming freeze).  The forest must be flat on entry (every
-    parent a root), as Forest() and _pre_union leave it.
+    Ties break by (w, min id, max id); edges is put into that order in
+    place.  Components whose marks are both set never merge (streaming
+    freeze).  The forest must be flat on entry (every parent a root), as
+    Forest() and _pre_union leave it.
 
     The sorted edges are visited in blocks.  numpy first drops each edge that
     stays a no-op for the rest of both passes, judged by the roots at the
@@ -166,8 +171,13 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
     """
     n = len(forest.parent)
     ea, eb, ew = edges["a"], edges["b"], edges["w"]
-    order = np.lexsort((np.maximum(ea, eb), np.minimum(ea, eb), ew))
-    ea, eb, ew = ea[order], eb[order], ew[order]
+    # ids are below n, so min*n + max ranks like (min, max) and n*n < 2**63;
+    # lexsort copies every key when one is strided, so w goes in contiguous
+    order = np.lexsort((np.minimum(ea, eb, dtype=np.int64) * n + np.maximum(ea, eb),
+                        ew.copy()))
+    ea[:] = ea[order]
+    eb[:] = eb[order]
+    ew[:] = ew[order]
     root = np.array(forest.parent, dtype=np.int64)
     root_marked = np.array(forest.mark) >= 0
     root_size = np.array(forest.size, dtype=np.int64)
@@ -285,11 +295,13 @@ def _region_pairs(edges: np.ndarray, node_index: np.ndarray, num_nodes: int):
     """Unique adjacent node pairs (pa < pb) inherited from the voxel edges."""
     if edges.size == 0:
         return (np.empty(0, dtype=np.int64),) * 2
+    # int32 node ids keep the per-edge gathers at 4 B; num_nodes is below 2**31
+    node_index = node_index.astype(np.int32)
     na = node_index[edges["a"]]
     nb = node_index[edges["b"]]
     differ = na != nb
-    pmin = np.minimum(na[differ], nb[differ]).astype(np.int64)
-    pmax = np.maximum(na[differ], nb[differ]).astype(np.int64)
+    pmin = np.minimum(na[differ], nb[differ], dtype=np.int64)
+    pmax = np.maximum(na[differ], nb[differ], dtype=np.int64)
     keys = np.unique(pmin * num_nodes + pmax)
     return keys // num_nodes, keys % num_nodes
 
@@ -433,9 +445,19 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
     return [lf.reshape(t_len, h, w) for lf in levels_flat]
 
 
-def _check_video(seq: np.ndarray, flows) -> None:
+def check_window_size(shape, config: StreamConfig) -> None:
+    """Refuse a (T, H, W, ...) video whose streaming window would hold 2**31
+    voxels or more: voxel ids are int32 edge endpoints."""
+    frames = min(2 * config.subseq_len, shape[0])
+    if frames * shape[1] * shape[2] >= 2 ** 31:
+        raise ValueError(f"a streaming window of {frames} {shape[2]}x{shape[1]} "
+                         "frames holds 2**31 voxels or more")
+
+
+def _check_video(seq: np.ndarray, flows, config: StreamConfig) -> None:
     if seq.ndim != 4 or seq.shape[3] != 3:
         raise ValueError("video must have shape (T, H, W, 3)")
+    check_window_size(seq.shape, config)
     if flows is not None:
         if len(flows) != seq.shape[0] - 1:
             raise ValueError("need one flow field per consecutive frame pair")
@@ -455,7 +477,7 @@ def stream_segment(seq: np.ndarray, flows,
     single-window batch result exactly.
     """
     seq = np.asarray(seq)
-    _check_video(seq, flows)
+    _check_video(seq, flows, config)
     t_total = seq.shape[0]
     h, w = seq.shape[1], seq.shape[2]
     state = _StreamState(config.levels)

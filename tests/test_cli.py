@@ -272,6 +272,24 @@ def test_motion_refuses_one_frame_before_segmenting(tmp_path, scene_dir, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["segment", "motion"])
+def test_window_of_2_31_voxels_refused_before_filter_or_flow(tmp_path, monkeypatch, capsys,
+                                                              command):
+    # a broadcast view allocates nothing: two 32768x32768 frames, 2**31 voxels
+    huge = np.broadcast_to(np.zeros((1, 1, 1, 3), np.uint8), (2, 32768, 32768, 3))
+    monkeypatch.setattr("svstream.cli.load_frame_sequence", lambda pattern: huge)
+
+    def work(*args, **kwargs):
+        pytest.fail("the filter or flow ran on a window past 2**31 voxels")
+
+    for name in ("filter_sequence", "flow_for_sequence", "stream_segment"):
+        monkeypatch.setattr(f"svstream.cli.{name}", work)
+    out = tmp_path / "out"
+    assert main([command, "--input", "f%05d.ppm", "--out", str(out)]) == 2
+    assert "2**31 voxels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_filled_out_is_refused_before_any_read(tmp_path, scene_dir, monkeypatch, capsys):
     # a second run with fewer levels must not leave the first run's extra levels
     out = tmp_path / "seg"

@@ -1,6 +1,7 @@
 """Graph construction, grouping, distances, hierarchy, and streaming tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from svstream.imageops import relabel_first_occurrence
 from svstream.streamseg import (StreamConfig, _chi2_rows, _fh_sweep, _NodeFeatures,
                                 _pair_weights, _pre_union, _StreamState, _window_edges,
                                 build_spatial_edges, build_temporal_edges,
-                                combine_distance, make_edges, stream_segment)
+                                check_window_size, combine_distance, make_edges,
+                                stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate
 from svstream.unionfind import Forest
 
@@ -195,8 +197,11 @@ def test_fh_sweep_equals_oracle():
         n, edges, base, keys, grown, state, k, min_size = _sweep_case(seed)
         forest = Forest(n, sizes=base.tolist())
         _pre_union(forest, keys, grown, state, 0)
+        unsorted = edges.copy()
         roots = _fh_sweep(forest, edges, k, min_size)
         assert roots.tolist() == [forest.find(i) for i in range(n)]
+        # the sweep reorders the edges in place, keeping every (a, b, w) row
+        assert _edge_rows(edges) == _edge_rows(unsorted), seed
 
         # the reference pre-groups by one union per member
         ref = Forest(n, sizes=base.tolist())
@@ -208,7 +213,7 @@ def test_fh_sweep_equals_oracle():
             ref.size[root] = state.sizes[0][key] + int(grown[members].sum())
             ref.internal[root] = state.ints[0][key]
             ref.mark[root] = key
-        oracle_fh_sweep(ref, edges, k, min_size)
+        oracle_fh_sweep(ref, unsorted, k, min_size)
         ref_roots = np.array([ref.find(i) for i in range(n)], dtype=np.int64)
 
         got, want = _component_table(forest, roots), _component_table(ref, ref_roots)
@@ -448,6 +453,55 @@ def test_video_shape_validation():
     with pytest.raises(ValueError):
         stream_segment(np.zeros((2, 4, 4, 3), dtype=np.uint8),
                        [np.zeros((4, 5, 2))], config)
+
+
+def test_window_of_2_31_voxels_refused():
+    # a broadcast view allocates nothing: two 32768x32768 frames, 2**31 voxels
+    huge = np.broadcast_to(np.zeros((1, 1, 1, 3), np.uint8), (2, 32768, 32768, 3))
+    with pytest.raises(ValueError, match=r"2\*\*31 voxels"):
+        stream_segment(huge, None, StreamConfig())
+
+
+@pytest.mark.parametrize("shape, subseq_len, refused", [
+    ((2, 32768, 32767, 3), 3, False),
+    ((2, 32768, 32768, 3), 3, True),
+    ((1, 32768, 32768, 3), 3, False),     # one frame: 2**30 voxels
+    ((100, 16384, 32768, 3), 1, False),   # windows of two frames: 2**30
+    ((100, 16384, 32768, 3), 2, True),    # windows of four frames: 2**31
+])
+def test_window_size_guard(shape, subseq_len, refused):
+    config = StreamConfig(subseq_len=subseq_len)
+    if refused:
+        with pytest.raises(ValueError):
+            check_window_size(shape, config)
+    else:
+        check_window_size(shape, config)
+    # every admitted window keeps the sweep's packed key min*n + max in int64
+    n = 2 ** 31 - 1
+    assert n * n <= np.iinfo(np.int64).max
+
+
+def test_one_window_peak_bytes_per_voxel():
+    # a fixed textured 64x48x4 scene with flow, in one window; int32 endpoints
+    # sorted in place measure about 530 B/voxel, int64 ones with sorted copies 780
+    spec = SceneSpec(
+        width=64, height=48, num_frames=4, seed=5,
+        background_color=(70, 80, 100), noise_sigma=2.0, texture_amplitude=35.0,
+        background_motion=AffineModel(a1=0.4, a4=0.2),
+        objects=(ObjectSpec("rect", (20.0, 12.0, 18.0, 14.0), color=(190, 70, 50),
+                            motion=AffineModel(a1=1.5, a4=-0.8)),),
+    )
+    frames, _, flows = generate(spec)
+    config = StreamConfig(subseq_len=4, k0=0.5, min_size=8)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        stream_segment(frames, flows, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (4 * 48 * 64) < 600
 
 
 def test_config_validation():
