@@ -24,15 +24,16 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, ToolError
-from .mediaio import (colorize_labels, load_frame_sequence, read_label_volume,
-                      write_flo, write_frame_sequence, write_label_volume,
-                      write_pgm16, write_ppm)
+from .mediaio import (LabelPalette, check_frame_shapes, colorize_labels, frame_paths,
+                      load_frame_sequence, read_frames, read_label_volume, write_flo,
+                      write_frame_sequence, write_label_volume, write_pgm16, write_ppm)
 from .metrics import evaluate, write_metrics_csv
 from .motionlayers import check_motion_params, run_motion_stream
-from .optflow import FlowParams, external_flow_path, flow_for_sequence
+from .optflow import (FlowParams, check_external_flow, external_flow_path,
+                      flow_for_sequence)
 from .preprocess import BilateralParams, filter_sequence
 from .rng import derive_seed
-from .streamseg import StreamConfig, check_window_size, stream_segment
+from .streamseg import StreamConfig, check_window_size, stream_blocks, stream_segment
 from .synth import generate, parse_scene_spec
 
 log = logging.getLogger("svstream")
@@ -194,30 +195,62 @@ def _input_params(eff: dict):
     return bilateral, _flow_params(eff)
 
 
-def _prepared_input(eff: dict, params, seq, pool, use_flow: bool):
-    """Optionally bilateral-filter loaded frames, and attach flow if use_flow."""
+def _input_paths(eff: dict, config: StreamConfig, use_flow: bool) -> list:
+    """The input frames' paths, checked before any frame is read: every
+    frame's size from its header, the window size and, if flow is used and
+    read from --external-flow, every field's header."""
+    paths = frame_paths(eff["input"])
+    shape = check_frame_shapes(paths)
+    check_window_size((len(paths),) + shape, config)
+    if use_flow and eff["external-flow"]:
+        check_external_flow(eff["external-flow"], len(paths), *shape[:2])
+    return paths
+
+
+def _input_blocks(eff: dict, params, paths: list, block_len: int, pool, use_flow: bool):
+    """Yield (frames, flows) for each run of block_len frames: the frames,
+    bilateral-filtered on the pool if the filter is on, and if use_flow the
+    backward flow of every pair (t-1, t) whose t lies in the run, computed
+    from the filtered frames or read from --external-flow."""
     bilateral, flow_params = params
-    if bilateral is not None:
-        seq = filter_sequence(seq, bilateral, pool)
-    if not use_flow:
-        return seq, None
     external = eff["external-flow"] or None
-    return seq, flow_for_sequence(seq, flow_params, external_dir=external, pool=pool)
+    last = None     # the previous run's last frame, which the first pair needs
+    for s in range(0, len(paths), block_len):
+        frames = read_frames(paths[s:s + block_len])
+        if bilateral is not None:
+            frames = filter_sequence(frames, bilateral, pool)
+        flows = None
+        if use_flow:
+            flows = flow_for_sequence(frames if last is None else np.concatenate([last, frames]),
+                                      flow_params, external_dir=external, pool=pool,
+                                      start=max(s - 1, 0))
+        last = frames[-1:]
+        yield frames, flows
+
+
+def _whole_input(blocks):
+    """The whole video and its flow fields, collected from _input_blocks."""
+    frames, flows = zip(*blocks)
+    return np.concatenate(frames), [field for fields in flows for field in fields]
 
 
 def _cmd_segment(eff: dict, pool) -> None:
     config = _stream_config(eff, eff["levels"])
     use_flow = config.use_flow_edges or config.use_flow_feature
     input_params = _input_params(eff)
-    seq = load_frame_sequence(eff["input"])
-    check_window_size(seq.shape, config)
-    seq, flows = _prepared_input(eff, input_params, seq, pool, use_flow)
-    hierarchy = stream_segment(seq, flows, config)
-    for level, volume in enumerate(hierarchy.levels):
-        write_label_volume(volume, os.path.join(eff["out"], f"level_{level:02d}"))
-        vis = colorize_labels(volume, derive_seed(eff["seed"], 7, level))
-        write_frame_sequence(vis, os.path.join(eff["out"], f"level_{level:02d}_vis"))
-        log.info("level %d: %d regions", level, len(np.unique(volume)))
+    paths = _input_paths(eff, config, use_flow)
+    palettes = [LabelPalette(derive_seed(eff["seed"], 7, level))
+                for level in range(config.levels)]
+    blocks = _input_blocks(eff, input_params, paths, config.subseq_len, pool, use_flow)
+    # each block is final when it is yielded, so it goes to the stage at once
+    for s, labels in stream_blocks(blocks, config):
+        for level, (block, palette) in enumerate(zip(labels, palettes)):
+            stem = os.path.join(eff["out"], f"level_{level:02d}")
+            write_label_volume(block, stem, s)
+            write_frame_sequence(palette(block), stem + "_vis", s)
+    for level, palette in enumerate(palettes):
+        # labels are numbered from 0 and every one is emitted
+        log.info("level %d: %d regions", level, len(palette.colors))
 
 
 def _cmd_motion(eff: dict, pool) -> None:
@@ -229,11 +262,12 @@ def _cmd_motion(eff: dict, pool) -> None:
         raise ValueError("supervoxel-level must be >= 0")
     config = _stream_config(eff, sv_level + 1)
     input_params = _input_params(eff)
-    seq = load_frame_sequence(eff["input"])
-    if len(seq) < 2:
+    paths = _input_paths(eff, config, use_flow=True)
+    if len(paths) < 2:
         raise ValueError("need at least two frames")
-    check_window_size(seq.shape, config)
-    seq, flows = _prepared_input(eff, input_params, seq, pool, use_flow=True)
+    # the motion stage still holds the whole video (ROADMAP item 2)
+    seq, flows = _whole_input(_input_blocks(eff, input_params, paths, config.subseq_len,
+                                            pool, use_flow=True))
     supervoxels = stream_segment(seq, flows, config)
     results = run_motion_stream(seq, flows, supervoxels, sv_level, schedule,
                                 p=p, q=q, mrf_lambda=eff["mrf-lambda"],
@@ -278,7 +312,8 @@ def _cmd_eval(eff: dict, pool) -> None:
          if re.fullmatch(r"level_\d+", name)
          and os.path.isdir(os.path.join(eff["pred"], name))),
         key=lambda d: (int(d.rsplit("_", 1)[1]), d))
-    levels = [read_label_volume(d) for d in level_dirs or [eff["pred"]]]
+    # each level is read when it is scored
+    levels = (read_label_volume(d) for d in level_dirs or [eff["pred"]])
     reports = evaluate(levels, gt, video, eff["tol"])
     write_metrics_csv(reports, eff["out"])
     for level, rep in enumerate(reports):

@@ -38,12 +38,10 @@ _NETPBM = {
 _NETPBM_HEADER = re.compile(rb"([^\s#]*)" + rb"(?:\s|#[^\n\r]*)*([^\s#]*)" * 3)
 
 
-def _read_netpbm(path: str, magic: bytes) -> np.ndarray:
-    """Read a binary netpbm file of the given magic into a read-only
-    (H, W, channels) array of its payload sample type."""
-    kind, channels, dtypes = _NETPBM[magic]
-    with open(path, "rb") as f:
-        data = f.read()
+def _netpbm_header(data: bytes, path: str, magic: bytes):
+    """(width, height, payload sample type, payload offset) of a binary netpbm
+    file of the given magic whose bytes start with data."""
+    kind, _, dtypes = _NETPBM[magic]
     if not data.startswith(magic):
         raise FormatError(f"{path}: not a binary {kind} (missing {magic.decode()} magic)")
     header = _NETPBM_HEADER.match(data)
@@ -60,11 +58,33 @@ def _read_netpbm(path: str, magic: bytes) -> np.ndarray:
         raise FormatError(f"{path}: invalid {kind} dimensions {w}x{h}")
     if maxval not in dtypes:
         raise FormatError(f"{path}: unsupported {kind} maxval {maxval}")
-    nbytes = dtypes[maxval].itemsize * channels * w * h
+    return w, h, dtypes[maxval], offset
+
+
+def _read_netpbm(path: str, magic: bytes) -> np.ndarray:
+    """Read a binary netpbm file of the given magic into a read-only
+    (H, W, channels) array of its payload sample type."""
+    kind, channels, _ = _NETPBM[magic]
+    with open(path, "rb") as f:
+        data = f.read()
+    w, h, dtype, offset = _netpbm_header(data, path, magic)
+    nbytes = dtype.itemsize * channels * w * h
     body = data[offset:offset + nbytes]
     if len(body) != nbytes:
         raise FormatError(f"{path}: {kind} payload truncated")
-    return np.frombuffer(body, dtype=dtypes[maxval]).reshape(h, w, channels)
+    return np.frombuffer(body, dtype=dtype).reshape(h, w, channels)
+
+
+def read_ppm_shape(path: str) -> tuple:
+    """The (H, W, 3) shape of a binary P6 PPM, from its header alone (the
+    whole file only when comments push the header past its first 4 KiB)."""
+    with open(path, "rb") as f:
+        data = f.read(4096)
+        header = _NETPBM_HEADER.match(data)
+        if not (all(header.groups()) and header.end() < len(data)):
+            data += f.read()
+    w, h, _, _ = _netpbm_header(data, path, b"P6")
+    return h, w, 3
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -110,10 +130,8 @@ def write_pgm16(path: str, labels: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # Middlebury .flo
 
-def read_flo(path: str) -> np.ndarray:
-    """Read a Middlebury .flo file into an (H, W, 2) float32 flow field."""
-    with open(path, "rb") as f:
-        data = f.read()
+def _flo_size(data: bytes, path: str):
+    """(width, height) from the 12-byte header at the start of data."""
     if len(data) < 12:
         raise FormatError(f"{path}: truncated .flo header")
     magic, w, h = struct.unpack("<fii", data[:12])
@@ -121,6 +139,21 @@ def read_flo(path: str) -> np.ndarray:
         raise FormatError(f"{path}: bad .flo magic {magic!r}")
     if w < 1 or h < 1:
         raise FormatError(f"{path}: invalid .flo dimensions {w}x{h}")
+    return w, h
+
+
+def read_flo_shape(path: str) -> tuple:
+    """The (H, W, 2) shape of a Middlebury .flo file, from its header alone."""
+    with open(path, "rb") as f:
+        w, h = _flo_size(f.read(12), path)
+    return h, w, 2
+
+
+def read_flo(path: str) -> np.ndarray:
+    """Read a Middlebury .flo file into an (H, W, 2) float32 flow field."""
+    with open(path, "rb") as f:
+        data = f.read()
+    w, h = _flo_size(data, path)
     payload = data[12:12 + 8 * w * h]
     if len(payload) != 8 * w * h:
         raise FormatError(f"{path}: .flo payload truncated")
@@ -173,21 +206,35 @@ def find_frame_indices(pattern: str):
     return sorted(indices)
 
 
+def _check_shapes(paths, shape_of) -> tuple:
+    """The first path's frame shape; the first path whose frame shape differs
+    raises, naming both paths.  shape_of(path) gives a path's (H, W, ...)."""
+    first = None
+    for path in paths:
+        shape = shape_of(path)
+        if first is None:
+            first = shape
+        elif shape != first:
+            raise FormatError(f"{path} is {shape[1]}x{shape[0]} but {paths[0]} "
+                              f"is {first[1]}x{first[0]}")
+    return first
+
+
 def _stack_frames(read, paths) -> np.ndarray:
     """Read every path with `read` and stack the frames; the first frame
     whose size differs from the first path's raises, naming both paths."""
     frames = []
-    for path in paths:
-        frame = read(path)
-        if frames and frame.shape != frames[0].shape:
-            raise FormatError(f"{path} is {frame.shape[1]}x{frame.shape[0]} but {paths[0]} "
-                              f"is {frames[0].shape[1]}x{frames[0].shape[0]}")
-        frames.append(frame)
+
+    def shape_of(path):
+        frames.append(read(path))
+        return frames[-1].shape
+
+    _check_shapes(paths, shape_of)
     return np.stack(frames)
 
 
-def load_frame_sequence(pattern: str) -> np.ndarray:
-    """Load PPM frames matching a printf-style pattern into a (T, H, W, 3) array.
+def frame_paths(pattern: str) -> list:
+    """Paths of the PPM frames matching a printf-style pattern, in order.
 
     Frames must form a contiguous index range from the smallest index found;
     a gap raises naming the missing index.
@@ -199,28 +246,47 @@ def load_frame_sequence(pattern: str) -> np.ndarray:
     for expected, i in enumerate(indices, start):
         if i != expected:
             raise DataError(f"missing frame index {expected} for pattern {pattern!r}")
-    return _stack_frames(read_ppm, [pattern % i for i in indices])
+    return [pattern % i for i in indices]
 
 
-def write_frame_sequence(seq: np.ndarray, directory: str) -> None:
-    """Write frames as zero-padded PPMs (00000.ppm, ...)."""
+def check_frame_shapes(paths) -> tuple:
+    """The common (H, W, 3) shape of PPM frames, read from their headers
+    only; the first frame of another size raises, naming it and the first."""
+    return _check_shapes(paths, read_ppm_shape)
+
+
+def read_frames(paths) -> np.ndarray:
+    """Read PPM frames of one size into a (T, H, W, 3) array."""
+    return _stack_frames(read_ppm, paths)
+
+
+def load_frame_sequence(pattern: str) -> np.ndarray:
+    """Load PPM frames matching a printf-style pattern (see frame_paths)
+    into a (T, H, W, 3) array."""
+    return read_frames(frame_paths(pattern))
+
+
+def write_frame_sequence(seq: np.ndarray, directory: str, start: int = 0) -> None:
+    """Write frames as zero-padded PPMs named by frame index, the first one
+    start (00000.ppm, ... by default)."""
     os.makedirs(directory, exist_ok=True)
-    for t, frame in enumerate(seq):
+    for t, frame in enumerate(seq, start):
         write_ppm(os.path.join(directory, f"{t:05d}.ppm"), frame)
 
 
 # ---------------------------------------------------------------------------
 # Label volumes
 
-def write_label_volume(volume: np.ndarray, directory: str) -> None:
-    """Write one 16-bit PGM per frame, named by frame index (00000.pgm, ...).
-    A label out of the 16-bit range is reported before anything is written."""
+def write_label_volume(volume: np.ndarray, directory: str, start: int = 0) -> None:
+    """Write one 16-bit PGM per frame, named by frame index, the first one
+    start (00000.pgm, ... by default).  A label out of the 16-bit range is
+    reported before anything is written."""
     volume = np.asarray(volume)
     if volume.ndim != 3:
         raise ValueError("label volume must be (T, H, W)")
     check_pgm16_labels(volume)
     os.makedirs(directory, exist_ok=True)
-    for t, labels in enumerate(volume):
+    for t, labels in enumerate(volume, start):
         write_pgm16(os.path.join(directory, f"{t:05d}.pgm"), labels)
 
 
@@ -237,18 +303,35 @@ def read_label_volume(directory: str) -> np.ndarray:
     return _stack_frames(read_pgm16, [os.path.join(directory, n) for n in sorted(names, key=key)])
 
 
+class LabelPalette:
+    """Distinct RGB colors for labels 0, 1, ..., drawn from one seeded stream
+    and grown as larger labels appear, so a volume colored block by block
+    gets the colors colorize_labels gives it whole."""
+
+    def __init__(self, seed: int):
+        self._rng = SplitMix64(seed)
+        self._seen = set()
+        self.colors = np.empty((0, 3), dtype=np.uint8)
+
+    def __call__(self, labels: np.ndarray) -> np.ndarray:
+        """(..., 3) uint8 colors of an integer label array."""
+        labels = np.asarray(labels)
+        n = int(labels.max()) + 1 if labels.size else 0
+        if n > len(self.colors):
+            rng, seen = self._rng, self._seen
+            colors = np.empty((n, 3), dtype=np.uint8)
+            colors[:len(self.colors)] = self.colors
+            for i in range(len(self.colors), n):
+                while True:
+                    c = (rng.next_below(256), rng.next_below(256), rng.next_below(256))
+                    if c not in seen:
+                        seen.add(c)
+                        colors[i] = c
+                        break
+            self.colors = colors
+        return self.colors[labels]
+
+
 def colorize_labels(volume: np.ndarray, seed: int) -> np.ndarray:
     """Deterministically map labels to distinct RGB colors; returns (T, H, W, 3) uint8."""
-    volume = np.asarray(volume)
-    n = int(volume.max()) + 1 if volume.size else 0
-    rng = SplitMix64(seed)
-    seen = set()
-    colors = np.empty((n, 3), dtype=np.uint8)
-    for i in range(n):
-        while True:
-            c = (rng.next_below(256), rng.next_below(256), rng.next_below(256))
-            if c not in seen:
-                seen.add(c)
-                colors[i] = c
-                break
-    return colors[volume]
+    return LabelPalette(seed)(volume)

@@ -18,9 +18,8 @@ import numpy as np
 from scipy import ndimage
 
 
-def _indexed(pred: np.ndarray, gt: np.ndarray, tol: int = 0):
-    """Checked label volumes, each as indices 0..n-1 in ascending label
-    order."""
+def _checked(pred: np.ndarray, gt: np.ndarray, tol: int = 0):
+    """Label volumes of one shape, as arrays."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.ndim != 3 or gt.ndim != 3:
@@ -29,7 +28,18 @@ def _indexed(pred: np.ndarray, gt: np.ndarray, tol: int = 0):
         raise ValueError(f"shape mismatch: {pred.shape} vs {gt.shape}")
     if tol < 0:
         raise ValueError("tolerance must be >= 0")
-    return tuple(np.unique(v, return_inverse=True)[1].reshape(v.shape) for v in (pred, gt))
+    return pred, gt
+
+
+def _dense(labels: np.ndarray) -> np.ndarray:
+    """A label volume as indices 0..n-1 in ascending label order."""
+    return np.unique(labels, return_inverse=True)[1].reshape(labels.shape)
+
+
+def _indexed(pred: np.ndarray, gt: np.ndarray, tol: int = 0):
+    """Checked label volumes, each as indices 0..n-1 in ascending label
+    order."""
+    return tuple(_dense(v) for v in _checked(pred, gt, tol))
 
 
 # ---------------------------------------------------------------- boundaries
@@ -50,17 +60,17 @@ def _anchors(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_recalls(pred: np.ndarray, gt: np.ndarray, tol: int):
-    """(br2d, br3d).  A GT anchor is recalled when a predicted anchor of its
-    class lies within Chebyshev distance tol in the same slice (axis 0 never
-    dilates); any tol >= max(H, W) - 1 reaches the whole frame."""
-    gt_mask = _anchors(gt)
-    r = min(tol, max(gt.shape[1:]) - 1)
+def _boundary_recalls(pred: np.ndarray, gt_mask: np.ndarray, tol: int):
+    """(br2d, br3d) of pred against the GT anchors gt_mask.  A GT anchor is
+    recalled when a predicted anchor of its class lies within Chebyshev
+    distance tol in the same slice (axis 0 never dilates); any
+    tol >= max(H, W) - 1 reaches the whole frame."""
+    r = min(tol, max(pred.shape[1:]) - 1)
     hit = ndimage.maximum_filter(_anchors(pred), size=(1, 2 * r + 1, 2 * r + 1),
                                  mode="constant")
     total = np.count_nonzero(gt_mask, axis=(1, 2)).tolist()
     hits = np.count_nonzero(gt_mask & hit, axis=(1, 2)).tolist()
-    t = gt.shape[0]
+    t = pred.shape[0]
     frames = [Fraction(k, n) for k, n in zip(hits[:t], total[:t]) if n]
     br2d = float(sum(frames) / len(frames)) if frames else 1.0
     br3d = float(Fraction(sum(hits), sum(total))) if sum(total) else 1.0
@@ -72,13 +82,15 @@ def boundary_recall_3d(pred: np.ndarray, gt: np.ndarray, tol: int = 1) -> float:
     classes pooled) matched by a predicted element of the same class within
     Chebyshev distance tol inside the same frame or frame pair.  A GT volume
     without boundaries scores 1."""
-    return _boundary_recalls(*_indexed(pred, gt, tol), tol)[1]
+    pred, gt = _indexed(pred, gt, tol)
+    return _boundary_recalls(pred, _anchors(gt), tol)[1]
 
 
 def boundary_recall_2d(pred: np.ndarray, gt: np.ndarray, tol: int = 1) -> float:
     """Within-frame boundary recall averaged over frames that have GT
     boundaries; 1 when no frame does."""
-    return _boundary_recalls(*_indexed(pred, gt, tol), tol)[0]
+    pred, gt = _indexed(pred, gt, tol)
+    return _boundary_recalls(pred, _anchors(gt), tol)[0]
 
 
 # ---------------------------------------------------------------- variation
@@ -233,17 +245,27 @@ CSV_HEADER = ["level"] + [f.name for f in fields(MetricsReport)]
 def compute_report(pred: np.ndarray, gt: np.ndarray, video: np.ndarray,
                    tol: int = 1) -> MetricsReport:
     """Every metric of one level from one indexing of each label volume."""
-    pred, gt = _indexed(pred, gt, tol)
-    ev = _r_squared(_integer_luma(video, pred.shape), pred)
-    return MetricsReport(int(pred.max()) + 1, *_boundary_recalls(pred, gt, tol), ev,
-                         *_overlap_scores(pred, gt))
+    return evaluate([pred], gt, video, tol)[0]
 
 
 def evaluate(pred_levels, gt: np.ndarray, video: np.ndarray, tol: int = 1) -> list:
     """One MetricsReport per level of a SegmentationHierarchy or of any
-    sequence of label volumes."""
-    levels = getattr(pred_levels, "levels", pred_levels)
-    return [compute_report(np.asarray(vol), gt, video, tol) for vol in levels]
+    iterable of label volumes, taken one level at a time.  The work that
+    depends only on gt and the video (gt's indexing and boundary anchors,
+    the luma) is done once, at the first level."""
+    reports, dense_gt = [], None
+    for volume in getattr(pred_levels, "levels", pred_levels):
+        pred, gt = _checked(volume, gt, tol)
+        if dense_gt is None:
+            dense_gt = _dense(gt)
+            gt_mask = _anchors(dense_gt)
+            # _r_squared shifts the luma to a minimum of 0, so a later level
+            # finds it shifted already and shifts it by 0
+            luma = _integer_luma(video, gt.shape)
+        pred = _dense(pred)
+        reports.append(MetricsReport(int(pred.max()) + 1, *_boundary_recalls(pred, gt_mask, tol),
+                                     _r_squared(luma, pred), *_overlap_scores(pred, dense_gt)))
+    return reports
 
 
 def write_metrics_csv(reports, path: str) -> None:

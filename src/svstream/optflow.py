@@ -17,7 +17,7 @@ from scipy.ndimage import correlate
 
 from .errors import DataError, FormatError
 from .imageops import bilinear_resize, bilinear_sample, gaussian_blur, luma_u8
-from .mediaio import read_flo
+from .mediaio import read_flo, read_flo_shape
 
 # Horn-Schunck neighborhood averaging kernel
 _HS_KERNEL = np.array([
@@ -118,13 +118,36 @@ def external_flow_path(directory: str, t: int) -> str:
     return os.path.join(directory, f"flow_{t:04d}.flo")
 
 
-def flow_for_sequence(seq: np.ndarray, params: FlowParams = FlowParams(),
-                      external_dir: str | None = None, pool=None):
-    """One backward FlowField per frame pair (t-1, t), t in [1, T-1].
+def _external_path(directory: str, t: int) -> str:
+    path = external_flow_path(directory, t)
+    if not os.path.exists(path):
+        raise DataError(f"missing external flow for pair ({t - 1}, {t}): {path}")
+    return path
 
-    When external_dir is given, fields are loaded from flow_NNNN.flo files
-    (NNNN = t, zero padded) instead of being computed; dimensions are checked
-    against the sequence.
+
+def _check_field_shape(path: str, shape, h: int, w: int) -> None:
+    if tuple(shape[:2]) != (h, w):
+        raise FormatError(f"external flow {path} is {shape[1]}x{shape[0]}, "
+                          f"frames are {w}x{h}")
+
+
+def check_external_flow(directory: str, num: int, h: int, w: int) -> None:
+    """Check, from the .flo headers alone, that the field of every pair
+    (t-1, t), t in [1, num-1], of a num-frame video of w x h frames is
+    stored in directory with the frames' dimensions."""
+    for t in range(1, num):
+        path = _external_path(directory, t)
+        _check_field_shape(path, read_flo_shape(path), h, w)
+
+
+def flow_for_sequence(seq: np.ndarray, params: FlowParams = FlowParams(),
+                      external_dir: str | None = None, pool=None, start: int = 0):
+    """One backward FlowField per consecutive frame pair of seq.
+
+    seq[0] is frame `start` of the video, so the fields are those of the
+    pairs (t-1, t), t in [start+1, start+T-1].  When external_dir is given,
+    fields are loaded from flow_NNNN.flo files (NNNN = t, zero padded)
+    instead of being computed; dimensions are checked against the sequence.
     """
     num = seq.shape[0]
     if num < 2:
@@ -132,15 +155,10 @@ def flow_for_sequence(seq: np.ndarray, params: FlowParams = FlowParams(),
     h, w = seq.shape[1], seq.shape[2]
     if external_dir is not None:
         fields = []
-        for t in range(1, num):
-            path = external_flow_path(external_dir, t)
-            if not os.path.exists(path):
-                raise DataError(f"missing external flow for pair ({t - 1}, {t}): {path}")
+        for t in range(start + 1, start + num):
+            path = _external_path(external_dir, t)
             field = read_flo(path)
-            if field.shape[:2] != (h, w):
-                raise FormatError(
-                    f"external flow {path} is {field.shape[1]}x{field.shape[0]}, "
-                    f"frames are {w}x{h}")
+            _check_field_shape(path, field.shape, h, w)
             fields.append(field)
         return fields
 

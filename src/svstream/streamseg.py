@@ -13,15 +13,17 @@ one enter pre-grouped into their already-emitted regions at every level, those
 regions never merge with each other, and a region extended by new voxels keeps
 its label.  Emitted labels are therefore final the moment a window closes, and
 a video no longer than one subsequence reduces exactly to the non-streaming
-build.
+build.  stream_blocks takes the video one subsequence at a time and yields
+each one's labels as its window closes; stream_segment collects them for a
+video held in memory.
 
 Voxel ids within a window are x + y*W + t*W*H, t counted from the window's
 first frame.  Edges live in structured arrays of EDGE_DTYPE with int32
 endpoints a, b and a float64 weight w (16 B an edge), so a window must hold
-fewer than 2**31 voxels; stream_segment refuses a video whose window would
-not.  Ties in the grouping sweep break by (w, min id, max id).  A window
-builds no edge between two frozen voxels: such an edge could only join one
-emitted region to itself or to another, which never merge.
+fewer than 2**31 voxels; stream_blocks refuses a window that would not.
+Ties in the grouping sweep break by (w, min id, max id).  A window builds no
+edge between two frozen voxels: such an edge could only join one emitted
+region to itself or to another, which never merge.
 
 The grouping sweep is exact but blockwise.  It sorts the edges it is given
 into sweep order in place, so a window keeps one edge array; the higher
@@ -454,41 +456,87 @@ def check_window_size(shape, config: StreamConfig) -> None:
                          "frames holds 2**31 voxels or more")
 
 
-def _check_video(seq: np.ndarray, flows, config: StreamConfig) -> None:
-    if seq.ndim != 4 or seq.shape[3] != 3:
+def _check_frames(frames: np.ndarray) -> None:
+    if frames.ndim != 4 or frames.shape[3] != 3:
         raise ValueError("video must have shape (T, H, W, 3)")
-    check_window_size(seq.shape, config)
-    if flows is not None:
-        if len(flows) != seq.shape[0] - 1:
-            raise ValueError("need one flow field per consecutive frame pair")
-        for f in flows:
-            if np.asarray(f).shape != (seq.shape[1], seq.shape[2], 2):
-                raise ValueError("flow field dimensions disagree with frames")
+
+
+def _check_flows(flows, pairs: int, h: int, w: int) -> None:
+    if flows is None:
+        return
+    if len(flows) != pairs:
+        raise ValueError("need one flow field per consecutive frame pair")
+    for f in flows:
+        if np.asarray(f).shape != (h, w, 2):
+            raise ValueError("flow field dimensions disagree with frames")
+
+
+def stream_blocks(blocks, config: StreamConfig = StreamConfig()):
+    """Segment a video given as subsequences and yield each one's labels
+    as soon as its window closes.
+
+    blocks yields, for each subsequence v_i in order, (frames, flows):
+    its (n, H, W, 3) frames, n = subseq_len except for the last one, and
+    the backward flow field of every frame pair (t-1, t) whose t lies in it
+    (n-1 fields for the first, n after; None when no flow is used).  Window
+    i spans v_{i-1} and v_i.  Each yielded item is (s, labels): v_i's first
+    frame index and one (n, H, W) int64 array per level.  Those labels are
+    final: v_{i-1} enters the next window pre-grouped into its emitted
+    regions at every level, and those labels are never rewritten.  Between
+    windows only v_i's frames, flows and labels and the per-level tables
+    are kept, so memory does not grow with the length of the video.
+    """
+    state = _StreamState(config.levels)
+    s = 0
+    for frames, flows in blocks:
+        frames = np.asarray(frames)
+        _check_frames(frames)
+        if not 0 < len(frames) <= config.subseq_len:
+            raise ValueError(f"a subsequence holds 1 to {config.subseq_len} frames")
+        if s == 0:
+            # the previous subsequence's frames, inner flows and labels
+            old_frames, old_flows = frames[:0], []
+            old = [np.empty((0,) + frames.shape[1:3], dtype=np.int64)] * config.levels
+        elif len(old_frames) < config.subseq_len:
+            raise ValueError("only the last subsequence may be short")
+        elif frames.shape[1:] != old_frames.shape[1:]:
+            raise ValueError("frame dimensions differ between subsequences")
+        _check_flows(flows, len(frames) - (s == 0), *frames.shape[1:3])
+        check_window_size((len(old_frames) + len(frames),) + frames.shape[1:], config)
+        # compact copies of the new frames' labels: no window volume
+        # outlives its pass
+        old = [v[len(old_frames):].copy() for v in _window_pass(
+            np.concatenate([old_frames, frames]) if s else frames,
+            None if flows is None else old_flows + list(flows), config, old, state)]
+        yield s, old
+        # the next window reads only the pairs inside this subsequence
+        old_frames = frames
+        old_flows = None if flows is None else list(flows[len(flows) - len(frames) + 1:])
+        s += len(frames)
+
+
+def _subsequences(seq: np.ndarray, flows, subseq_len: int):
+    for s in range(0, len(seq), subseq_len):
+        end = min(s + subseq_len, len(seq))
+        yield seq[s:end], None if flows is None else flows[max(s - 1, 0):end - 1]
 
 
 def stream_segment(seq: np.ndarray, flows,
                    config: StreamConfig = StreamConfig()) -> SegmentationHierarchy:
-    """Segment a video in streaming windows of subseq_len frames.
+    """Segment a whole video held in memory: collect stream_blocks over its
+    subsequences into one (T, H, W) volume per level.
 
-    Window i spans subsequences v_{i-1} and v_i; the previous subsequence
-    enters pre-grouped into its emitted regions at every level and those
-    labels are never rewritten, so output for a prefix of the stream does not
-    depend on later frames.  A video of at most subseq_len frames gives the
-    single-window batch result exactly.
+    The labels for a prefix of the video do not depend on later frames, and
+    a video of at most subseq_len frames gives the single-window batch
+    result exactly.
     """
     seq = np.asarray(seq)
-    _check_video(seq, flows, config)
-    t_total = seq.shape[0]
-    h, w = seq.shape[1], seq.shape[2]
-    state = _StreamState(config.levels)
-    out = [np.empty((t_total, h, w), dtype=np.int64) for _ in range(config.levels)]
-    old = [np.empty((0, h, w), dtype=np.int64)] * config.levels
-    for s in range(0, t_total, config.subseq_len):
-        end = min(s + config.subseq_len, t_total)
-        f0 = max(s - config.subseq_len, 0)
-        flows_w = None if flows is None else flows[f0:end - 1]
-        volumes = _window_pass(seq[f0:end], flows_w, config, old, state)
-        old = [v[s - f0:] for v in volumes]
-        for l, labels in enumerate(old):
-            out[l][s:end] = labels
+    _check_frames(seq)
+    check_window_size(seq.shape, config)
+    if flows is not None and len(flows) != len(seq) - 1:
+        raise ValueError("need one flow field per consecutive frame pair")
+    out = [np.empty(seq.shape[:3], dtype=np.int64) for _ in range(config.levels)]
+    for s, labels in stream_blocks(_subsequences(seq, flows, config.subseq_len), config):
+        for volume, block in zip(out, labels):
+            volume[s:s + len(block)] = block
     return SegmentationHierarchy(out)

@@ -2,15 +2,18 @@
 
 import math
 import os
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from svstream import cli
+from svstream import cli, streamseg
 from svstream.cli import main
-from svstream.mediaio import read_flo, read_label_volume, write_label_volume
+from svstream.mediaio import (colorize_labels, load_frame_sequence, read_flo, read_label_volume,
+                              write_flo, write_frame_sequence, write_label_volume, write_ppm)
 from svstream.metrics import read_metrics_csv
-from svstream.streamseg import SegmentationHierarchy
+from svstream.rng import derive_seed
 
 
 def _rot_line(cx, cy, deg, dx, dy) -> str:
@@ -39,6 +42,31 @@ def scene_dir(tmp_path_factory):
     out = root / "rendered"
     assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
     return out
+
+
+def _render_long_scene(root, frames: int):
+    """A 32x24 clip of `frames` frames with one rotating object, rendered
+    under root; returns the scene directory."""
+    spec = root / f"long{frames}.txt"
+    spec.write_text(
+        "width = 32\n"
+        "height = 24\n"
+        f"frames = {frames}\n"
+        "seed = 3\n"
+        "noise_sigma = 6\n"
+        "texture_amplitude = 30\n"
+        "background_color = 70 80 100\n"
+        "background_motion = 0.3 0 0 0.1 0 0\n"
+        f"object = rect 8 6 10 8 color 200 70 50 motion {_rot_line(13.0, 10.0, 3.0, 0, 0)}\n")
+    out = root / f"long{frames}"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def long_scene_dir(tmp_path_factory):
+    """A 12-frame clip: four streaming windows at --subseq 3."""
+    return _render_long_scene(tmp_path_factory.mktemp("long"), 12)
 
 
 def _frames_pattern(scene_dir) -> str:
@@ -181,14 +209,133 @@ def test_segment_label_overflow_writes_nothing(tmp_path, scene_dir, monkeypatch)
     fine = np.zeros((4, 24, 24), dtype=np.int64)
     coarse = fine.copy()
     coarse[-1] = 65536
-    monkeypatch.setattr("svstream.cli.stream_segment",
-                        lambda seq, flows, config: SegmentationHierarchy([fine, coarse]))
+    monkeypatch.setattr("svstream.cli.stream_blocks",
+                        lambda blocks, config: iter([(0, [fine, coarse])]))
     out = tmp_path / "seg"
     rc = main(["segment", "--input", _frames_pattern(scene_dir), "--out", str(out),
                "--external-flow", os.path.join(str(scene_dir), "flow"),
                "--bilateral", "off"])
     assert rc == 2
     assert not (out / "level_00").exists()
+
+
+def test_segment_label_overflow_exits_at_the_window_that_crosses(tmp_path, monkeypatch,
+                                                                  capsys):
+    # 128x128 noise grouped voxel by voxel gives 16384 labels a frame: frames
+    # 0-3 use labels 0..65535, so the fifth of eight windows is the first
+    # whose labels pass the 16-bit range
+    frames = np.random.default_rng(0).integers(0, 256, (8, 128, 128, 3), dtype=np.uint8)
+    write_frame_sequence(frames, str(tmp_path / "noise"))
+    window_pass = streamseg._window_pass
+    windows = []
+
+    def counted(*args, **kwargs):
+        windows.append(len(windows))
+        return window_pass(*args, **kwargs)
+
+    monkeypatch.setattr(streamseg, "_window_pass", counted)
+    out = tmp_path / "seg"
+    rc = main(["segment", "--input", str(tmp_path / "noise" / "%05d.ppm"), "--out", str(out),
+               "--subseq", "1", "--levels", "1", "--k0", "1e-9", "--min-size", "1",
+               "--bilateral", "off", "--flow-edges", "off", "--flow-feature", "off"])
+    assert rc == 2
+    assert "label 81919 exceeds the 16-bit PGM range" in capsys.readouterr().err
+    assert len(windows) == 5
+    assert sorted(os.listdir(tmp_path)) == ["noise"]
+
+
+@pytest.mark.parametrize("command", ["segment", "motion"])
+def test_frame_of_another_size_refused_before_any_read(tmp_path, scene_dir, monkeypatch,
+                                                       capsys, command):
+    # only headers are read before the check: a frame's payload is not
+    frames = tmp_path / "frames"
+    shutil.copytree(scene_dir / "frames", frames)
+    write_ppm(str(frames / "00003.ppm"), np.zeros((24, 23, 3), np.uint8))
+
+    def read(*args, **kwargs):
+        pytest.fail("a frame was read before every frame's size was checked")
+
+    monkeypatch.setattr("svstream.cli.read_frames", read)
+    out = tmp_path / "out"
+    argv = _command_argv(command, scene_dir)
+    argv[argv.index("--input") + 1] = str(frames / "%05d.ppm")
+    assert main([*argv, "--out", str(out)]) == 2
+    assert (f"{frames / '00003.ppm'} is 23x24 but {frames / '00000.ppm'} is 24x24"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("missing", "missing external flow for pair (2, 3)"),
+    ("resized", "is 3x2, frames are 24x24"),
+])
+def test_bad_external_flow_refused_before_any_read(tmp_path, scene_dir, monkeypatch, capsys,
+                                                   damage, message):
+    flow = tmp_path / "flow"
+    shutil.copytree(scene_dir / "flow", flow)
+    if damage == "missing":
+        (flow / "flow_0003.flo").unlink()
+    else:
+        write_flo(str(flow / "flow_0003.flo"), np.zeros((2, 3, 2)))
+
+    def read(*args, **kwargs):
+        pytest.fail("a frame was read before the external flow was checked")
+
+    monkeypatch.setattr("svstream.cli.read_frames", read)
+    out = tmp_path / "out"
+    argv = _command_argv("segment", scene_dir)
+    argv[argv.index("--external-flow") + 1] = str(flow)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_segment_memory_does_not_grow_with_video_length(tmp_path):
+    # between windows segment keeps one subsequence's frames, flows and
+    # labels, so a clip four times as long peaks within 5% of the short one
+    peaks = []
+    for frames in (12, 48):
+        scene = _render_long_scene(tmp_path, frames)
+        argv = ["segment", "--input", str(scene / "frames" / "%05d.ppm"),
+                "--external-flow", str(scene / "flow"), "--bilateral", "off",
+                "--subseq", "3", "--levels", "6", "--out", str(tmp_path / f"seg{frames}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def test_segment_vis_equals_colorize_of_whole_volume(tmp_path, long_scene_dir):
+    out = tmp_path / "seg"
+    assert main(["segment", "--input", _frames_pattern(long_scene_dir),
+                 "--external-flow", str(long_scene_dir / "flow"), "--bilateral", "off",
+                 "--subseq", "3", "--levels", "3", "--k0", "0.02", "--min-size", "8",
+                 "--seed", "5", "--out", str(out)]) == 0
+    for level in range(3):
+        volume = read_label_volume(str(out / f"level_{level:02d}"))
+        assert volume.shape == (12, 24, 32)
+        # later windows bring labels the first one had not seen
+        assert volume.max() > volume[:3].max()
+        vis = load_frame_sequence(str(out / f"level_{level:02d}_vis" / "%05d.ppm"))
+        assert np.array_equal(vis, colorize_labels(volume, derive_seed(5, 7, level)))
+
+
+def test_thread_count_does_not_change_multi_window_output(tmp_path, long_scene_dir):
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"seg_t{threads}"
+        # bilateral on and computed flow so the worker pool runs in every window
+        assert main(["segment", "--input", _frames_pattern(long_scene_dir),
+                     "--out", str(out), "--levels", "3", "--k0", "0.5",
+                     "--min-size", "8", "--subseq", "3",
+                     "--flow-iters", "20", "--flow-min-size", "12",
+                     "--threads", threads]) == 0
+        outs[threads] = _tree_bytes(out)
+    assert len(outs["1"]) == 2 * 3 * 12
+    assert outs["1"] == outs["2"]
 
 
 def test_motion_label_overflow_writes_nothing(tmp_path, scene_dir, monkeypatch):
@@ -275,14 +422,15 @@ def test_motion_refuses_one_frame_before_segmenting(tmp_path, scene_dir, monkeyp
 @pytest.mark.parametrize("command", ["segment", "motion"])
 def test_window_of_2_31_voxels_refused_before_filter_or_flow(tmp_path, monkeypatch, capsys,
                                                               command):
-    # a broadcast view allocates nothing: two 32768x32768 frames, 2**31 voxels
-    huge = np.broadcast_to(np.zeros((1, 1, 1, 3), np.uint8), (2, 32768, 32768, 3))
-    monkeypatch.setattr("svstream.cli.load_frame_sequence", lambda pattern: huge)
+    # two frames whose headers say 32768x32768: 2**31 voxels
+    monkeypatch.setattr("svstream.cli.frame_paths", lambda pattern: ["f00000.ppm", "f00001.ppm"])
+    monkeypatch.setattr("svstream.cli.check_frame_shapes", lambda paths: (32768, 32768, 3))
 
     def work(*args, **kwargs):
         pytest.fail("the filter or flow ran on a window past 2**31 voxels")
 
-    for name in ("filter_sequence", "flow_for_sequence", "stream_segment"):
+    for name in ("read_frames", "filter_sequence", "flow_for_sequence", "stream_blocks",
+                 "stream_segment"):
         monkeypatch.setattr(f"svstream.cli.{name}", work)
     out = tmp_path / "out"
     assert main([command, "--input", "f%05d.ppm", "--out", str(out)]) == 2
@@ -301,6 +449,7 @@ def test_filled_out_is_refused_before_any_read(tmp_path, scene_dir, monkeypatch,
         pytest.fail("input was read before --out was checked")
 
     monkeypatch.setattr("svstream.cli.load_frame_sequence", read)
+    monkeypatch.setattr("svstream.cli.frame_paths", read)
     capsys.readouterr()
     assert main([*argv, "--levels", "2", "--out", str(out)]) == 2
     assert "not empty" in capsys.readouterr().err
@@ -324,7 +473,7 @@ def test_out_of_the_wrong_kind_is_refused_before_any_read(tmp_path, scene_dir, m
     def read(*args, **kwargs):
         pytest.fail("input was read before --out was checked")
 
-    for name in ("load_frame_sequence", "read_label_volume", "parse_scene_spec"):
+    for name in ("load_frame_sequence", "frame_paths", "read_label_volume", "parse_scene_spec"):
         monkeypatch.setattr(f"svstream.cli.{name}", read)
     out = tmp_path / "out"
     if kind.endswith("-dir"):
@@ -453,6 +602,7 @@ def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, 
         pytest.fail("input was read before the options were checked")
 
     monkeypatch.setattr("svstream.cli.load_frame_sequence", read)
+    monkeypatch.setattr("svstream.cli.frame_paths", read)
     monkeypatch.setattr("svstream.cli.read_label_volume", read)
     out = tmp_path / "out"
     if command == "eval":

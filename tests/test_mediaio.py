@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from svstream.errors import DataError, FormatError
-from svstream.mediaio import (colorize_labels, find_frame_indices, load_frame_sequence,
-                              read_flo, read_label_volume, read_pgm16,
-                              read_ppm, write_flo, write_frame_sequence,
-                              write_label_volume, write_pgm16, write_ppm)
+from svstream.mediaio import (LabelPalette, check_frame_shapes, colorize_labels,
+                              find_frame_indices, frame_paths, load_frame_sequence,
+                              read_flo, read_flo_shape, read_frames, read_label_volume,
+                              read_pgm16, read_ppm, read_ppm_shape, write_flo,
+                              write_frame_sequence, write_label_volume, write_pgm16,
+                              write_ppm)
 from svstream.rng import SplitMix64
 
 
@@ -146,6 +148,49 @@ def test_frame_of_another_size_rejected(tmp_path):
         read_label_volume(str(d))
 
 
+def test_frame_shapes_come_from_headers_alone(tmp_path):
+    # a payload cut short does not matter, and a comment may be longer than
+    # the first prefix read
+    (tmp_path / "f0.ppm").write_bytes(b"P6\n# " + b"c" * 5000 + b"\n5 3\n255\n" + b"\0" * 7)
+    write_ppm(str(tmp_path / "f1.ppm"), _rand_frame(1, 3, 5))
+    paths = frame_paths(str(tmp_path / "f%d.ppm"))
+    assert paths == [str(tmp_path / "f0.ppm"), str(tmp_path / "f1.ppm")]
+    assert read_ppm_shape(paths[0]) == (3, 5, 3)
+    assert check_frame_shapes(paths) == (3, 5, 3)
+    with pytest.raises(FormatError, match="payload truncated"):
+        read_frames(paths)
+    assert np.array_equal(read_frames(paths[1:]), _rand_frame(1, 3, 5)[None])
+    write_ppm(str(tmp_path / "f2.ppm"), _rand_frame(2, 3, 4))
+    with pytest.raises(FormatError, match=r"f2\.ppm is 4x3 but .*f0\.ppm is 5x3"):
+        check_frame_shapes(frame_paths(str(tmp_path / "f%d.ppm")))
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n2 2\n255\n", "missing P6 magic"),
+    (b"P6\n2 2", "truncated PPM header"),
+    (b"P6\n2 2\n255", "not terminated by whitespace"),
+    (b"P6\n0 2\n255\n", "invalid PPM dimensions"),
+])
+def test_ppm_shape_header_errors(tmp_path, data, message):
+    p = tmp_path / "bad.ppm"
+    p.write_bytes(data)
+    with pytest.raises(FormatError, match=message):
+        read_ppm_shape(str(p))
+
+
+def test_flo_shape_from_header(tmp_path):
+    p = str(tmp_path / "f.flo")
+    write_flo(p, np.zeros((3, 5, 2), dtype=np.float32))
+    assert read_flo_shape(p) == (3, 5, 2)
+    with open(p, "r+b") as fh:
+        fh.truncate(12)
+    assert read_flo_shape(p) == (3, 5, 2)
+    with open(p, "r+b") as fh:
+        fh.truncate(8)
+    with pytest.raises(FormatError, match="truncated .flo header"):
+        read_flo_shape(p)
+
+
 def test_write_frame_sequence_names(tmp_path):
     seq = np.stack([_rand_frame(i, 3, 3) for i in range(2)])
     write_frame_sequence(seq, str(tmp_path))
@@ -159,6 +204,16 @@ def test_label_volume_round_trip(tmp_path):
     os.mkdir(d)
     write_label_volume(vol, d)
     assert np.array_equal(read_label_volume(d), vol)
+
+
+def test_volume_written_in_blocks_names_frames_from_start(tmp_path):
+    vol = np.arange(5 * 2 * 2).reshape(5, 2, 2)
+    for s in (0, 2, 4):
+        write_label_volume(vol[s:s + 2], str(tmp_path / "lv"), s)
+        write_frame_sequence(colorize_labels(vol[s:s + 2], 3), str(tmp_path / "vis"), s)
+    assert np.array_equal(read_label_volume(str(tmp_path / "lv")), vol)
+    assert np.array_equal(load_frame_sequence(str(tmp_path / "vis" / "%05d.ppm")),
+                          colorize_labels(vol, 3))
 
 
 def test_label_volume_overflow_writes_nothing(tmp_path):
@@ -178,3 +233,14 @@ def test_colorize_labels_distinct_and_deterministic():
     assert len(colors) == 12
     assert np.array_equal(rgb, colorize_labels(vol, seed=5))
     assert not np.array_equal(rgb, colorize_labels(vol, seed=6))
+
+
+def test_palette_grown_block_by_block_equals_whole_volume_colors():
+    rng = np.random.default_rng(4)
+    vol = np.sort(rng.integers(0, 300, size=(6, 4, 5)), axis=None).reshape(6, 4, 5)
+    palette = LabelPalette(9)
+    blocks = [palette(vol[s:s + 2]) for s in range(0, 6, 2)]
+    assert np.array_equal(np.concatenate(blocks), colorize_labels(vol, 9))
+    assert len(palette.colors) == vol.max() + 1
+    # colors already drawn are kept when a block brings only smaller labels
+    assert np.array_equal(palette(vol[:1]), colorize_labels(vol, 9)[:1])

@@ -235,6 +235,23 @@ def test_evaluate_hierarchy_level_equal_to_gt():
     assert reports[0].num_supervoxels == gt.size
 
 
+def test_evaluate_shares_ground_truth_work_across_levels():
+    # a luma offset makes the in-place shift of the first level matter to later ones
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        pred, gt, _ = _rand_case(rng, max_labels=4)
+        video = rng.integers(1000, 1100, size=gt.shape).astype(np.int64)
+        levels = [pred, gt, rng.integers(0, 4, size=gt.shape), np.zeros_like(gt)]
+        kept = video.copy()
+        reports = evaluate((level for level in levels), gt, video, tol=1)
+        assert reports == [compute_report(level, gt, video, 1) for level in levels]
+        assert np.array_equal(video, kept)
+        for level, rep in zip(levels, reports):
+            assert rep.br3d == oracle_br3d(level, gt, 1)
+            assert rep.ev == oracle_ev(level, video)
+            assert rep.acc3d == oracle_acc3d(level, gt)
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     pred, gt, video = _rand_case(rng)

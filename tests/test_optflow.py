@@ -8,7 +8,8 @@ import pytest
 from svstream.errors import DataError, FormatError
 from svstream.imageops import bilinear_sample
 from svstream.optflow import (FlowParams, compute_backward_flow,
-                              external_flow_path, flow_for_sequence)
+                              check_external_flow, external_flow_path,
+                              flow_for_sequence)
 from svstream.mediaio import write_flo
 from svstream.rng import SplitMix64
 from svstream.synth import value_noise
@@ -89,6 +90,21 @@ def test_external_flow_files_loaded(tmp_path):
     assert len(loaded) == 2
     for got, want in zip(loaded, fields):
         assert np.array_equal(got, want)
+
+
+def test_external_flow_of_a_later_run_of_frames(tmp_path):
+    # seq[0] is frame 2, so the fields read are those of pairs 3 and 4
+    seq = np.zeros((3, 4, 5, 3), dtype=np.uint8)
+    fields = {t: np.full((4, 5, 2), t, dtype=np.float32) for t in (1, 2, 3, 4)}
+    for t, f in fields.items():
+        write_flo(external_flow_path(str(tmp_path), t), f)
+    loaded = flow_for_sequence(seq, external_dir=str(tmp_path), start=2)
+    assert [int(f[0, 0, 0]) for f in loaded] == [3, 4]
+    check_external_flow(str(tmp_path), 5, 4, 5)
+    with pytest.raises(DataError, match=r"missing external flow for pair \(4, 5\)"):
+        check_external_flow(str(tmp_path), 6, 4, 5)
+    with pytest.raises(FormatError, match="is 5x4, frames are 6x4"):
+        check_external_flow(str(tmp_path), 5, 4, 6)
 
 
 def test_external_flow_missing_file(tmp_path):

@@ -397,6 +397,56 @@ def test_stream_labels_finalized_per_window():
         assert np.array_equal(lv_f[:3], lv_p)
 
 
+@pytest.mark.parametrize("t, with_flow", [(10, True), (9, False)])
+def test_stream_blocks_yield_final_labels_as_each_window_closes(t, with_flow):
+    frames, _, flows = _scene(7, t=t)
+    flows = flows if with_flow else None
+    config = StreamConfig(subseq_len=3, levels=3, k0=0.5, min_size=4)
+    whole = stream_segment(frames, flows, config).levels
+    read = []
+
+    def subsequences():
+        for s in range(0, t, 3):
+            read.append(s)
+            yield frames[s:s + 3], None if flows is None else flows[max(s - 1, 0):s + 2]
+
+    yielded = []
+    for s, labels in streamseg.stream_blocks(subsequences(), config):
+        # yielded as its own window closes, before the next subsequence is read
+        assert read[-1] == s
+        assert [block.shape for block in labels] == [(min(3, t - s), 20, 20)] * 3
+        for level, block in enumerate(labels):
+            assert block.dtype == np.int64
+            assert np.array_equal(block, whole[level][s:s + len(block)])
+        yielded.append((labels, [block.copy() for block in labels]))
+    assert read == list(range(0, t, 3)) and len(yielded) == len(read)
+    # no later window rewrites a block it was handed
+    for labels, copies in yielded:
+        assert all(np.array_equal(b, c) for b, c in zip(labels, copies))
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([(2, 8, 8), (3, 8, 8)], "only the last subsequence may be short"),
+    ([(3, 8, 8), (3, 8, 9)], "frame dimensions differ between subsequences"),
+    ([(4, 8, 8)], "a subsequence holds 1 to 3 frames"),
+    ([(0, 8, 8)], "a subsequence holds 1 to 3 frames"),
+])
+def test_stream_blocks_refuses_malformed_subsequences(blocks, message):
+    config = StreamConfig(subseq_len=3, levels=2)
+    feed = ((np.zeros(shape + (3,), np.uint8), None) for shape in blocks)
+    with pytest.raises(ValueError, match=message):
+        list(streamseg.stream_blocks(feed, config))
+
+
+@pytest.mark.parametrize("pairs", [1, 3])
+def test_stream_blocks_refuses_a_wrong_flow_count(pairs):
+    # the first subsequence of 3 frames holds 2 pairs, every later one 3
+    config = StreamConfig(subseq_len=3, levels=2)
+    frames = np.zeros((3, 8, 8, 3), np.uint8)
+    with pytest.raises(ValueError, match="one flow field per consecutive frame pair"):
+        list(streamseg.stream_blocks([(frames, [np.zeros((8, 8, 2))] * pairs)], config))
+
+
 @pytest.mark.parametrize("with_flow", [True, False])
 def test_stream_state_sizes_count_every_emitted_voxel(monkeypatch, with_flow):
     # a frozen region's size is rebuilt from its recorded size plus its voxels
