@@ -29,8 +29,8 @@ from .mediaio import (LabelPalette, check_frame_shapes, colorize_labels, frame_p
                       write_frame_sequence, write_label_volume, write_pgm16, write_ppm)
 from .metrics import evaluate, write_metrics_csv
 from .motionlayers import check_motion_params, run_motion_stream
-from .optflow import (FlowParams, check_external_flow, external_flow_path,
-                      flow_for_sequence)
+from .optflow import (FlowParams, check_external_flow, check_flow_size,
+                      external_flow_path, flow_for_sequence)
 from .preprocess import BilateralParams, filter_sequence
 from .rng import derive_seed
 from .streamseg import StreamConfig, check_window_size, stream_blocks, stream_segment
@@ -195,15 +195,19 @@ def _input_params(eff: dict):
     return bilateral, _flow_params(eff)
 
 
-def _input_paths(eff: dict, config: StreamConfig, use_flow: bool) -> list:
+def _input_paths(eff: dict, config: StreamConfig | None, use_flow: bool) -> list:
     """The input frames' paths, checked before any frame is read: every
-    frame's size from its header, the window size and, if flow is used and
-    read from --external-flow, every field's header."""
+    frame's size from its header, the window size (unless config is None)
+    and, if flow is used, every --external-flow field's header or, for
+    computed flow, the frame size Horn-Schunck needs."""
     paths = frame_paths(eff["input"])
     shape = check_frame_shapes(paths)
-    check_window_size((len(paths),) + shape, config)
-    if use_flow and eff["external-flow"]:
+    if config is not None:
+        check_window_size((len(paths),) + shape, config)
+    if use_flow and eff.get("external-flow"):
         check_external_flow(eff["external-flow"], len(paths), *shape[:2])
+    elif use_flow:
+        check_flow_size(*shape[:2])
     return paths
 
 
@@ -213,7 +217,7 @@ def _input_blocks(eff: dict, params, paths: list, block_len: int, pool, use_flow
     backward flow of every pair (t-1, t) whose t lies in the run, computed
     from the filtered frames or read from --external-flow."""
     bilateral, flow_params = params
-    external = eff["external-flow"] or None
+    external = eff.get("external-flow") or None
     last = None     # the previous run's last frame, which the first pair needs
     for s in range(0, len(paths), block_len):
         frames = read_frames(paths[s:s + block_len])
@@ -294,12 +298,16 @@ def _cmd_motion(eff: dict, pool) -> None:
 
 def _cmd_flow(eff: dict, pool) -> None:
     params = _flow_params(eff)
-    seq = load_frame_sequence(eff["input"])
-    flows = flow_for_sequence(seq, params, pool=pool)
+    paths = _input_paths(eff, None, use_flow=True)
     os.makedirs(eff["out"])
-    for i, field in enumerate(flows):
-        write_flo(external_flow_path(eff["out"], i + 1), field)
-    log.info("wrote %d flow fields", len(flows))
+    # one frame per worker at a time, each field written once it is computed
+    blocks = _input_blocks(eff, (None, params), paths, eff["threads"], pool, use_flow=True)
+    fields = 0
+    for _, flows in blocks:
+        for field in flows:
+            fields += 1
+            write_flo(external_flow_path(eff["out"], fields), field)
+    log.info("wrote %d flow fields", fields)
 
 
 def _cmd_eval(eff: dict, pool) -> None:

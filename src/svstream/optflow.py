@@ -7,13 +7,21 @@ quadratic smoothness system is solved by Jacobi fixed-point sweeps, with the
 previous frame re-warped toward the current one between sweeps of sweeps
 (incremental warping).  Externally computed .flo fields can be substituted
 for the whole module via `flow_for_sequence`.
+
+Each Jacobi sweep averages (u, v) with the 3x3 Horn-Schunck kernel, with
+borders extended as ndimage's mode="nearest" does, and gives the bits of
+scipy.ndimage.correlate: per pixel, 0.0 plus the products x * w of the eight
+nonzero taps, added one at a time in row-major kernel order (top-left, top,
+top-right, left, right, bottom-left, bottom, bottom-right).  The products
+come from two weighted copies of the padded field, one per weight, and the
+sums from shifted slices of them.  The update that follows runs in the
+order of ((ix*(u_avg-u0) + iy*(v_avg-v0)) + it) / denom.
 """
 
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate
 
 from .errors import DataError, FormatError
 from .imageops import bilinear_resize, bilinear_sample, gaussian_blur, luma_u8
@@ -25,6 +33,11 @@ _HS_KERNEL = np.array([
     [1.0 / 6, 0.0, 1.0 / 6],
     [1.0 / 12, 1.0 / 6, 1.0 / 12],
 ])
+# its two distinct weights, and its nonzero taps in ndimage's row-major order
+# as (index into _HS_WEIGHTS, row offset, column offset)
+_HS_WEIGHTS = np.unique(_HS_KERNEL[_HS_KERNEL != 0.0])
+_HS_TAPS = [(int(np.searchsorted(_HS_WEIGHTS, _HS_KERNEL[dy, dx])), dy - 1, dx - 1)
+            for dy in range(3) for dx in range(3) if _HS_KERNEL[dy, dx] != 0.0]
 
 
 @dataclass(frozen=True)
@@ -59,36 +72,93 @@ def _pyramid(img: np.ndarray, params: FlowParams):
         h, w = levels[-1].shape
         nh = int(round(h * params.pyramid_scale))
         nw = int(round(w * params.pyramid_scale))
-        if min(nh, nw) < params.min_size or (nh, nw) == (h, w):
+        # the gradients need two pixels along each axis
+        if min(nh, nw) < max(params.min_size, 2) or (nh, nw) == (h, w):
             break
         levels.append(bilinear_resize(gaussian_blur(levels[-1], sigma), nh, nw))
     return levels
 
 
-def _solve_level(cur: np.ndarray, prev: np.ndarray, u: np.ndarray, v: np.ndarray,
-                 params: FlowParams):
-    """Refine flow at one pyramid level with warp_steps outer linearizations."""
+def _padded(a: np.ndarray, fill: float) -> np.ndarray:
+    """a (..., H, W) inside a one-pixel frame of fill."""
+    out = np.full(a.shape[:-2] + (a.shape[-2] + 2, a.shape[-1] + 2), fill)
+    out[..., 1:-1, 1:-1] = a
+    return out
+
+
+def _hs_averager(pad: np.ndarray, out: np.ndarray):
+    """A function that sets out at every interior pixel to correlate(field,
+    _HS_KERNEL, mode="nearest"), bit for bit, for the field in pad's
+    interior.  pad and out are C-contiguous of shape (..., H+2, W+2).  The
+    function first refills pad's one-pixel frame from the field's edges, as
+    mode="nearest" extends it, and leaves values that mean nothing in out's
+    frame.  Read flat, each tap is one contiguous slice of one of two
+    weighted copies of pad; the taps are added in correlate's order to a
+    leading 0.0, correlate's own, which turns a -0.0 first tap into +0.0."""
+    row = pad.shape[-1]
+    lo, hi = row + 1, pad.size - row - 1
+    frame = [(pad[..., 0, 1:-1], pad[..., 1, 1:-1]), (pad[..., -1, 1:-1], pad[..., -2, 1:-1]),
+             (pad[..., :, 0], pad[..., :, 1]), (pad[..., :, -1], pad[..., :, -2])]
+    weighted = np.empty((2, pad.size))
+    taps = [weighted[i, lo + dy * row + dx:hi + dy * row + dx] for i, dy, dx in _HS_TAPS]
+    flat, dst, weights = pad.reshape(-1), out.reshape(-1)[lo:hi], _HS_WEIGHTS[:, None]
+
+    def average():
+        for border, edge in frame:
+            np.copyto(border, edge)
+        np.multiply(flat, weights, out=weighted)
+        np.add(0.0, taps[0], out=dst)
+        for tap in taps[1:]:
+            np.add(dst, tap, out=dst)
+    return average
+
+
+def _solve_level(cur: np.ndarray, prev: np.ndarray, field: np.ndarray,
+                 params: FlowParams) -> np.ndarray:
+    """Refine the (2, H, W) flow (u, v) at one pyramid level with warp_steps
+    outer linearizations; returns the refined field."""
     h, w = cur.shape
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
                          np.arange(h, dtype=np.float64))
     alpha2 = params.alpha ** 2
     gy_c, gx_c = np.gradient(cur)
+    # Every array of the sweep carries a one-pixel frame and is updated
+    # whole: the flow's frame is refilled from its edges before each average,
+    # the other frames keep the update there finite, and only interior
+    # pixels are read back.
+    pad = _padded(field, 0.0)
+    avg = np.zeros_like(pad)
+    average = _hs_averager(pad, avg)
+    step = np.empty_like(pad)
+    shared = np.empty(pad.shape[1:])
     for _ in range(params.warp_steps):
-        u0 = u.copy()
-        v0 = v.copy()
-        prev_w = bilinear_sample(prev, xs + u0, ys + v0)
+        flow0 = pad.copy()
+        prev_w = bilinear_sample(prev, xs + flow0[0, 1:-1, 1:-1], ys + flow0[1, 1:-1, 1:-1])
         gy_p, gx_p = np.gradient(prev_w)
         ix = 0.5 * (gx_c + gx_p)
         iy = 0.5 * (gy_c + gy_p)
-        it = prev_w - cur
-        denom = alpha2 + ix * ix + iy * iy
+        grad = _padded(np.stack([ix, iy]), 0.0)
+        it = _padded(prev_w - cur, 0.0)
+        denom = _padded(alpha2 + ix * ix + iy * iy, 1.0)
         for _ in range(params.iters_per_level):
-            u_avg = correlate(u, _HS_KERNEL, mode="nearest")
-            v_avg = correlate(v, _HS_KERNEL, mode="nearest")
-            shared = (ix * (u_avg - u0) + iy * (v_avg - v0) + it) / denom
-            u = u_avg - ix * shared
-            v = v_avg - iy * shared
-    return u, v
+            average()
+            # shared = (ix * (u_avg - u0) + iy * (v_avg - v0) + it) / denom
+            np.subtract(avg, flow0, out=step)
+            np.multiply(grad, step, out=step)
+            np.add(step[0], step[1], out=shared)
+            np.add(shared, it, out=shared)
+            np.divide(shared, denom, out=shared)
+            # (u, v) = (u_avg - ix * shared, v_avg - iy * shared)
+            np.multiply(grad, shared, out=step)
+            np.subtract(avg, step, out=pad)
+    return pad[:, 1:-1, 1:-1].copy()
+
+
+def check_flow_size(h: int, w: int) -> None:
+    """Refuse frames too small for Horn-Schunck's image gradients."""
+    if h < 2 or w < 2:
+        raise ValueError(f"optical flow needs frames of at least 2x2 pixels, "
+                         f"got {w}x{h}")
 
 
 def compute_backward_flow(current: np.ndarray, previous: np.ndarray,
@@ -99,18 +169,18 @@ def compute_backward_flow(current: np.ndarray, previous: np.ndarray,
     """
     if current.shape[:2] != previous.shape[:2]:
         raise ValueError("frames must have equal dimensions")
+    check_flow_size(*current.shape[:2])
     cur_pyr = _pyramid(_to_gray(current), params)
     prev_pyr = _pyramid(_to_gray(previous), params)
-    u = np.zeros(cur_pyr[-1].shape, dtype=np.float64)
-    v = np.zeros(cur_pyr[-1].shape, dtype=np.float64)
+    field = np.zeros((2,) + cur_pyr[-1].shape, dtype=np.float64)
     for level in range(len(cur_pyr) - 1, -1, -1):
         if level < len(cur_pyr) - 1:
             nh, nw = cur_pyr[level].shape
             oh, ow = cur_pyr[level + 1].shape
-            u = bilinear_resize(u, nh, nw) * (nw / ow)
-            v = bilinear_resize(v, nh, nw) * (nh / oh)
-        u, v = _solve_level(cur_pyr[level], prev_pyr[level], u, v, params)
-    return np.stack([u, v], axis=-1)
+            field = np.stack([bilinear_resize(field[0], nh, nw) * (nw / ow),
+                              bilinear_resize(field[1], nh, nw) * (nh / oh)])
+        field = _solve_level(cur_pyr[level], prev_pyr[level], field, params)
+    return np.stack([field[0], field[1]], axis=-1)
 
 
 def external_flow_path(directory: str, t: int) -> str:

@@ -162,13 +162,16 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
     Forest() and _pre_union leave it.
 
     The sorted edges are visited in blocks.  numpy first drops each edge that
-    stays a no-op for the rest of both passes, judged by the roots at the
-    start of the block: its endpoints share a root (unions only merge), both
-    roots are marked (marks survive unions and two marked roots never merge),
-    or, in the cleanup pass, both roots already hold min_size items (sizes
-    only grow).  The merge rule then runs in Python over the surviving edges
-    in sweep order, so every union, size, internal difference and mark equals
-    the edge-by-edge sweep's.  After a block that merged, one gather moves the
+    stays a no-op for the rest of its pass, judged by the roots at the start
+    of the block: its endpoints share a root (unions only merge), both roots
+    are marked (marks survive unions and two marked roots never merge), in
+    the merge pass one root's limit internal + k/size lies below the block's
+    first weight (a limit changes only when its root merges and weights only
+    grow, so that root merges with nothing any more), or, in the cleanup
+    pass, both roots already hold min_size items (sizes only grow).  The
+    merge rule then runs in Python over the surviving edges in sweep order,
+    so every union, size, internal difference and mark equals the
+    edge-by-edge sweep's.  After a block that merged, one gather moves the
     absorbed roots' items to their new roots.
     """
     n = len(forest.parent)
@@ -183,6 +186,12 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
     root = np.array(forest.parent, dtype=np.int64)
     root_marked = np.array(forest.mark) >= 0
     root_size = np.array(forest.size, dtype=np.int64)
+    # each root's merge limit, by the merge rule's own expression; non-roots
+    # may have size 0 and are never read
+    root_lim = np.divide(k, root_size, out=np.zeros(n), where=root == np.arange(n))
+    root_lim += np.array(forest.internal)
+    lim = root_lim.tolist()
+    parent = forest.parent
     find = forest.find
     union = forest.union
     size = forest.size
@@ -196,34 +205,40 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
             live = (ra != rb) & ~(root_marked[ra] & root_marked[rb])
             if cleanup:
                 live &= (root_size[ra] < min_size) | (root_size[rb] < min_size)
+            else:
+                # a root whose limit is below the block's first weight merges
+                # with nothing for the rest of the pass
+                live &= (root_lim[ra] >= ew[s]) & (root_lim[rb] >= ew[s])
             absorbed = []
             for a, b, w in zip(ra[live].tolist(), rb[live].tolist(),
                                ew[s:s + block][live].tolist()):
-                a = find(a)
-                b = find(b)
+                if parent[a] != a:
+                    a = find(a)
+                if parent[b] != b:
+                    b = find(b)
                 if a == b or (mark[a] >= 0 and mark[b] >= 0):
                     continue
                 if cleanup:
                     if size[a] >= min_size and size[b] >= min_size:
                         continue
-                else:
-                    lim_a = internal[a] + k / size[a]
-                    lim_b = internal[b] + k / size[b]
-                    if w > (lim_a if lim_a < lim_b else lim_b):
-                        continue
+                elif w > (lim[a] if lim[a] < lim[b] else lim[b]):
+                    continue
                 r = union(a, b)
                 absorbed.append(a + b - r)
                 if w > internal[r]:
                     internal[r] = w
+                lim[r] = internal[r] + k / size[r]
             if absorbed:
                 # a root's mark and size only grow, so a stale entry would
-                # only keep more edges; refreshing them keeps the filter sharp
+                # only keep more edges; a merged root's limit may also rise,
+                # so root_lim must hold every root's current limit
                 now = [find(x) for x in absorbed]
                 remap = np.arange(n, dtype=np.int64)
                 remap[absorbed] = now
                 root = remap[root]
                 root_marked[now] = [mark[r] >= 0 for r in now]
                 root_size[now] = [size[r] for r in now]
+                root_lim[now] = [lim[r] for r in now]
     return root
 
 

@@ -27,10 +27,11 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from svstream.affine import AffineModel, apply_point_matrix, invert_point_map
 from svstream.graphcut import _CAP_MAX, _SCALE, labeling_energy
-from svstream.imageops import (bilinear_sample, grid_pairs4, relabel_first_occurrence,
-                               round_half_up)
+from svstream.imageops import (bilinear_resize, bilinear_sample, grid_pairs4,
+                               relabel_first_occurrence, round_half_up)
 from svstream.motionlayers import (DIVERGENCE_KAPPA, OVERLAP_FRAC, MotionRegion,
                                    RansacParams, _box_extent, region_distance)
+from svstream.optflow import _HS_KERNEL, FlowParams, _pyramid, _to_gray
 from svstream.rng import SplitMix64, derive_seed
 from svstream.streamseg import (SegmentationHierarchy, _close_level, _NodeFeatures,
                                 _pair_weights, _region_pairs, _StreamState,
@@ -552,3 +553,53 @@ def oracle_alpha_expansion(data_costs: np.ndarray, lam: float,
                 energy = cand_energy
                 improved = True
     return labels
+
+
+# ---------------------------------------------------------------- optical flow
+
+def _oracle_solve_level(cur: np.ndarray, prev: np.ndarray, u: np.ndarray, v: np.ndarray,
+                        params: FlowParams):
+    """Refine flow at one pyramid level with warp_steps outer linearizations."""
+    h, w = cur.shape
+    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
+                         np.arange(h, dtype=np.float64))
+    alpha2 = params.alpha ** 2
+    gy_c, gx_c = np.gradient(cur)
+    for _ in range(params.warp_steps):
+        u0 = u.copy()
+        v0 = v.copy()
+        prev_w = bilinear_sample(prev, xs + u0, ys + v0)
+        gy_p, gx_p = np.gradient(prev_w)
+        ix = 0.5 * (gx_c + gx_p)
+        iy = 0.5 * (gy_c + gy_p)
+        it = prev_w - cur
+        denom = alpha2 + ix * ix + iy * iy
+        for _ in range(params.iters_per_level):
+            u_avg = ndimage.correlate(u, _HS_KERNEL, mode="nearest")
+            v_avg = ndimage.correlate(v, _HS_KERNEL, mode="nearest")
+            shared = (ix * (u_avg - u0) + iy * (v_avg - v0) + it) / denom
+            u = u_avg - ix * shared
+            v = v_avg - iy * shared
+    return u, v
+
+
+def oracle_compute_backward_flow(current: np.ndarray, previous: np.ndarray,
+                                 params: FlowParams = FlowParams()) -> np.ndarray:
+    """Estimate backward flow so that current(x, y) ~ previous(x+u, y+v).
+
+    Returns an (H, W, 2) float64 field with u in [..., 0] and v in [..., 1].
+    """
+    if current.shape[:2] != previous.shape[:2]:
+        raise ValueError("frames must have equal dimensions")
+    cur_pyr = _pyramid(_to_gray(current), params)
+    prev_pyr = _pyramid(_to_gray(previous), params)
+    u = np.zeros(cur_pyr[-1].shape, dtype=np.float64)
+    v = np.zeros(cur_pyr[-1].shape, dtype=np.float64)
+    for level in range(len(cur_pyr) - 1, -1, -1):
+        if level < len(cur_pyr) - 1:
+            nh, nw = cur_pyr[level].shape
+            oh, ow = cur_pyr[level + 1].shape
+            u = bilinear_resize(u, nh, nw) * (nw / ow)
+            v = bilinear_resize(v, nh, nw) * (nh / oh)
+        u, v = _oracle_solve_level(cur_pyr[level], prev_pyr[level], u, v, params)
+    return np.stack([u, v], axis=-1)

@@ -13,7 +13,10 @@ from svstream.cli import main
 from svstream.mediaio import (colorize_labels, load_frame_sequence, read_flo, read_label_volume,
                               write_flo, write_frame_sequence, write_label_volume, write_ppm)
 from svstream.metrics import read_metrics_csv
+from svstream.optflow import FlowParams
 from svstream.rng import derive_seed
+
+from oracles import oracle_compute_backward_flow
 
 
 def _rot_line(cx, cy, deg, dx, dy) -> str:
@@ -244,7 +247,7 @@ def test_segment_label_overflow_exits_at_the_window_that_crosses(tmp_path, monke
     assert sorted(os.listdir(tmp_path)) == ["noise"]
 
 
-@pytest.mark.parametrize("command", ["segment", "motion"])
+@pytest.mark.parametrize("command", ["segment", "motion", "flow"])
 def test_frame_of_another_size_refused_before_any_read(tmp_path, scene_dir, monkeypatch,
                                                        capsys, command):
     # only headers are read before the check: a frame's payload is not
@@ -306,6 +309,88 @@ def test_segment_memory_does_not_grow_with_video_length(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def test_flow_memory_does_not_grow_with_video_length(tmp_path):
+    # flow reads one frame per thread at a time and writes each field once
+    # it is computed, so a clip four times as long peaks within 5% of the
+    # short one; the fields are those of every pair computed on its own
+    peaks = []
+    for frames in (12, 48):
+        scene = _render_long_scene(tmp_path, frames)
+        out = tmp_path / f"flow{frames}"
+        argv = ["flow", "--input", str(scene / "frames" / "%05d.ppm"), "--flow-iters", "5",
+                "--flow-min-size", "12", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        video = load_frame_sequence(str(scene / "frames" / "%05d.ppm"))
+        params = FlowParams(iters_per_level=5, min_size=12)
+        assert sorted(os.listdir(out)) == [f"flow_{t:04d}.flo" for t in range(1, frames)]
+        for t in range(1, frames):
+            want = tmp_path / "want.flo"
+            write_flo(str(want), oracle_compute_backward_flow(video[t], video[t - 1], params))
+            assert (out / f"flow_{t:04d}.flo").read_bytes() == want.read_bytes(), t
+    assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def test_flow_output_does_not_depend_on_thread_count(tmp_path, long_scene_dir):
+    outs = {}
+    for threads in ("1", "2", "5"):
+        out = tmp_path / f"flow_t{threads}"
+        assert main(["flow", "--input", _frames_pattern(long_scene_dir), "--flow-iters", "5",
+                     "--flow-min-size", "12", "--threads", threads, "--out", str(out)]) == 0
+        outs[threads] = _tree_bytes(out)
+    assert len(outs["1"]) == 11
+    assert outs["1"] == outs["2"] == outs["5"]
+
+
+def _one_pixel_clip(root, h: int, w: int):
+    """A 4-frame h x w clip under root, with zero external flow fields."""
+    frames = np.random.default_rng(h * 10 + w).integers(0, 256, (4, h, w, 3), dtype=np.uint8)
+    write_frame_sequence(frames, str(root / "frames"))
+    (root / "flow").mkdir()
+    for t in range(1, 4):
+        write_flo(str(root / "flow" / f"flow_{t:04d}.flo"), np.zeros((h, w, 2)))
+    return str(root / "frames" / "%05d.ppm")
+
+
+@pytest.mark.parametrize("h, w", [(1, 8), (8, 1)])
+@pytest.mark.parametrize("command", ["flow", "segment", "motion"])
+def test_computed_flow_on_one_pixel_wide_frames_refused_before_any_read(
+        tmp_path, monkeypatch, capsys, command, h, w):
+    pattern = _one_pixel_clip(tmp_path, h, w)
+
+    def read(*args, **kwargs):
+        pytest.fail("a frame was read before the frame size was checked")
+
+    monkeypatch.setattr("svstream.cli.read_frames", read)
+    out = tmp_path / "out"
+    extra = {"flow": [], "segment": ["--levels", "2"],
+             "motion": ["--levels", "2", "--supervoxel-level", "1"]}[command]
+    assert main([command, "--input", pattern, "--out", str(out), *extra]) == 2
+    assert f"at least 2x2 pixels, got {w}x{h}" in capsys.readouterr().err
+    assert not out.exists()
+    assert sorted(os.listdir(tmp_path)) == ["flow", "frames"]
+
+
+@pytest.mark.parametrize("h, w", [(1, 8), (8, 1)])
+def test_one_pixel_wide_frames_without_computed_flow(tmp_path, h, w):
+    pattern = _one_pixel_clip(tmp_path, h, w)
+    flow = str(tmp_path / "flow")
+    runs = {
+        "seg_external": ["segment", "--external-flow", flow, "--levels", "2"],
+        "seg_nocues": ["segment", "--flow-edges", "off", "--flow-feature", "off",
+                       "--levels", "2"],
+        "motion_external": ["motion", "--external-flow", flow, "--levels", "2",
+                            "--supervoxel-level", "1"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--input", pattern, "--out", str(tmp_path / name)]) == 0, name
+    assert read_label_volume(str(tmp_path / "seg_nocues" / "level_01")).shape == (4, h, w)
 
 
 def test_segment_vis_equals_colorize_of_whole_volume(tmp_path, long_scene_dir):

@@ -4,15 +4,18 @@ import struct
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from svstream.errors import DataError, FormatError
 from svstream.imageops import bilinear_sample
-from svstream.optflow import (FlowParams, compute_backward_flow,
-                              check_external_flow, external_flow_path,
-                              flow_for_sequence)
+from svstream.optflow import (_HS_KERNEL, FlowParams, _hs_averager, _padded, _pyramid,
+                              compute_backward_flow, check_external_flow,
+                              external_flow_path, flow_for_sequence)
 from svstream.mediaio import write_flo
 from svstream.rng import SplitMix64
 from svstream.synth import value_noise
+
+from oracles import oracle_compute_backward_flow
 
 
 def _textured(seed: int, h: int, w: int) -> np.ndarray:
@@ -52,6 +55,98 @@ def test_rgb_frames_accepted():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         compute_backward_flow(np.zeros((8, 8)), np.zeros((8, 9)))
+
+
+@pytest.mark.parametrize("shape, size", [((1, 8), "8x1"), ((8, 1), "1x8"),
+                                         ((1, 1, 3), "1x1")])
+def test_one_pixel_wide_frames_rejected(shape, size):
+    frame = np.zeros(shape, dtype=np.uint8)
+    with pytest.raises(ValueError, match=f"at least 2x2 pixels, got {size}"):
+        compute_backward_flow(frame, frame)
+
+
+def _hs_average_of(x: np.ndarray) -> np.ndarray:
+    # a NaN frame shows up in the result unless it is refilled first
+    pad = _padded(x, np.nan)
+    out = np.zeros_like(pad)
+    _hs_averager(pad, out)()
+    return out[..., 1:-1, 1:-1]
+
+
+def test_slice_sum_equals_correlate_bit_for_bit():
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    specials = np.array([0.0, -0.0, tiny, -tiny, 12 * tiny, -6 * tiny,
+                         np.finfo(np.float64).tiny, -1e-300, 1.0, -2.5, 1e300])
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (2, 2), (3, 5), (7, 4), (16, 16),
+              (33, 70)]
+    for shape in shapes:
+        for draw in range(12):
+            if draw == 0:
+                x = np.full(shape, -0.0)
+            elif draw % 3 == 0:
+                x = rng.choice(specials, shape)
+            elif draw % 3 == 1:
+                x = rng.normal(0.0, 10.0 ** rng.integers(-310, 5), shape)
+            else:
+                x = np.where(rng.random(shape) < 0.5, -0.0, rng.choice(specials, shape))
+            want = ndimage.correlate(x, _HS_KERNEL, mode="nearest")
+            assert _hs_average_of(x).tobytes() == want.tobytes(), (shape, draw)
+        # both flow components at once, as the solver holds them
+        pair = np.stack([x, rng.normal(size=shape)])
+        got = _hs_average_of(pair)
+        for comp in range(2):
+            want = ndimage.correlate(pair[comp], _HS_KERNEL, mode="nearest")
+            assert got[comp].tobytes() == want.tobytes(), shape
+    # the sign of zero is the one place where a sum without the leading 0.0
+    # would differ: an all -0.0 neighborhood averages to +0.0
+    assert np.signbit(_hs_average_of(np.full((3, 3), -0.0))).sum() == 0
+
+
+def _flow_case(rng, case: int):
+    """Seeded frame pairs and parameters: gray or RGB, 2x2 to 70x70 with odd
+    sizes, one or several pyramid levels, identical frames, warps."""
+    h, w = (int(v) for v in rng.integers(2, 71, 2))
+    if case % 10 == 0:
+        h, w = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    params = FlowParams(alpha=float(rng.choice([0.3, 2.0, 15.0, 120.0])),
+                        pyramid_scale=float(rng.choice([0.3, 0.5, 0.71, 0.9])),
+                        min_size=int(rng.choice([1, 2, 5, 12, 100])),
+                        iters_per_level=int(rng.integers(1, 9)),
+                        warp_steps=int(rng.integers(1, 4)))
+    if case % 2:
+        prev = _textured(case, h, w)
+        cur = bilinear_sample(prev, *np.meshgrid(np.arange(w) + rng.normal(0, 1.5),
+                                                 np.arange(h) + rng.normal(0, 1.5)))
+    else:
+        prev = rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
+        cur = np.roll(prev, (int(rng.integers(-2, 3)), int(rng.integers(-2, 3))), (0, 1))
+    if case % 7 == 0:
+        cur = prev
+    return cur, prev, params
+
+
+def test_flow_equals_correlate_oracle_bit_for_bit():
+    rng = np.random.default_rng(19)
+    levels = set()
+    for case in range(120):
+        cur, prev, params = _flow_case(rng, case)
+        got = compute_backward_flow(cur, prev, params)
+        want = oracle_compute_backward_flow(cur, prev, params)
+        assert got.tobytes() == want.tobytes(), (case, cur.shape, params)
+        levels.add(min(len(_pyramid(np.zeros(cur.shape[:2]), params)), 3))
+    assert levels == {1, 2, 3}
+
+
+def test_pyramid_stops_above_one_pixel():
+    # a level one pixel wide has no gradient; min_size 1 stops where 2 does
+    prev = _textured(9, 9, 14)
+    cur = np.roll(prev, 1, axis=1)
+    for min_size in (1, 2):
+        assert min(_pyramid(prev, FlowParams(min_size=min_size))[-1].shape) >= 2
+    one = compute_backward_flow(cur, prev, FlowParams(min_size=1, iters_per_level=5))
+    two = compute_backward_flow(cur, prev, FlowParams(min_size=2, iters_per_level=5))
+    assert one.tobytes() == two.tobytes()
 
 
 def test_flow_params_validation():

@@ -165,24 +165,61 @@ def test_window_edges_leave_out_only_frozen_pairs(use_flow_edges):
 
 def _sweep_case(seed: int):
     """Random items and tied-weight edges, some items pre-grouped into
-    marked components with preset sizes and internal differences."""
+    marked components with preset sizes and internal differences.
+
+    From seed 400 on, components die early in the merge pass: k is small,
+    weights spread over up to ten octaves, and k, the weights, the sizes and
+    the internal differences are dyadic, so each limit internal + k/size is
+    exact and often equals a block's first weight.  A marked component's
+    members other than its root have size 0, as items under a root do at
+    levels above 0."""
     rng = np.random.default_rng(seed)
+    early = seed >= 400
     n = int(rng.integers(2, 9000 if seed % 10 == 0 else 1500))
     m = int(rng.integers(1, 4 * n + 2))
-    edges = make_edges(rng.integers(0, n, m), rng.integers(0, n, m),
-                       rng.integers(0, 6, m) * 0.2)
-    base = rng.integers(1, 4, n)
+    a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+    if early:
+        steps = 16 * 2 ** int(rng.integers(0, 10))
+        edges = make_edges(a, b, rng.integers(0, steps, m) / 16)
+    else:
+        edges = make_edges(a, b, rng.integers(0, 6, m) * 0.2)
+    base = 2 ** rng.integers(0, 3, n) if early else rng.integers(1, 4, n)
     keys = np.full(int(rng.integers(0, n + 1)), -1, dtype=np.int64)
     state = _StreamState(1)
     for key in rng.choice(1000, int(rng.integers(0, 6)), replace=False).tolist():
         if len(keys):
             keys[rng.integers(0, len(keys), int(rng.integers(1, 30)))] = key
-        state.sizes[0][key] = int(rng.integers(1, 40))
-        state.ints[0][key] = float(rng.integers(0, 6) * 0.2)
+        state.sizes[0][key] = int(2 ** rng.integers(0, 6) if early else rng.integers(1, 40))
+        state.ints[0][key] = float(rng.integers(0, 6) * (0.25 if early else 0.2))
+    if early:
+        members = np.flatnonzero(keys >= 0)
+        _, first = np.unique(keys[members], return_index=True)
+        base[np.setdiff1d(members, members[first])] = 0
     grown = rng.integers(0, 3, len(keys))
-    k = float(rng.choice([0.1, 0.5, 2.0]))
+    k = 2.0 ** -int(rng.integers(0, 6)) if early else float(rng.choice([0.1, 0.5, 2.0]))
     min_size = int(rng.choice([1, 2, 5, 20]))
     return n, edges, base, keys, grown, state, k, min_size
+
+
+def _limit_case(second_weight: float):
+    """Four singletons with limit k = 1/4 behind 1024 self-loops, so the
+    second block starts with edges (0, 3) and (1, 2) at second_weight, then
+    holds (0, 1) at 0.3."""
+    loops = np.zeros(1024, dtype=np.int64)
+    edges = make_edges(np.concatenate([loops, [1, 0, 1]]), np.concatenate([loops, [2, 3, 0]]),
+                       np.concatenate([np.zeros(1024), [second_weight, second_weight, 0.3]]))
+    return (4, edges, np.ones(4, dtype=np.int64), np.full(0, -1, dtype=np.int64),
+            np.zeros(0, dtype=np.int64), _StreamState(1), 0.25, 1)
+
+
+def _sweep_cases():
+    for seed in range(600):
+        yield seed, _sweep_case(seed)
+    # the limits 1/4 equal the second block's first weight, and the first
+    # two merges of that block raise both limits to 3/8, above the edge at 0.3
+    yield "limit equal to first weight", _limit_case(0.25)
+    # the limits 1/4 lie below that weight: no edge merges
+    yield "limit below first weight", _limit_case(0.26)
 
 
 def _component_table(forest, roots):
@@ -193,8 +230,7 @@ def _component_table(forest, roots):
 
 
 def test_fh_sweep_equals_oracle():
-    for seed in range(400):
-        n, edges, base, keys, grown, state, k, min_size = _sweep_case(seed)
+    for seed, (n, edges, base, keys, grown, state, k, min_size) in _sweep_cases():
         forest = Forest(n, sizes=base.tolist())
         _pre_union(forest, keys, grown, state, 0)
         unsorted = edges.copy()
