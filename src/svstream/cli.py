@@ -33,7 +33,7 @@ from .optflow import (FlowParams, check_external_flow, check_flow_size,
                       external_flow_path, flow_for_sequence)
 from .preprocess import BilateralParams, filter_sequence
 from .rng import derive_seed
-from .streamseg import StreamConfig, check_window_size, stream_blocks, stream_segment
+from .streamseg import StreamConfig, check_window_size, stream_blocks
 from .synth import generate, parse_scene_spec
 
 log = logging.getLogger("svstream")
@@ -232,12 +232,6 @@ def _input_blocks(eff: dict, params, paths: list, block_len: int, pool, use_flow
         yield frames, flows
 
 
-def _whole_input(blocks):
-    """The whole video and its flow fields, collected from _input_blocks."""
-    frames, flows = zip(*blocks)
-    return np.concatenate(frames), [field for fields in flows for field in fields]
-
-
 def _cmd_segment(eff: dict, pool) -> None:
     config = _stream_config(eff, eff["levels"])
     use_flow = config.use_flow_edges or config.use_flow_feature
@@ -247,7 +241,7 @@ def _cmd_segment(eff: dict, pool) -> None:
                 for level in range(config.levels)]
     blocks = _input_blocks(eff, input_params, paths, config.subseq_len, pool, use_flow)
     # each block is final when it is yielded, so it goes to the stage at once
-    for s, labels in stream_blocks(blocks, config):
+    for s, labels, _, _ in stream_blocks(blocks, config):
         for level, (block, palette) in enumerate(zip(labels, palettes)):
             stem = os.path.join(eff["out"], f"level_{level:02d}")
             write_label_volume(block, stem, s)
@@ -257,8 +251,22 @@ def _cmd_segment(eff: dict, pool) -> None:
         log.info("level %d: %d regions", level, len(palette.colors))
 
 
+def _motion_schedule(eff: dict) -> list:
+    """tau0 * tau-growth**i for each of --levels merge levels, refused when
+    --levels is negative or the top tau is not finite."""
+    if eff["levels"] < 0:
+        raise ValueError("levels must be >= 0")
+    try:
+        schedule = [eff["tau0"] * eff["tau-growth"] ** i for i in range(eff["levels"])]
+    except OverflowError:
+        schedule = [np.inf]
+    if schedule and abs(schedule[-1]) == np.inf:
+        raise ValueError("tau0 * tau-growth ** (levels - 1) must be finite")
+    return schedule
+
+
 def _cmd_motion(eff: dict, pool) -> None:
-    schedule = [eff["tau0"] * eff["tau-growth"] ** i for i in range(eff["levels"])]
+    schedule = _motion_schedule(eff)
     p, q = eff["canonical"]
     check_motion_params(schedule, p, q, eff["mrf-lambda"] if eff["mrf"] else 0.0)
     sv_level = eff["supervoxel-level"]
@@ -269,14 +277,13 @@ def _cmd_motion(eff: dict, pool) -> None:
     paths = _input_paths(eff, config, use_flow=True)
     if len(paths) < 2:
         raise ValueError("need at least two frames")
-    # the motion stage still holds the whole video (ROADMAP item 2)
-    seq, flows = _whole_input(_input_blocks(eff, input_params, paths, config.subseq_len,
-                                            pool, use_flow=True))
-    supervoxels = stream_segment(seq, flows, config)
-    results = run_motion_stream(seq, flows, supervoxels, sv_level, schedule,
-                                p=p, q=q, mrf_lambda=eff["mrf-lambda"],
-                                use_mrf=eff["mrf"], seed=eff["seed"])
-    for res in results:
+    blocks = _input_blocks(eff, input_params, paths, config.subseq_len, pool, use_flow=True)
+    # one (frame, backward flow or None, supervoxel slice) per frame, and each
+    # pair goes to the stage as soon as it is done
+    inputs = (item for s, labels, frames, flows in stream_blocks(blocks, config)
+              for item in zip(frames, flows if s else [None, *flows], labels[sv_level]))
+    for res in run_motion_stream(inputs, schedule, p=p, q=q, mrf_lambda=eff["mrf-lambda"],
+                                 use_mrf=eff["mrf"], seed=eff["seed"]):
         pair_dir = os.path.join(eff["out"], f"pair_{res.pair:04d}")
         os.makedirs(pair_dir)
         labelings = [(f"level_{level:02d}", f"level {level}", labels, models, (8, level))

@@ -596,11 +596,14 @@ def associate_temporal(warped: np.ndarray, cur_labels: np.ndarray, next_fresh: i
     return mapping, next_fresh
 
 
-def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
-                      schedule, p: int = 64, q: int = 64,
-                      mrf_lambda: float = 8.0, use_mrf: bool = False,
-                      seed: int = 0) -> list:
+def run_motion_stream(inputs, schedule, p: int = 64, q: int = 64,
+                      mrf_lambda: float = 8.0, use_mrf: bool = False, seed: int = 0):
     """Motion-layer segmentation per frame pair with consistent labels.
+
+    inputs yields (frame, backward flow of pair (t-1, t), supervoxel slice)
+    for each frame t in order, the flow None at t = 0.  Each pair's result
+    is yielded as soon as it is done; between pairs only the previous frame
+    and the previous pair's tracked labels and models are kept.
 
     Pair t (grid of frame t, t in [1, T-1]) is initialized from the
     supervoxel slice at frame 1 for the first pair; afterwards from the
@@ -613,16 +616,15 @@ def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
     """
     schedule = list(schedule)
     check_motion_params(schedule, p, q, mrf_lambda if use_mrf else 0.0)
-    seq = np.asarray(seq)
-    if seq.shape[0] < 2:
-        raise ValueError("need at least two frames")
-    if len(flows) != seq.shape[0] - 1:
-        raise ValueError("need one flow field per consecutive frame pair")
-    results = []
-    prev_tracked = prev_models = None
-    for t in range(1, seq.shape[0]):
-        flow = np.asarray(flows[t - 1], dtype=np.float64)
-        sv_slice = np.asarray(supervoxels.levels[level_pick][t]).astype(np.int64)
+    prev_frame = prev_tracked = prev_models = None
+    for t, (frame, flow, sv_slice) in enumerate(inputs):
+        if (flow is None) != (t == 0):
+            raise ValueError("need one flow field per consecutive frame pair")
+        if t == 0:
+            prev_frame = frame
+            continue
+        flow = np.asarray(flow, dtype=np.float64)
+        sv_slice = np.asarray(sv_slice).astype(np.int64)
         if prev_tracked is None:
             init = sv_slice
         else:
@@ -638,12 +640,12 @@ def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
             # their boundaries come from the frame's own segmentation
             init = filled * (int(sv_slice.max()) + 1) + sv_slice
         init = clean_small_components(init, MIN_REGION, affinity=sv_slice)
-        hier = motion_hierarchy(init, seq[t], flow, schedule, p, q,
+        hier = motion_hierarchy(init, frame, flow, schedule, p, q,
                                 derive_seed(seed, 4, t))
         top_labels, top_models = hier.levels[-1]
         if use_mrf and len(top_models) > 1:
             top_labels = mrf_smooth(top_labels, top_models,
-                                    (seq[t - 1], seq[t]), mrf_lambda)
+                                    (prev_frame, frame), mrf_lambda)
             top_models = {lab: top_models[lab]
                           for lab in np.unique(top_labels).tolist()}
         if prev_tracked is None:
@@ -655,9 +657,8 @@ def run_motion_stream(seq: np.ndarray, flows, supervoxels, level_pick: int,
         tracked = np.array([mapping[k] for k in src],
                            dtype=np.int64)[np.searchsorted(src, top_labels)]
         tracked_models = {mapping[k]: m for k, m in top_models.items()}
-        results.append(MotionPairResult(pair=t, hierarchy=hier,
-                                        tracked_labels=tracked,
-                                        tracked_models=tracked_models))
-        prev_tracked = tracked
-        prev_models = tracked_models
-    return results
+        yield MotionPairResult(pair=t, hierarchy=hier, tracked_labels=tracked,
+                               tracked_models=tracked_models)
+        prev_frame, prev_tracked, prev_models = frame, tracked, tracked_models
+    if prev_tracked is None:
+        raise ValueError("need at least two frames")

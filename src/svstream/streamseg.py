@@ -66,6 +66,12 @@ class StreamConfig:
             raise ValueError("k0 and flow_range must be > 0, 2*flow_range*flow_bins finite")
         if not self.k_growth > 1:
             raise ValueError("k_growth must be > 1")
+        try:
+            top_k = self.k0 * float(self.k_growth) ** (self.levels - 1)
+        except OverflowError:
+            top_k = np.inf
+        if not top_k < np.inf:
+            raise ValueError("k0 * k_growth ** (levels - 1) must be finite")
         if self.color_bins < 2 or self.flow_bins < 2:
             raise ValueError("histogram bin counts must be >= 2")
 
@@ -494,8 +500,9 @@ def stream_blocks(blocks, config: StreamConfig = StreamConfig()):
     its (n, H, W, 3) frames, n = subseq_len except for the last one, and
     the backward flow field of every frame pair (t-1, t) whose t lies in it
     (n-1 fields for the first, n after; None when no flow is used).  Window
-    i spans v_{i-1} and v_i.  Each yielded item is (s, labels): v_i's first
-    frame index and one (n, H, W) int64 array per level.  Those labels are
+    i spans v_{i-1} and v_i.  Each yielded item is (s, labels, frames,
+    flows): v_i's first frame index, one (n, H, W) int64 array per level,
+    and v_i's frames and flows as taken from blocks.  Those labels are
     final: v_{i-1} enters the next window pre-grouped into its emitted
     regions at every level, and those labels are never rewritten.  Between
     windows only v_i's frames, flows and labels and the per-level tables
@@ -523,7 +530,7 @@ def stream_blocks(blocks, config: StreamConfig = StreamConfig()):
         old = [v[len(old_frames):].copy() for v in _window_pass(
             np.concatenate([old_frames, frames]) if s else frames,
             None if flows is None else old_flows + list(flows), config, old, state)]
-        yield s, old
+        yield s, old, frames, flows
         # the next window reads only the pairs inside this subsequence
         old_frames = frames
         old_flows = None if flows is None else list(flows[len(flows) - len(frames) + 1:])
@@ -551,7 +558,7 @@ def stream_segment(seq: np.ndarray, flows,
     if flows is not None and len(flows) != len(seq) - 1:
         raise ValueError("need one flow field per consecutive frame pair")
     out = [np.empty(seq.shape[:3], dtype=np.int64) for _ in range(config.levels)]
-    for s, labels in stream_blocks(_subsequences(seq, flows, config.subseq_len), config):
+    for s, labels, _, _ in stream_blocks(_subsequences(seq, flows, config.subseq_len), config):
         for volume, block in zip(out, labels):
             volume[s:s + len(block)] = block
     return SegmentationHierarchy(out)

@@ -326,8 +326,8 @@ def test_c09_motion_stream_recovers_planted_layers(announce):
     t0 = time.monotonic()
     sv = stream_segment(frames, flows,
                         StreamConfig(subseq_len=3, levels=4, k0=0.5, min_size=20))
-    results = run_motion_stream(frames, flows, sv, level_pick=2,
-                                schedule=(2.0, 8.0, 24.0), seed=7)
+    results = list(run_motion_stream(zip(frames, [None, *flows], sv.levels[2]),
+                                     schedule=(2.0, 8.0, 24.0), seed=7))
     elapsed = time.monotonic() - t0
 
     ok = len(results) == 9 and [r.pair for r in results] == list(range(1, 10))

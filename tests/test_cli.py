@@ -293,22 +293,40 @@ def test_bad_external_flow_refused_before_any_read(tmp_path, scene_dir, monkeypa
     assert not out.exists()
 
 
-def test_segment_memory_does_not_grow_with_video_length(tmp_path):
-    # between windows segment keeps one subsequence's frames, flows and
-    # labels, so a clip four times as long peaks within 5% of the short one
+def _peaks_on_long_scenes(tmp_path, command, flags) -> list:
+    """tracemalloc peaks of `command` on the 12- and 48-frame long scenes,
+    with external flow and the filter off."""
     peaks = []
     for frames in (12, 48):
         scene = _render_long_scene(tmp_path, frames)
-        argv = ["segment", "--input", str(scene / "frames" / "%05d.ppm"),
+        argv = [command, "--input", str(scene / "frames" / "%05d.ppm"),
                 "--external-flow", str(scene / "flow"), "--bilateral", "off",
-                "--subseq", "3", "--levels", "6", "--out", str(tmp_path / f"seg{frames}")]
+                "--subseq", "3", *flags, "--out", str(tmp_path / f"{command}{frames}")]
         tracemalloc.start()
         try:
             assert main(argv) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_segment_memory_does_not_grow_with_video_length(tmp_path):
+    # between windows segment keeps one subsequence's frames, flows and
+    # labels, so a clip four times as long peaks within 5% of the short one
+    peaks = _peaks_on_long_scenes(tmp_path, "segment", ["--levels", "6"])
     assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+def test_motion_memory_does_not_grow_with_video_length(tmp_path):
+    # motion keeps one subsequence and, between pairs, one frame and the
+    # previous pair's tracked labels and models.  Its peak is that of its
+    # costliest single pair, and the longer clip has more pairs to draw it
+    # from, so the bound leaves room above the 1.16x measured here; a motion
+    # stage that holds the whole video peaks 1.83x higher on the longer clip
+    peaks = _peaks_on_long_scenes(tmp_path, "motion", [
+        "--supervoxel-level", "2", "--levels", "3", "--mrf", "on", "--canonical", "32x32"])
+    assert peaks[1] <= 1.3 * peaks[0], peaks
 
 
 def test_flow_memory_does_not_grow_with_video_length(tmp_path):
@@ -424,14 +442,15 @@ def test_thread_count_does_not_change_multi_window_output(tmp_path, long_scene_d
 
 
 def test_motion_label_overflow_writes_nothing(tmp_path, scene_dir, monkeypatch):
-    # pair 2's tracked labels overflow the 16-bit range: no pair may be
-    # written, not even pair 1
+    # pair 2's tracked labels overflow the 16-bit range: no pair may reach
+    # --out, not even pair 1, which went to the stage before pair 2 was done
     run_motion_stream = cli.run_motion_stream
 
     def overflowing(*args, **kwargs):
-        results = run_motion_stream(*args, **kwargs)
-        results[1].tracked_labels[-1, -1] = 65536
-        return results
+        for res in run_motion_stream(*args, **kwargs):
+            if res.pair == 2:
+                res.tracked_labels[-1, -1] = 65536
+            yield res
 
     monkeypatch.setattr("svstream.cli.run_motion_stream", overflowing)
     out = tmp_path / "motion"
@@ -491,9 +510,9 @@ def test_failure_after_first_write_leaves_nothing(tmp_path, scene_dir, monkeypat
 
 def test_motion_refuses_one_frame_before_segmenting(tmp_path, scene_dir, monkeypatch, capsys):
     def segment(*args, **kwargs):
-        pytest.fail("stream_segment ran on a one-frame input")
+        pytest.fail("stream_blocks ran on a one-frame input")
 
-    monkeypatch.setattr("svstream.cli.stream_segment", segment)
+    monkeypatch.setattr("svstream.cli.stream_blocks", segment)
     frames = tmp_path / "frames"
     frames.mkdir()
     (frames / "00000.ppm").write_bytes((scene_dir / "frames" / "00000.ppm").read_bytes())
@@ -514,8 +533,7 @@ def test_window_of_2_31_voxels_refused_before_filter_or_flow(tmp_path, monkeypat
     def work(*args, **kwargs):
         pytest.fail("the filter or flow ran on a window past 2**31 voxels")
 
-    for name in ("read_frames", "filter_sequence", "flow_for_sequence", "stream_blocks",
-                 "stream_segment"):
+    for name in ("read_frames", "filter_sequence", "flow_for_sequence", "stream_blocks"):
         monkeypatch.setattr(f"svstream.cli.{name}", work)
     out = tmp_path / "out"
     assert main([command, "--input", "f%05d.ppm", "--out", str(out)]) == 2
@@ -640,9 +658,9 @@ def test_synth_refuses_a_non_finite_spec_value(tmp_path, capsys):
 def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, monkeypatch,
                                                          capsys, flags, message):
     def segment(*args, **kwargs):
-        pytest.fail("stream_segment ran before the motion parameters were checked")
+        pytest.fail("stream_blocks ran before the motion parameters were checked")
 
-    monkeypatch.setattr("svstream.cli.stream_segment", segment)
+    monkeypatch.setattr("svstream.cli.stream_blocks", segment)
     out = tmp_path / "motion"
     rc = main(["motion", "--input", _frames_pattern(scene_dir), "--out", str(out),
                "--external-flow", os.path.join(str(scene_dir), "flow"),
@@ -675,12 +693,18 @@ def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, mon
     ("motion", ["--levels", "1", "--tau0", "nan"], "tau must not be NaN"),
     ("segment", ["--flow-range", "inf"], "k0 and flow_range must be > 0"),
     ("segment", ["--flow-range", "1e308"], "k0 and flow_range must be > 0"),
+    ("segment", ["--k-growth", "1e308", "--levels", "3"],
+     "k0 * k_growth ** (levels - 1) must be finite"),
+    ("motion", ["--tau-growth", "1e308", "--levels", "3"],
+     "tau0 * tau-growth ** (levels - 1) must be finite"),
+    ("motion", ["--levels", "-3"], "levels must be >= 0"),
 ], ids=["segment-k0", "segment-levels", "segment-k-growth", "segment-min-size",
         "segment-subseq", "segment-alpha", "segment-radius", "segment-threads",
         "motion-k0", "motion-subseq", "motion-alpha", "motion-supervoxel-level",
         "flow-alpha", "eval-tol", "segment-k0-nan", "segment-k-growth-nan",
         "segment-flow-range-nan", "segment-alpha-nan", "segment-sigma-s-nan",
-        "motion-single-tau-nan", "segment-flow-range-inf", "segment-flow-range-1e308"])
+        "motion-single-tau-nan", "segment-flow-range-inf", "segment-flow-range-1e308",
+        "segment-k-growth-overflow", "motion-tau-growth-overflow", "motion-levels-negative"])
 def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, capsys,
                                               command, flags, message):
     def read(*args, **kwargs):

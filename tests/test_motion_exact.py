@@ -371,8 +371,8 @@ def test_memoized_merges_equal_oracle_on_c09_scene(merge_checker):
     frames, _, flows = generate(spec)
     sv = stream_segment(frames, flows,
                         StreamConfig(subseq_len=3, levels=4, k0=0.5, min_size=20))
-    run_motion_stream(frames, flows, sv, level_pick=2, schedule=(2.0, 8.0, 24.0),
-                      seed=7)
+    list(run_motion_stream(zip(frames, [None, *flows], sv.levels[2]),
+                           schedule=(2.0, 8.0, 24.0), seed=7))
     assert len(merge_checker) == 9
     assert sum(n_in - n_out for n_in, n_out in merge_checker) > 0
 

@@ -1,8 +1,6 @@
 """Motion-layer tests: RANSAC fitting, canonical warps, divergence properties,
 merging, MRF smoothing, and the per-pair streaming driver."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -429,8 +427,8 @@ def test_motion_stream_tracks_planted_objects():
     frames, gt, flows = generate(spec)
     sv = stream_segment(frames, flows,
                         StreamConfig(subseq_len=3, levels=4, k0=0.5, min_size=20))
-    results = run_motion_stream(frames, flows, sv, level_pick=2,
-                                schedule=(2.0, 8.0, 24.0), seed=7)
+    results = list(run_motion_stream(zip(frames, [None, *flows], sv.levels[2]),
+                                     schedule=(2.0, 8.0, 24.0), seed=7))
     assert len(results) == 3
     assert [r.pair for r in results] == [1, 2, 3]
     label_sets = [tuple(sorted(np.unique(r.tracked_labels).tolist()))
@@ -465,17 +463,21 @@ def test_motion_stream_warps_each_previous_pair_once(monkeypatch):
     labels = np.zeros((t_len, 16, 16), dtype=np.int64)
     labels[:, :, 8:] = 1
     flows = [np.zeros((16, 16, 2)) for _ in range(t_len - 1)]
-    sv = SimpleNamespace(levels=[labels])
-    results = run_motion_stream(frames, flows, sv, level_pick=0, schedule=(1.0,),
-                                p=8, q=8)
+    results = list(run_motion_stream(zip(frames, [None, *flows], labels), schedule=(1.0,),
+                                     p=8, q=8))
     assert len(results) == t_len - 1
     assert len(calls) == t_len - 2
 
 
 def test_motion_stream_input_validation():
-    frames = np.zeros((1, 8, 8, 3), dtype=np.uint8)
-    with pytest.raises(ValueError):
-        run_motion_stream(frames, [], None, 0, (1.0,))
-    frames = np.zeros((3, 8, 8, 3), dtype=np.uint8)
-    with pytest.raises(ValueError):
-        run_motion_stream(frames, [np.zeros((8, 8, 2))], None, 0, (1.0,))
+    frame = np.zeros((8, 8, 3), dtype=np.uint8)
+    flow = np.zeros((8, 8, 2))
+    sv_slice = np.zeros((8, 8), dtype=np.int64)
+    for flows, message in [
+        ([], "need at least two frames"),
+        ([None], "need at least two frames"),
+        ([flow, flow], "one flow field per consecutive frame pair"),         # before frame 0
+        ([None, flow, None], "one flow field per consecutive frame pair"),   # pair 2 has none
+    ]:
+        with pytest.raises(ValueError, match=message):
+            list(run_motion_stream([(frame, f, sv_slice) for f in flows], (1.0,), p=8, q=8))

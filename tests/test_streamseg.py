@@ -443,19 +443,22 @@ def test_stream_blocks_yield_final_labels_as_each_window_closes(t, with_flow):
 
     def subsequences():
         for s in range(0, t, 3):
-            read.append(s)
-            yield frames[s:s + 3], None if flows is None else flows[max(s - 1, 0):s + 2]
+            block = frames[s:s + 3], None if flows is None else flows[max(s - 1, 0):s + 2]
+            read.append((s, block))
+            yield block
 
     yielded = []
-    for s, labels in streamseg.stream_blocks(subsequences(), config):
-        # yielded as its own window closes, before the next subsequence is read
-        assert read[-1] == s
+    for s, labels, *block in streamseg.stream_blocks(subsequences(), config):
+        # yielded as its own window closes, before the next subsequence is
+        # read, with that subsequence's frames and flows as they were taken
+        assert read[-1][0] == s
+        assert block[0] is read[-1][1][0] and block[1] is read[-1][1][1]
         assert [block.shape for block in labels] == [(min(3, t - s), 20, 20)] * 3
         for level, block in enumerate(labels):
             assert block.dtype == np.int64
             assert np.array_equal(block, whole[level][s:s + len(block)])
         yielded.append((labels, [block.copy() for block in labels]))
-    assert read == list(range(0, t, 3)) and len(yielded) == len(read)
+    assert [s for s, _ in read] == list(range(0, t, 3)) and len(yielded) == len(read)
     # no later window rewrites a block it was handed
     for labels, copies in yielded:
         assert all(np.array_equal(b, c) for b, c in zip(labels, copies))
