@@ -56,9 +56,10 @@ def _canonical(text: str):
     return int(m.group(1)), int(m.group(2))
 
 
-# key -> (converter, default, help); None default means "must be provided"
+# key -> (converter, default, help); None default means "must be provided".
+# argparse %-formats help texts, so a literal % is written %%.
 _OPTIONS = {
-    "input": (str, None, "input frame pattern, printf style (frames %05d.ppm)"),
+    "input": (str, None, "input frame pattern, printf style (frames %%05d.ppm)"),
     "out": (str, None, "output directory or file"),
     "spec": (str, None, "scene description file"),
     "pred": (str, None, "directory of predicted label volumes (level_NN subdirs)"),

@@ -18,12 +18,13 @@ each one's labels as its window closes; stream_segment collects them for a
 video held in memory.
 
 Voxel ids within a window are x + y*W + t*W*H, t counted from the window's
-first frame.  Edges live in structured arrays of EDGE_DTYPE with int32
-endpoints a, b and a float64 weight w (16 B an edge), so a window must hold
-fewer than 2**31 voxels; stream_blocks refuses a window that would not.
-Ties in the grouping sweep break by (w, min id, max id).  A window builds no
-edge between two frozen voxels: such an edge could only join one emitted
-region to itself or to another, which never merge.
+first frame.  Edges have int32 endpoints a, b, so a window must hold fewer
+than 2**31 voxels; stream_blocks refuses a window that would not.  A voxel
+edge (VOXEL_EDGE_DTYPE, 12 B) carries the integer squared RGB distance ssd
+of two uint8 voxels, a region edge (EDGE_DTYPE) a float64 weight w.  Ties in
+the grouping sweep break by (w, min id, max id).  A window builds no edge
+between two frozen voxels: such an edge could only join one emitted region
+to itself or to another, which never merge.
 
 The grouping sweep is exact but blockwise.  It sorts the edges it is given
 into sweep order in place, so a window keeps one edge array; the higher
@@ -41,6 +42,7 @@ from .imageops import round_half_up
 from .unionfind import Forest
 
 EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("w", np.float64)])
+VOXEL_EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("ssd", np.int32)])
 CHI2_EPS = 1e-12
 _COLOR_NORM = 255.0 * np.sqrt(3.0)
 
@@ -84,28 +86,31 @@ class SegmentationHierarchy:
 
 # ---------------------------------------------------------------- edges
 
-def make_edges(a, b, w) -> np.ndarray:
-    e = np.empty(len(a), dtype=EDGE_DTYPE)
+def make_edges(a, b, w, dtype=EDGE_DTYPE) -> np.ndarray:
+    e = np.empty(len(a), dtype=dtype)
     e["a"] = a
     e["b"] = b
-    e["w"] = w
+    e[dtype.names[2]] = w
     return e
 
 
-def _color_weights(colors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = colors[a] - colors[b]
-    return np.sqrt(np.sum(d * d, axis=1)) / _COLOR_NORM
+def _color_weight(ssd) -> np.ndarray:
+    """Euclidean RGB distance normalized to [0, 1], from the squared one;
+    exact, as a float64 holds every ssd and sqrt is correctly rounded."""
+    return np.sqrt(np.asarray(ssd, dtype=np.float64)) / _COLOR_NORM
+
+
+def _voxel_edges(colors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ssd = sum((c[a] - c[b]) ** 2 for c in colors.T)
+    return make_edges(a, b, ssd, VOXEL_EDGE_DTYPE)
 
 
 def build_spatial_edges(window: np.ndarray) -> np.ndarray:
-    """8-neighborhood edges inside every frame of the window.
-
-    Weight is Euclidean RGB distance normalized to [0, 1].
-    """
+    """8-neighborhood edges inside every frame of the uint8 window."""
     t_len, h, w = window.shape[:3]
-    colors = window.reshape(-1, 3).astype(np.float64)
-    base = np.arange(h * w, dtype=np.int64).reshape(h, w)
-    frame_off = np.arange(t_len, dtype=np.int64) * (h * w)
+    colors = window.reshape(-1, 3).astype(np.int32)
+    base = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    frame_off = np.arange(t_len, dtype=np.int32) * (h * w)
     chunks = []
     for src, dst in (
         (base[:, :-1], base[:, 1:]),      # east
@@ -115,7 +120,7 @@ def build_spatial_edges(window: np.ndarray) -> np.ndarray:
     ):
         a = (src.ravel()[None, :] + frame_off[:, None]).ravel()
         b = (dst.ravel()[None, :] + frame_off[:, None]).ravel()
-        chunks.append(make_edges(a, b, _color_weights(colors, a, b)))
+        chunks.append(_voxel_edges(colors, a, b))
     return np.concatenate(chunks)
 
 
@@ -129,11 +134,11 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.
     """
     t_len, h, w = window.shape[:3]
     if t_len < 2:
-        return np.empty(0, dtype=EDGE_DTYPE)
-    colors = window.reshape(-1, 3).astype(np.float64)
+        return np.empty(0, dtype=VOXEL_EDGE_DTYPE)
+    colors = window.reshape(-1, 3).astype(np.int32)
     xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
                          np.arange(h, dtype=np.float64))
-    src_base = (xs + ys * w).astype(np.int64)
+    src_base = (xs + ys * w).astype(np.int32)
     chunks = []
     for t in range(1, t_len):
         if use_flow_edges and flows is not None:
@@ -152,7 +157,7 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.
                 ok = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
                 a = src[ok]
                 b = (tx[ok] + ty[ok] * w + (t - 1) * h * w)
-                chunks.append(make_edges(a, b, _color_weights(colors, a, b)))
+                chunks.append(_voxel_edges(colors, a, b))
     return np.concatenate(chunks)
 
 
@@ -163,9 +168,10 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
     returns the final root of every item.
 
     Ties break by (w, min id, max id); edges is put into that order in
-    place.  Components whose marks are both set never merge (streaming
-    freeze).  The forest must be flat on entry (every parent a root), as
-    Forest() and _pre_union leave it.
+    place.  Voxel edges rank by ssd, ordered like w = _color_weight(ssd),
+    computed only where a weight is read.  Components whose marks are both
+    set never merge (streaming freeze).  The forest must be flat on entry
+    (every parent a root), as Forest() and _pre_union leave it.
 
     The sorted edges are visited in blocks.  numpy first drops each edge that
     stays a no-op for the rest of its pass, judged by the roots at the start
@@ -181,14 +187,31 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
     absorbed roots' items to their new roots.
     """
     n = len(forest.parent)
-    ea, eb, ew = edges["a"], edges["b"], edges["w"]
-    # ids are below n, so min*n + max ranks like (min, max) and n*n < 2**63;
-    # lexsort copies every key when one is strided, so w goes in contiguous
-    order = np.lexsort((np.minimum(ea, eb, dtype=np.int64) * n + np.maximum(ea, eb),
-                        ew.copy()))
-    ea[:] = ea[order]
-    eb[:] = eb[order]
-    ew[:] = ew[order]
+    voxels = "ssd" in edges.dtype.names
+    ea, eb, ew = edges["a"], edges["b"], edges["ssd" if voxels else "w"]
+    weight = _color_weight if voxels else np.asarray
+    bits = (n - 1).bit_length()
+    if voxels and 2 * bits + 18 <= 62:
+        # ssd < 2**18 and ids < 2**bits: one int64 key (ssd, min id, max id),
+        # sorted in place and unpacked into the rows as (min id, max id, ssd)
+        key = ew.astype(np.int64)
+        for end in (np.minimum, np.maximum):
+            key <<= bits
+            key |= end(ea, eb)
+        key.sort()
+        for field, width in ((eb, bits), (ea, bits), (ew, 18)):
+            np.bitwise_and(key, (1 << width) - 1, out=field, casting="unsafe")
+            key >>= width
+        del key
+    else:
+        # ids are below n, so min*n + max ranks like (min, max) and n*n < 2**63;
+        # lexsort copies every key when one is strided, so w goes in contiguous
+        order = np.lexsort((np.minimum(ea, eb, dtype=np.int64) * n + np.maximum(ea, eb),
+                            ew.copy()))
+        ea[:] = ea[order]
+        eb[:] = eb[order]
+        ew[:] = ew[order]
+        del order
     root = np.array(forest.parent, dtype=np.int64)
     root_marked = np.array(forest.mark) >= 0
     root_size = np.array(forest.size, dtype=np.int64)
@@ -214,10 +237,11 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
             else:
                 # a root whose limit is below the block's first weight merges
                 # with nothing for the rest of the pass
-                live &= (root_lim[ra] >= ew[s]) & (root_lim[rb] >= ew[s])
+                first = weight(ew[s])
+                live &= (root_lim[ra] >= first) & (root_lim[rb] >= first)
             absorbed = []
             for a, b, w in zip(ra[live].tolist(), rb[live].tolist(),
-                               ew[s:s + block][live].tolist()):
+                               weight(ew[s:s + block][live]).tolist()):
                 if parent[a] != a:
                     a = find(a)
                 if parent[b] != b:
@@ -478,8 +502,8 @@ def check_window_size(shape, config: StreamConfig) -> None:
 
 
 def _check_frames(frames: np.ndarray) -> None:
-    if frames.ndim != 4 or frames.shape[3] != 3:
-        raise ValueError("video must have shape (T, H, W, 3)")
+    if frames.ndim != 4 or frames.shape[3] != 3 or frames.dtype != np.uint8:
+        raise ValueError("frames must be uint8 of shape (T, H, W, 3)")
 
 
 def _check_flows(flows, pairs: int, h: int, w: int) -> None:
@@ -497,7 +521,7 @@ def stream_blocks(blocks, config: StreamConfig = StreamConfig()):
     as soon as its window closes.
 
     blocks yields, for each subsequence v_i in order, (frames, flows):
-    its (n, H, W, 3) frames, n = subseq_len except for the last one, and
+    its (n, H, W, 3) uint8 frames, n = subseq_len except for the last one, and
     the backward flow field of every frame pair (t-1, t) whose t lies in it
     (n-1 fields for the first, n after; None when no flow is used).  Window
     i spans v_{i-1} and v_i.  Each yielded item is (s, labels, frames,
@@ -545,8 +569,8 @@ def _subsequences(seq: np.ndarray, flows, subseq_len: int):
 
 def stream_segment(seq: np.ndarray, flows,
                    config: StreamConfig = StreamConfig()) -> SegmentationHierarchy:
-    """Segment a whole video held in memory: collect stream_blocks over its
-    subsequences into one (T, H, W) volume per level.
+    """Segment a whole (T, H, W, 3) uint8 video held in memory: collect
+    stream_blocks over its subsequences into one (T, H, W) volume per level.
 
     The labels for a prefix of the video do not depend on later frames, and
     a video of at most subseq_len frames gives the single-window batch

@@ -400,6 +400,13 @@ def oracle_associate_temporal(warped, cur_labels, next_fresh):
 
 # ---------------------------------------------------------------- supervoxels
 
+def oracle_voxel_weights(edges):
+    """The voxel edges as EDGE_DTYPE rows with the float weight
+    w = sqrt(ssd) / (255*sqrt(3))."""
+    ssd = edges["ssd"].astype(np.float64)
+    return make_edges(edges["a"], edges["b"], np.sqrt(ssd) / (255.0 * np.sqrt(3.0)))
+
+
 def oracle_fh_sweep(forest, edges, k, min_size):
     """Edge-by-edge merge sweep plus the small-component cleanup pass, in
     (w, min id, max id) order; two marked components never merge."""
@@ -441,9 +448,10 @@ def _oracle_close(forest, first_occ, state, level):
 
 
 def oracle_segment_level0(edges, num_voxels, k0, min_size):
-    """Group voxels; returns dense labels (first-occurrence order) per voxel id."""
+    """Group voxels; returns dense labels (first-occurrence order) per voxel id.
+    The sweep sorts float weights, not the edges' integer ssd."""
     forest = Forest(num_voxels)
-    oracle_fh_sweep(forest, edges, k0, min_size)
+    oracle_fh_sweep(forest, oracle_voxel_weights(edges), k0, min_size)
     return _oracle_close(forest, np.arange(num_voxels, dtype=np.int64), _StreamState(1), 0)
 
 

@@ -83,6 +83,13 @@ def test_version_exits_zero(capsys):
     assert capsys.readouterr().out.startswith("svstream ")
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_command_prints_its_help(capsys, command):
+    # argparse %-formats each help text, so a bare "%05d" made --help raise
+    assert main([command, "--help"]) == 0
+    assert "--out" in capsys.readouterr().out
+
+
 def test_unknown_flag_is_usage_error():
     assert main(["segment", "--input", "x", "--out", "y", "--frobnicate"]) == 1
 

@@ -9,15 +9,16 @@ import pytest
 from svstream import streamseg
 from svstream.affine import AffineModel
 from svstream.imageops import relabel_first_occurrence
-from svstream.streamseg import (StreamConfig, _chi2_rows, _fh_sweep, _NodeFeatures,
-                                _pair_weights, _pre_union, _StreamState, _window_edges,
-                                build_spatial_edges, build_temporal_edges,
+from svstream.streamseg import (StreamConfig, _chi2_rows, _color_weight, _fh_sweep,
+                                _NodeFeatures, _pair_weights, _pre_union, _StreamState,
+                                _window_edges, build_spatial_edges, build_temporal_edges,
                                 check_window_size, combine_distance, make_edges,
                                 stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate
 from svstream.unionfind import Forest
 
-from oracles import oracle_build_hierarchy, oracle_fh_sweep, oracle_segment_level0
+from oracles import (oracle_build_hierarchy, oracle_fh_sweep, oracle_segment_level0,
+                     oracle_voxel_weights)
 
 
 def _undirected_pairs(edges) -> set:
@@ -77,7 +78,30 @@ def test_spatial_edge_weights():
     edges = build_spatial_edges(window)
     assert len(edges) == 1
     # black to white is the maximum RGB distance, normalized to 1
-    assert abs(edges["w"][0] - 1.0) < 1e-12
+    assert edges["ssd"][0] == 3 * 255 ** 2
+    assert abs(_color_weight(edges["ssd"][0]) - 1.0) < 1e-12
+
+
+def _float_weights(window, edges) -> np.ndarray:
+    """Normalized RGB distance of each edge, from float64 colors."""
+    colors = window.reshape(-1, 3).astype(np.float64)
+    d = colors[edges["a"]] - colors[edges["b"]]
+    return np.sqrt(np.sum(d * d, axis=1)) / (255.0 * np.sqrt(3.0))
+
+
+def test_voxel_edge_weights_equal_float_formula():
+    rng = np.random.default_rng(13)
+    for case in range(20):
+        t, h, w = (int(v) for v in rng.integers(2, [4, 9, 9], endpoint=True))
+        window = _rand_video(2000 + case, t, h, w)
+        # pin a share of the channels to 0 and 255: the largest distances
+        window[rng.random(window.shape) < 0.3] = 0
+        window[rng.random(window.shape) < 0.3] = 255
+        flows = [rng.uniform(-3.0, 3.0, (h, w, 2)) for _ in range(t - 1)]
+        for edges in (build_spatial_edges(window), build_temporal_edges(window, flows, True)):
+            assert edges.dtype.itemsize == 12
+            want = _float_weights(window, edges)
+            assert _color_weight(edges["ssd"]).tobytes() == want.tobytes()
 
 
 def test_zero_flow_edges_equal_grid_26_neighborhood():
@@ -144,7 +168,8 @@ def test_temporal_edges_are_unique_pairs(use_flow_edges):
 
 
 def _edge_rows(edges) -> list:
-    return sorted(zip(edges["a"].tolist(), edges["b"].tolist(), edges["w"].tolist()))
+    """Every (a, b, weight) row, for voxel (ssd) and region (w) edges alike."""
+    return sorted(edges.tolist())
 
 
 @pytest.mark.parametrize("use_flow_edges", [True, False])
@@ -255,6 +280,54 @@ def test_fh_sweep_equals_oracle():
         got, want = _component_table(forest, roots), _component_table(ref, ref_roots)
         assert np.array_equal(got[0], want[0]), seed
         assert got[1:] == want[1:], seed
+
+
+@pytest.mark.parametrize("n", [2 ** 22, 2 ** 22 + 1])
+def test_fh_sweep_ranks_voxel_edges_at_the_one_key_limit(n):
+    # 2**22 items leave 22 bits for each id beside 18 for ssd, one int64 key;
+    # one more item takes the two-key path.  Few edges near the top ids, with
+    # tied ssd values, so memory stays modest
+    rng = np.random.default_rng(n)
+    m = 3000
+    ids = np.concatenate([n - 1 - np.arange(600), np.arange(20)])
+    edges = np.empty(m, dtype=streamseg.VOXEL_EDGE_DTYPE)
+    edges["a"] = rng.choice(ids, m)
+    edges["b"] = rng.choice(ids, m)
+    edges["ssd"] = rng.choice([0, 1, 2, 3, 4800, 4801, 3 * 255 ** 2], m)
+    unsorted = edges.copy()
+    forest = Forest(n)
+    roots = _fh_sweep(forest, edges, 0.05, 3)
+
+    def rows(e):
+        # an edge may come out with its endpoints swapped
+        return (np.minimum(e["a"], e["b"]), np.maximum(e["a"], e["b"]), e["ssd"])
+
+    assert sorted(zip(*map(np.ndarray.tolist, rows(edges)))) == \
+        sorted(zip(*map(np.ndarray.tolist, rows(unsorted))))
+    # in sweep order: by (ssd, min id, max id)
+    lo, hi, ssd = rows(edges)
+    assert np.array_equal(np.lexsort((hi, lo, ssd)), np.arange(m))
+    touched = np.unique(ids)
+    got = (relabel_first_occurrence(roots[touched]),
+           [forest.size[r] for r in roots[touched].tolist()],
+           [forest.internal[r] for r in roots[touched].tolist()])
+    assert np.array_equal(roots[~np.isin(np.arange(n), touched)],
+                          np.setdiff1d(np.arange(n), touched))
+    del forest, roots
+    # the oracle sweeps the touched items under ids ranked as before: the
+    # sweep order and every merge decision stay the same
+    ref = Forest(len(touched))
+    small = oracle_voxel_weights(unsorted)
+    small["a"] = np.searchsorted(touched, small["a"])
+    small["b"] = np.searchsorted(touched, small["b"])
+    oracle_fh_sweep(ref, small, 0.05, 3)
+    ref_roots = [ref.find(i) for i in range(len(touched))]
+    want = (relabel_first_occurrence(np.array(ref_roots)),
+            [ref.size[r] for r in ref_roots], [ref.internal[r] for r in ref_roots])
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    # both passes merged, into more than one component
+    assert 3 <= min(want[1]) and len(np.unique(want[0])) > 1
 
 
 # ---------------------------------------------------------------- level 0
@@ -532,6 +605,19 @@ def test_stream_state_sizes_count_every_emitted_voxel(monkeypatch, with_flow):
         assert np.intersect1d(alive, vol[0]).size > 0
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16])
+def test_frames_other_than_uint8_refused_before_any_work(monkeypatch, dtype):
+    def no_work(*args):
+        raise AssertionError("a window was segmented")
+
+    monkeypatch.setattr(streamseg, "_window_pass", no_work)
+    frames = np.zeros((3, 8, 8, 3), dtype=dtype)
+    with pytest.raises(ValueError, match="frames must be uint8"):
+        stream_segment(frames, None, StreamConfig())
+    with pytest.raises(ValueError, match="frames must be uint8"):
+        next(streamseg.stream_blocks([(frames, None)], StreamConfig()))
+
+
 def test_video_shape_validation():
     config = StreamConfig()
     with pytest.raises(ValueError):
@@ -571,8 +657,10 @@ def test_window_size_guard(shape, subseq_len, refused):
 
 
 def test_one_window_peak_bytes_per_voxel():
-    # a fixed textured 64x48x4 scene with flow, in one window; int32 endpoints
-    # sorted in place measure about 530 B/voxel, int64 ones with sorted copies 780
+    # a fixed textured 64x48x4 scene with flow, in one window; 12 B voxel edges
+    # (int32 endpoints and ssd) sorted in place through one int64 key measure
+    # about 372 B/voxel, 16 B edges with a float64 weight sorted through a
+    # lexsort order 533, int64 endpoints with sorted copies 780
     spec = SceneSpec(
         width=64, height=48, num_frames=4, seed=5,
         background_color=(70, 80, 100), noise_sigma=2.0, texture_amplitude=35.0,
@@ -590,7 +678,7 @@ def test_one_window_peak_bytes_per_voxel():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (peak - base) / (4 * 48 * 64) < 600
+    assert (peak - base) / (4 * 48 * 64) < 420
 
 
 def test_config_validation():
