@@ -29,8 +29,8 @@ from .mediaio import (LabelPalette, check_frame_shapes, colorize_labels, frame_p
                       write_frame_sequence, write_label_volume, write_pgm16, write_ppm)
 from .metrics import evaluate, write_metrics_csv
 from .motionlayers import check_motion_params, run_motion_stream
-from .optflow import (FlowParams, check_external_flow, check_flow_size,
-                      external_flow_path, flow_for_sequence)
+from .optflow import (FlowParams, check_external_flow, check_flow_size, external_flow_path,
+                      flow_for_sequence, read_external_flows)
 from .preprocess import BilateralParams, filter_sequence
 from .rng import derive_seed
 from .streamseg import StreamConfig, check_window_size, stream_blocks
@@ -169,13 +169,6 @@ def _effective_config(command: str, args: argparse.Namespace) -> dict:
     return eff
 
 
-def _flow_params(eff: dict) -> FlowParams:
-    return FlowParams(alpha=eff["alpha"], pyramid_scale=eff["pyramid-scale"],
-                      min_size=eff["flow-min-size"],
-                      iters_per_level=eff["flow-iters"],
-                      warp_steps=eff["flow-warps"])
-
-
 def _stream_config(eff: dict, levels: int) -> StreamConfig:
     return StreamConfig(subseq_len=eff["subseq"], levels=levels,
                         k0=eff["k0"], k_growth=eff["k-growth"],
@@ -185,62 +178,57 @@ def _stream_config(eff: dict, levels: int) -> StreamConfig:
                         use_flow_feature=eff["flow-feature"])
 
 
-def _input_params(eff: dict):
-    """Bilateral (None when off) and flow parameters; building them checks
-    them, so callers do it before any frame is read."""
+def _input(eff: dict, block_len: int, pool, config: StreamConfig | None, use_flow: bool):
+    """The input's frame count and its (frames, flows) blocks, one per run of
+    block_len frames.  Checked here, before any frame is read: the bilateral
+    and flow parameters, every frame's size from its header, the window size
+    (unless config is None) and, if flow is used, every --external-flow
+    field's header or, for computed flow, the frame size Horn-Schunck needs.
+    A block's frames are bilateral-filtered on the pool if the filter is on;
+    its flows are None without use_flow, else the backward flow of every pair
+    (t-1, t) whose t lies in the run, read from --external-flow or computed
+    from the filtered frames."""
     bilateral = None
-    if eff["bilateral"]:
+    if eff.get("bilateral"):
         bilateral = BilateralParams(sigma_spatial=eff["sigma-s"],
                                     sigma_range=eff["sigma-r"],
                                     radius=eff["radius"])
-    return bilateral, _flow_params(eff)
-
-
-def _input_paths(eff: dict, config: StreamConfig | None, use_flow: bool) -> list:
-    """The input frames' paths, checked before any frame is read: every
-    frame's size from its header, the window size (unless config is None)
-    and, if flow is used, every --external-flow field's header or, for
-    computed flow, the frame size Horn-Schunck needs."""
+    flow_params = FlowParams(alpha=eff["alpha"], pyramid_scale=eff["pyramid-scale"],
+                             min_size=eff["flow-min-size"], iters_per_level=eff["flow-iters"],
+                             warp_steps=eff["flow-warps"])
+    external = eff.get("external-flow")
     paths = frame_paths(eff["input"])
-    shape = check_frame_shapes(paths)
+    h, w, _ = check_frame_shapes(paths)
     if config is not None:
-        check_window_size((len(paths),) + shape, config)
-    if use_flow and eff.get("external-flow"):
-        check_external_flow(eff["external-flow"], len(paths), *shape[:2])
+        check_window_size((len(paths), h, w), config)
+    if use_flow and external:
+        check_external_flow(external, len(paths), h, w)
     elif use_flow:
-        check_flow_size(*shape[:2])
-    return paths
+        check_flow_size(h, w)
 
-
-def _input_blocks(eff: dict, params, paths: list, block_len: int, pool, use_flow: bool):
-    """Yield (frames, flows) for each run of block_len frames: the frames,
-    bilateral-filtered on the pool if the filter is on, and if use_flow the
-    backward flow of every pair (t-1, t) whose t lies in the run, computed
-    from the filtered frames or read from --external-flow."""
-    bilateral, flow_params = params
-    external = eff.get("external-flow") or None
-    last = None     # the previous run's last frame, which the first pair needs
-    for s in range(0, len(paths), block_len):
-        frames = read_frames(paths[s:s + block_len])
-        if bilateral is not None:
-            frames = filter_sequence(frames, bilateral, pool)
-        flows = None
-        if use_flow:
-            flows = flow_for_sequence(frames if last is None else np.concatenate([last, frames]),
-                                      flow_params, external_dir=external, pool=pool,
-                                      start=max(s - 1, 0))
-        last = frames[-1:]
-        yield frames, flows
+    def blocks():
+        last = None     # the previous run's last frame, which the first pair needs
+        for s in range(0, len(paths), block_len):
+            frames = read_frames(paths[s:s + block_len])
+            if bilateral is not None:
+                frames = filter_sequence(frames, bilateral, pool)
+            flows = None
+            if use_flow and external:
+                flows = read_external_flows(external, max(s, 1), s + len(frames), h, w)
+            elif use_flow:
+                pairs = frames if last is None else np.concatenate([last, frames])
+                flows = flow_for_sequence(pairs, flow_params, pool)
+                last = frames[-1:]
+            yield frames, flows
+    return len(paths), blocks()
 
 
 def _cmd_segment(eff: dict, pool) -> None:
     config = _stream_config(eff, eff["levels"])
-    use_flow = config.use_flow_edges or config.use_flow_feature
-    input_params = _input_params(eff)
-    paths = _input_paths(eff, config, use_flow)
+    _, blocks = _input(eff, config.subseq_len, pool, config,
+                       config.use_flow_edges or config.use_flow_feature)
     palettes = [LabelPalette(derive_seed(eff["seed"], 7, level))
                 for level in range(config.levels)]
-    blocks = _input_blocks(eff, input_params, paths, config.subseq_len, pool, use_flow)
     # each block is final when it is yielded, so it goes to the stage at once
     for s, labels, _, _ in stream_blocks(blocks, config):
         for level, (block, palette) in enumerate(zip(labels, palettes)):
@@ -274,11 +262,9 @@ def _cmd_motion(eff: dict, pool) -> None:
     if sv_level < 0:
         raise ValueError("supervoxel-level must be >= 0")
     config = _stream_config(eff, sv_level + 1)
-    input_params = _input_params(eff)
-    paths = _input_paths(eff, config, use_flow=True)
-    if len(paths) < 2:
+    num, blocks = _input(eff, config.subseq_len, pool, config, use_flow=True)
+    if num < 2:
         raise ValueError("need at least two frames")
-    blocks = _input_blocks(eff, input_params, paths, config.subseq_len, pool, use_flow=True)
     # one (frame, backward flow or None, supervoxel slice) per frame, and each
     # pair goes to the stage as soon as it is done
     inputs = (item for s, labels, frames, flows in stream_blocks(blocks, config)
@@ -305,11 +291,11 @@ def _cmd_motion(eff: dict, pool) -> None:
 
 
 def _cmd_flow(eff: dict, pool) -> None:
-    params = _flow_params(eff)
-    paths = _input_paths(eff, None, use_flow=True)
+    # one frame per worker at a time, and no more workers than CPUs; each
+    # field is written once it is computed
+    _, blocks = _input(eff, min(eff["threads"], os.cpu_count() or 1), pool, None,
+                       use_flow=True)
     os.makedirs(eff["out"])
-    # one frame per worker at a time, each field written once it is computed
-    blocks = _input_blocks(eff, (None, params), paths, eff["threads"], pool, use_flow=True)
     fields = 0
     for _, flows in blocks:
         for field in flows:
@@ -412,7 +398,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write(f"svstream: error: {exc}\n")
         return 1
-    except (ToolError, OSError, ValueError) as exc:
+    except (ToolError, OSError, ValueError, MemoryError) as exc:
         sys.stderr.write(f"svstream: error: {exc}\n")
         return 2
     finally:

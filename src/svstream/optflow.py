@@ -5,8 +5,8 @@ is backward, current(x, y) ~ previous(x + u, y + v).  Estimation runs on a
 Gaussian pyramid; at each level the linearized brightness-constancy plus
 quadratic smoothness system is solved by Jacobi fixed-point sweeps, with the
 previous frame re-warped toward the current one between sweeps of sweeps
-(incremental warping).  Externally computed .flo fields can be substituted
-for the whole module via `flow_for_sequence`.
+(incremental warping).  Externally computed .flo fields are read instead by
+`read_external_flows`, with the same convention.
 
 Each Jacobi sweep averages (u, v) with the 3x3 Horn-Schunck kernel, with
 borders extended as ndimage's mode="nearest" does, and gives the bits of
@@ -210,31 +210,25 @@ def check_external_flow(directory: str, num: int, h: int, w: int) -> None:
         _check_field_shape(path, read_flo_shape(path), h, w)
 
 
-def flow_for_sequence(seq: np.ndarray, params: FlowParams = FlowParams(),
-                      external_dir: str | None = None, pool=None, start: int = 0):
-    """One backward FlowField per consecutive frame pair of seq.
+def read_external_flows(directory: str, first: int, stop: int, h: int, w: int) -> list:
+    """The stored backward fields of the pairs (t-1, t), t in [first, stop),
+    from directory's flow_NNNN.flo files (NNNN = t, zero padded), each
+    checked against the frames' w x h."""
+    fields = []
+    for t in range(first, stop):
+        path = _external_path(directory, t)
+        field = read_flo(path)
+        _check_field_shape(path, field.shape, h, w)
+        fields.append(field)
+    return fields
 
-    seq[0] is frame `start` of the video, so the fields are those of the
-    pairs (t-1, t), t in [start+1, start+T-1].  When external_dir is given,
-    fields are loaded from flow_NNNN.flo files (NNNN = t, zero padded)
-    instead of being computed; dimensions are checked against the sequence.
-    """
-    num = seq.shape[0]
-    if num < 2:
-        return []
-    h, w = seq.shape[1], seq.shape[2]
-    if external_dir is not None:
-        fields = []
-        for t in range(start + 1, start + num):
-            path = _external_path(external_dir, t)
-            field = read_flo(path)
-            _check_field_shape(path, field.shape, h, w)
-            fields.append(field)
-        return fields
 
+def flow_for_sequence(seq: np.ndarray, params: FlowParams = FlowParams(), pool=None) -> list:
+    """The backward field of every consecutive frame pair of seq, computed
+    on the pool if one is given."""
     def one(t: int) -> np.ndarray:
         return compute_backward_flow(seq[t], seq[t - 1], params)
 
     if pool is None:
-        return [one(t) for t in range(1, num)]
-    return list(pool.map(one, range(1, num)))
+        return [one(t) for t in range(1, len(seq))]
+    return list(pool.map(one, range(1, len(seq))))

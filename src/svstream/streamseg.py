@@ -76,6 +76,8 @@ class StreamConfig:
             raise ValueError("k0 * k_growth ** (levels - 1) must be finite")
         if self.color_bins < 2 or self.flow_bins < 2:
             raise ValueError("histogram bin counts must be >= 2")
+        if self.color_bins > 256:
+            raise ValueError("color_bins must be <= 256: a channel has 256 values")
 
 
 @dataclass

@@ -373,6 +373,27 @@ def test_flow_output_does_not_depend_on_thread_count(tmp_path, long_scene_dir):
     assert outs["1"] == outs["2"] == outs["5"]
 
 
+def test_flow_reads_at_most_one_frame_per_cpu_at_a_time(tmp_path, monkeypatch):
+    # a --threads far past the CPU count neither widens the runs of frames
+    # read nor changes a field; the pool starts a thread only for a pair it
+    # is given, so no more start than the clip has pairs
+    scene = _render_long_scene(tmp_path, 6)
+    argv = ["flow", "--input", _frames_pattern(scene), "--flow-iters", "5",
+            "--flow-min-size", "12"]
+    assert main([*argv, "--threads", "1", "--out", str(tmp_path / "t1")]) == 0
+    read_frames, blocks = cli.read_frames, []
+
+    def recording(paths):
+        blocks.append(len(paths))
+        return read_frames(paths)
+
+    monkeypatch.setattr("svstream.cli.read_frames", recording)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    assert main([*argv, "--threads", "1000000", "--out", str(tmp_path / "wide")]) == 0
+    assert blocks == [2, 2, 2]
+    assert _tree_bytes(tmp_path / "wide") == _tree_bytes(tmp_path / "t1")
+
+
 def _one_pixel_clip(root, h: int, w: int):
     """A 4-frame h x w clip under root, with zero external flow fields."""
     frames = np.random.default_rng(h * 10 + w).integers(0, 256, (4, h, w, 3), dtype=np.uint8)
@@ -512,6 +533,22 @@ def test_failure_after_first_write_leaves_nothing(tmp_path, scene_dir, monkeypat
     assert rc == 2
     assert "injected write failure" in capsys.readouterr().err
     assert not out.exists()
+    assert os.listdir(out.parent) == []
+
+
+@pytest.mark.parametrize("command", ["segment", "motion"])
+def test_allocation_failure_exits_2_and_leaves_nothing(tmp_path, scene_dir, monkeypatch, capsys,
+                                                       command):
+    # numpy's _ArrayMemoryError is a MemoryError; one raised once the work
+    # has started is a data error like any other
+    def segment(*args, **kwargs):
+        raise MemoryError("Unable to allocate 53.6 GiB for an array")
+
+    monkeypatch.setattr("svstream.cli.stream_blocks", segment)
+    out = tmp_path / "results" / "out"
+    out.parent.mkdir()
+    assert main([*_command_argv(command, scene_dir), "--out", str(out)]) == 2
+    assert "Unable to allocate 53.6 GiB for an array" in capsys.readouterr().err
     assert os.listdir(out.parent) == []
 
 
@@ -705,13 +742,16 @@ def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, mon
     ("motion", ["--tau-growth", "1e308", "--levels", "3"],
      "tau0 * tau-growth ** (levels - 1) must be finite"),
     ("motion", ["--levels", "-3"], "levels must be >= 0"),
+    ("segment", ["--color-bins", "257"], "color_bins must be <= 256"),
+    ("motion", ["--color-bins", "257"], "color_bins must be <= 256"),
 ], ids=["segment-k0", "segment-levels", "segment-k-growth", "segment-min-size",
         "segment-subseq", "segment-alpha", "segment-radius", "segment-threads",
         "motion-k0", "motion-subseq", "motion-alpha", "motion-supervoxel-level",
         "flow-alpha", "eval-tol", "segment-k0-nan", "segment-k-growth-nan",
         "segment-flow-range-nan", "segment-alpha-nan", "segment-sigma-s-nan",
         "motion-single-tau-nan", "segment-flow-range-inf", "segment-flow-range-1e308",
-        "segment-k-growth-overflow", "motion-tau-growth-overflow", "motion-levels-negative"])
+        "segment-k-growth-overflow", "motion-tau-growth-overflow", "motion-levels-negative",
+        "segment-color-bins-257", "motion-color-bins-257"])
 def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, capsys,
                                               command, flags, message):
     def read(*args, **kwargs):
@@ -778,6 +818,19 @@ def test_flow_is_computed_only_for_a_command_that_uses_it(tmp_path, scene_dir, m
     assert main(argv) == rc
     assert ("flow was computed" in capsys.readouterr().err) == (rc != 0)
     assert out.exists() == (rc == 0)
+
+
+@pytest.mark.parametrize("command", ["segment", "motion"])
+def test_stored_flow_is_read_not_computed(tmp_path, scene_dir, monkeypatch, command):
+    argv = _command_argv(command, scene_dir)
+    assert main([*argv, "--out", str(tmp_path / "want")]) == 0
+
+    def no_flow(*args, **kwargs):
+        raise ValueError("flow was computed")
+
+    monkeypatch.setattr("svstream.cli.flow_for_sequence", no_flow)
+    assert main([*argv, "--out", str(tmp_path / "got")]) == 0
+    assert _tree_bytes(tmp_path / "got") == _tree_bytes(tmp_path / "want")
 
 
 def _tree_bytes(root) -> dict:

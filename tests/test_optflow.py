@@ -10,7 +10,7 @@ from svstream.errors import DataError, FormatError
 from svstream.imageops import bilinear_sample
 from svstream.optflow import (_HS_KERNEL, FlowParams, _hs_averager, _padded, _pyramid,
                               compute_backward_flow, check_external_flow,
-                              external_flow_path, flow_for_sequence)
+                              external_flow_path, flow_for_sequence, read_external_flows)
 from svstream.mediaio import write_flo
 from svstream.rng import SplitMix64
 from svstream.synth import value_noise
@@ -173,7 +173,6 @@ def test_sequence_returns_one_field_per_pair():
 
 
 def test_external_flow_files_loaded(tmp_path):
-    seq = np.zeros((3, 10, 12, 3), dtype=np.uint8)
     r = SplitMix64(11)
     fields = []
     for t in (1, 2):
@@ -181,19 +180,19 @@ def test_external_flow_files_loaded(tmp_path):
                       for _ in range(10)], dtype=np.float32)
         write_flo(external_flow_path(str(tmp_path), t), f)
         fields.append(f)
-    loaded = flow_for_sequence(seq, external_dir=str(tmp_path))
+    # the pairs (0, 1) and (1, 2) of a three-frame 12x10 video
+    loaded = read_external_flows(str(tmp_path), 1, 3, 10, 12)
     assert len(loaded) == 2
     for got, want in zip(loaded, fields):
         assert np.array_equal(got, want)
 
 
 def test_external_flow_of_a_later_run_of_frames(tmp_path):
-    # seq[0] is frame 2, so the fields read are those of pairs 3 and 4
-    seq = np.zeros((3, 4, 5, 3), dtype=np.uint8)
+    # a run of frames 2 to 4 needs the fields of pairs 3 and 4
     fields = {t: np.full((4, 5, 2), t, dtype=np.float32) for t in (1, 2, 3, 4)}
     for t, f in fields.items():
         write_flo(external_flow_path(str(tmp_path), t), f)
-    loaded = flow_for_sequence(seq, external_dir=str(tmp_path), start=2)
+    loaded = read_external_flows(str(tmp_path), 3, 5, 4, 5)
     assert [int(f[0, 0, 0]) for f in loaded] == [3, 4]
     check_external_flow(str(tmp_path), 5, 4, 5)
     with pytest.raises(DataError, match=r"missing external flow for pair \(4, 5\)"):
@@ -203,28 +202,25 @@ def test_external_flow_of_a_later_run_of_frames(tmp_path):
 
 
 def test_external_flow_missing_file(tmp_path):
-    seq = np.zeros((3, 10, 12, 3), dtype=np.uint8)
     write_flo(external_flow_path(str(tmp_path), 1), np.zeros((10, 12, 2), dtype=np.float32))
     # flow_0002.flo absent
     with pytest.raises(DataError):
-        flow_for_sequence(seq, external_dir=str(tmp_path))
+        read_external_flows(str(tmp_path), 1, 3, 10, 12)
 
 
 def test_external_flow_dimension_mismatch(tmp_path):
-    seq = np.zeros((2, 10, 12, 3), dtype=np.uint8)
     write_flo(external_flow_path(str(tmp_path), 1), np.zeros((9, 12, 2), dtype=np.float32))
     with pytest.raises(FormatError):
-        flow_for_sequence(seq, external_dir=str(tmp_path))
+        read_external_flows(str(tmp_path), 1, 2, 10, 12)
 
 
 def test_external_flow_bad_magic(tmp_path):
-    seq = np.zeros((2, 4, 4, 3), dtype=np.uint8)
     path = external_flow_path(str(tmp_path), 1)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<fii", 1.0, 4, 4))
         fh.write(b"\x00" * (4 * 4 * 2 * 4))
     with pytest.raises(FormatError):
-        flow_for_sequence(seq, external_dir=str(tmp_path))
+        read_external_flows(str(tmp_path), 1, 2, 4, 4)
 
 
 def test_pool_matches_serial():
