@@ -25,8 +25,9 @@ import numpy as np
 from . import __version__
 from .errors import DataError, ToolError
 from .mediaio import (LabelPalette, check_frame_shapes, colorize_labels, frame_paths,
-                      load_frame_sequence, read_frames, read_label_volume, write_flo,
-                      write_frame_sequence, write_label_volume, write_pgm16, write_ppm)
+                      label_paths, load_frame_sequence, read_frames, read_label_volume,
+                      write_flo, write_frame_sequence, write_label_volume, write_pgm16,
+                      write_ppm)
 from .metrics import evaluate, write_metrics_csv
 from .motionlayers import check_motion_params, run_motion_stream
 from .optflow import (FlowParams, check_external_flow, check_flow_size, external_flow_path,
@@ -241,17 +242,22 @@ def _cmd_segment(eff: dict, pool) -> None:
 
 
 def _motion_schedule(eff: dict) -> list:
-    """tau0 * tau-growth**i for each of --levels merge levels, refused when
-    --levels is negative or the top tau is not finite."""
-    if eff["levels"] < 0:
+    """tau0 * tau-growth**i for each of --levels merge levels, refused before
+    the list is built when --levels is negative, the first two taus do not
+    increase or the top tau is not finite (a lower one can only overflow if
+    the top one does)."""
+    levels, tau0, growth = eff["levels"], eff["tau0"], eff["tau-growth"]
+    if levels < 0:
         raise ValueError("levels must be >= 0")
+    if levels >= 2 and not tau0 < tau0 * growth:
+        raise ValueError("tau schedule must be strictly increasing")
     try:
-        schedule = [eff["tau0"] * eff["tau-growth"] ** i for i in range(eff["levels"])]
+        top = tau0 * growth ** (levels - 1) if levels else 0.0
     except OverflowError:
-        schedule = [np.inf]
-    if schedule and abs(schedule[-1]) == np.inf:
+        top = np.inf
+    if abs(top) == np.inf:
         raise ValueError("tau0 * tau-growth ** (levels - 1) must be finite")
-    return schedule
+    return [tau0 * growth ** i for i in range(levels)]
 
 
 def _cmd_motion(eff: dict, pool) -> None:
@@ -304,19 +310,32 @@ def _cmd_flow(eff: dict, pool) -> None:
     log.info("wrote %d flow fields", fields)
 
 
+def _check_eval_volumes(video: str, directories) -> None:
+    """Refuse a label volume whose frame count or frame size differs from
+    the video's, from the file headers alone, before any payload is read."""
+    paths = frame_paths(video)
+    h, w, _ = check_frame_shapes(paths)
+    for directory in directories:
+        labels = label_paths(directory)
+        lh, lw, _ = check_frame_shapes(labels, b"P5")
+        if (len(labels), lh, lw) != (len(paths), h, w):
+            raise DataError(f"{directory} holds {len(labels)} frames of {lw}x{lh}, "
+                            f"the video {len(paths)} frames of {w}x{h}")
+
+
 def _cmd_eval(eff: dict, pool) -> None:
     if eff["tol"] < 0:
         raise ValueError("tolerance must be >= 0")
-    gt = read_label_volume(eff["gt"])
-    video = load_frame_sequence(eff["video"])
     level_dirs = sorted(
         (os.path.join(eff["pred"], name) for name in os.listdir(eff["pred"])
          if re.fullmatch(r"level_\d+", name)
          and os.path.isdir(os.path.join(eff["pred"], name))),
-        key=lambda d: (int(d.rsplit("_", 1)[1]), d))
+        key=lambda d: (int(d.rsplit("_", 1)[1]), d)) or [eff["pred"]]
+    _check_eval_volumes(eff["video"], [eff["gt"], *level_dirs])
     # each level is read when it is scored
-    levels = (read_label_volume(d) for d in level_dirs or [eff["pred"]])
-    reports = evaluate(levels, gt, video, eff["tol"])
+    levels = (read_label_volume(d) for d in level_dirs)
+    reports = evaluate(levels, read_label_volume(eff["gt"]), load_frame_sequence(eff["video"]),
+                       eff["tol"])
     write_metrics_csv(reports, eff["out"])
     for level, rep in enumerate(reports):
         log.info("level %d: %d supervoxels br3d %.4f ev %.4f acc3d %.4f",

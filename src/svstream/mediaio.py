@@ -75,16 +75,17 @@ def _read_netpbm(path: str, magic: bytes) -> np.ndarray:
     return np.frombuffer(body, dtype=dtype).reshape(h, w, channels)
 
 
-def read_ppm_shape(path: str) -> tuple:
-    """The (H, W, 3) shape of a binary P6 PPM, from its header alone (the
-    whole file only when comments push the header past its first 4 KiB)."""
+def read_netpbm_shape(path: str, magic: bytes = b"P6") -> tuple:
+    """The (H, W, channels) shape of a binary netpbm file of the given magic
+    (P6 PPM by default, or P5 PGM), from its header alone (the whole file
+    only when comments push the header past its first 4 KiB)."""
     with open(path, "rb") as f:
         data = f.read(4096)
         header = _NETPBM_HEADER.match(data)
         if not (all(header.groups()) and header.end() < len(data)):
             data += f.read()
-    w, h, _, _ = _netpbm_header(data, path, b"P6")
-    return h, w, 3
+    w, h, _, _ = _netpbm_header(data, path, magic)
+    return h, w, _NETPBM[magic][1]
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -249,10 +250,11 @@ def frame_paths(pattern: str) -> list:
     return [pattern % i for i in indices]
 
 
-def check_frame_shapes(paths) -> tuple:
-    """The common (H, W, 3) shape of PPM frames, read from their headers
-    only; the first frame of another size raises, naming it and the first."""
-    return _check_shapes(paths, read_ppm_shape)
+def check_frame_shapes(paths, magic: bytes = b"P6") -> tuple:
+    """The common (H, W, channels) shape of netpbm frames of the given magic
+    (P6 PPM by default, P5 for label frames), read from their headers only;
+    the first frame of another size raises, naming it and the first."""
+    return _check_shapes(paths, lambda path: read_netpbm_shape(path, magic))
 
 
 def read_frames(paths) -> np.ndarray:
@@ -290,8 +292,8 @@ def write_label_volume(volume: np.ndarray, directory: str, start: int = 0) -> No
         write_pgm16(os.path.join(directory, f"{t:05d}.pgm"), labels)
 
 
-def read_label_volume(directory: str) -> np.ndarray:
-    """Read all .pgm frames of a directory (sorted by numeric name) into (T, H, W)."""
+def label_paths(directory: str) -> list:
+    """Paths of the .pgm frames of a directory, sorted by numeric name."""
     names = [n for n in os.listdir(directory) if n.endswith(".pgm")]
     if not names:
         raise DataError(f"no .pgm frames in {directory!r}")
@@ -300,7 +302,12 @@ def read_label_volume(directory: str) -> np.ndarray:
         stem = os.path.splitext(name)[0]
         return (0, int(stem)) if stem.isdigit() else (1, stem)
 
-    return _stack_frames(read_pgm16, [os.path.join(directory, n) for n in sorted(names, key=key)])
+    return [os.path.join(directory, n) for n in sorted(names, key=key)]
+
+
+def read_label_volume(directory: str) -> np.ndarray:
+    """Read all .pgm frames of a directory (sorted by numeric name) into (T, H, W)."""
+    return _stack_frames(read_pgm16, label_paths(directory))
 
 
 class LabelPalette:

@@ -49,8 +49,9 @@ class FlowParams:
     warp_steps: int = 3
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        # the solver divides by alpha**2, which must neither overflow nor vanish
+        if not (self.alpha > 0 and 0.0 < self.alpha * self.alpha < np.inf):
+            raise ValueError("alpha must be > 0 and alpha**2 positive and finite")
         if not 0.0 < self.pyramid_scale < 1.0:
             raise ValueError("pyramid_scale must be in (0, 1)")
         if self.min_size < 1 or self.iters_per_level < 1 or self.warp_steps < 1:

@@ -78,6 +78,9 @@ class StreamConfig:
             raise ValueError("histogram bin counts must be >= 2")
         if self.color_bins > 256:
             raise ValueError("color_bins must be <= 256: a channel has 256 values")
+        if self.flow_bins > 2 ** 32:
+            # node ids are below 2**31, so node * flow_bins + bin fits an int64
+            raise ValueError("flow_bins must be <= 2**32")
 
 
 @dataclass
@@ -294,11 +297,7 @@ def combine_distance(d_c: float, d_f: float) -> float:
     return _fuse(d_c, d_f)
 
 
-# ---------------------------------------------------------------- features
-
-def _color_bin(channel: np.ndarray, bins: int) -> np.ndarray:
-    return (channel.astype(np.int64) * bins) // 256
-
+# ---------------------------------------------------------------- hierarchy
 
 def _flow_bin(component: np.ndarray, bins: int, radius: float) -> np.ndarray:
     clamped = np.clip(np.asarray(component, dtype=np.float64), -radius, radius)
@@ -306,73 +305,56 @@ def _flow_bin(component: np.ndarray, bins: int, radius: float) -> np.ndarray:
     return np.clip(b, 0, bins - 1)
 
 
-class _NodeFeatures:
-    """Window-local histograms for the dense nodes of one hierarchy level."""
-
-    def __init__(self, node_index: np.ndarray, num_nodes: int, colors_u8: np.ndarray,
-                 flows, dims, config: StreamConfig):
-        t_len, h, w = dims
-        cb = config.color_bins
-        self.color = np.zeros((num_nodes, 3, cb), dtype=np.float64)
-        for c in range(3):
-            bins = _color_bin(colors_u8[:, c], cb)
-            counts = np.bincount(node_index * cb + bins, minlength=num_nodes * cb)
-            self.color[:, c, :] = counts.reshape(num_nodes, cb)
-        self.color /= self.color.sum(axis=-1, keepdims=True)
-        self.flow = []       # per frame t >= 1: (u_hist, v_hist, present)
-        if flows is None or t_len < 2:
-            return
-        fb = config.flow_bins
-        for t in range(1, t_len):
-            nodes_t = node_index[t * h * w:(t + 1) * h * w]
-            field = np.asarray(flows[t - 1], dtype=np.float64)
-            hists = []
-            for comp in range(2):
-                bins = _flow_bin(field[..., comp].ravel(), fb, config.flow_range)
-                counts = np.bincount(nodes_t * fb + bins, minlength=num_nodes * fb)
-                hist = counts.reshape(num_nodes, fb).astype(np.float64)
-                mass = hist.sum(axis=-1, keepdims=True)
-                hists.append(np.divide(hist, mass, out=np.zeros_like(hist),
-                                       where=mass > 0))
-            present = np.bincount(nodes_t, minlength=num_nodes) > 0
-            self.flow.append((hists[0], hists[1], present))
-
-
-# ---------------------------------------------------------------- hierarchy
-
-def _region_pairs(edges: np.ndarray, node_index: np.ndarray, num_nodes: int):
-    """Unique adjacent node pairs (pa < pb) inherited from the voxel edges."""
-    if edges.size == 0:
-        return (np.empty(0, dtype=np.int64),) * 2
-    # int32 node ids keep the per-edge gathers at 4 B; num_nodes is below 2**31
-    node_index = node_index.astype(np.int32)
-    na = node_index[edges["a"]]
-    nb = node_index[edges["b"]]
+def _region_edges(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: np.ndarray,
+                  nn: int, config: StreamConfig) -> np.ndarray:
+    """One hierarchy level's region graph: an edge for every node pair
+    (a < b) that a voxel edge joins, weighted by the mean over the color
+    channels of the chi-squared distance of the two nodes' color histograms.
+    With config.use_flow_feature on, flows_w given and two frames or more,
+    that weight is fused with the flow distance: the mean, over the frames
+    t >= 1 both nodes occupy (0 if none), of the mean chi-squared distance of
+    their frame-t u and v histograms.  Each frame's flow histograms are built
+    and dropped in turn."""
+    # int32 node ids keep the per-edge gathers at 4 B; nn is below 2**31
+    node32 = node_index.astype(np.int32)
+    na = node32[edges["a"]]
+    nb = node32[edges["b"]]
     differ = na != nb
-    pmin = np.minimum(na[differ], nb[differ], dtype=np.int64)
-    pmax = np.maximum(na[differ], nb[differ], dtype=np.int64)
-    keys = np.unique(pmin * num_nodes + pmax)
-    return keys // num_nodes, keys % num_nodes
-
-
-def _pair_weights(feats: _NodeFeatures, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Weight of each region pair: color distance, fused with the flow distance
-    (mean over the frames both occupy; 0 if none) when the features have flow."""
-    dc = np.mean(_chi2_rows(feats.color[pa], feats.color[pb]), axis=-1)
-    if not feats.flow:
-        return dc
+    pa, pb = np.divmod(np.unique(np.minimum(na[differ], nb[differ], dtype=np.int64) * nn
+                                 + np.maximum(na[differ], nb[differ], dtype=np.int64)), nn)
+    del node32, na, nb, differ
+    cb = config.color_bins
+    color = np.zeros((nn, 3, cb), dtype=np.float64)
+    for c, channel in enumerate(frames_w.reshape(-1, 3).T):
+        bins = (channel.astype(np.int64) * cb) // 256
+        color[:, c, :] = np.bincount(node_index * cb + bins, minlength=nn * cb).reshape(nn, cb)
+    color /= color.sum(axis=-1, keepdims=True)
+    dc = np.mean(_chi2_rows(color[pa], color[pb]), axis=-1)
+    t_len, h, w = frames_w.shape[:3]
+    if not (config.use_flow_feature and flows_w is not None and t_len >= 2):
+        return make_edges(pa, pb, dc)
+    fb = config.flow_bins
     df = np.zeros(len(pa))
     cnt = np.zeros(len(pa))
-    for uh, vh, present in feats.flow:
+    for t in range(1, t_len):
+        nodes_t = node_index[t * h * w:(t + 1) * h * w]
+        present = np.bincount(nodes_t, minlength=nn) > 0
         both = present[pa] & present[pb]
         if not both.any():
             continue
-        cu = _chi2_rows(uh[pa[both]], uh[pb[both]])
-        cv = _chi2_rows(vh[pa[both]], vh[pb[both]])
-        df[both] += (cu + cv) / 2.0
+        field = np.asarray(flows_w[t - 1], dtype=np.float64)
+        cuv = []
+        for comp in range(2):
+            bins = _flow_bin(field[..., comp].ravel(), fb, config.flow_range)
+            counts = np.bincount(nodes_t * fb + bins, minlength=nn * fb)
+            hist = counts.reshape(nn, fb).astype(np.float64)
+            mass = hist.sum(axis=-1, keepdims=True)
+            hist = np.divide(hist, mass, out=np.zeros_like(hist), where=mass > 0)
+            cuv.append(_chi2_rows(hist[pa[both]], hist[pb[both]]))
+        df[both] += (cuv[0] + cuv[1]) / 2.0
         cnt[both] += 1.0
     df = np.divide(df, cnt, out=np.zeros_like(df), where=cnt > 0)
-    return _fuse(dc, df)
+    return make_edges(pa, pb, _fuse(dc, df))
 
 
 class _StreamState:
@@ -471,24 +453,20 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
     t_len, h, w = frames_w.shape[:3]
     n = t_len * h * w
     frozen = old_labels[0].size
-    colors_u8 = frames_w.reshape(-1, 3)
     edges = _window_edges(frames_w, flows_w, config, len(old_labels[0]))
     grown = np.ones(n, dtype=np.int8)
     grown[:frozen] = 0
     levels_flat = [_group_level(old_labels[0].ravel(), grown, range(n), edges,
                                 config, 0, state)]
-    feature_flows = flows_w if config.use_flow_feature else None
     for level in range(1, config.levels):
         _, node_first, node_index = np.unique(levels_flat[-1], return_index=True,
                                               return_inverse=True)
         nn = len(node_first)
-        feats = _NodeFeatures(node_index, nn, colors_u8, feature_flows, (t_len, h, w), config)
-        pa, pb = _region_pairs(edges, node_index, nn)
         keys = np.full(nn, -1, dtype=np.int64)
         keys[node_index[:frozen]] = old_labels[level].ravel()
         # node ids rank like their labels, so ties break by (w, label a, label b)
-        labels = _group_level(keys, np.bincount(node_index[frozen:], minlength=nn),
-                              node_first, make_edges(pa, pb, _pair_weights(feats, pa, pb)),
+        labels = _group_level(keys, np.bincount(node_index[frozen:], minlength=nn), node_first,
+                              _region_edges(frames_w, flows_w, edges, node_index, nn, config),
                               config, level, state)
         levels_flat.append(labels[node_index])
     return [lf.reshape(t_len, h, w) for lf in levels_flat]

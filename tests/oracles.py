@@ -12,12 +12,15 @@ once per label must match the grouped ones.
 The supervoxel reference is the batch build: one level-0 sweep over the
 whole video, then every higher level regrouped from scratch, each with the
 edge-by-edge grouping sweep, which svstream.streamseg.stream_segment and its
-blockwise sweep must reproduce for a video no longer than one window.  The
+blockwise sweep must reproduce for a video no longer than one window; its
+region-graph weights have their own reference, which counts each region's
+voxels into histograms and compares the regions pair by pair.  The
 alpha-expansion reference runs each max flow forward, from the source over
 the graph built from pair index lists, and sweeps every label until a whole
 sweep is rejected; svstream.graphcut must give the same labels.  Slow on
 purpose.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,10 +36,9 @@ from svstream.motionlayers import (DIVERGENCE_KAPPA, OVERLAP_FRAC, MotionRegion,
                                    RansacParams, _box_extent, region_distance)
 from svstream.optflow import _HS_KERNEL, FlowParams, _pyramid, _to_gray
 from svstream.rng import SplitMix64, derive_seed
-from svstream.streamseg import (SegmentationHierarchy, _close_level, _NodeFeatures,
-                                _pair_weights, _region_pairs, _StreamState,
-                                build_spatial_edges, build_temporal_edges,
-                                make_edges)
+from svstream.streamseg import (CHI2_EPS, SegmentationHierarchy, _close_level,
+                                _region_edges, _StreamState, build_spatial_edges,
+                                build_temporal_edges, make_edges)
 from svstream.unionfind import Forest
 
 
@@ -455,13 +457,70 @@ def oracle_segment_level0(edges, num_voxels, k0, min_size):
     return _oracle_close(forest, np.arange(num_voxels, dtype=np.int64), _StreamState(1), 0)
 
 
+def oracle_region_weights(frames, flows, edges, node_index, config) -> dict:
+    """{(a, b): weight} for every node pair a < b that a voxel edge joins,
+    from each node's list of voxels: histograms by counting, the chi-squared
+    distance summed term by term, the color distance averaged over the three
+    channels, and, when config.use_flow_feature is on, flows are given and
+    there are two frames or more, the flow distance averaged over the frames
+    t >= 1 that hold voxels of both nodes (0 if none), fused with the color
+    distance as 1 - (1 - d_c)(1 - d_f), squared."""
+    frames = np.asarray(frames)
+    t_len, h, w = frames.shape[:3]
+    colors = frames.reshape(-1, 3).tolist()
+    node_of = np.asarray(node_index).tolist()
+    members = {}
+    for voxel, node in enumerate(node_of):
+        members.setdefault(node, []).append(voxel)
+    cb, fb, r = config.color_bins, config.flow_bins, config.flow_range
+
+    def histogram(bins, count):
+        counts = [0] * count
+        for b in bins:
+            counts[b] += 1
+        return [c / len(bins) for c in counts]
+
+    def chi2(p, q):
+        return 0.5 * sum((x - y) ** 2 / (x + y + CHI2_EPS) for x, y in zip(p, q))
+
+    def flow_bin(x):
+        return min(math.floor((min(max(x, -r), r) + r) * fb / (2.0 * r)), fb - 1)
+
+    def flow_hists(voxels, t):
+        field = np.asarray(flows[t - 1], dtype=np.float64)
+        return [histogram([flow_bin(float(field[v % (h * w) // w, v % w, comp]))
+                           for v in voxels], fb) for comp in range(2)]
+
+    use_flow = config.use_flow_feature and flows is not None and t_len >= 2
+    pairs = {(min(node_of[a], node_of[b]), max(node_of[a], node_of[b]))
+             for a, b in zip(edges["a"].tolist(), edges["b"].tolist())
+             if node_of[a] != node_of[b]}
+    weights = {}
+    for a, b in sorted(pairs):
+        d_c = sum(chi2(histogram([colors[v][c] * cb // 256 for v in members[a]], cb),
+                       histogram([colors[v][c] * cb // 256 for v in members[b]], cb))
+                  for c in range(3)) / 3.0
+        if not use_flow:
+            weights[a, b] = d_c
+            continue
+        terms = []
+        for t in range(1, t_len):
+            in_a = [v for v in members[a] if v // (h * w) == t]
+            in_b = [v for v in members[b] if v // (h * w) == t]
+            if in_a and in_b:
+                (ua, va), (ub, vb) = flow_hists(in_a, t), flow_hists(in_b, t)
+                terms.append((chi2(ua, ub) + chi2(va, vb)) / 2.0)
+        d_f = sum(terms) / len(terms) if terms else 0.0
+        weights[a, b] = (1.0 - (1.0 - d_c) * (1.0 - d_f)) ** 2
+    return weights
+
+
 def oracle_build_hierarchy(level0, frames, flows, config):
     """Grow the full hierarchy above a given finest segmentation of the whole
     video: level0 compacted to first-occurrence order, then each higher level
     regrouping the one below with threshold constant k0 * k_growth^level."""
     frames = np.asarray(frames)
     t_len, h, w = frames.shape[:3]
-    colors_u8 = frames.reshape(-1, 3)
     edges = np.concatenate([build_spatial_edges(frames),
                             build_temporal_edges(frames, flows, config.use_flow_edges)])
     state = _StreamState(config.levels)
@@ -470,12 +529,8 @@ def oracle_build_hierarchy(level0, frames, flows, config):
         _, node_first, node_index = np.unique(levels[-1], return_index=True,
                                               return_inverse=True)
         nn = len(node_first)
-        feats = _NodeFeatures(node_index, nn, colors_u8,
-                              flows if config.use_flow_feature else None,
-                              (t_len, h, w), config)
-        pa, pb = _region_pairs(edges, node_index, nn)
         forest = Forest(nn, sizes=np.bincount(node_index).tolist())
-        oracle_fh_sweep(forest, make_edges(pa, pb, _pair_weights(feats, pa, pb)),
+        oracle_fh_sweep(forest, _region_edges(frames, flows, edges, node_index, nn, config),
                         config.k0 * config.k_growth ** level, config.min_size)
         levels.append(_oracle_close(forest, node_first, state, level)[node_index])
     return SegmentationHierarchy([lv.reshape(t_len, h, w) for lv in levels])

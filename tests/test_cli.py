@@ -1,5 +1,6 @@
 """CLI tests: exit codes, config precedence, and the subcommand round trips."""
 
+import gc
 import math
 import os
 import shutil
@@ -161,6 +162,40 @@ def test_eval_dimension_mismatch_is_data_error(tmp_path, scene_dir):
     assert rc == 2
 
 
+def test_eval_checks_every_volume_before_scoring_any(tmp_path, scene_dir, monkeypatch, capsys):
+    # level_02 lacks its last frame: no level is scored, not even level_00
+    seg = tmp_path / "seg"
+    assert main([*_command_argv("segment", scene_dir), "--levels", "3", "--out", str(seg)]) == 0
+    (seg / "level_02" / "00003.pgm").unlink()
+
+    def score(*args, **kwargs):
+        pytest.fail("a level was scored before every volume was checked")
+
+    monkeypatch.setattr("svstream.cli.evaluate", score)
+    out = tmp_path / "m.csv"
+    assert main(["eval", "--pred", str(seg), "--gt", os.path.join(str(scene_dir), "gt"),
+                 "--video", _frames_pattern(scene_dir), "--out", str(out)]) == 2
+    assert (f"{seg / 'level_02'} holds 3 frames of 24x24, the video 4 frames of 24x24"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_eval_gt_of_another_size_refused_before_any_payload(tmp_path, scene_dir, monkeypatch,
+                                                             capsys):
+    gt = tmp_path / "gt"
+    write_label_volume(np.zeros((4, 10, 12), dtype=np.int64), str(gt))
+
+    def read(*args, **kwargs):
+        pytest.fail("a payload was read before every volume's size was checked")
+
+    monkeypatch.setattr("svstream.mediaio._read_netpbm", read)
+    out = tmp_path / "m.csv"
+    assert main(["eval", "--pred", os.path.join(str(scene_dir), "gt"), "--gt", str(gt),
+                 "--video", _frames_pattern(scene_dir), "--out", str(out)]) == 2
+    assert f"{gt} holds 4 frames of 12x10, the video 4 frames of 24x24" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- config
 
 def test_config_precedence_defaults_file_flags(tmp_path, scene_dir):
@@ -309,6 +344,8 @@ def _peaks_on_long_scenes(tmp_path, command, flags) -> list:
         argv = [command, "--input", str(scene / "frames" / "%05d.ppm"),
                 "--external-flow", str(scene / "flow"), "--bilateral", "off",
                 "--subseq", "3", *flags, "--out", str(tmp_path / f"{command}{frames}")]
+        # garbage and free-list blocks left by earlier work do not count
+        gc.collect()
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -346,6 +383,7 @@ def test_flow_memory_does_not_grow_with_video_length(tmp_path):
         out = tmp_path / f"flow{frames}"
         argv = ["flow", "--input", str(scene / "frames" / "%05d.ppm"), "--flow-iters", "5",
                 "--flow-min-size", "12", "--out", str(out)]
+        gc.collect()
         tracemalloc.start()
         try:
             assert main(argv) == 0
@@ -620,7 +658,8 @@ def test_out_of_the_wrong_kind_is_refused_before_any_read(tmp_path, scene_dir, m
     def read(*args, **kwargs):
         pytest.fail("input was read before --out was checked")
 
-    for name in ("load_frame_sequence", "frame_paths", "read_label_volume", "parse_scene_spec"):
+    for name in ("load_frame_sequence", "frame_paths", "label_paths", "read_label_volume",
+                 "parse_scene_spec"):
         monkeypatch.setattr(f"svstream.cli.{name}", read)
     out = tmp_path / "out"
     if kind.endswith("-dir"):
@@ -744,6 +783,11 @@ def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, mon
     ("motion", ["--levels", "-3"], "levels must be >= 0"),
     ("segment", ["--color-bins", "257"], "color_bins must be <= 256"),
     ("motion", ["--color-bins", "257"], "color_bins must be <= 256"),
+    ("segment", ["--flow-bins", str(2 ** 62)], "flow_bins must be <= 2**32"),
+    ("motion", ["--flow-bins", str(2 ** 63)], "flow_bins must be <= 2**32"),
+    ("flow", ["--alpha", "1e308"], "alpha**2 positive and finite"),
+    ("segment", ["--alpha", "1e-300"], "alpha**2 positive and finite"),
+    ("motion", ["--alpha", "inf"], "alpha**2 positive and finite"),
 ], ids=["segment-k0", "segment-levels", "segment-k-growth", "segment-min-size",
         "segment-subseq", "segment-alpha", "segment-radius", "segment-threads",
         "motion-k0", "motion-subseq", "motion-alpha", "motion-supervoxel-level",
@@ -751,15 +795,16 @@ def test_bad_motion_parameters_rejected_before_any_work(tmp_path, scene_dir, mon
         "segment-flow-range-nan", "segment-alpha-nan", "segment-sigma-s-nan",
         "motion-single-tau-nan", "segment-flow-range-inf", "segment-flow-range-1e308",
         "segment-k-growth-overflow", "motion-tau-growth-overflow", "motion-levels-negative",
-        "segment-color-bins-257", "motion-color-bins-257"])
+        "segment-color-bins-257", "motion-color-bins-257", "segment-flow-bins-2-62",
+        "motion-flow-bins-2-63", "flow-alpha-square-overflows", "segment-alpha-square-vanishes",
+        "motion-alpha-inf"])
 def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, capsys,
                                               command, flags, message):
     def read(*args, **kwargs):
         pytest.fail("input was read before the options were checked")
 
-    monkeypatch.setattr("svstream.cli.load_frame_sequence", read)
-    monkeypatch.setattr("svstream.cli.frame_paths", read)
-    monkeypatch.setattr("svstream.cli.read_label_volume", read)
+    for name in ("load_frame_sequence", "frame_paths", "label_paths", "read_label_volume"):
+        monkeypatch.setattr(f"svstream.cli.{name}", read)
     out = tmp_path / "out"
     if command == "eval":
         gt = os.path.join(str(scene_dir), "gt")
@@ -770,6 +815,70 @@ def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, 
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_scene(tmp_path_factory):
+    """A 4-frame 16x16 scene: frames/, gt/, flow/ and its scene text."""
+    root = tmp_path_factory.mktemp("tiny")
+    spec = root / "scene.txt"
+    spec.write_text("width = 16\nheight = 16\nframes = 4\nseed = 9\ntexture_amplitude = 40\n"
+                    "background_color = 70 80 100\nbackground_motion = 0.4 0 0 0.2 0 0\n"
+                    "object = rect 4 4 6 6 color 200 70 50 motion 0.3 0 0 0.2 0 0\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(root / "scene")]) == 0
+    return root
+
+
+def _extreme_values(key) -> list:
+    """0, -1 and 2**63 for every option, nan, inf and 1e308 where the
+    converter takes a float, and the extreme sizes a size converter takes."""
+    conv = cli._OPTIONS[key][0]
+    values = ["0", "-1", str(2 ** 63)]
+    if conv is float:
+        values += ["nan", "inf", "1e308"]
+    if conv is cli._canonical:
+        values += ["0x0", f"{2 ** 63}x{2 ** 63}"]
+    return values
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command, (*_, keys)
+                                          in cli._COMMANDS.items() for key in keys])
+def test_extreme_option_values_end_in_an_exit_code(tmp_path, tiny_scene, monkeypatch, command,
+                                                   key):
+    # one option at a time, the others at their defaults, on a clip of four
+    # frames: a pool starts a thread only for a task it is given, so no
+    # --threads starts more than the clip's frames
+    monkeypatch.chdir(tmp_path)
+    if key in ("flow-iters", "flow-warps"):
+        # legal but slow: 2**63 iterations would simply run
+        monkeypatch.setattr("svstream.optflow.compute_backward_flow",
+                            lambda cur, prev, params: np.zeros(cur.shape[:2] + (2,), np.float32))
+    scene = tiny_scene / "scene"
+    frames = str(scene / "frames" / "%05d.ppm")
+    required = {"input": frames, "out": None, "spec": str(tiny_scene / "scene.txt"),
+                "pred": str(scene / "gt"), "gt": str(scene / "gt"), "video": frames}
+    for i, value in enumerate(_extreme_values(key)):
+        options = {k: v for k, v in required.items() if k in cli._COMMANDS[command][3]}
+        options["out"] = f"out{i}"
+        options[key] = value
+        argv = [command, *(arg for k, v in options.items() for arg in (f"--{k}", v))]
+        assert main(argv) in (0, 1, 2), argv
+
+
+def test_motion_schedule_that_does_not_increase_is_refused_before_it_is_built(tmp_path, capsys):
+    # a million levels of a constant tau: the list would hold a million floats
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rc = main(["motion", "--input", str(tmp_path / "x%05d.ppm"), "--levels", "1000000",
+                   "--tau-growth", "1", "--out", str(tmp_path / "motion")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert "tau schedule must be strictly increasing" in capsys.readouterr().err
+    assert peak < 2 ** 20, peak
+    assert os.listdir(tmp_path) == []
 
 
 def test_eval_accepts_single_volume_directory(tmp_path, scene_dir):

@@ -7,10 +7,10 @@ import pytest
 from svstream.errors import DataError, FormatError
 from svstream.mediaio import (LabelPalette, check_frame_shapes, colorize_labels,
                               find_frame_indices, frame_paths, load_frame_sequence,
-                              read_flo, read_flo_shape, read_frames, read_label_volume,
-                              read_pgm16, read_ppm, read_ppm_shape, write_flo,
-                              write_frame_sequence, write_label_volume, write_pgm16,
-                              write_ppm)
+                              label_paths, read_flo, read_flo_shape, read_frames,
+                              read_label_volume, read_netpbm_shape, read_pgm16, read_ppm,
+                              write_flo, write_frame_sequence, write_label_volume,
+                              write_pgm16, write_ppm)
 from svstream.rng import SplitMix64
 
 
@@ -155,7 +155,7 @@ def test_frame_shapes_come_from_headers_alone(tmp_path):
     write_ppm(str(tmp_path / "f1.ppm"), _rand_frame(1, 3, 5))
     paths = frame_paths(str(tmp_path / "f%d.ppm"))
     assert paths == [str(tmp_path / "f0.ppm"), str(tmp_path / "f1.ppm")]
-    assert read_ppm_shape(paths[0]) == (3, 5, 3)
+    assert read_netpbm_shape(paths[0]) == (3, 5, 3)
     assert check_frame_shapes(paths) == (3, 5, 3)
     with pytest.raises(FormatError, match="payload truncated"):
         read_frames(paths)
@@ -163,6 +163,20 @@ def test_frame_shapes_come_from_headers_alone(tmp_path):
     write_ppm(str(tmp_path / "f2.ppm"), _rand_frame(2, 3, 4))
     with pytest.raises(FormatError, match=r"f2\.ppm is 4x3 but .*f0\.ppm is 5x3"):
         check_frame_shapes(frame_paths(str(tmp_path / "f%d.ppm")))
+
+
+def test_label_frame_shapes_come_from_headers_alone(tmp_path):
+    # a 16-bit PGM whose payload is cut short still gives its shape
+    (tmp_path / "00000.pgm").write_bytes(b"P5\n5 3\n65535\n" + b"\0" * 7)
+    write_pgm16(str(tmp_path / "00001.pgm"), np.zeros((3, 5), dtype=np.int32))
+    paths = label_paths(str(tmp_path))
+    assert read_netpbm_shape(paths[0], b"P5") == (3, 5, 1)
+    assert check_frame_shapes(paths, b"P5") == (3, 5, 1)
+    with pytest.raises(FormatError, match="missing P6 magic"):
+        check_frame_shapes(paths)
+    write_pgm16(str(tmp_path / "00002.pgm"), np.zeros((3, 4), dtype=np.int32))
+    with pytest.raises(FormatError, match=r"00002\.pgm is 4x3 but .*00000\.pgm is 5x3"):
+        check_frame_shapes(label_paths(str(tmp_path)), b"P5")
 
 
 @pytest.mark.parametrize("data, message", [
@@ -175,7 +189,7 @@ def test_ppm_shape_header_errors(tmp_path, data, message):
     p = tmp_path / "bad.ppm"
     p.write_bytes(data)
     with pytest.raises(FormatError, match=message):
-        read_ppm_shape(str(p))
+        read_netpbm_shape(str(p))
 
 
 def test_flo_shape_from_header(tmp_path):

@@ -10,15 +10,14 @@ from svstream import streamseg
 from svstream.affine import AffineModel
 from svstream.imageops import relabel_first_occurrence
 from svstream.streamseg import (StreamConfig, _chi2_rows, _color_weight, _fh_sweep,
-                                _NodeFeatures, _pair_weights, _pre_union, _StreamState,
-                                _window_edges, build_spatial_edges, build_temporal_edges,
-                                check_window_size, combine_distance, make_edges,
-                                stream_segment)
+                                _pre_union, _region_edges, _StreamState, _window_edges,
+                                build_spatial_edges, build_temporal_edges, check_window_size,
+                                combine_distance, make_edges, stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate
 from svstream.unionfind import Forest
 
-from oracles import (oracle_build_hierarchy, oracle_fh_sweep, oracle_segment_level0,
-                     oracle_voxel_weights)
+from oracles import (oracle_build_hierarchy, oracle_fh_sweep, oracle_region_weights,
+                     oracle_segment_level0, oracle_voxel_weights)
 
 
 def _undirected_pairs(edges) -> set:
@@ -404,45 +403,90 @@ def test_combine_distance_domain():
         combine_distance(0.5, 1.1)
 
 
-# ---------------------------------------------------------------- features
+# ---------------------------------------------------------------- region graph
+
+def _voxel_graph(frames) -> np.ndarray:
+    """The grid 26-neighborhood's voxel edges."""
+    return np.concatenate([build_spatial_edges(frames), build_temporal_edges(frames, None, False)])
+
+
+def _one_pair_weight(frames, flows, node_index, config=StreamConfig()) -> float:
+    """The weight of the one region pair of a window of two nodes."""
+    (a, b, weight), = _region_edges(frames, flows, _voxel_graph(frames), np.asarray(node_index),
+                                    2, config).tolist()
+    assert (a, b) == (0, 1)
+    return weight
+
 
 def test_region_features_hand_check():
-    frames = np.zeros((2, 2, 2, 3), dtype=np.uint8)
-    vals = [10, 100, 200, 255]
-    for i, v in enumerate(vals):
-        frames[:, i // 2, i % 2, :] = v
-    flow = np.zeros((2, 2, 2))
-    flow[..., 1] = 16.0
     config = StreamConfig(color_bins=8, flow_bins=9, flow_range=16.0)
-    feats = _NodeFeatures(np.zeros(8, dtype=np.int64), 1, frames.reshape(-1, 3),
-                          [flow], (2, 2, 2), config)
-    # value v lands in bin v*8 // 256: 10->0, 100->3, 200->6, 255->7
-    want = np.zeros(8)
-    want[[0, 3, 6, 7]] = 0.25
-    for c in range(3):
-        assert np.allclose(feats.color[0, c], want, atol=0.0)
-    (uh, vh, present), = feats.flow      # one histogram set, for frame 1
-    assert present.tolist() == [True]
-    wu = np.zeros(9)
-    wu[4] = 1.0           # u = 0 is the center bin
-    wv = np.zeros(9)
-    wv[8] = 1.0           # v = +flow_range clips into the last bin
-    assert np.array_equal(uh[0], wu)
-    assert np.array_equal(vh[0], wv)
+    # value v lands in bin v*8 // 256, which holds 32k..32k+31: 10->0,
+    # 100->3, 200->6, 255->7.  Two one-voxel nodes of gray values are at
+    # distance 0 when they share a bin and near 1 when they do not
+    frames = np.zeros((1, 1, 2, 3), dtype=np.uint8)
+    for value, k in ((10, 0), (100, 3), (200, 6), (255, 7)):
+        frames[0, 0, 0] = value
+        for other, same in ((32 * k, True), (32 * k + 31, True),
+                            (32 * k - 1 if k else 32, False)):
+            frames[0, 0, 1] = other
+            weight = _one_pair_weight(frames, None, [0, 1], config)
+            assert weight == 0.0 if same else weight > 0.99, (value, other)
+    # equal colors and two nodes in frame 1, one moving by (0, +flow_range):
+    # a flow component that shares no bin with the other node's halves the
+    # flow similarity, so the weight is (1 - 1/2)**2; bin k's center is
+    # -16 + (k + 1/2) * 32/9, so u = 0 falls into the center bin 4 and
+    # v = +flow_range into the last bin 8
+    frames = np.full((2, 1, 2, 3), 90, dtype=np.uint8)
+    center = [-16.0 + (k + 0.5) * 32.0 / 9.0 for k in range(9)]
+    for k in range(9):
+        for comp, own in ((0, 4), (1, 8)):
+            flow = np.zeros((1, 2, 2))
+            flow[0, 0] = 0.0, 16.0
+            flow[0, 1] = center[4], center[8]
+            flow[0, 1, comp] = center[k]
+            weight = _one_pair_weight(frames, [flow], [0, 1, 0, 1], config)
+            assert weight == 0.0 if k == own else abs(weight - 0.25) < 1e-9, (comp, k)
 
 
 def test_flow_distance_without_common_frames():
-    # equal colors; region 0 fills frames 0-1 moving right, region 1 fills
-    # frame 2 moving left, so the two never share a flow frame
+    # region 0 fills frames 0-1 moving right, region 1 fills frame 2 moving
+    # left, so the two never share a flow frame: the flow distance is 0, and
+    # the color distance d_c is still fused with it, as (1 - (1 - d_c))**2
     frames = np.full((3, 2, 2, 3), 90, dtype=np.uint8)
     flows = [np.zeros((2, 2, 2)), np.zeros((2, 2, 2))]
     flows[0][..., 0] = 16.0
     flows[1][..., 0] = -16.0
     node_index = np.repeat([0, 0, 1], 4)
-    feats = _NodeFeatures(node_index, 2, frames.reshape(-1, 3), flows, (3, 2, 2),
-                          StreamConfig())
-    weight, = _pair_weights(feats, np.array([0]), np.array([1]))
-    assert weight == 0.0    # the color distance; no motion evidence
+    assert _one_pair_weight(frames, flows, node_index) == 0.0   # no motion evidence
+    frames[2, 0] = 200
+    d_c = _one_pair_weight(frames, None, node_index)
+    assert 0.3 < d_c < 0.4
+    assert _one_pair_weight(frames, flows, node_index) == (1.0 - (1.0 - d_c)) ** 2
+
+
+@pytest.mark.parametrize("flow", ["feature", "feature-off", "none", "one-frame"])
+@pytest.mark.parametrize("seed", range(3))
+def test_region_edges_equal_oracle(seed, flow):
+    # random nodes over random voxels; frame 0 holds nodes of its own, so
+    # every pair across frames 0 and 1 shares no flow frame
+    rng = np.random.default_rng(seed)
+    t_len, h, w = (1 if flow == "one-frame" else 3), 5, 6
+    frames = _rand_video(seed, t_len, h, w)
+    flows = [rng.uniform(-20.0, 20.0, (h, w, 2)).astype(np.float32) for _ in range(t_len - 1)]
+    labels = rng.integers(0, 4, (t_len, h, w))
+    labels[1:] += 4
+    _, node_index = np.unique(labels.ravel(), return_inverse=True)
+    config = StreamConfig(color_bins=int(rng.integers(2, 257)), flow_bins=int(rng.integers(2, 12)),
+                          flow_range=float(rng.uniform(4.0, 24.0)),
+                          use_flow_feature=flow != "feature-off")
+    flows = None if flow == "none" else flows
+    edges = _voxel_graph(frames)
+    got = _region_edges(frames, flows, edges, node_index, int(node_index.max()) + 1, config)
+    want = oracle_region_weights(frames, flows, edges, node_index, config)
+    assert [(a, b) for a, b, _ in got.tolist()] == sorted(want)
+    assert np.allclose(got["w"], [want[p] for p in sorted(want)], rtol=0.0, atol=1e-12)
+    if t_len > 1:
+        assert any(a < 4 <= b for a, b in want) and any(a >= 4 for a, _ in want)
 
 
 # ---------------------------------------------------------------- hierarchy
