@@ -32,6 +32,7 @@ log = logging.getLogger(__name__)
 
 DIVERGENCE_KAPPA = 64.0
 _SCORE_BLOCK = 1 << 16      # hypotheses x pixels scored at once by RANSAC
+_FIRST_DRAWS = 6            # RANSAC draws converted before sample 0 is scored
 MIN_REGION = 12             # smaller components of a pair's initial labeling are absorbed
 OVERLAP_FRAC = 0.3          # share of a region's area that must overlap to keep a label
 
@@ -181,10 +182,13 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
 
 def _hypothesis_triples(n: int, seed: int, block: int):
     """Endless triples of distinct SplitMix64(seed).next_below(n) draws in
-    stream order, skipping a draw that repeats one of its triple's; block
-    draws at a time."""
-    stream = (d for start in itertools.count(0, block)
-              for d in (splitmix64_block(seed, start, block) % np.uint64(n)).tolist())
+    stream order, skipping a draw that repeats one of its triple's.  The
+    first _FIRST_DRAWS draws, enough for sample 0 unless more than three of
+    them repeat, form a block of their own, so a fit that ends after sample
+    0 converts no more; then block draws at a time."""
+    bounds = itertools.pairwise(itertools.chain([0], itertools.count(_FIRST_DRAWS, block)))
+    stream = (d for start, stop in bounds
+              for d in (splitmix64_block(seed, start, stop - start) % np.uint64(n)).tolist())
     while True:
         triple = []
         while len(triple) < 3:

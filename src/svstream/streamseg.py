@@ -3,9 +3,13 @@
 The voxel graph connects each voxel to its 8 in-frame neighbors and, for
 t > 0, to the 9 voxels around its backward-flow target in the previous frame.
 Level 0 groups voxels by the minimum-internal-difference criterion; higher
-levels rebuild the graph over regions, weighting edges by color histogram
-distance optionally fused with per-frame flow histogram distance, and regroup
-with a geometrically growing threshold constant.
+levels group the regions of the level below, weighting edges by color
+histogram distance optionally fused with per-frame flow histogram distance,
+with a geometrically growing threshold constant.  A window builds level 1's
+region graph from its voxels: the node pairs its voxel edges join and each
+node's color and per-frame flow bin counts.  Each higher level's graph is
+coarsened from the one below: pairs mapped to their parents, counts summed.
+The counts are whole numbers, so the weights equal a build from the voxels.
 
 Streaming processes the video in subsequences of `subseq_len` frames.  Each
 window spans the previous and the current subsequence; voxels of the previous
@@ -35,6 +39,7 @@ enough), and the merge rule runs in Python over the remaining edges only.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -305,49 +310,104 @@ def _flow_bin(component: np.ndarray, bins: int, radius: float) -> np.ndarray:
     return np.clip(b, 0, bins - 1)
 
 
-def _region_edges(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: np.ndarray,
-                  nn: int, config: StreamConfig) -> np.ndarray:
-    """One hierarchy level's region graph: an edge for every node pair
-    (a < b) that a voxel edge joins, weighted by the mean over the color
-    channels of the chi-squared distance of the two nodes' color histograms.
-    With config.use_flow_feature on, flows_w given and two frames or more,
-    that weight is fused with the flow distance: the mean, over the frames
-    t >= 1 both nodes occupy (0 if none), of the mean chi-squared distance of
-    their frame-t u and v histograms.  Each frame's flow histograms are built
-    and dropped in turn."""
+class _RegionGraph(NamedTuple):
+    """A hierarchy level's region graph: the sorted node pairs pa < pb that a
+    voxel edge joins, and each node's voxel counts per histogram bin, whole
+    numbers, from which every weight is computed: color (nn, 3, color_bins)
+    and, when the flow feature is used, flow (nn, T-1, 2, flow_bins), the u
+    and v bins of the node's voxels in each frame t >= 1 (else None)."""
+    pa: np.ndarray
+    pb: np.ndarray
+    color: np.ndarray
+    flow: np.ndarray | None
+
+
+def _unique_pairs(na: np.ndarray, nb: np.ndarray, nn: int) -> tuple:
+    """The distinct (min, max) of node pairs (ids below nn), sorted."""
+    return np.divmod(np.unique(np.minimum(na, nb, dtype=np.int64) * nn
+                               + np.maximum(na, nb, dtype=np.int64)), nn)
+
+
+def _region_graph(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: np.ndarray,
+                  nn: int, config: StreamConfig) -> _RegionGraph:
+    """The region graph of nodes given per voxel, from the window's voxels:
+    the pairs from the voxel edges, then the color counts, then, with
+    config.use_flow_feature on, flows_w given and two frames or more, the
+    flow counts.  A window reads its voxels here once; higher levels are
+    _coarsen-ed from this graph."""
     # int32 node ids keep the per-edge gathers at 4 B; nn is below 2**31
     node32 = node_index.astype(np.int32)
     na = node32[edges["a"]]
     nb = node32[edges["b"]]
     differ = na != nb
-    pa, pb = np.divmod(np.unique(np.minimum(na[differ], nb[differ], dtype=np.int64) * nn
-                                 + np.maximum(na[differ], nb[differ], dtype=np.int64)), nn)
+    pa, pb = _unique_pairs(na[differ], nb[differ], nn)
     del node32, na, nb, differ
     cb = config.color_bins
-    color = np.zeros((nn, 3, cb), dtype=np.float64)
+    color = np.empty((nn, 3, cb), dtype=np.int32)
     for c, channel in enumerate(frames_w.reshape(-1, 3).T):
         bins = (channel.astype(np.int64) * cb) // 256
-        color[:, c, :] = np.bincount(node_index * cb + bins, minlength=nn * cb).reshape(nn, cb)
-    color /= color.sum(axis=-1, keepdims=True)
-    dc = np.mean(_chi2_rows(color[pa], color[pb]), axis=-1)
+        color[:, c] = np.bincount(node_index * cb + bins, minlength=nn * cb).reshape(nn, cb)
     t_len, h, w = frames_w.shape[:3]
     if not (config.use_flow_feature and flows_w is not None and t_len >= 2):
-        return make_edges(pa, pb, dc)
+        return _RegionGraph(pa, pb, color, None)
     fb = config.flow_bins
+    flow = np.empty((nn, t_len - 1, 2, fb), dtype=np.int32)
+    for t in range(1, t_len):
+        nodes_t = node_index[t * h * w:(t + 1) * h * w] * fb
+        field = np.asarray(flows_w[t - 1], dtype=np.float64)
+        for comp in range(2):
+            bins = _flow_bin(field[..., comp].ravel(), fb, config.flow_range)
+            flow[:, t - 1, comp] = np.bincount(nodes_t + bins,
+                                               minlength=nn * fb).reshape(nn, fb)
+    return _RegionGraph(pa, pb, color, flow)
+
+
+def _reduce_children(ufunc, values: np.ndarray, parent: np.ndarray, nn: int) -> np.ndarray:
+    """Row i of the result reduces, with ufunc, the rows j of values whose
+    parent[j] is i; every i below nn has one."""
+    order = np.argsort(parent, kind="stable")
+    return ufunc.reduceat(values[order], np.searchsorted(parent[order], np.arange(nn)), axis=0)
+
+
+def _coarsen(graph: _RegionGraph, parent: np.ndarray, nn: int) -> _RegionGraph:
+    """The region graph one level up, whose node i holds the nodes j with
+    parent[j] == i: the distinct mapped pairs whose ends differ, which are
+    the pairs its voxel edges join, and the children's summed counts.  The
+    counts are whole numbers below 2**31, so every histogram and weight
+    equals that of _region_graph on the voxels."""
+    qa = parent[graph.pa]
+    qb = parent[graph.pb]
+    differ = qa != qb
+    pa, pb = _unique_pairs(qa[differ], qb[differ], nn)
+    flow = None if graph.flow is None else _reduce_children(np.add, graph.flow, parent, nn)
+    return _RegionGraph(pa, pb, _reduce_children(np.add, graph.color, parent, nn), flow)
+
+
+def _graph_edges(graph: _RegionGraph, config: StreamConfig) -> np.ndarray:
+    """An edge for every pair of the region graph, weighted by the mean over
+    the color channels of the chi-squared distance of the two nodes' color
+    histograms.  With flow counts, that weight is fused with the flow
+    distance: the mean, over the frames t >= 1 both nodes occupy (0 if
+    none), of the mean chi-squared distance of their frame-t u and v
+    histograms.  Each frame's flow histograms are built and dropped in
+    turn."""
+    pa, pb = graph.pa, graph.pb
+    color = graph.color.astype(np.float64)
+    color /= color.sum(axis=-1, keepdims=True)
+    dc = np.mean(_chi2_rows(color[pa], color[pb]), axis=-1)
+    if graph.flow is None:
+        return make_edges(pa, pb, dc)
     df = np.zeros(len(pa))
     cnt = np.zeros(len(pa))
-    for t in range(1, t_len):
-        nodes_t = node_index[t * h * w:(t + 1) * h * w]
-        present = np.bincount(nodes_t, minlength=nn) > 0
+    for frame in graph.flow.transpose(1, 2, 0, 3):
+        # every voxel of a node in the frame falls into one u bin
+        present = frame[0].sum(axis=-1) > 0
         both = present[pa] & present[pb]
         if not both.any():
             continue
-        field = np.asarray(flows_w[t - 1], dtype=np.float64)
         cuv = []
-        for comp in range(2):
-            bins = _flow_bin(field[..., comp].ravel(), fb, config.flow_range)
-            counts = np.bincount(nodes_t * fb + bins, minlength=nn * fb)
-            hist = counts.reshape(nn, fb).astype(np.float64)
+        for counts in frame:
+            hist = counts.astype(np.float64)
             mass = hist.sum(axis=-1, keepdims=True)
             hist = np.divide(hist, mass, out=np.zeros_like(hist), where=mass > 0)
             cuv.append(_chi2_rows(hist[pa[both]], hist[pb[both]]))
@@ -355,6 +415,12 @@ def _region_edges(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: 
         cnt[both] += 1.0
     df = np.divide(df, cnt, out=np.zeros_like(df), where=cnt > 0)
     return make_edges(pa, pb, _fuse(dc, df))
+
+
+def _region_edges(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: np.ndarray,
+                  nn: int, config: StreamConfig) -> np.ndarray:
+    """One hierarchy level's weighted region edges, built from the voxels."""
+    return _graph_edges(_region_graph(frames_w, flows_w, edges, node_index, nn, config), config)
 
 
 class _StreamState:
@@ -449,24 +515,36 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
     """Segment one window; old_labels (per level, covering the window's first
     frames, empty in the first window) carry the frozen result of the
     previous subsequence.  Level 0 groups voxels; each higher level groups
-    the regions of the level below."""
+    the regions of the level below.  Level 1's region graph is built from
+    the voxels, every higher one from the graph of the level below."""
     t_len, h, w = frames_w.shape[:3]
     n = t_len * h * w
     frozen = old_labels[0].size
     edges = _window_edges(frames_w, flows_w, config, len(old_labels[0]))
     grown = np.ones(n, dtype=np.int8)
     grown[:frozen] = 0
-    levels_flat = [_group_level(old_labels[0].ravel(), grown, range(n), edges,
-                                config, 0, state)]
+    labels = _group_level(old_labels[0].ravel(), grown, range(n), edges, config, 0, state)
+    levels_flat = [labels]
     for level in range(1, config.levels):
-        _, node_first, node_index = np.unique(levels_flat[-1], return_index=True,
-                                              return_inverse=True)
-        nn = len(node_first)
+        # node ids rank like the labels of the level below, so ties break by
+        # (w, label a, label b)
+        if level == 1:
+            _, node_first, node_index = np.unique(labels, return_index=True,
+                                                  return_inverse=True)
+            nn = len(node_first)
+            grown = np.bincount(node_index[frozen:], minlength=nn)
+            graph = _region_graph(frames_w, flows_w, edges, node_index, nn, config)
+            del edges
+        else:
+            ranked, parent = np.unique(labels, return_inverse=True)
+            nn = len(ranked)
+            node_first = _reduce_children(np.minimum, node_first, parent, nn)
+            grown = _reduce_children(np.add, grown, parent, nn)
+            graph = _coarsen(graph, parent, nn)
+            node_index = parent[node_index]
         keys = np.full(nn, -1, dtype=np.int64)
         keys[node_index[:frozen]] = old_labels[level].ravel()
-        # node ids rank like their labels, so ties break by (w, label a, label b)
-        labels = _group_level(keys, np.bincount(node_index[frozen:], minlength=nn), node_first,
-                              _region_edges(frames_w, flows_w, edges, node_index, nn, config),
+        labels = _group_level(keys, grown, node_first, _graph_edges(graph, config),
                               config, level, state)
         levels_flat.append(labels[node_index])
     return [lf.reshape(t_len, h, w) for lf in levels_flat]
@@ -487,13 +565,18 @@ def _check_frames(frames: np.ndarray) -> None:
 
 
 def _check_flows(flows, pairs: int, h: int, w: int) -> None:
+    """Refuse flows unless it holds `pairs` finite (h, w, 2) fields (or is
+    None): a NaN or infinite vector has no target voxel and no flow bin."""
     if flows is None:
         return
     if len(flows) != pairs:
         raise ValueError("need one flow field per consecutive frame pair")
     for f in flows:
-        if np.asarray(f).shape != (h, w, 2):
+        f = np.asarray(f)
+        if f.shape != (h, w, 2):
             raise ValueError("flow field dimensions disagree with frames")
+        if not np.isfinite(f).all():
+            raise ValueError("flow fields must be finite")
 
 
 def stream_blocks(blocks, config: StreamConfig = StreamConfig()):
@@ -559,8 +642,7 @@ def stream_segment(seq: np.ndarray, flows,
     seq = np.asarray(seq)
     _check_frames(seq)
     check_window_size(seq.shape, config)
-    if flows is not None and len(flows) != len(seq) - 1:
-        raise ValueError("need one flow field per consecutive frame pair")
+    _check_flows(flows, len(seq) - 1, *seq.shape[1:3])
     out = [np.empty(seq.shape[:3], dtype=np.int64) for _ in range(config.levels)]
     for s, labels, _, _ in stream_blocks(_subsequences(seq, flows, config.subseq_len), config):
         for volume, block in zip(out, labels):

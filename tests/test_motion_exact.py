@@ -7,6 +7,8 @@ for bit: the same splitmix64 draws, the same fitted parameters, the same
 patches and divergences, the same surviving regions, the same component ids.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -49,6 +51,24 @@ def test_block_draws_equal_sequential_draws(seed):
     assert splitmix64_block(seed, 0, 40).tolist() == sequential
     assert splitmix64_block(seed, 13, 27).tolist() == sequential[13:]
     assert splitmix64_block(seed, 5, 0).tolist() == []
+
+
+@pytest.mark.parametrize("block", [5, 4 * RansacParams().iterations])
+@pytest.mark.parametrize("n", [3, 4, 5, 1000])
+def test_hypothesis_triples_equal_sequential_draws(n, block):
+    # the draws come in a short first block and then blocks of `block`; the
+    # triples must not depend on where those blocks start
+    rng = SplitMix64(77)
+    want = []
+    for _ in range(50):
+        triple = []
+        while len(triple) < 3:
+            d = rng.next_below(n)
+            if d not in triple:
+                triple.append(d)
+        want.append(triple)
+    got = list(itertools.islice(motionlayers._hypothesis_triples(n, 77, block), 50))
+    assert got == want
 
 
 # ---------------------------------------------------------------- RANSAC

@@ -489,6 +489,79 @@ def test_region_edges_equal_oracle(seed, flow):
         assert any(a < 4 <= b for a, b in want) and any(a >= 4 for a, _ in want)
 
 
+@pytest.mark.parametrize("case", ["feature", "feature-off", "none", "one-frame", "no-pairs"])
+@pytest.mark.parametrize("seed", range(4))
+def test_coarsened_region_graph_equals_voxel_build(seed, case):
+    # random nested groupings of a random window, coarsest last: one node.
+    # Level 1's graph is built from the voxels and each higher one from the
+    # level below; every level must give the voxel build's edges exactly.
+    # Frame 0 holds nodes of its own at level 1, so some pairs share no
+    # flow frame.  "no-pairs" keeps only the spatial edges and groups each
+    # frame into one node, a level of several nodes and no pair.
+    rng = np.random.default_rng(seed)
+    t_len, h, w = (1 if case == "one-frame" else 3), 5, 6
+    frames = _rand_video(seed, t_len, h, w)
+    flows = [rng.uniform(-20.0, 20.0, (h, w, 2)).astype(np.float32) for _ in range(t_len - 1)]
+    config = StreamConfig(color_bins=int(rng.integers(2, 257)), flow_bins=int(rng.integers(2, 12)),
+                          flow_range=float(rng.uniform(4.0, 24.0)),
+                          use_flow_feature=case != "feature-off")
+    flows = None if case == "none" else flows
+    if case == "no-pairs":
+        edges = build_spatial_edges(frames)
+        labels = [np.arange(t_len)[:, None, None] * 8 + rng.integers(0, 8, (t_len, h, w))]
+        labels.append(labels[0] // 8)
+    else:
+        edges = _voxel_graph(frames)
+        labels = [rng.integers(0, 12, (t_len, h, w))]
+        labels[0][1:] += 12
+        for _ in range(int(rng.integers(1, 3))):
+            labels.append(rng.integers(0, 6, labels[-1].max() + 1)[labels[-1]])
+    labels.append(np.zeros_like(labels[0]))
+    graph = None
+    shapes = []
+    for level, lab in enumerate(labels):
+        _, first, node_index = np.unique(lab.ravel(), return_index=True, return_inverse=True)
+        nn = len(first)
+        if graph is None:
+            graph = streamseg._region_graph(frames, flows, edges, node_index, nn, config)
+        else:
+            # each node of the level below goes to the node of its first voxel
+            graph = streamseg._coarsen(graph, node_index[below_first], nn)
+        got = streamseg._graph_edges(graph, config)
+        want = _region_edges(frames, flows, edges, node_index, nn, config)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist(), level
+        # and the voxel build against the independent per-pair reference
+        ref = oracle_region_weights(frames, flows, edges, node_index, config)
+        assert [(a, b) for a, b, _ in want.tolist()] == sorted(ref)
+        assert np.allclose(want["w"], [ref[p] for p in sorted(ref)], rtol=0.0, atol=1e-12)
+        below_first = first
+        shapes.append((nn, len(got)))
+    assert shapes[-1] == (1, 0)
+    if case == "no-pairs":
+        assert shapes[1] == (t_len, 0)
+    else:
+        assert all(pairs > 0 for _, pairs in shapes[:-1])
+
+
+@pytest.mark.parametrize("levels", [2, 3, 6])
+def test_window_reads_its_voxels_once(monkeypatch, levels):
+    # level 1's region graph comes from the voxels, every higher level's from
+    # the level below, so a window bins its voxels once whatever the depth
+    reads = []
+    region_graph = streamseg._region_graph
+
+    def counted(frames_w, *args):
+        reads.append(len(frames_w))
+        return region_graph(frames_w, *args)
+
+    monkeypatch.setattr(streamseg, "_region_graph", counted)
+    frames, _, flows = _scene(7, t=8)
+    config = StreamConfig(subseq_len=3, levels=levels, k0=0.5, min_size=4)
+    hier = stream_segment(frames, flows, config)
+    assert reads == [3, 6, 5]
+    assert len(np.unique(hier.levels[-1])) < len(np.unique(hier.levels[0]))
+
+
 # ---------------------------------------------------------------- hierarchy
 
 def _scene(seed: int, t: int = 6) -> tuple:
@@ -660,6 +733,33 @@ def test_frames_other_than_uint8_refused_before_any_work(monkeypatch, dtype):
         stream_segment(frames, None, StreamConfig())
     with pytest.raises(ValueError, match="frames must be uint8"):
         next(streamseg.stream_blocks([(frames, None)], StreamConfig()))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_flow_refused_before_its_window(monkeypatch, bad):
+    # a NaN or infinite vector has no target voxel and no flow bin; a held
+    # video is checked before its first window, a streamed subsequence
+    # before its own window
+    windows = []
+    window_pass = streamseg._window_pass
+
+    def counted(*args):
+        windows.append(len(args[0]))
+        return window_pass(*args)
+
+    monkeypatch.setattr(streamseg, "_window_pass", counted)
+    frames = _rand_video(0, 6, 8, 8)
+    flows = [np.zeros((8, 8, 2), np.float32) for _ in range(5)]
+    flows[4][3, 2, 1] = bad
+    config = StreamConfig(subseq_len=3, levels=2)
+    with pytest.raises(ValueError, match="flow fields must be finite"):
+        stream_segment(frames, flows, config)
+    assert windows == []
+    blocks = streamseg.stream_blocks([(frames[:3], flows[:2]), (frames[3:], flows[2:])], config)
+    assert next(blocks)[0] == 0
+    with pytest.raises(ValueError, match="flow fields must be finite"):
+        next(blocks)
+    assert windows == [3]
 
 
 def test_video_shape_validation():
