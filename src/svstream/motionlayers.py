@@ -476,6 +476,11 @@ def clean_small_components(labels: np.ndarray, min_region: int,
     return relabel_first_occurrence(comp.reshape(labels.shape))
 
 
+def _gray(frame: np.ndarray) -> np.ndarray:
+    """An RGB frame's float64 luma; a (H, W) grayscale frame as float64."""
+    return luma_f64(frame) if frame.ndim == 3 else frame.astype(np.float64)
+
+
 def motion_hierarchy(init_labels: np.ndarray, frame: np.ndarray,
                      flow: np.ndarray, schedule, p: int = 64, q: int = 64,
                      seed: int = 0,
@@ -484,7 +489,7 @@ def motion_hierarchy(init_labels: np.ndarray, frame: np.ndarray,
     level l+1 = merge_pass of level l at tau = schedule[l]."""
     schedule = list(schedule)
     check_motion_params(schedule, p, q)
-    frame_gray = luma_f64(frame) if frame.ndim == 3 else frame.astype(np.float64)
+    frame_gray = _gray(frame)
     regions = _regions_from_labels(init_labels, flow, seed, ransac)
     levels = [_level(regions, init_labels.shape)]
     for li, tau in enumerate(schedule):
@@ -501,8 +506,7 @@ def _residual_costs(labels: np.ndarray, models: dict, frame_pair):
     """(model ids ascending, mrf_smooth's data cost of each id per pixel,
     labels as indices into the ids)."""
     prev, cur = frame_pair
-    prev_gray = luma_f64(prev) if prev.ndim == 3 else prev.astype(np.float64)
-    cur_gray = luma_f64(cur) if cur.ndim == 3 else cur.astype(np.float64)
+    prev_gray, cur_gray = _gray(prev), _gray(cur)
     h, w = labels.shape
     ids = sorted(models)
     missing = set(np.unique(labels).tolist()) - set(ids)

@@ -30,12 +30,15 @@ the grouping sweep break by (w, min id, max id).  A window builds no edge
 between two frozen voxels: such an edge could only join one emitted region
 to itself or to another, which never merge.
 
-The grouping sweep is exact but blockwise.  It sorts the edges it is given
-into sweep order in place, so a window keeps one edge array; the higher
-levels read only its endpoints, in any order.  numpy drops, one block of
-sorted edges at a time, every edge that can no longer merge anything (same
-root, two marked roots, or in the cleanup pass two roots already large
-enough), and the merge rule runs in Python over the remaining edges only.
+The grouping sweep is exact but blockwise.  A level's state goes in and
+comes out as numpy arrays: each item's root and each root's size, internal
+difference and mark.  The sweep sorts the edges it is given into sweep order
+in place, so a window keeps one edge array; the higher levels read only its
+endpoints, in any order.  numpy drops, one block of sorted edges at a time,
+every edge that can no longer merge anything (same root, two marked roots,
+or in the cleanup pass two roots already large enough), and the merge rule
+runs in Python over the remaining edges only, on per-item lists that the
+sweep builds after the sort and drops when it returns.
 """
 
 from dataclasses import dataclass
@@ -44,7 +47,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .imageops import round_half_up
-from .unionfind import Forest
 
 EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("w", np.float64)])
 VOXEL_EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("ssd", np.int32)])
@@ -173,15 +175,22 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.
 
 # ---------------------------------------------------------------- grouping
 
-def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.ndarray:
-    """Ascending-weight merge sweep plus the small-component cleanup pass;
-    returns the final root of every item.
+def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: np.ndarray,
+              marked: np.ndarray, k: float, min_size: int) -> np.ndarray:
+    """Ascending-weight merge sweep plus the small-component cleanup pass
+    over one level's pre-grouped items; returns root, updated in place to
+    every item's final root.
 
+    On entry root[i] is item i's root, and every root is its own (the level
+    is flat, as _pre_union leaves it).  size, internal and marked hold each
+    root's item count, internal difference (the largest weight merged inside
+    it) and frozen mark, and are updated in place for every final root;
+    other items' entries are never read.  A union keeps the larger root (the
+    first on a tie), adds the sizes, keeps the largest internal difference
+    and carries the mark; two marked roots never merge (streaming freeze).
     Ties break by (w, min id, max id); edges is put into that order in
     place.  Voxel edges rank by ssd, ordered like w = _color_weight(ssd),
-    computed only where a weight is read.  Components whose marks are both
-    set never merge (streaming freeze).  The forest must be flat on entry
-    (every parent a root), as Forest() and _pre_union leave it.
+    computed only where a weight is read.
 
     The sorted edges are visited in blocks.  numpy first drops each edge that
     stays a no-op for the rest of its pass, judged by the roots at the start
@@ -193,10 +202,11 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
     pass, both roots already hold min_size items (sizes only grow).  The
     merge rule then runs in Python over the surviving edges in sweep order,
     so every union, size, internal difference and mark equals the
-    edge-by-edge sweep's.  After a block that merged, one gather moves the
-    absorbed roots' items to their new roots.
+    edge-by-edge sweep's; its per-item lists are built after the sort,
+    which runs without them.  After a block that merged, one gather moves
+    the absorbed roots' items to their new roots in place.
     """
-    n = len(forest.parent)
+    n = len(root)
     voxels = "ssd" in edges.dtype.names
     ea, eb, ew = edges["a"], edges["b"], edges["ssd" if voxels else "w"]
     weight = _color_weight if voxels else np.asarray
@@ -222,28 +232,34 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
         eb[:] = eb[order]
         ew[:] = ew[order]
         del order
-    root = np.array(forest.parent, dtype=np.int64)
-    root_marked = np.array(forest.mark) >= 0
-    root_size = np.array(forest.size, dtype=np.int64)
-    # each root's merge limit, by the merge rule's own expression; non-roots
-    # may have size 0 and are never read
-    root_lim = np.divide(k, root_size, out=np.zeros(n), where=root == np.arange(n))
-    root_lim += np.array(forest.internal)
-    lim = root_lim.tolist()
-    parent = forest.parent
-    find = forest.find
-    union = forest.union
-    size = forest.size
-    internal = forest.internal
-    mark = forest.mark
+    # each root's merge limit, by the merge rule's own expression; items
+    # under a root may have size 0 and are never read
+    root_lim = np.divide(k, size, out=np.zeros(n), where=size > 0)
+    root_lim += internal
+    # the merge rule's lists: parent[r] is None while r is a root, and every
+    # internal difference but a root's recorded one is the one shared 0.0
+    parent = [None] * n
+    size_l = size.tolist()
+    internal_l = [0.0] * n
+    recorded = np.flatnonzero(internal)
+    for r, v in zip(recorded.tolist(), internal[recorded].tolist()):
+        internal_l[r] = v
+    mark = marked.tolist()
+
+    def find(x):
+        while parent[x] is not None:
+            x = parent[x]
+        return x
+
+    remap = np.arange(n, dtype=np.int64)
     block = max(1024, n // 4)
     for cleanup in (False, True):
         for s in range(0, len(ew), block):
             ra = root[ea[s:s + block]]
             rb = root[eb[s:s + block]]
-            live = (ra != rb) & ~(root_marked[ra] & root_marked[rb])
+            live = (ra != rb) & ~(marked[ra] & marked[rb])
             if cleanup:
-                live &= (root_size[ra] < min_size) | (root_size[rb] < min_size)
+                live &= (size[ra] < min_size) | (size[rb] < min_size)
             else:
                 # a root whose limit is below the block's first weight merges
                 # with nothing for the rest of the pass
@@ -252,33 +268,40 @@ def _fh_sweep(forest: Forest, edges: np.ndarray, k: float, min_size: int) -> np.
             absorbed = []
             for a, b, w in zip(ra[live].tolist(), rb[live].tolist(),
                                weight(ew[s:s + block][live]).tolist()):
-                if parent[a] != a:
+                if parent[a] is not None:
                     a = find(a)
-                if parent[b] != b:
+                if parent[b] is not None:
                     b = find(b)
-                if a == b or (mark[a] >= 0 and mark[b] >= 0):
+                if a == b or (mark[a] and mark[b]):
                     continue
                 if cleanup:
-                    if size[a] >= min_size and size[b] >= min_size:
+                    if size_l[a] >= min_size and size_l[b] >= min_size:
                         continue
-                elif w > (lim[a] if lim[a] < lim[b] else lim[b]):
-                    continue
-                r = union(a, b)
-                absorbed.append(a + b - r)
-                if w > internal[r]:
-                    internal[r] = w
-                lim[r] = internal[r] + k / size[r]
+                else:
+                    lim_a = internal_l[a] + k / size_l[a]
+                    lim_b = internal_l[b] + k / size_l[b]
+                    if w > (lim_a if lim_a < lim_b else lim_b):
+                        continue
+                if size_l[a] < size_l[b]:
+                    a, b = b, a
+                parent[b] = a
+                size_l[a] += size_l[b]
+                internal_l[a] = max(internal_l[a], internal_l[b], w)
+                mark[a] = mark[a] or mark[b]
+                absorbed.append(b)
             if absorbed:
                 # a root's mark and size only grow, so a stale entry would
                 # only keep more edges; a merged root's limit may also rise,
                 # so root_lim must hold every root's current limit
                 now = [find(x) for x in absorbed]
-                remap = np.arange(n, dtype=np.int64)
                 remap[absorbed] = now
-                root = remap[root]
-                root_marked[now] = [mark[r] >= 0 for r in now]
-                root_size[now] = [size[r] for r in now]
-                root_lim[now] = [lim[r] for r in now]
+                # every index is in range; mode="raise" would buffer out
+                np.take(remap, root, out=root, mode="clip")
+                remap[absorbed] = absorbed
+                size[now] = [size_l[r] for r in now]
+                internal[now] = [internal_l[r] for r in now]
+                marked[now] = [mark[r] for r in now]
+                root_lim[now] = internal[now] + k / size[now]
     return root
 
 
@@ -433,48 +456,55 @@ class _StreamState:
         self.ints = [dict() for _ in range(levels)]
 
 
-def _pre_union(forest: Forest, keys: np.ndarray, grown: np.ndarray,
-               state: _StreamState, level: int) -> None:
-    """On a fresh forest, link the items sharing a key (an emitted label; -1
-    for a new item) straight to one root marked with it, so the forest stays
-    flat for _fh_sweep.  Its size is the label's cumulative size plus grown,
-    its members' voxels in the window's new frames; its internal difference
-    is the label's recorded one."""
+def _pre_union(keys: np.ndarray, size: np.ndarray, grown: np.ndarray,
+               state: _StreamState, level: int) -> tuple:
+    """Pre-group a level's items for _fh_sweep: link the items sharing a key
+    (an emitted label; -1 for a new item) straight to one root marked with
+    it, so the level is flat.  size holds each item's own size and is
+    updated in place: the root's becomes the label's cumulative size plus
+    grown, its members' voxels in the window's new frames.  Its internal
+    difference is the label's recorded one, every other item's 0.  Returns
+    each item's root, size, internal difference and mark."""
     members = np.flatnonzero(keys >= 0)
     ukeys, first, group = np.unique(keys[members], return_index=True,
                                     return_inverse=True)
     roots = members[first]
-    parent = np.arange(len(keys), dtype=np.int64)
-    parent[members] = roots[group]
-    forest.parent[:len(keys)] = parent.tolist()
+    root = np.arange(len(size), dtype=np.int64)
+    root[members] = roots[group]
     group_grown = np.bincount(group, weights=grown[members], minlength=len(ukeys))
-    for key, r, g in zip(ukeys.tolist(), roots.tolist(),
-                         group_grown.astype(np.int64).tolist()):
-        forest.size[r] = state.sizes[level][key] + g
-        forest.internal[r] = state.ints[level][key]
-        forest.mark[r] = key
+    ukeys = ukeys.tolist()
+    size[roots] = group_grown.astype(np.int64) + [state.sizes[level][key] for key in ukeys]
+    internal = np.zeros(len(size))
+    internal[roots] = [state.ints[level][key] for key in ukeys]
+    marked = np.zeros(len(size), dtype=bool)
+    marked[roots] = True
+    return root, size, internal, marked
 
 
-def _close_level(forest: Forest, roots: np.ndarray, first_occ, grown: np.ndarray,
-                 state: _StreamState, level: int) -> np.ndarray:
-    """Label a level's forest, given every item's root: marked roots keep
-    their mark, fresh roots get the level's next labels ordered by first
-    occurrence (first_occ[i] is the first-voxel key of item i).  Advances the
-    level's counter, keeps the cumulative size and internal difference of
-    every label that reaches the window's new frames (one of its items has
-    grown > 0), drops the rest, and returns the label of each item."""
+def _close_level(keys: np.ndarray, roots: np.ndarray, size: np.ndarray, internal: np.ndarray,
+                 first_occ, grown: np.ndarray, state: _StreamState, level: int) -> np.ndarray:
+    """Label a level's items, given every item's root and each root's size
+    and internal difference: a component keeps the key of its one keyed item
+    (keys as for _group_level), fresh components get the level's next labels
+    ordered by first occurrence (first_occ[i] is the first-voxel key of item
+    i).  Advances the level's counter, keeps the cumulative size and internal
+    difference of every label that reaches the window's new frames (one of
+    its items has grown > 0), drops the rest, and returns the label of each
+    item."""
     uroots, inv = np.unique(roots, return_inverse=True)
     root_first = np.full(len(uroots), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(root_first, inv, first_occ)
-    labels_u = np.array([forest.mark[r] for r in uroots], dtype=np.int64)
+    labels_u = np.full(len(uroots), -1, dtype=np.int64)
+    members = np.flatnonzero(keys >= 0)
+    labels_u[inv[members]] = keys[members]
     fresh = labels_u < 0
     fresh_rank = np.argsort(np.argsort(root_first[fresh], kind="stable"), kind="stable")
     labels_u[fresh] = state.counters[level] + fresh_rank
     state.counters[level] += int(fresh.sum())
     reach = np.bincount(inv[grown > 0], minlength=len(uroots)) > 0
-    live = list(zip(labels_u[reach].tolist(), uroots[reach].tolist()))
-    state.sizes[level] = {lab: forest.size[r] for lab, r in live}
-    state.ints[level] = {lab: forest.internal[r] for lab, r in live}
+    live_labels = labels_u[reach].tolist()
+    state.sizes[level] = dict(zip(live_labels, size[uroots[reach]].tolist()))
+    state.ints[level] = dict(zip(live_labels, internal[uroots[reach]].tolist()))
     return labels_u[inv]
 
 
@@ -486,10 +516,10 @@ def _group_level(keys: np.ndarray, grown: np.ndarray, first_occ, edges: np.ndarr
     and first_occ[i] its first-voxel key.  Frozen voxels were counted when an
     earlier window closed, so an item starts at its grown voxels and
     _pre_union adds its label's recorded size."""
-    forest = Forest(len(grown), sizes=grown.tolist())
-    _pre_union(forest, keys, grown, state, level)
-    roots = _fh_sweep(forest, edges, config.k0 * config.k_growth ** level, config.min_size)
-    return _close_level(forest, roots, first_occ, grown, state, level)
+    root, size, internal, marked = _pre_union(keys, grown.astype(np.int64), grown, state, level)
+    _fh_sweep(edges, root, size, internal, marked,
+              config.k0 * config.k_growth ** level, config.min_size)
+    return _close_level(keys, root, size, internal, first_occ, grown, state, level)
 
 
 def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig,

@@ -39,7 +39,6 @@ from svstream.rng import SplitMix64, derive_seed
 from svstream.streamseg import (CHI2_EPS, SegmentationHierarchy, _close_level,
                                 _region_edges, _StreamState, build_spatial_edges,
                                 build_temporal_edges, make_edges)
-from svstream.unionfind import Forest
 
 
 def _luma_int(video):
@@ -402,6 +401,46 @@ def oracle_associate_temporal(warped, cur_labels, next_fresh):
 
 # ---------------------------------------------------------------- supervoxels
 
+class Forest:
+    """Disjoint-set forest with the per-component bookkeeping grouping needs.
+
+    Each component tracks its voxel size, its internal difference (the largest
+    edge weight merged inside it so far), and an optional frozen mark.  Marks
+    identify components whose label is already emitted by the streaming driver:
+    two marked components must never merge, and a merge between a marked and an
+    unmarked component keeps the mark (the emitted label absorbs the new one).
+    """
+    __slots__ = ("parent", "size", "internal", "mark")
+
+    def __init__(self, num_nodes: int, sizes=None):
+        self.parent = list(range(num_nodes))
+        self.size = list(sizes) if sizes is not None else [1] * num_nodes
+        self.internal = [0.0] * num_nodes
+        self.mark = [-1] * num_nodes
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> int:
+        """Merge the components of roots a and b; the root of the larger one
+        survives (a on a tie) and is returned."""
+        if self.size[a] < self.size[b]:
+            a, b = b, a
+        self.parent[b] = a
+        self.size[a] += self.size[b]
+        if self.internal[b] > self.internal[a]:
+            self.internal[a] = self.internal[b]
+        if self.mark[b] >= 0:
+            self.mark[a] = self.mark[b]
+        return a
+
+
 def oracle_voxel_weights(edges):
     """The voxel edges as EDGE_DTYPE rows with the float weight
     w = sqrt(ssd) / (255*sqrt(3))."""
@@ -445,8 +484,10 @@ def oracle_fh_sweep(forest, edges, k, min_size):
 
 def _oracle_close(forest, first_occ, state, level):
     roots = np.array([forest.find(i) for i in range(len(first_occ))], dtype=np.int64)
-    # a batch build has no frozen items: every item is new
-    return _close_level(forest, roots, first_occ, np.ones(len(first_occ)), state, level)
+    # a batch build has no frozen items: every item is new and has no key
+    return _close_level(np.empty(0, dtype=np.int64), roots, np.array(forest.size),
+                        np.array(forest.internal), first_occ, np.ones(len(first_occ)),
+                        state, level)
 
 
 def oracle_segment_level0(edges, num_voxels, k0, min_size):

@@ -1,4 +1,4 @@
-"""Unit tests for the deterministic PRNG, union-find, and image numerics."""
+"""Unit tests for the deterministic PRNG, the oracles' union-find, and image numerics."""
 import numpy as np
 import pytest
 
@@ -6,7 +6,8 @@ from svstream.imageops import (bilinear_resize, bilinear_sample, gaussian_blur,
                                luma_f64, luma_u8, relabel_first_occurrence,
                                round_half_up)
 from svstream.rng import MASK64, SplitMix64, derive_seed, mix64
-from svstream.unionfind import Forest
+
+from oracles import Forest
 
 
 # reference splitmix64, written out step by step, independent of svstream.rng

@@ -9,14 +9,13 @@ import pytest
 from svstream import streamseg
 from svstream.affine import AffineModel
 from svstream.imageops import relabel_first_occurrence
-from svstream.streamseg import (StreamConfig, _chi2_rows, _color_weight, _fh_sweep,
-                                _pre_union, _region_edges, _StreamState, _window_edges,
+from svstream.streamseg import (StreamConfig, _chi2_rows, _close_level, _color_weight,
+                                _fh_sweep, _pre_union, _region_edges, _StreamState, _window_edges,
                                 build_spatial_edges, build_temporal_edges, check_window_size,
                                 combine_distance, make_edges, stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate
-from svstream.unionfind import Forest
 
-from oracles import (oracle_build_hierarchy, oracle_fh_sweep, oracle_region_weights,
+from oracles import (Forest, oracle_build_hierarchy, oracle_fh_sweep, oracle_region_weights,
                      oracle_segment_level0, oracle_voxel_weights)
 
 
@@ -236,6 +235,20 @@ def _limit_case(second_weight: float):
             np.zeros(0, dtype=np.int64), _StreamState(1), 0.25, 1)
 
 
+def _union_case(base, keys, recorded, pairs, k):
+    """Items of the given sizes, the keyed ones pre-grouped into marked
+    components with recorded (size, internal difference) per key, and one
+    edge per (a, b, w) of pairs, all in one block."""
+    a, b, w = zip(*pairs)
+    state = _StreamState(1)
+    for key, (size, internal) in recorded.items():
+        state.sizes[0][key] = size
+        state.ints[0][key] = internal
+    keys = np.array(keys, dtype=np.int64)
+    return (len(base), make_edges(a, b, w), np.array(base, dtype=np.int64), keys,
+            np.zeros(len(keys), dtype=np.int64), state, k, 1)
+
+
 def _sweep_cases():
     for seed in range(600):
         yield seed, _sweep_case(seed)
@@ -244,22 +257,41 @@ def _sweep_cases():
     yield "limit equal to first weight", _limit_case(0.25)
     # the limits 1/4 lie below that weight: no edge merges
     yield "limit below first weight", _limit_case(0.26)
+    # marked item 0 (size 1) joins unmarked item 1 (size 3), whose root
+    # survives: the mark and the key's label must pass to it, or item 1 would
+    # then join item 2, marked with another key
+    yield "marked smaller side", _union_case(
+        [1, 3, 1, 1], [5, -1, 6], {5: (1, 0.0), 6: (1, 0.0)},
+        [(0, 1, 0.1), (1, 2, 0.2)], 10.0)
+    # two components of size 2, the second marked: the first survives and
+    # takes the mark, so it must not join marked item 2 next
+    yield "equal sizes", _union_case(
+        [2, 2, 1], [-1, 7, 8], {7: (2, 0.0), 8: (1, 0.0)},
+        [(0, 1, 0.1), (0, 2, 0.2)], 10.0)
+    # marked item 0 brings its recorded internal difference 0.8 into the
+    # larger item 1 at weight 0.1; with it the merged limit 0.8 + 1/5 lets
+    # item 3 join at 0.5, with the survivor's own 0.1 it would not
+    yield "absorbed internal difference", _union_case(
+        [1, 4, 1, 1], [9], {9: (1, 0.8)},
+        [(0, 1, 0.1), (1, 3, 0.5)], 1.0)
+    # the keyed item 1 joins item 2, past the end of keys and larger, so
+    # the component's root holds no key and its label sits on item 1
+    yield "label off the root", _union_case(
+        [1, 1, 5], [-1, 4], {4: (1, 0.0)}, [(1, 2, 0.1)], 10.0)
 
 
-def _component_table(forest, roots):
-    return (relabel_first_occurrence(roots),
-            [forest.size[r] for r in roots.tolist()],
-            [forest.internal[r] for r in roots.tolist()],
-            [forest.mark[r] for r in roots.tolist()])
+def _component_table(roots, size, internal, marked):
+    return (relabel_first_occurrence(roots), size[roots].tolist(),
+            internal[roots].tolist(), marked[roots].tolist())
 
 
 def test_fh_sweep_equals_oracle():
     for seed, (n, edges, base, keys, grown, state, k, min_size) in _sweep_cases():
-        forest = Forest(n, sizes=base.tolist())
-        _pre_union(forest, keys, grown, state, 0)
+        root, size, internal, marked = _pre_union(keys, base.copy(), grown, state, 0)
         unsorted = edges.copy()
-        roots = _fh_sweep(forest, edges, k, min_size)
-        assert roots.tolist() == [forest.find(i) for i in range(n)]
+        roots = _fh_sweep(edges, root, size, internal, marked, k, min_size)
+        # every item's root is a root
+        assert np.array_equal(roots[roots], roots), seed
         # the sweep reorders the edges in place, keeping every (a, b, w) row
         assert _edge_rows(edges) == _edge_rows(unsorted), seed
 
@@ -275,10 +307,24 @@ def test_fh_sweep_equals_oracle():
             ref.mark[root] = key
         oracle_fh_sweep(ref, unsorted, k, min_size)
         ref_roots = np.array([ref.find(i) for i in range(n)], dtype=np.int64)
+        ref_mark = np.array(ref.mark)
 
-        got, want = _component_table(forest, roots), _component_table(ref, ref_roots)
+        got = _component_table(roots, size, internal, marked)
+        want = _component_table(ref_roots, np.array(ref.size), np.array(ref.internal),
+                                ref_mark >= 0)
         assert np.array_equal(got[0], want[0]), seed
         assert got[1:] == want[1:], seed
+
+        # a marked component keeps its key as label, wherever its root lies;
+        # fresh ones are numbered past every key in first-occurrence order
+        state.counters[0] = 1000
+        labels = _close_level(keys, roots, size, internal, np.arange(n), np.ones(n), state, 0)
+        want_labels = ref_mark[ref_roots]
+        fresh = want_labels < 0
+        want_labels[fresh] = 1000 + relabel_first_occurrence(ref_roots[fresh])
+        assert np.array_equal(labels, want_labels), seed
+        assert state.sizes[0] == dict(zip(want_labels.tolist(), want[1])), seed
+        assert state.ints[0] == dict(zip(want_labels.tolist(), want[2])), seed
 
 
 @pytest.mark.parametrize("n", [2 ** 22, 2 ** 22 + 1])
@@ -294,8 +340,9 @@ def test_fh_sweep_ranks_voxel_edges_at_the_one_key_limit(n):
     edges["b"] = rng.choice(ids, m)
     edges["ssd"] = rng.choice([0, 1, 2, 3, 4800, 4801, 3 * 255 ** 2], m)
     unsorted = edges.copy()
-    forest = Forest(n)
-    roots = _fh_sweep(forest, edges, 0.05, 3)
+    size = np.ones(n, dtype=np.int64)
+    internal = np.zeros(n)
+    roots = _fh_sweep(edges, np.arange(n), size, internal, np.zeros(n, dtype=bool), 0.05, 3)
 
     def rows(e):
         # an edge may come out with its endpoints swapped
@@ -307,12 +354,11 @@ def test_fh_sweep_ranks_voxel_edges_at_the_one_key_limit(n):
     lo, hi, ssd = rows(edges)
     assert np.array_equal(np.lexsort((hi, lo, ssd)), np.arange(m))
     touched = np.unique(ids)
-    got = (relabel_first_occurrence(roots[touched]),
-           [forest.size[r] for r in roots[touched].tolist()],
-           [forest.internal[r] for r in roots[touched].tolist()])
+    got = (relabel_first_occurrence(roots[touched]), size[roots[touched]].tolist(),
+           internal[roots[touched]].tolist())
     assert np.array_equal(roots[~np.isin(np.arange(n), touched)],
                           np.setdiff1d(np.arange(n), touched))
-    del forest, roots
+    del size, internal, roots
     # the oracle sweeps the touched items under ids ranked as before: the
     # sweep order and every merge decision stay the same
     ref = Forest(len(touched))
