@@ -12,6 +12,7 @@ success, so a failing command leaves nothing behind, not even parents.
 """
 
 import argparse
+import functools
 import logging
 import os
 import re
@@ -112,7 +113,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once: parsing keeps no state in it, and a build leaves reference cycles."""
     parser = _Parser(prog="svstream", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version",
                         version=f"svstream {__version__}")
@@ -179,16 +182,16 @@ def _stream_config(eff: dict, levels: int) -> StreamConfig:
                         use_flow_feature=eff["flow-feature"])
 
 
-def _input(eff: dict, block_len: int, pool, config: StreamConfig | None, use_flow: bool):
-    """The input's frame count and its (frames, flows) blocks, one per run of
+def _input(eff: dict, block_len: int, run, config: StreamConfig | None, use_flow: bool):
+    """The input's frame count and its (frames, flows) blocks, one per
     block_len frames.  Checked here, before any frame is read: the bilateral
     and flow parameters, every frame's size from its header, the window size
     (unless config is None) and, if flow is used, every --external-flow
     field's header or, for computed flow, the frame size Horn-Schunck needs.
-    A block's frames are bilateral-filtered on the pool if the filter is on;
-    its flows are None without use_flow, else the backward flow of every pair
-    (t-1, t) whose t lies in the run, read from --external-flow or computed
-    from the filtered frames."""
+    A block's frames are bilateral-filtered through run, a map-like callable,
+    if the filter is on; its flows are None without use_flow, else the
+    backward flow of every pair (t-1, t) whose t lies in the block, read from
+    --external-flow or computed from the filtered frames through run."""
     bilateral = None
     if eff.get("bilateral"):
         bilateral = BilateralParams(sigma_spatial=eff["sigma-s"],
@@ -208,25 +211,25 @@ def _input(eff: dict, block_len: int, pool, config: StreamConfig | None, use_flo
         check_flow_size(h, w)
 
     def blocks():
-        last = None     # the previous run's last frame, which the first pair needs
+        last = None     # the previous block's last frame, which the first pair needs
         for s in range(0, len(paths), block_len):
             frames = read_frames(paths[s:s + block_len])
             if bilateral is not None:
-                frames = filter_sequence(frames, bilateral, pool)
+                frames = filter_sequence(frames, bilateral, run)
             flows = None
             if use_flow and external:
                 flows = read_external_flows(external, max(s, 1), s + len(frames), h, w)
             elif use_flow:
                 pairs = frames if last is None else np.concatenate([last, frames])
-                flows = flow_for_sequence(pairs, flow_params, pool)
+                flows = flow_for_sequence(pairs, flow_params, run)
                 last = frames[-1:]
             yield frames, flows
     return len(paths), blocks()
 
 
-def _cmd_segment(eff: dict, pool) -> None:
+def _cmd_segment(eff: dict, run) -> None:
     config = _stream_config(eff, eff["levels"])
-    _, blocks = _input(eff, config.subseq_len, pool, config,
+    _, blocks = _input(eff, config.subseq_len, run, config,
                        config.use_flow_edges or config.use_flow_feature)
     palettes = [LabelPalette(derive_seed(eff["seed"], 7, level))
                 for level in range(config.levels)]
@@ -260,7 +263,7 @@ def _motion_schedule(eff: dict) -> list:
     return [tau0 * growth ** i for i in range(levels)]
 
 
-def _cmd_motion(eff: dict, pool) -> None:
+def _cmd_motion(eff: dict, run) -> None:
     schedule = _motion_schedule(eff)
     p, q = eff["canonical"]
     check_motion_params(schedule, p, q, eff["mrf-lambda"] if eff["mrf"] else 0.0)
@@ -268,7 +271,7 @@ def _cmd_motion(eff: dict, pool) -> None:
     if sv_level < 0:
         raise ValueError("supervoxel-level must be >= 0")
     config = _stream_config(eff, sv_level + 1)
-    num, blocks = _input(eff, config.subseq_len, pool, config, use_flow=True)
+    num, blocks = _input(eff, config.subseq_len, run, config, use_flow=True)
     if num < 2:
         raise ValueError("need at least two frames")
     # one (frame, backward flow or None, supervoxel slice) per frame, and each
@@ -296,10 +299,10 @@ def _cmd_motion(eff: dict, pool) -> None:
                  len(res.tracked_models))
 
 
-def _cmd_flow(eff: dict, pool) -> None:
+def _cmd_flow(eff: dict, run) -> None:
     # one frame per worker at a time, and no more workers than CPUs; each
     # field is written once it is computed
-    _, blocks = _input(eff, min(eff["threads"], os.cpu_count() or 1), pool, None,
+    _, blocks = _input(eff, min(eff["threads"], os.cpu_count() or 1), run, None,
                        use_flow=True)
     os.makedirs(eff["out"])
     fields = 0
@@ -323,7 +326,7 @@ def _check_eval_volumes(video: str, directories) -> None:
                             f"the video {len(paths)} frames of {w}x{h}")
 
 
-def _cmd_eval(eff: dict, pool) -> None:
+def _cmd_eval(eff: dict, run) -> None:
     if eff["tol"] < 0:
         raise ValueError("tolerance must be >= 0")
     level_dirs = sorted(
@@ -342,7 +345,7 @@ def _cmd_eval(eff: dict, pool) -> None:
                  level, rep.num_supervoxels, rep.br3d, rep.ev, rep.acc3d)
 
 
-def _cmd_synth(eff: dict, pool) -> None:
+def _cmd_synth(eff: dict, run) -> None:
     with open(eff["spec"]) as fh:
         scene = parse_scene_spec(fh.read())
     frames, labels, flows = generate(scene)
@@ -398,7 +401,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    pool = stage = None
+    stage = None
     try:
         eff = _effective_config(args.command, args)
         threads = eff.get("threads", 1)     # eval and synth run on one thread
@@ -408,9 +411,9 @@ def main(argv=None) -> int:
         out = eff["out"]
         stage = tempfile.mkdtemp(prefix=".svstream-", dir=_stage_parent(out, out_is_dir))
         eff["out"] = os.path.join(stage, "out")
-        if threads > 1:
-            pool = ThreadPoolExecutor(max_workers=threads)
-        handler(eff, pool)
+        # a pool starts a thread only for a task it is given
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            handler(eff, pool.map if threads > 1 else map)
         os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
         os.replace(eff["out"], out)
         return 0
@@ -421,8 +424,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"svstream: error: {exc}\n")
         return 2
     finally:
-        if pool is not None:
-            pool.shutdown()
         if stage is not None:
             shutil.rmtree(stage, ignore_errors=True)
 

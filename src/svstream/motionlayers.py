@@ -633,6 +633,9 @@ def run_motion_stream(inputs, schedule, p: int = 64, q: int = 64,
             continue
         flow = np.asarray(flow, dtype=np.float64)
         sv_slice = np.asarray(sv_slice).astype(np.int64)
+        size = np.shape(prev_frame)
+        if (np.shape(frame), flow.shape, sv_slice.shape) != (size, size[:2] + (2,), size[:2]):
+            raise ValueError(f"frame {t}: frame, flow or supervoxel slice not of frame 0's size")
         if prev_tracked is None:
             init = sv_slice
         else:

@@ -224,12 +224,10 @@ def read_external_flows(directory: str, first: int, stop: int, h: int, w: int) -
     return fields
 
 
-def flow_for_sequence(seq: np.ndarray, params: FlowParams = FlowParams(), pool=None) -> list:
-    """The backward field of every consecutive frame pair of seq, computed
-    on the pool if one is given."""
+def flow_for_sequence(seq: np.ndarray, params: FlowParams = FlowParams(), run=map) -> list:
+    """The backward field of every consecutive frame pair of seq, each pair
+    computed through run, any map-like callable (a thread pool's map)."""
     def one(t: int) -> np.ndarray:
         return compute_backward_flow(seq[t], seq[t - 1], params)
 
-    if pool is None:
-        return [one(t) for t in range(1, len(seq))]
-    return list(pool.map(one, range(1, len(seq))))
+    return list(run(one, range(1, len(seq))))

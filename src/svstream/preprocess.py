@@ -1,5 +1,6 @@
 """Edge-preserving bilateral smoothing applied to frames before graph construction."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,8 +20,6 @@ class BilateralParams:
             raise ValueError("bilateral radius must be >= 1")
 
 
-_RANGE_LUT_CACHE: dict = {}
-
 # Weight tables are built with scalar math.exp so that a per-pixel reference
 # evaluation reproduces the filter bit-exactly (numpy's vectorized exp is not
 # ulp-identical to libm).
@@ -36,14 +35,10 @@ def _spatial_table(sigma: float, radius: int) -> np.ndarray:
     return table
 
 
+@functools.cache
 def _range_table(sigma: float) -> np.ndarray:
-    key = float(sigma)
-    table = _RANGE_LUT_CACHE.get(key)
-    if table is None:
-        inv = 1.0 / (2.0 * sigma * sigma)
-        table = np.array([math.exp(-d2 * inv) for d2 in range(3 * 255 * 255 + 1)])
-        _RANGE_LUT_CACHE[key] = table
-    return table
+    inv = 1.0 / (2.0 * sigma * sigma)
+    return np.array([math.exp(-d2 * inv) for d2 in range(3 * 255 * 255 + 1)])
 
 
 def bilateral_filter(frame: np.ndarray, params: BilateralParams) -> np.ndarray:
@@ -87,8 +82,6 @@ def bilateral_filter(frame: np.ndarray, params: BilateralParams) -> np.ndarray:
     return np.clip(out, 0, 255).astype(np.uint8)
 
 
-def filter_sequence(seq: np.ndarray, params: BilateralParams, pool=None) -> np.ndarray:
-    """Filter every frame of a (T, H, W, 3) sequence; frames are independent."""
-    if pool is None:
-        return np.stack([bilateral_filter(f, params) for f in seq])
-    return np.stack(list(pool.map(lambda f: bilateral_filter(f, params), seq)))
+def filter_sequence(seq: np.ndarray, params: BilateralParams, run=map) -> np.ndarray:
+    """Filter each frame of a (T, H, W, 3) sequence through run, a map-like callable."""
+    return np.stack(list(run(lambda f: bilateral_filter(f, params), seq)))

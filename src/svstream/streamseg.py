@@ -440,12 +440,6 @@ def _graph_edges(graph: _RegionGraph, config: StreamConfig) -> np.ndarray:
     return make_edges(pa, pb, _fuse(dc, df))
 
 
-def _region_edges(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: np.ndarray,
-                  nn: int, config: StreamConfig) -> np.ndarray:
-    """One hierarchy level's weighted region edges, built from the voxels."""
-    return _graph_edges(_region_graph(frames_w, flows_w, edges, node_index, nn, config), config)
-
-
 class _StreamState:
     """Per-level label counters plus cumulative size / internal-difference
     tables for every label in the newest subsequence, kept by _close_level."""
@@ -613,11 +607,11 @@ def stream_blocks(blocks, config: StreamConfig = StreamConfig()):
     """Segment a video given as subsequences and yield each one's labels
     as soon as its window closes.
 
-    blocks yields, for each subsequence v_i in order, (frames, flows):
-    its (n, H, W, 3) uint8 frames, n = subseq_len except for the last one, and
+    blocks yields, for each subsequence v_i in order, (frames, flows): its
+    (n, H, W, 3) uint8 frames, n = subseq_len except for the last one, and
     the backward flow field of every frame pair (t-1, t) whose t lies in it
-    (n-1 fields for the first, n after; None when no flow is used).  Window
-    i spans v_{i-1} and v_i.  Each yielded item is (s, labels, frames,
+    (n-1 fields for the first, n after; None for all when no flow is used).
+    Window i spans v_{i-1} and v_i.  Each yielded item is (s, labels, frames,
     flows): v_i's first frame index, one (n, H, W) int64 array per level,
     and v_i's frames and flows as taken from blocks.  Those labels are
     final: v_{i-1} enters the next window pre-grouped into its emitted
@@ -640,6 +634,8 @@ def stream_blocks(blocks, config: StreamConfig = StreamConfig()):
             raise ValueError("only the last subsequence may be short")
         elif frames.shape[1:] != old_frames.shape[1:]:
             raise ValueError("frame dimensions differ between subsequences")
+        elif (flows is None) != (old_flows is None):
+            raise ValueError("flows given for some subsequences and not others")
         _check_flows(flows, len(frames) - (s == 0), *frames.shape[1:3])
         check_window_size((len(old_frames) + len(frames),) + frames.shape[1:], config)
         # compact copies of the new frames' labels: no window volume

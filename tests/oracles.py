@@ -36,8 +36,8 @@ from svstream.motionlayers import (DIVERGENCE_KAPPA, OVERLAP_FRAC, MotionRegion,
                                    RansacParams, _box_extent, region_distance)
 from svstream.optflow import _HS_KERNEL, FlowParams, _pyramid, _to_gray
 from svstream.rng import SplitMix64, derive_seed
-from svstream.streamseg import (CHI2_EPS, SegmentationHierarchy, _close_level,
-                                _region_edges, _StreamState, build_spatial_edges,
+from svstream.streamseg import (CHI2_EPS, SegmentationHierarchy, _close_level, _graph_edges,
+                                _region_graph, _StreamState, build_spatial_edges,
                                 build_temporal_edges, make_edges)
 
 
@@ -556,6 +556,12 @@ def oracle_region_weights(frames, flows, edges, node_index, config) -> dict:
     return weights
 
 
+def voxel_region_edges(frames, flows, edges, node_index, nn, config) -> np.ndarray:
+    """One hierarchy level's weighted region edges, built from the voxels
+    rather than coarsened from the level below."""
+    return _graph_edges(_region_graph(frames, flows, edges, node_index, nn, config), config)
+
+
 def oracle_build_hierarchy(level0, frames, flows, config):
     """Grow the full hierarchy above a given finest segmentation of the whole
     video: level0 compacted to first-occurrence order, then each higher level
@@ -571,7 +577,7 @@ def oracle_build_hierarchy(level0, frames, flows, config):
                                               return_inverse=True)
         nn = len(node_first)
         forest = Forest(nn, sizes=np.bincount(node_index).tolist())
-        oracle_fh_sweep(forest, _region_edges(frames, flows, edges, node_index, nn, config),
+        oracle_fh_sweep(forest, voxel_region_edges(frames, flows, edges, node_index, nn, config),
                         config.k0 * config.k_growth ** level, config.min_size)
         levels.append(_oracle_close(forest, node_first, state, level)[node_index])
     return SegmentationHierarchy([lv.reshape(t_len, h, w) for lv in levels])

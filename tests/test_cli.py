@@ -5,6 +5,7 @@ import math
 import os
 import shutil
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -983,6 +984,40 @@ def test_thread_count_does_not_change_motion_output(tmp_path, scene_dir):
         outs[threads] = _tree_bytes(out)
     assert sorted(outs["1"]) == sorted(outs["2"])
     assert all(outs["1"][k] == outs["2"][k] for k in outs["1"])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_per_frame_work_runs_through_the_map_main_picks(tmp_path, scene_dir, monkeypatch,
+                                                         threads):
+    # one thread maps in the calling thread, more map on one pool
+    runs = []
+    for name in ("filter_sequence", "flow_for_sequence"):
+        monkeypatch.setattr(cli, name, lambda *args, real=getattr(cli, name):
+                            runs.append(args[2]) or real(*args))
+    assert main(["segment", "--input", _frames_pattern(scene_dir), "--out", str(tmp_path / "seg"),
+                 "--levels", "2", "--flow-iters", "5", "--flow-min-size", "12",
+                 "--threads", str(threads)]) == 0
+    # two subsequences, each filtered and then given its flows
+    assert len(runs) == 4
+    if threads == 1:
+        assert all(run is map for run in runs)
+    else:
+        assert len({id(run.__self__) for run in runs}) == 1
+        assert isinstance(runs[0].__self__, ThreadPoolExecutor)
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    # parsing keeps no state in the parser, so every call after the first
+    # reuses it
+    assert main(["--version"]) == 0
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, *args, **kw: built.append(self) or init(self, *args, **kw))
+    assert main(["--version"]) == 0
+    assert main(["segment", "--levels", "x"]) == 1
+    assert built == []
+    assert "invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_flow_subcommand_writes_fields(tmp_path, scene_dir):

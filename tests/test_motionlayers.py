@@ -469,6 +469,28 @@ def test_motion_stream_warps_each_previous_pair_once(monkeypatch):
     assert len(calls) == t_len - 2
 
 
+@pytest.mark.parametrize("part", [0, 1, 2])
+def test_motion_stream_refuses_a_pair_of_another_size(monkeypatch, part):
+    # pair 2's frame, flow or supervoxel slice is 16x12, not 16x16: refused,
+    # naming frame 2, before that pair's hierarchy is fit
+    fits = []
+    hierarchy = motionlayers.motion_hierarchy
+    monkeypatch.setattr(motionlayers, "motion_hierarchy",
+                        lambda *args, **kw: fits.append(args) or hierarchy(*args, **kw))
+    frame = np.repeat(_texture(3, 16, 16)[:, :, None], 3, axis=2).astype(np.uint8)
+    labels = np.zeros((16, 16), dtype=np.int64)
+    labels[:, 8:] = 1
+    flow = np.zeros((16, 16, 2))
+    last = [frame, flow, labels]
+    last[part] = last[part][:, :12]
+    results = run_motion_stream(iter([(frame, None, labels), (frame, flow, labels), last]),
+                                schedule=(1.0,), p=8, q=8)
+    next(results)
+    with pytest.raises(ValueError, match="frame 2"):
+        next(results)
+    assert len(fits) == 1
+
+
 def test_motion_stream_input_validation():
     frame = np.zeros((8, 8, 3), dtype=np.uint8)
     flow = np.zeros((8, 8, 2))

@@ -229,7 +229,7 @@ def test_pool_matches_serial():
     params = FlowParams(min_size=10, iters_per_level=8)
     serial = flow_for_sequence(seq, params)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = flow_for_sequence(seq, params, pool=pool)
+        threaded = flow_for_sequence(seq, params, run=pool.map)
     assert len(serial) == len(threaded)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)

@@ -102,6 +102,6 @@ def test_filter_sequence_pool_is_bit_identical():
     params = BilateralParams(sigma_spatial=2.0, sigma_range=20.0, radius=2)
     serial = filter_sequence(seq, params)
     with ThreadPoolExecutor(max_workers=4) as pool:
-        threaded = filter_sequence(seq, params, pool)
+        threaded = filter_sequence(seq, params, pool.map)
     assert np.array_equal(serial, threaded)
     assert serial.shape == seq.shape

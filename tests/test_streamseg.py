@@ -10,13 +10,13 @@ from svstream import streamseg
 from svstream.affine import AffineModel
 from svstream.imageops import relabel_first_occurrence
 from svstream.streamseg import (StreamConfig, _chi2_rows, _close_level, _color_weight,
-                                _fh_sweep, _pre_union, _region_edges, _StreamState, _window_edges,
+                                _fh_sweep, _pre_union, _StreamState, _window_edges,
                                 build_spatial_edges, build_temporal_edges, check_window_size,
                                 combine_distance, make_edges, stream_segment)
 from svstream.synth import ObjectSpec, SceneSpec, generate
 
 from oracles import (Forest, oracle_build_hierarchy, oracle_fh_sweep, oracle_region_weights,
-                     oracle_segment_level0, oracle_voxel_weights)
+                     oracle_segment_level0, oracle_voxel_weights, voxel_region_edges)
 
 
 def _undirected_pairs(edges) -> set:
@@ -458,8 +458,8 @@ def _voxel_graph(frames) -> np.ndarray:
 
 def _one_pair_weight(frames, flows, node_index, config=StreamConfig()) -> float:
     """The weight of the one region pair of a window of two nodes."""
-    (a, b, weight), = _region_edges(frames, flows, _voxel_graph(frames), np.asarray(node_index),
-                                    2, config).tolist()
+    (a, b, weight), = voxel_region_edges(frames, flows, _voxel_graph(frames),
+                                         np.asarray(node_index), 2, config).tolist()
     assert (a, b) == (0, 1)
     return weight
 
@@ -527,7 +527,7 @@ def test_region_edges_equal_oracle(seed, flow):
                           use_flow_feature=flow != "feature-off")
     flows = None if flow == "none" else flows
     edges = _voxel_graph(frames)
-    got = _region_edges(frames, flows, edges, node_index, int(node_index.max()) + 1, config)
+    got = voxel_region_edges(frames, flows, edges, node_index, int(node_index.max()) + 1, config)
     want = oracle_region_weights(frames, flows, edges, node_index, config)
     assert [(a, b) for a, b, _ in got.tolist()] == sorted(want)
     assert np.allclose(got["w"], [want[p] for p in sorted(want)], rtol=0.0, atol=1e-12)
@@ -574,7 +574,7 @@ def test_coarsened_region_graph_equals_voxel_build(seed, case):
             # each node of the level below goes to the node of its first voxel
             graph = streamseg._coarsen(graph, node_index[below_first], nn)
         got = streamseg._graph_edges(graph, config)
-        want = _region_edges(frames, flows, edges, node_index, nn, config)
+        want = voxel_region_edges(frames, flows, edges, node_index, nn, config)
         assert got.dtype == want.dtype and got.tolist() == want.tolist(), level
         # and the voxel build against the independent per-pair reference
         ref = oracle_region_weights(frames, flows, edges, node_index, config)
@@ -722,6 +722,25 @@ def test_stream_blocks_refuses_a_wrong_flow_count(pairs):
         list(streamseg.stream_blocks([(frames, [np.zeros((8, 8, 2))] * pairs)], config))
 
 
+@pytest.mark.parametrize("first_has_flows", [True, False])
+def test_stream_blocks_refuses_flows_for_some_subsequences_only(monkeypatch, first_has_flows):
+    # flows come with every subsequence or with none: a change is refused
+    # before the window it would open
+    passes = []
+    window_pass = streamseg._window_pass
+    monkeypatch.setattr(streamseg, "_window_pass",
+                        lambda *args: passes.append(args) or window_pass(*args))
+    frames = np.zeros((3, 8, 8, 3), np.uint8)
+    flow = np.zeros((8, 8, 2))
+    feed = [(frames, [flow] * 2), (frames, None)] if first_has_flows else \
+        [(frames, None), (frames, [flow] * 3)]
+    blocks = streamseg.stream_blocks(iter(feed), StreamConfig(subseq_len=3, levels=2))
+    next(blocks)
+    with pytest.raises(ValueError, match="flows given for some subsequences and not others"):
+        next(blocks)
+    assert len(passes) == 1
+
+
 @pytest.mark.parametrize("with_flow", [True, False])
 def test_stream_state_sizes_count_every_emitted_voxel(monkeypatch, with_flow):
     # a frozen region's size is rebuilt from its recorded size plus its voxels
@@ -849,7 +868,7 @@ def test_window_size_guard(shape, subseq_len, refused):
 def test_one_window_peak_bytes_per_voxel():
     # a fixed textured 64x48x4 scene with flow, in one window; 12 B voxel edges
     # (int32 endpoints and ssd) sorted in place through one int64 key measure
-    # about 372 B/voxel, 16 B edges with a float64 weight sorted through a
+    # about 351 B/voxel, 16 B edges with a float64 weight sorted through a
     # lexsort order 533, int64 endpoints with sorted copies 780
     spec = SceneSpec(
         width=64, height=48, num_frames=4, seed=5,
