@@ -48,7 +48,10 @@ def bilinear_resize(img: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
         return img.astype(np.float64, copy=True)
     xs = (np.arange(new_w, dtype=np.float64) + 0.5) * (w / new_w) - 0.5
     ys = (np.arange(new_h, dtype=np.float64) + 0.5) * (h / new_h) - 0.5
-    gx, gy = np.meshgrid(xs, ys)
+    # read-only broadcast views: np.meshgrid's copies fill numpy-internal
+    # caches a little on each call, which a long clip's flow would see
+    gx = np.broadcast_to(xs, (new_h, new_w))
+    gy = np.broadcast_to(ys[:, None], (new_h, new_w))
     return bilinear_sample(img.astype(np.float64), gx, gy)
 
 

@@ -119,8 +119,8 @@ def _solve_level(cur: np.ndarray, prev: np.ndarray, field: np.ndarray,
     """Refine the (2, H, W) flow (u, v) at one pyramid level with warp_steps
     outer linearizations; returns the refined field."""
     h, w = cur.shape
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
+    xs = np.broadcast_to(np.arange(w, dtype=np.float64), (h, w))    # as in bilinear_resize
+    ys = np.broadcast_to(np.arange(h, dtype=np.float64)[:, None], (h, w))
     alpha2 = params.alpha ** 2
     gy_c, gx_c = np.gradient(cur)
     # Every array of the sweep carries a one-pixel frame and is updated
