@@ -106,14 +106,23 @@ def alpha_expansion(data_costs: np.ndarray, lam: float,
                     init_labels: np.ndarray) -> np.ndarray:
     """Minimize the Potts energy from init_labels; never increases energy.
 
-    data_costs has shape (L, H, W); labels take values in [0, L).  Candidate
+    data_costs has shape (L, H, W) and must be finite; init_labels has shape
+    (H, W) and values in [0, L).  Any other input, or a negative, NaN or
+    infinite lambda, raises ValueError before the first cut.  Candidate
     labels are tried in ascending order, cyclically, until every label in a
     row has been rejected: a retry on unchanged labels would give the same
     candidate again.
     """
     if not 0 <= lam < np.inf:
         raise ValueError("lambda must be >= 0 and finite")
+    if data_costs.ndim != 3 or data_costs.shape[1:] != init_labels.shape:
+        raise ValueError(f"data costs of shape {data_costs.shape} do not fit "
+                         f"init labels of shape {init_labels.shape}")
     num_labels = data_costs.shape[0]
+    if not np.isfinite(data_costs).all():
+        raise ValueError("data costs must be finite")
+    if not ((init_labels >= 0) & (init_labels < num_labels)).all():
+        raise ValueError(f"init labels must lie in [0, {num_labels})")
     if lam == 0:
         return np.argmin(data_costs, axis=0).astype(init_labels.dtype)
     labels = init_labels.copy()

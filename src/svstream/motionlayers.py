@@ -13,8 +13,10 @@ optional Potts-model smoothing of the final labeling and forward-warp label
 association across frame pairs complete the streaming driver.
 """
 
+import heapq
 import itertools
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,14 +114,19 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
     get the translation-only model (mean flow); if every sample is collinear
     the whole region is fit directly.
 
-    The samples are drawn, solved and scored in blocks: sample 0 alone, then
-    max(1, _SCORE_BLOCK // n) samples per block for n pixels.  A sample
-    replaces the best only with strictly more inliers, so it must be an
-    inlier somewhere the best misses: each block is scored on the best's
-    missed pixels first, and only the samples that hit one are scored on the
-    best's inlier pixels.  The best starts with no inliers, and nothing is
-    drawn once it explains every pixel.  The result is bit-identical to
-    drawing and scoring the samples one at a time.
+    Sample 0 is drawn, solved and scored on every pixel alone, and its
+    inliers (none if it is collinear) are the first best; if they are every
+    pixel, nothing more is drawn.  Otherwise the other iterations - 1 triples
+    are drawn, the collinear ones dropped and the rest solved in one batch.
+    They are scored in blocks of max(1, _SCORE_BLOCK // (n - best)) samples,
+    for n pixels and a best with `best` inliers.  A sample replaces the best
+    only with strictly more inliers, so it must be an inlier somewhere the
+    best misses: each block is scored on the best's missed pixels first, and
+    only the samples that hit one are scored on the best's inlier pixels,
+    max(1, _SCORE_BLOCK // best) samples at a time.  The missed and inlier
+    pixels are gathered once per change of best, and a new best's inliers are
+    put together from its two scored rows, so no sample is scored twice.  The
+    result is bit-identical to drawing and scoring the samples one at a time.
     """
     pixels = np.asarray(pixels)
     if len(pixels) == 0:
@@ -134,6 +141,16 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
 
     pts = (xs, ys, us, vs)
 
+    def solve(triples):     # exact models of the non-collinear triples
+        tri = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        i, j, k = tri.T
+        # twice the signed triangle area; zero means collinear
+        area = ((xs[j] - xs[i]) * (ys[k] - ys[i])
+                - (xs[k] - xs[i]) * (ys[j] - ys[i]))
+        tri = tri[area != 0.0]
+        return np.linalg.solve(np.stack([np.ones(tri.shape), xs[tri], ys[tri]], axis=-1),
+                               np.stack([us[tri], vs[tri]], axis=-1))[:, :, :, None]
+
     def inliers(c, at):     # one row per sample, rounded as in the scalar order
         x, y, u, v = at
         sq, sq_v, tmp = (np.empty((len(c), len(x))) for _ in range(3))
@@ -146,33 +163,31 @@ def fit_affine_ransac(pixels: np.ndarray, flow: np.ndarray, seed: int,
         sq += sq_v
         return sq <= params.inlier_tol ** 2
 
-    draws = itertools.islice(_hypothesis_triples(n, seed, 4 * params.iterations),
-                             params.iterations)
-    sel = np.zeros(n, dtype=bool)   # the best's inliers
-    best = 0
-    rows = max(1, _SCORE_BLOCK // n)
-    for start in [0, *range(1, params.iterations, rows)]:
-        if best == n:
-            break
-        tri = np.array(list(itertools.islice(draws, rows if start else 1)),
-                       dtype=np.int64).reshape(-1, 3)
-        i, j, k = tri.T
-        # twice the signed triangle area; zero means collinear
-        area = ((xs[j] - xs[i]) * (ys[k] - ys[i])
-                - (xs[k] - xs[i]) * (ys[j] - ys[i]))
-        tri = tri[area != 0.0]
-        block = np.linalg.solve(np.stack([np.ones(tri.shape), xs[tri], ys[tri]], axis=-1),
-                                np.stack([us[tri], vs[tri]], axis=-1))[:, :, :, None]
-        hits = np.count_nonzero(inliers(block, tuple(a[~sel] for a in pts)), axis=1)
+    draws = _hypothesis_triples(n, seed, 4 * params.iterations)
+    sel = inliers(solve([next(draws)]), pts).any(axis=0)   # the best's inliers
+    best = int(np.count_nonzero(sel))
+    rest = solve(list(itertools.islice(draws, params.iterations - 1))) if best < n else ()
+    start, missed = 0, None
+    while best < n and start < len(rest):
+        if missed is None:
+            old = sel
+            missed, kept = (tuple(a[m] for a in pts) for m in (~old, old))
+        block = rest[start:start + max(1, _SCORE_BLOCK // (n - best))]
+        start += len(block)
+        miss_rows = inliers(block, missed)
+        hits = np.count_nonzero(miss_rows, axis=1)
         live = np.nonzero(hits)[0]
-        if live.size == 0:
-            continue
-        kept = tuple(a[sel] for a in pts)
-        counts = hits[live] + np.count_nonzero(inliers(block[live], kept), axis=1)
-        if counts.max() > best:
+        step = max(1, _SCORE_BLOCK // max(len(kept[0]), 1))
+        for rows in (live[at:at + step] for at in range(0, len(live), step)):
+            kept_rows = inliers(block[rows], kept)
+            counts = hits[rows] + np.count_nonzero(kept_rows, axis=1)
             top = int(np.argmax(counts))
-            best = int(counts[top])
-            sel = inliers(block[live[top]][None], pts)[0]
+            if counts[top] > best:
+                best = int(counts[top])
+                sel = np.empty(n, dtype=bool)
+                sel[~old] = miss_rows[rows[top]]
+                sel[old] = kept_rows[top]
+                missed = None
     # a non-collinear sample fits its own three pixels, so no inliers means
     # that every draw was collinear
     if best == 0:
@@ -442,38 +457,63 @@ def clean_small_components(labels: np.ndarray, min_region: int,
                            affinity: np.ndarray = None) -> np.ndarray:
     """Absorb connected components smaller than min_region into a 4-adjacent
     component, preferring neighbors that agree with `affinity` (an auxiliary
-    labeling: fragments sliced off a cell of it rejoin that cell first), then
-    longest shared boundary, then lower component id.
+    labeling of labels' shape: fragments sliced off a cell of it rejoin that
+    cell first), then longest shared boundary, then lower component id.
 
     Slicing a volumetric segmentation by one frame leaves fragments far below
     any minimum size the segmentation itself guarantees; those fragments are
     too small to carry a meaningful motion model, so they are merged by shape
-    before any model is fitted.  Smallest component first; ids follow
-    first occurrence in row-major scan order.
+    before any model is fitted.  Smallest component first, ties to the lower
+    id, until one component is left; ids follow first occurrence in row-major
+    scan order.
+
+    The small components wait in a heap keyed by (size, id).  A component
+    that grows is pushed again with its new size, and an entry whose size is
+    no longer its component's is skipped: sizes only grow, and an absorbed
+    component's size is 0.  An absorbed fragment's boundary is read from its
+    own pixels' in-frame 4-neighbors, so each step costs time in proportion
+    to the fragment, not to the frame.
     """
-    p, q = grid_pairs4(*labels.shape)
-    agree = (np.ones(len(p), dtype=bool) if affinity is None   # every neighbor agrees
-             else affinity.ravel()[p] == affinity.ravel()[q])
-    comp, next_id = _components(labels)
+    h, w = labels.shape
+    if affinity is not None and np.shape(affinity) != labels.shape:
+        raise ValueError(f"affinity of shape {np.shape(affinity)} does not match "
+                         f"labels of shape {labels.shape}")
+    # a frame of -1 around the components: a pixel's four neighbors are then
+    # at fixed offsets in the flat array, and the frame is no component
+    comp = np.full((h + 2, w + 2), -1, dtype=np.int64)
+    comp[1:-1, 1:-1], count = _components(labels)
     comp = comp.ravel()
-    while True:
-        sizes = np.bincount(comp, minlength=next_id)
-        live = np.nonzero(sizes)[0]
-        small = live[sizes[live] < min_region]
-        if small.size == 0 or live.size == 1:
-            break
-        tgt = int(small[np.argsort(sizes[small], kind="stable")[0]])
-        inside = comp == tgt
-        cross = inside[p] != inside[q]
-        if not cross.any():
-            break
-        # the component on the far side of each pair crossing the border
-        across = np.where(inside[p[cross]], comp[q[cross]], comp[p[cross]])
-        border = np.bincount(across[agree[cross]], minlength=next_id)
-        if not border.any():
-            border = np.bincount(across, minlength=next_id)
-        comp[inside] = int(np.argmax(border))
-    return relabel_first_occurrence(comp.reshape(labels.shape))
+    aff = None if affinity is None else np.pad(affinity, 1).ravel()
+    near = np.array([-1, 1, -(w + 2), w + 2])
+    pieces = {c: [idx] for c, (idx,) in ndimage.value_indices(comp, ignore_value=-1).items()}
+    size = [len(idx) for (idx,) in pieces.values()]
+    heap = [(s, c) for c, s in enumerate(size) if s < min_region]
+    heapq.heapify(heap)
+    live = count
+    while heap and live > 1:
+        s, tgt = heapq.heappop(heap)
+        if size[tgt] != s:
+            continue
+        idx = np.concatenate(pieces.pop(tgt))
+        outer = (idx[:, None] + near).ravel()
+        # the component on the far side of each pixel pair crossing the border
+        across = comp[outer]
+        cross = (across != tgt) & (across >= 0)
+        across = across[cross]
+        if aff is not None:
+            agree = aff[np.repeat(idx, 4)[cross]] == aff[outer[cross]]
+            if agree.any():
+                across = across[agree]
+        votes = Counter(across.tolist())
+        into = min(votes, key=lambda c: (-votes[c], c))
+        comp[idx] = into
+        pieces[into].append(idx)
+        size[into] += s
+        size[tgt] = 0
+        live -= 1
+        if size[into] < min_region:
+            heapq.heappush(heap, (size[into], into))
+    return relabel_first_occurrence(comp.reshape(h + 2, w + 2)[1:-1, 1:-1])
 
 
 def _gray(frame: np.ndarray) -> np.ndarray:

@@ -7,6 +7,8 @@ canonical warp that samples every pixel and the merge pass that computes
 every pair distance afresh; the batched, geometry-first and memoized code in
 svstream.motionlayers must reproduce them bit for bit, and
 the per-label-value component loop must match its one-graph components,
+the small-fragment cleanup that recounts the whole frame per fragment must
+match the heap that reads only the fragment's pixels,
 and the forward rasterization and temporal association that scan the frame
 once per label must match the grouped ones.
 The supervoxel reference is the batch build: one level-0 sweep over the
@@ -348,6 +350,35 @@ def oracle_components(labels):
         comp[inside] = cc[inside] + (count - 1)
         count += num
     return comp, count
+
+
+def oracle_clean_small_components(labels, min_region, affinity=None):
+    """Small-fragment cleanup read frame-wide: every step recounts every
+    component's size, picks the smallest small one (ties to the lower id),
+    and counts its border over all 4-neighbor pairs of the frame."""
+    p, q = grid_pairs4(*labels.shape)
+    agree = (np.ones(len(p), dtype=bool) if affinity is None   # every neighbor agrees
+             else affinity.ravel()[p] == affinity.ravel()[q])
+    comp, next_id = oracle_components(labels)
+    comp = comp.ravel()
+    while True:
+        sizes = np.bincount(comp, minlength=next_id)
+        live = np.nonzero(sizes)[0]
+        small = live[sizes[live] < min_region]
+        if small.size == 0 or live.size == 1:
+            break
+        tgt = int(small[np.argsort(sizes[small], kind="stable")[0]])
+        inside = comp == tgt
+        cross = inside[p] != inside[q]
+        if not cross.any():
+            break
+        # the component on the far side of each pair crossing the border
+        across = np.where(inside[p[cross]], comp[q[cross]], comp[p[cross]])
+        border = np.bincount(across[agree[cross]], minlength=next_id)
+        if not border.any():
+            border = np.bincount(across, minlength=next_id)
+        comp[inside] = int(np.argmax(border))
+    return relabel_first_occurrence(comp.reshape(labels.shape))
 
 
 def oracle_forward_rasterize(labels, models, shape):

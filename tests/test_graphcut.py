@@ -50,6 +50,38 @@ def test_negative_lambda_rejected(lam):
         alpha_expansion(np.zeros((2, 2, 2)), lam, np.zeros((2, 2), dtype=np.int64))
 
 
+def _refused_inputs():
+    """(data costs, init labels) that alpha_expansion must refuse: a
+    non-finite cost, an init label outside [0, L), and costs whose shape does
+    not fit the init."""
+    costs = np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4)
+    init = np.zeros((3, 4), dtype=np.int64)
+    for bad in (np.nan, np.inf, -np.inf):
+        c = costs.copy()
+        c[1, 2, 3] = bad
+        yield c, init
+    for bad in (-1, 2):
+        i = init.copy()
+        i[0, 1] = bad
+        yield costs, i
+    yield costs, np.full((3, 4), -1, dtype=np.int64)
+    yield costs[:, :2], init
+    yield costs[0], init
+    yield costs.reshape(2, 4, 3), init
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+@pytest.mark.parametrize("costs, init", list(_refused_inputs()),
+                         ids=["nan", "inf", "-inf", "init-negative", "init-L", "init-all-negative",
+                              "rows-short", "costs-2d", "costs-transposed"])
+def test_bad_costs_or_init_rejected_before_any_cut(monkeypatch, costs, init, lam):
+    def no_cut(*args):
+        raise AssertionError("cut attempted")
+    monkeypatch.setattr(graphcut, "_expand", no_cut)
+    with pytest.raises(ValueError):
+        alpha_expansion(costs, lam, init)
+
+
 def test_binary_matches_brute_force():
     # integer costs and lambda survive the 256x capacity scaling exactly, and
     # a binary Potts instance is solved to the global optimum

@@ -1,10 +1,12 @@
 """Exactness of the batched RANSAC, the geometry-first canonical warp, the
-memoized merge pass and the one-graph connected components.
+memoized merge pass, the one-graph connected components and the heap-driven
+small-fragment cleanup.
 
 They must reproduce the one-hypothesis-at-a-time, sample-every-pixel,
-recompute-every-pair and per-label-value references in tests/oracles.py bit
-for bit: the same splitmix64 draws, the same fitted parameters, the same
-patches and divergences, the same surviving regions, the same component ids.
+recompute-every-pair, per-label-value and frame-wide references in
+tests/oracles.py bit for bit: the same splitmix64 draws, the same fitted
+parameters, the same patches and divergences, the same surviving regions, the
+same component ids and the same cleaned labels.
 """
 
 import itertools
@@ -231,6 +233,54 @@ def test_collinear_region_takes_least_squares_fallback():
     assert fit_affine_ransac(pix, flow, seed=5) == want
 
 
+def _score_blocks(counts, n):
+    """Sample indices of fit_affine_ransac's scoring blocks after sample 0,
+    from the inlier counts of the non-collinear samples of a fit whose
+    sample 0 is not collinear."""
+    best, start, blocks = counts[0], 1, []
+    while start < len(counts) and best < n:
+        rows = max(1, motionlayers._SCORE_BLOCK // (n - best))
+        block = range(start, min(len(counts), start + rows))
+        blocks.append(block)
+        best = max(best, *(counts[i] for i in block))
+        start = block.stop
+    return blocks
+
+
+def test_ransac_blocks_follow_the_best_s_missed_pixels():
+    # a region larger than a scoring block whose sample 0 misses under 1% of
+    # it, so one block holds every later sample; and regions whose best
+    # changes at least twice within one block
+    rng = np.random.default_rng(1)
+    h, w = 240, 300
+    gy, gx = np.mgrid[0:h, 0:w]
+    huge = np.column_stack([gx.ravel(), gy.ravel()]).astype(np.int64)
+    flow = _flow_of(_random_affine(rng), h, w) + rng.normal(0, 0.045, (h, w, 2))
+    hit = rng.choice(len(huge), size=250, replace=False)
+    flow.reshape(-1, 2)[hit] += rng.uniform(3.0, 13.0, size=(250, 2))
+    cases = [("huge", huge, flow, 1)]
+    rng = np.random.default_rng(99)
+    for s in range(5):
+        n = int(rng.integers(300, 2500))
+        pix = _scatter(rng, n, 60, 60)
+        flow = _flow_of(_random_affine(rng), 60, 60) + rng.normal(0, 0.12, (60, 60, 2))
+        cases.append(("twice", pix, flow, 100 + s))
+    for label, pix, flow, seed in cases:
+        want = oracles.oracle_fit_affine_ransac(pix, flow, seed)
+        assert fit_affine_ransac(pix, flow, seed) == want
+        n = len(pix)
+        counts = [int(np.count_nonzero(m)) for m in oracles.oracle_ransac_samples(pix, flow, seed)]
+        a, b, c = pix[next(motionlayers._hypothesis_triples(n, seed, 5))]
+        assert (b - a)[0] * (c - a)[1] != (c - a)[0] * (b - a)[1]   # counts[0] is sample 0
+        blocks = _score_blocks(counts, n)
+        replaced = {i for i, _ in _replacements(counts)}
+        if label == "huge":
+            assert n > motionlayers._SCORE_BLOCK and 100 * (n - counts[0]) < n
+            assert len(blocks) == 1 and replaced
+        else:
+            assert max(len(replaced.intersection(block)) for block in blocks) >= 2
+
+
 # ---------------------------------------------------------------- canonical warp
 
 def _warp_cases():
@@ -438,6 +488,43 @@ def test_components_equal_oracle_on_random_maps():
         want, want_n = oracles.oracle_components(labels)
         assert got_n == want_n
         assert np.array_equal(got, want)
+
+
+def _cleanup_cases(rng):
+    """(labels, min_region, affinity) over random maps: many one-pixel
+    fragments (size ties), blocky maps whose fragments touch two neighbors
+    along equal borders (border ties), affinities that agree with one side,
+    with none or with every neighbor, and views that are not contiguous."""
+    for s in range(420):
+        h, w = int(rng.integers(1, 14)), int(rng.integers(1, 14))
+        labels = rng.integers(0, int(rng.integers(1, 7)), size=(h, w))
+        if s % 3 == 1:
+            labels = np.kron(labels[:(h + 1) // 2, :(w + 1) // 2],
+                             np.ones((2, 2), dtype=np.int64))[:h, :w]
+        elif s % 3 == 2:
+            labels = labels.T
+        kind = s % 4
+        if kind == 0:
+            affinity = None
+        elif kind == 1:
+            affinity = labels // 2
+        elif kind == 2:
+            affinity = rng.integers(0, 3, size=labels.shape)[::-1]
+        else:
+            affinity = np.arange(labels.size).reshape(labels.shape)  # no neighbor agrees
+        yield labels, 1 + s % 15, affinity
+
+
+def test_cleanup_equals_frame_wide_oracle():
+    rng = np.random.default_rng(2718)
+    checked = merged = 0
+    for labels, min_region, affinity in _cleanup_cases(rng):
+        got = motionlayers.clean_small_components(labels, min_region, affinity)
+        want = oracles.oracle_clean_small_components(labels, min_region, affinity)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        checked += 1
+        merged += int(got.max()) + 1 < motionlayers._components(labels)[1]
+    assert checked >= 400 and merged >= 250
 
 
 # ---------------------------------------------------------------- label grouping

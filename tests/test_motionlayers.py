@@ -308,6 +308,16 @@ def test_small_component_prefers_matching_affinity():
     assert np.array_equal(got, aff)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (5, 5), (4, 5), (16,), (4, 4, 1)])
+def test_cleanup_refuses_affinity_of_another_shape(shape):
+    lab = np.array([[5, 5, 5, 5],
+                    [5, 9, 9, 5],
+                    [5, 9, 7, 7],
+                    [7, 7, 7, 7]], dtype=np.int64)
+    with pytest.raises(ValueError, match="affinity"):
+        clean_small_components(lab, 4, affinity=np.zeros(shape, dtype=np.int64))
+
+
 def test_cleanup_noop_when_everything_is_big():
     lab = np.array([[3, 3], [3, 3]], dtype=np.int64)
     assert np.array_equal(clean_small_components(lab, 2),
