@@ -1,5 +1,5 @@
 """Shared low-level image numerics: grayscale conversion, resampling,
-4-neighbor pairs and first-occurrence relabeling."""
+pixel grids, 4-neighbor pairs and first-occurrence relabeling."""
 
 import numpy as np
 from scipy.ndimage import correlate1d
@@ -66,6 +66,14 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
     k /= k.sum()
     out = correlate1d(img, k, axis=0, mode="reflect")
     return correlate1d(out, k, axis=1, mode="reflect")
+
+
+def pixel_grid(h: int, w: int):
+    """Every pixel's x and y coordinates as read-only float64 (h, w) views.
+    They are broadcast views: np.meshgrid's copies fill numpy-internal caches
+    a little on each call, which a long clip would see."""
+    return (np.broadcast_to(np.arange(w, dtype=np.float64), (h, w)),
+            np.broadcast_to(np.arange(h, dtype=np.float64)[:, None], (h, w)))
 
 
 def grid_pairs4(h: int, w: int):

@@ -321,8 +321,11 @@ class LabelPalette:
         self.colors = np.empty((0, 3), dtype=np.uint8)
 
     def __call__(self, labels: np.ndarray) -> np.ndarray:
-        """(..., 3) uint8 colors of an integer label array."""
+        """(..., 3) uint8 colors of an integer label array; a negative label
+        is refused before any color is drawn."""
         labels = np.asarray(labels)
+        if labels.size and labels.min() < 0:
+            raise ValueError(f"label {int(labels.min())} is negative: labels are 0, 1, ...")
         n = int(labels.max()) + 1 if labels.size else 0
         if n > len(self.colors):
             rng, seen = self._rng, self._seen

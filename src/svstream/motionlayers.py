@@ -26,8 +26,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .affine import AffineModel, apply_point_matrix, invert_point_map
 from .graphcut import alpha_expansion, labeling_energy
-from .imageops import (bilinear_sample, grid_pairs4, luma_f64, relabel_first_occurrence,
-                       round_half_up)
+from .imageops import (bilinear_sample, grid_pairs4, luma_f64, pixel_grid,
+                       relabel_first_occurrence, round_half_up)
 from .rng import derive_seed, splitmix64_block
 
 log = logging.getLogger(__name__)
@@ -552,8 +552,7 @@ def _residual_costs(labels: np.ndarray, models: dict, frame_pair):
     missing = set(np.unique(labels).tolist()) - set(ids)
     if missing:
         raise ValueError(f"labels without a model: {sorted(missing)}")
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
+    xs, ys = pixel_grid(h, w)
     costs = np.empty((len(ids), h, w))
     for i, lab in enumerate(ids):
         u, v = models[lab].uv(xs, ys)

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .imageops import round_half_up
+from .imageops import pixel_grid, round_half_up
 
 EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("w", np.float64)])
 VOXEL_EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("ssd", np.int32)])
@@ -148,9 +148,8 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.
     if t_len < 2:
         return np.empty(0, dtype=VOXEL_EDGE_DTYPE)
     colors = window.reshape(-1, 3).astype(np.int32)
-    xs, ys = np.meshgrid(np.arange(w, dtype=np.float64),
-                         np.arange(h, dtype=np.float64))
-    src_base = (xs + ys * w).astype(np.int32)
+    xs, ys = pixel_grid(h, w)
+    src_base = np.arange(h * w, dtype=np.int32).reshape(h, w)
     chunks = []
     for t in range(1, t_len):
         if use_flow_edges and flows is not None:
@@ -476,15 +475,17 @@ def _pre_union(keys: np.ndarray, size: np.ndarray, grown: np.ndarray,
 
 
 def _close_level(keys: np.ndarray, roots: np.ndarray, size: np.ndarray, internal: np.ndarray,
-                 first_occ, grown: np.ndarray, state: _StreamState, level: int) -> np.ndarray:
+                 first_occ, grown: np.ndarray, state: _StreamState, level: int) -> tuple:
     """Label a level's items, given every item's root and each root's size
     and internal difference: a component keeps the key of its one keyed item
     (keys as for _group_level), fresh components get the level's next labels
     ordered by first occurrence (first_occ[i] is the first-voxel key of item
     i).  Advances the level's counter, keeps the cumulative size and internal
     difference of every label that reaches the window's new frames (one of
-    its items has grown > 0), drops the rest, and returns the label of each
-    item."""
+    its items has grown > 0) and drops the rest.  Returns the components as
+    the nodes of the level above, ranked by label: each item's node, and each
+    node's label, first-voxel key (the minimum over its items) and grown
+    voxels (the sum over its items)."""
     uroots, inv = np.unique(roots, return_inverse=True)
     root_first = np.full(len(uroots), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(root_first, inv, first_occ)
@@ -495,21 +496,26 @@ def _close_level(keys: np.ndarray, roots: np.ndarray, size: np.ndarray, internal
     fresh_rank = np.argsort(np.argsort(root_first[fresh], kind="stable"), kind="stable")
     labels_u[fresh] = state.counters[level] + fresh_rank
     state.counters[level] += int(fresh.sum())
-    reach = np.bincount(inv[grown > 0], minlength=len(uroots)) > 0
+    root_grown = np.bincount(inv, weights=grown, minlength=len(uroots))
+    reach = root_grown > 0
     live_labels = labels_u[reach].tolist()
     state.sizes[level] = dict(zip(live_labels, size[uroots[reach]].tolist()))
     state.ints[level] = dict(zip(live_labels, internal[uroots[reach]].tolist()))
-    return labels_u[inv]
+    order = np.argsort(labels_u)
+    node = np.empty_like(order)
+    node[order] = np.arange(len(order))
+    return node[inv], labels_u[order], root_first[order], root_grown[order]
 
 
 def _group_level(keys: np.ndarray, grown: np.ndarray, first_occ, edges: np.ndarray,
-                 config: StreamConfig, level: int, state: _StreamState) -> np.ndarray:
-    """Group one level's items and close the level in state; returns each
-    item's label.  keys[i] is item i's emitted label (-1, or past the end of
-    keys, for a new item), grown[i] its voxels in the window's new frames
-    and first_occ[i] its first-voxel key.  Frozen voxels were counted when an
-    earlier window closed, so an item starts at its grown voxels and
-    _pre_union adds its label's recorded size."""
+                 config: StreamConfig, level: int, state: _StreamState) -> tuple:
+    """Group one level's items and close the level in state; returns what
+    _close_level does: each item's node in the level above, and each node's
+    label, first-voxel key and grown voxels.  keys[i] is item i's emitted
+    label (-1, or past the end of keys, for a new item), grown[i] its voxels
+    in the window's new frames and first_occ[i] its first-voxel key.  Frozen
+    voxels were counted when an earlier window closed, so an item starts at
+    its grown voxels and _pre_union adds its label's recorded size."""
     root, size, internal, marked = _pre_union(keys, grown.astype(np.int64), grown, state, level)
     _fh_sweep(edges, root, size, internal, marked,
               config.k0 * config.k_growth ** level, config.min_size)
@@ -535,43 +541,36 @@ def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig,
 
 
 def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
-                 old_labels: list, state: _StreamState):
+                 old_labels: list, state: _StreamState) -> list:
     """Segment one window; old_labels (per level, covering the window's first
     frames, empty in the first window) carry the frozen result of the
     previous subsequence.  Level 0 groups voxels; each higher level groups
-    the regions of the level below.  Level 1's region graph is built from
-    the voxels, every higher one from the graph of the level below."""
+    the nodes that the close below hands it, whose ids rank like its labels,
+    so ties break by (w, label a, label b).  Level 1's region graph is built
+    from the voxels, every higher one coarsened from the one below.  Returns,
+    per level, the labels of the window's new frames only."""
     t_len, h, w = frames_w.shape[:3]
     n = t_len * h * w
     frozen = old_labels[0].size
     edges = _window_edges(frames_w, flows_w, config, len(old_labels[0]))
     grown = np.ones(n, dtype=np.int8)
     grown[:frozen] = 0
-    labels = _group_level(old_labels[0].ravel(), grown, range(n), edges, config, 0, state)
-    levels_flat = [labels]
+    node_index, labels, node_first, grown = _group_level(
+        old_labels[0].ravel(), grown, range(n), edges, config, 0, state)
+    new = [labels[node_index[frozen:]]]
+    graph = (_region_graph(frames_w, flows_w, edges, node_index, len(labels), config)
+             if config.levels > 1 else None)
+    del edges
     for level in range(1, config.levels):
-        # node ids rank like the labels of the level below, so ties break by
-        # (w, label a, label b)
-        if level == 1:
-            _, node_first, node_index = np.unique(labels, return_index=True,
-                                                  return_inverse=True)
-            nn = len(node_first)
-            grown = np.bincount(node_index[frozen:], minlength=nn)
-            graph = _region_graph(frames_w, flows_w, edges, node_index, nn, config)
-            del edges
-        else:
-            ranked, parent = np.unique(labels, return_inverse=True)
-            nn = len(ranked)
-            node_first = _reduce_children(np.minimum, node_first, parent, nn)
-            grown = _reduce_children(np.add, grown, parent, nn)
-            graph = _coarsen(graph, parent, nn)
-            node_index = parent[node_index]
-        keys = np.full(nn, -1, dtype=np.int64)
+        keys = np.full(len(labels), -1, dtype=np.int64)
         keys[node_index[:frozen]] = old_labels[level].ravel()
-        labels = _group_level(keys, grown, node_first, _graph_edges(graph, config),
-                              config, level, state)
-        levels_flat.append(labels[node_index])
-    return [lf.reshape(t_len, h, w) for lf in levels_flat]
+        parent, labels, node_first, grown = _group_level(
+            keys, grown, node_first, _graph_edges(graph, config), config, level, state)
+        node_index = parent[node_index]
+        new.append(labels[node_index[frozen:]])
+        if level + 1 < config.levels:
+            graph = _coarsen(graph, parent, len(labels))
+    return [v.reshape(-1, h, w) for v in new]
 
 
 def check_window_size(shape, config: StreamConfig) -> None:
@@ -638,11 +637,9 @@ def stream_blocks(blocks, config: StreamConfig = StreamConfig()):
             raise ValueError("flows given for some subsequences and not others")
         _check_flows(flows, len(frames) - (s == 0), *frames.shape[1:3])
         check_window_size((len(old_frames) + len(frames),) + frames.shape[1:], config)
-        # compact copies of the new frames' labels: no window volume
-        # outlives its pass
-        old = [v[len(old_frames):].copy() for v in _window_pass(
-            np.concatenate([old_frames, frames]) if s else frames,
-            None if flows is None else old_flows + list(flows), config, old, state)]
+        old = _window_pass(np.concatenate([old_frames, frames]) if s else frames,
+                           None if flows is None else old_flows + list(flows),
+                           config, old, state)
         yield s, old, frames, flows
         # the next window reads only the pairs inside this subsequence
         old_frames = frames

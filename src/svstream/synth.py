@@ -24,7 +24,7 @@ from scipy import ndimage
 
 from .affine import AffineModel, apply_point_matrix, invert_point_map
 from .errors import DataError
-from .imageops import round_half_up
+from .imageops import pixel_grid, round_half_up
 from .rng import MASK64, derive_seed, mix64_array
 
 _LAT_X = 0x9E3779B97F4A7C15
@@ -129,9 +129,10 @@ def _check_static(spec: SceneSpec) -> None:
             raise DataError(f"object {i}: geometry needs 4 numbers")
         if not (np.all(np.isfinite(obj.geometry)) and min(obj.geometry[2:]) > 0):
             raise DataError(f"object {i}: geometry must be finite with a positive size")
-        for c in tuple(obj.color) + tuple(spec.background_color):
-            if not 0 <= int(c) <= 255:
-                raise DataError("colors must be in 0..255")
+    named = [(f"object {i}", obj.color) for i, obj in enumerate(spec.objects, start=1)]
+    for name, color in [("background", spec.background_color)] + named:
+        if len(color) != 3 or not all(0 <= c <= 255 for c in color):
+            raise DataError(f"{name}: a color needs 3 components in 0..255")
 
 
 def _check_extent(spec: SceneSpec, index: int, obj: ObjectSpec, pose: np.ndarray, t: int) -> None:
@@ -170,8 +171,7 @@ def generate(spec: SceneSpec):
     """
     _check_static(spec)
     T, H, W = spec.num_frames, spec.height, spec.width
-    px, py = np.meshgrid(np.arange(W, dtype=np.float64),
-                         np.arange(H, dtype=np.float64))
+    px, py = pixel_grid(H, W)
 
     # initial poses (local -> frame) and per-pair forward point maps
     bg_pose = np.eye(3)

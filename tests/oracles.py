@@ -516,9 +516,10 @@ def oracle_fh_sweep(forest, edges, k, min_size):
 def _oracle_close(forest, first_occ, state, level):
     roots = np.array([forest.find(i) for i in range(len(first_occ))], dtype=np.int64)
     # a batch build has no frozen items: every item is new and has no key
-    return _close_level(np.empty(0, dtype=np.int64), roots, np.array(forest.size),
-                        np.array(forest.internal), first_occ, np.ones(len(first_occ)),
-                        state, level)
+    node, labels, _, _ = _close_level(np.empty(0, dtype=np.int64), roots, np.array(forest.size),
+                                      np.array(forest.internal), first_occ,
+                                      np.ones(len(first_occ)), state, level)
+    return labels[node]
 
 
 def oracle_segment_level0(edges, num_voxels, k0, min_size):

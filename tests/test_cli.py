@@ -729,6 +729,15 @@ def test_synth_refuses_a_non_finite_spec_value(tmp_path, capsys):
     assert os.listdir(tmp_path) == ["scene.txt"]
 
 
+def test_synth_refuses_a_color_out_of_range_without_objects(tmp_path, capsys):
+    spec = tmp_path / "scene.txt"
+    spec.write_text("width = 24\nheight = 24\nframes = 2\nbackground_color = 300 0 0\n")
+    out = tmp_path / "scene"
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+    assert "background: a color needs 3 components in 0..255" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["scene.txt"]
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--canonical", "1x8"], "canonical size must be at least 2x2"),
     (["--tau0", "-1"], "tau schedule must be strictly increasing"),

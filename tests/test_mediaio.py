@@ -249,6 +249,19 @@ def test_colorize_labels_distinct_and_deterministic():
     assert not np.array_equal(rgb, colorize_labels(vol, seed=6))
 
 
+@pytest.mark.parametrize("labels, named", [
+    ([[0, 1, -1]], -1), ([[-3, -2]], -3), ([[5, -7, 2]], -7)])
+def test_palette_refuses_negative_labels_before_drawing(labels, named):
+    # a negative label used to take a color from the end of the table, and an
+    # all-negative volume raised IndexError
+    palette = LabelPalette(3)
+    with pytest.raises(ValueError, match=f"label {named} is negative"):
+        palette(np.array(labels))
+    assert len(palette.colors) == 0
+    with pytest.raises(ValueError, match=f"label {named} is negative"):
+        colorize_labels(np.array(labels)[None], 3)
+
+
 def test_palette_grown_block_by_block_equals_whole_volume_colors():
     rng = np.random.default_rng(4)
     vol = np.sort(rng.integers(0, 300, size=(6, 4, 5)), axis=None).reshape(6, 4, 5)

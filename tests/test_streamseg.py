@@ -318,11 +318,22 @@ def test_fh_sweep_equals_oracle():
         # a marked component keeps its key as label, wherever its root lies;
         # fresh ones are numbered past every key in first-occurrence order
         state.counters[0] = 1000
-        labels = _close_level(keys, roots, size, internal, np.arange(n), np.ones(n), state, 0)
+        item_grown = 1 + np.arange(n) % 3
+        node, labels, node_first, node_grown = _close_level(keys, roots, size, internal,
+                                                            np.arange(n), item_grown, state, 0)
         want_labels = ref_mark[ref_roots]
         fresh = want_labels < 0
         want_labels[fresh] = 1000 + relabel_first_occurrence(ref_roots[fresh])
-        assert np.array_equal(labels, want_labels), seed
+        assert np.array_equal(labels[node], want_labels), seed
+        # the components are the nodes of the level above, ranked by label,
+        # each with its items' least first-voxel key and summed grown voxels
+        assert (np.diff(labels) > 0).all(), seed
+        want_first, want_grown = [n] * len(labels), [0] * len(labels)
+        for i, (nd, g) in enumerate(zip(node.tolist(), item_grown.tolist())):
+            want_first[nd] = min(want_first[nd], i)
+            want_grown[nd] += g
+        assert node_first.tolist() == want_first, seed
+        assert node_grown.tolist() == want_grown, seed
         assert state.sizes[0] == dict(zip(want_labels.tolist(), want[1])), seed
         assert state.ints[0] == dict(zip(want_labels.tolist(), want[2])), seed
 
@@ -766,7 +777,7 @@ def test_stream_state_sizes_count_every_emitted_voxel(monkeypatch, with_flow):
             assert state.sizes[level] == {lab: int(counts[lab]) for lab in frozen}
         volumes = window_pass(frames_w, flows_w, config, old_labels, state)
         for level, vol in enumerate(volumes):
-            emitted[level] = np.concatenate([emitted[level], vol[len(old_labels[0]):].ravel()])
+            emitted[level] = np.concatenate([emitted[level], vol.ravel()])
         windows.append(len(frames_w))
         return volumes
 

@@ -109,6 +109,21 @@ def test_non_finite_spec_values_rejected(change):
         generate(_basic_spec(**change))
 
 
+@pytest.mark.parametrize("change, name", [
+    (dict(background_color=(300, -5, 20), objects=[]), "background"),
+    (dict(background_color=(300, -5, 20)), "background"),
+    (dict(background_color=(80, 90), objects=[]), "background"),
+    (dict(background_color=(80, 90, float("nan")), objects=[]), "background"),
+    (dict(objects=[ObjectSpec("rect", (4.0, 4.0, 8.0, 6.0), (200, 256, 40))]), "object 1"),
+    (dict(objects=[ObjectSpec("rect", (4.0, 4.0, 8.0, 6.0), (200, 60))]), "object 1"),
+], ids=["bg-range-no-object", "bg-range", "bg-two", "bg-nan", "obj-range", "obj-two"])
+def test_colors_checked_with_or_without_objects(change, name):
+    # the background color used to be checked only beside an object, and a
+    # two-component color ended in an IndexError
+    with pytest.raises(DataError, match=f"{name}: a color needs 3 components in 0..255"):
+        generate(_basic_spec(**change))
+
+
 def test_noise_changes_frames_only():
     clean = generate(_basic_spec(noise_sigma=0.0))
     noisy = generate(_basic_spec(noise_sigma=4.0))
