@@ -28,7 +28,10 @@ edge (VOXEL_EDGE_DTYPE, 12 B) carries the integer squared RGB distance ssd
 of two uint8 voxels, a region edge (EDGE_DTYPE) a float64 weight w.  Ties in
 the grouping sweep break by (w, min id, max id).  A window builds no edge
 between two frozen voxels: such an edge could only join one emitted region
-to itself or to another, which never merge.
+to itself or to another, which never merge.  It counts its edges first and
+the builders fill one array of exactly that many rows in place; the steps
+that need a per-edge temporary beside it (the sweep's sort key, the level-1
+node pairs) build it one chunk of _CHUNK rows at a time.
 
 The grouping sweep is exact but blockwise.  A level's state goes in and
 comes out as numpy arrays: each item's root and each root's size, internal
@@ -52,6 +55,8 @@ EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("w", np.float64)])
 VOXEL_EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("ssd", np.int32)])
 CHI2_EPS = 1e-12
 _COLOR_NORM = 255.0 * np.sqrt(3.0)
+# rows per chunk of a window's per-edge temporaries: each stays below 1 MB
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,54 +117,102 @@ def _color_weight(ssd) -> np.ndarray:
     return np.sqrt(np.asarray(ssd, dtype=np.float64)) / _COLOR_NORM
 
 
-def _voxel_edges(colors: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ssd = sum((c[a] - c[b]) ** 2 for c in colors.T)
-    return make_edges(a, b, ssd, VOXEL_EDGE_DTYPE)
+def _chunks(n: int) -> list:
+    """Slices of at most _CHUNK rows that cover range(n); one empty slice
+    when n is 0, so a per-chunk result list is never empty."""
+    return [slice(s, s + _CHUNK) for s in range(0, max(n, 1), _CHUNK)]
 
 
-def build_spatial_edges(window: np.ndarray) -> np.ndarray:
-    """8-neighborhood edges inside every frame of the uint8 window."""
-    t_len, h, w = window.shape[:3]
-    colors = window.reshape(-1, 3).astype(np.int32)
+def _voxel_edges(colors: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Write the voxel edges (a, b) into the rows of out."""
+    out["a"] = a
+    out["b"] = b
+    out["ssd"] = sum((c[a] - c[b]) ** 2 for c in colors.T)
+
+
+def _filled(out: np.ndarray, rows: int) -> np.ndarray:
+    """out, refused unless the builder filled all of it: `rows` rows."""
+    if rows != len(out):
+        raise ValueError(f"out holds {len(out)} edges, not the {rows} built")
+    return out
+
+
+def _spatial_directions(h: int, w: int) -> tuple:
+    """(source, target) pixel-id views of the four forward 8-neighborhood
+    directions of an h x w frame."""
     base = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    return ((base[:, :-1], base[:, 1:]),      # east
+            (base[:-1, :], base[1:, :]),      # south
+            (base[:-1, :-1], base[1:, 1:]),   # south-east
+            (base[:-1, 1:], base[1:, :-1]))   # south-west
+
+
+def _spatial_edge_count(t_len: int, h: int, w: int) -> int:
+    """The number of edges build_spatial_edges builds for t_len h x w frames."""
+    return t_len * sum(src.size for src, _ in _spatial_directions(h, w))
+
+
+def build_spatial_edges(window: np.ndarray, out=None) -> np.ndarray:
+    """8-neighborhood edges inside every frame of the uint8 window, written
+    into out (_spatial_edge_count rows) when it is given; returns them."""
+    t_len, h, w = window.shape[:3]
+    if out is None:
+        out = np.empty(_spatial_edge_count(t_len, h, w), dtype=VOXEL_EDGE_DTYPE)
+    colors = window.reshape(-1, 3).astype(np.int32)
     frame_off = np.arange(t_len, dtype=np.int32) * (h * w)
-    chunks = []
-    for src, dst in (
-        (base[:, :-1], base[:, 1:]),      # east
-        (base[:-1, :], base[1:, :]),      # south
-        (base[:-1, :-1], base[1:, 1:]),   # south-east
-        (base[:-1, 1:], base[1:, :-1]),   # south-west
-    ):
+    pos = 0
+    for src, dst in _spatial_directions(h, w):
         a = (src.ravel()[None, :] + frame_off[:, None]).ravel()
         b = (dst.ravel()[None, :] + frame_off[:, None]).ravel()
-        chunks.append(_voxel_edges(colors, a, b))
-    return np.concatenate(chunks)
+        _voxel_edges(colors, a, b, out[pos:pos + len(a)])
+        pos += len(a)
+    return _filled(out, pos)
 
 
-def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.ndarray:
+def _flow_targets(flows, t: int, h: int, w: int, use_flow_edges: bool) -> tuple:
+    """Each pixel's backward target (round(x+u), round(y+v)) in frame t-1,
+    as int64 (h, w) arrays; u = v = 0 with use_flow_edges off or flows None."""
+    xs, ys = pixel_grid(h, w)
+    u = v = 0.0
+    if use_flow_edges and flows is not None:
+        u = np.asarray(flows[t - 1][..., 0], dtype=np.float64)
+        v = np.asarray(flows[t - 1][..., 1], dtype=np.float64)
+    return round_half_up(xs + u).astype(np.int64), round_half_up(ys + v).astype(np.int64)
+
+
+def _temporal_edge_count(t_len: int, h: int, w: int, flows, use_flow_edges: bool) -> int:
+    """The number of edges build_temporal_edges builds for t_len h x w
+    frames: each voxel of frame t >= 1 has one per in-frame target around
+    its flow target, as many as in-frame columns times in-frame rows."""
+    total = 0
+    for t in range(1, t_len):
+        bx, by = _flow_targets(flows, t, h, w, use_flow_edges)
+        cols = sum((bx + m >= 0) & (bx + m < w) for m in (-1, 0, 1))
+        rows = sum((by + n >= 0) & (by + n < h) for n in (-1, 0, 1))
+        total += int(np.dot(cols.ravel(), rows.ravel()))
+    return total
+
+
+def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool,
+                         out=None) -> np.ndarray:
     """Backward temporal edges: voxel (x, y, t) to the 9 voxels around
-    (round(x+u), round(y+v)) in frame t-1, targets outside the frame dropped.
+    (round(x+u), round(y+v)) in frame t-1, targets outside the frame dropped;
+    written into out (_temporal_edge_count rows) when it is given, and
+    returned.
 
     With use_flow_edges off (or flows None) u = v = 0 and the set reduces to
     the grid 26-neighborhood's temporal part.  No (a, b) pair repeats: a is
     the voxel the edge starts from, and its nine targets are distinct.
     """
     t_len, h, w = window.shape[:3]
-    if t_len < 2:
-        return np.empty(0, dtype=VOXEL_EDGE_DTYPE)
+    if out is None:
+        out = np.empty(_temporal_edge_count(t_len, h, w, flows, use_flow_edges),
+                       dtype=VOXEL_EDGE_DTYPE)
     colors = window.reshape(-1, 3).astype(np.int32)
-    xs, ys = pixel_grid(h, w)
     src_base = np.arange(h * w, dtype=np.int32).reshape(h, w)
-    chunks = []
+    pos = 0
     for t in range(1, t_len):
-        if use_flow_edges and flows is not None:
-            u = np.asarray(flows[t - 1][..., 0], dtype=np.float64)
-            v = np.asarray(flows[t - 1][..., 1], dtype=np.float64)
-        else:
-            u = np.zeros((h, w))
-            v = np.zeros((h, w))
-        bx = round_half_up(xs + u).astype(np.int64)
-        by = round_half_up(ys + v).astype(np.int64)
+        bx, by = _flow_targets(flows, t, h, w, use_flow_edges)
         src = src_base + t * h * w
         for m in (-1, 0, 1):
             for n in (-1, 0, 1):
@@ -168,8 +221,9 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool) -> np.
                 ok = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
                 a = src[ok]
                 b = (tx[ok] + ty[ok] * w + (t - 1) * h * w)
-                chunks.append(_voxel_edges(colors, a, b))
-    return np.concatenate(chunks)
+                _voxel_edges(colors, a, b, out[pos:pos + len(a)])
+                pos += len(a)
+    return _filled(out, pos)
 
 
 # ---------------------------------------------------------------- grouping
@@ -214,9 +268,10 @@ def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: n
         # ssd < 2**18 and ids < 2**bits: one int64 key (ssd, min id, max id),
         # sorted in place and unpacked into the rows as (min id, max id, ssd)
         key = ew.astype(np.int64)
-        for end in (np.minimum, np.maximum):
-            key <<= bits
-            key |= end(ea, eb)
+        for c in _chunks(len(key)):
+            for end in (np.minimum, np.maximum):
+                key[c] <<= bits
+                key[c] |= end(ea[c], eb[c])
         key.sort()
         for field, width in ((eb, bits), (ea, bits), (ew, 18)):
             np.bitwise_and(key, (1 << width) - 1, out=field, casting="unsafe")
@@ -344,10 +399,12 @@ class _RegionGraph(NamedTuple):
     flow: np.ndarray | None
 
 
-def _unique_pairs(na: np.ndarray, nb: np.ndarray, nn: int) -> tuple:
-    """The distinct (min, max) of node pairs (ids below nn), sorted."""
-    return np.divmod(np.unique(np.minimum(na, nb, dtype=np.int64) * nn
-                               + np.maximum(na, nb, dtype=np.int64)), nn)
+def _pair_keys(na: np.ndarray, nb: np.ndarray, nn: int) -> np.ndarray:
+    """The distinct keys min*nn + max of the node pairs (na, nb) whose ends
+    differ, sorted; ids are below nn."""
+    differ = na != nb
+    na, nb = na[differ], nb[differ]
+    return np.unique(np.minimum(na, nb, dtype=np.int64) * nn + np.maximum(na, nb, dtype=np.int64))
 
 
 def _region_graph(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: np.ndarray,
@@ -357,13 +414,14 @@ def _region_graph(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: 
     config.use_flow_feature on, flows_w given and two frames or more, the
     flow counts.  A window reads its voxels here once; higher levels are
     _coarsen-ed from this graph."""
-    # int32 node ids keep the per-edge gathers at 4 B; nn is below 2**31
+    # int32 node ids keep the per-edge gathers at 4 B; nn is below 2**31.
+    # The pairs are gathered and made distinct one chunk of edges at a time
     node32 = node_index.astype(np.int32)
-    na = node32[edges["a"]]
-    nb = node32[edges["b"]]
-    differ = na != nb
-    pa, pb = _unique_pairs(na[differ], nb[differ], nn)
-    del node32, na, nb, differ
+    keys = [_pair_keys(node32[edges["a"][c]], node32[edges["b"][c]], nn)
+            for c in _chunks(len(edges))]
+    del node32
+    pa, pb = np.divmod(np.unique(np.concatenate(keys)), nn)
+    del keys
     cb = config.color_bins
     color = np.empty((nn, 3, cb), dtype=np.int32)
     for c, channel in enumerate(frames_w.reshape(-1, 3).T):
@@ -397,10 +455,7 @@ def _coarsen(graph: _RegionGraph, parent: np.ndarray, nn: int) -> _RegionGraph:
     the pairs its voxel edges join, and the children's summed counts.  The
     counts are whole numbers below 2**31, so every histogram and weight
     equals that of _region_graph on the voxels."""
-    qa = parent[graph.pa]
-    qb = parent[graph.pb]
-    differ = qa != qb
-    pa, pb = _unique_pairs(qa[differ], qb[differ], nn)
+    pa, pb = np.divmod(_pair_keys(parent[graph.pa], parent[graph.pb], nn), nn)
     flow = None if graph.flow is None else _reduce_children(np.add, graph.flow, parent, nn)
     return _RegionGraph(pa, pb, _reduce_children(np.add, graph.color, parent, nn), flow)
 
@@ -528,16 +583,20 @@ def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig,
     `frozen` frames: spatial edges of the new frames, temporal edges from the
     first new frame on.  Each left-out edge joins two voxels of one emitted
     label or of two, so it could only ever link two marked components."""
-    h, w = frames_w.shape[1:3]
-    spatial = build_spatial_edges(frames_w[frozen:])
+    t_len, h, w = frames_w.shape[:3]
     first = max(frozen - 1, 0)
-    temporal = build_temporal_edges(frames_w[first:],
-                                    None if flows_w is None else flows_w[first:],
-                                    config.use_flow_edges)
-    for edges, t0 in ((spatial, frozen), (temporal, first)):
-        edges["a"] += t0 * h * w
-        edges["b"] += t0 * h * w
-    return np.concatenate([spatial, temporal])
+    flows_t = None if flows_w is None else flows_w[first:]
+    # one array of exactly the window's edges, filled part by part in place
+    split = _spatial_edge_count(t_len - frozen, h, w)
+    edges = np.empty(split + _temporal_edge_count(t_len - first, h, w, flows_t,
+                                                  config.use_flow_edges),
+                     dtype=VOXEL_EDGE_DTYPE)
+    build_spatial_edges(frames_w[frozen:], out=edges[:split])
+    build_temporal_edges(frames_w[first:], flows_t, config.use_flow_edges, out=edges[split:])
+    for part, t0 in ((edges[:split], frozen), (edges[split:], first)):
+        part["a"] += t0 * h * w
+        part["b"] += t0 * h * w
+    return edges
 
 
 def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,

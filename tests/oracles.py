@@ -11,6 +11,9 @@ the small-fragment cleanup that recounts the whole frame per fragment must
 match the heap that reads only the fragment's pixels,
 and the forward rasterization and temporal association that scan the frame
 once per label must match the grouped ones.
+The window's voxel edges have a reference that builds each direction and
+frame pair as its own array and concatenates them; the count-first,
+in-place build must give the same rows in the same order.
 The supervoxel reference is the batch build: one level-0 sweep over the
 whole video, then every higher level regrouped from scratch, each with the
 edge-by-edge grouping sweep, which svstream.streamseg.stream_segment and its
@@ -32,14 +35,14 @@ from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 from svstream.affine import AffineModel, apply_point_matrix, invert_point_map
 from svstream.graphcut import _CAP_MAX, _SCALE, labeling_energy
-from svstream.imageops import (bilinear_resize, bilinear_sample, grid_pairs4,
+from svstream.imageops import (bilinear_resize, bilinear_sample, grid_pairs4, pixel_grid,
                                relabel_first_occurrence, round_half_up)
 from svstream.motionlayers import (DIVERGENCE_KAPPA, OVERLAP_FRAC, MotionRegion,
                                    RansacParams, _box_extent, region_distance)
 from svstream.optflow import _HS_KERNEL, FlowParams, _pyramid, _to_gray
 from svstream.rng import SplitMix64, derive_seed
-from svstream.streamseg import (CHI2_EPS, SegmentationHierarchy, _close_level, _graph_edges,
-                                _region_graph, _StreamState, build_spatial_edges,
+from svstream.streamseg import (CHI2_EPS, VOXEL_EDGE_DTYPE, SegmentationHierarchy, _close_level,
+                                _graph_edges, _region_graph, _StreamState, build_spatial_edges,
                                 build_temporal_edges, make_edges)
 
 
@@ -470,6 +473,71 @@ class Forest:
         if self.mark[b] >= 0:
             self.mark[a] = self.mark[b]
         return a
+
+
+def _oracle_voxel_edges(colors, a, b):
+    ssd = sum((c[a] - c[b]) ** 2 for c in colors.T)
+    return make_edges(a, b, ssd, VOXEL_EDGE_DTYPE)
+
+
+def _oracle_spatial_edges(window):
+    t_len, h, w = window.shape[:3]
+    colors = window.reshape(-1, 3).astype(np.int32)
+    base = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    frame_off = np.arange(t_len, dtype=np.int32) * (h * w)
+    chunks = []
+    for src, dst in ((base[:, :-1], base[:, 1:]), (base[:-1, :], base[1:, :]),
+                     (base[:-1, :-1], base[1:, 1:]), (base[:-1, 1:], base[1:, :-1])):
+        a = (src.ravel()[None, :] + frame_off[:, None]).ravel()
+        b = (dst.ravel()[None, :] + frame_off[:, None]).ravel()
+        chunks.append(_oracle_voxel_edges(colors, a, b))
+    return np.concatenate(chunks)
+
+
+def _oracle_temporal_edges(window, flows, use_flow_edges):
+    t_len, h, w = window.shape[:3]
+    if t_len < 2:
+        return np.empty(0, dtype=VOXEL_EDGE_DTYPE)
+    colors = window.reshape(-1, 3).astype(np.int32)
+    xs, ys = pixel_grid(h, w)
+    src_base = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    chunks = []
+    for t in range(1, t_len):
+        if use_flow_edges and flows is not None:
+            u = np.asarray(flows[t - 1][..., 0], dtype=np.float64)
+            v = np.asarray(flows[t - 1][..., 1], dtype=np.float64)
+        else:
+            u = np.zeros((h, w))
+            v = np.zeros((h, w))
+        bx = round_half_up(xs + u).astype(np.int64)
+        by = round_half_up(ys + v).astype(np.int64)
+        src = src_base + t * h * w
+        for m in (-1, 0, 1):
+            for n in (-1, 0, 1):
+                tx = bx + m
+                ty = by + n
+                ok = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
+                chunks.append(_oracle_voxel_edges(colors, src[ok],
+                                                  tx[ok] + ty[ok] * w + (t - 1) * h * w))
+    return np.concatenate(chunks)
+
+
+def oracle_window_edges(frames_w, flows_w, config, frozen):
+    """A window's voxel edges in the program's row order, each direction
+    (spatial) and each frame and target offset (temporal) built as its own
+    array: spatial edges of the frames from `frozen` on, then temporal edges
+    from frame max(frozen - 1, 0) on, ids counted from the window's first
+    frame."""
+    h, w = frames_w.shape[1:3]
+    first = max(frozen - 1, 0)
+    spatial = _oracle_spatial_edges(frames_w[frozen:])
+    temporal = _oracle_temporal_edges(frames_w[first:],
+                                      None if flows_w is None else flows_w[first:],
+                                      config.use_flow_edges)
+    for edges, t0 in ((spatial, frozen), (temporal, first)):
+        edges["a"] += t0 * h * w
+        edges["b"] += t0 * h * w
+    return np.concatenate([spatial, temporal])
 
 
 def oracle_voxel_weights(edges):

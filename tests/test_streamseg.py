@@ -16,7 +16,8 @@ from svstream.streamseg import (StreamConfig, _chi2_rows, _close_level, _color_w
 from svstream.synth import ObjectSpec, SceneSpec, generate
 
 from oracles import (Forest, oracle_build_hierarchy, oracle_fh_sweep, oracle_region_weights,
-                     oracle_segment_level0, oracle_voxel_weights, voxel_region_edges)
+                     oracle_segment_level0, oracle_voxel_weights, oracle_window_edges,
+                     voxel_region_edges)
 
 
 def _undirected_pairs(edges) -> set:
@@ -184,6 +185,39 @@ def test_window_edges_leave_out_only_frozen_pairs(use_flow_edges):
         assert len(got) < len(full) or frozen == 0
 
 
+@pytest.mark.parametrize("flow", ["none", "given", "out-of-frame"])
+@pytest.mark.parametrize("use_flow_edges", [True, False])
+@pytest.mark.parametrize("frozen", range(4))
+def test_window_edges_equal_oracle(frozen, use_flow_edges, flow):
+    # the window counts its edges and fills one array in place; the
+    # reference builds every direction and target offset as its own array
+    rng = np.random.default_rng(frozen)
+    t, h, w = 5, 7, 9
+    frames = _rand_video(40 + frozen, t, h, w)
+    spread = 12.0 if flow == "out-of-frame" else 1.5
+    flows = None if flow == "none" else [
+        np.where(rng.random((h, w, 2)) < 0.3, rng.integers(-6, 7, (h, w, 2)) / 2.0,
+                 rng.uniform(-spread, spread, (h, w, 2))) for _ in range(t - 1)]
+    config = StreamConfig(use_flow_edges=use_flow_edges)
+    got = _window_edges(frames, flows, config, frozen)
+    want = oracle_window_edges(frames, flows, config, frozen)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    if flow == "out-of-frame" and use_flow_edges:
+        # targets leave the frame, so voxels of frame 1 on have fewer than 9
+        assert len(want) < len(oracle_window_edges(frames, None, config, frozen))
+
+
+def test_edge_builders_fill_exactly_the_given_rows():
+    window = _rand_video(13, 3, 4, 5)
+    for build in (build_spatial_edges,
+                  lambda v, out=None: build_temporal_edges(v, None, False, out=out)):
+        want = build(window)
+        out = np.empty(len(want), dtype=streamseg.VOXEL_EDGE_DTYPE)
+        assert build(window, out=out) is out and out.tolist() == want.tolist()
+        with pytest.raises(ValueError):
+            build(window, out=np.empty(len(want) + 1, dtype=streamseg.VOXEL_EDGE_DTYPE))
+
+
 # ---------------------------------------------------------------- sweep
 
 def _sweep_case(seed: int):
@@ -280,62 +314,101 @@ def _sweep_cases():
         [1, 1, 5], [-1, 4], {4: (1, 0.0)}, [(1, 2, 0.1)], 10.0)
 
 
+def _undirected_rows(e) -> tuple:
+    """A voxel edge array's (min id, max id, ssd) columns."""
+    return np.minimum(e["a"], e["b"]), np.maximum(e["a"], e["b"]), e["ssd"]
+
+
 def _component_table(roots, size, internal, marked):
     return (relabel_first_occurrence(roots), size[roots].tolist(),
             internal[roots].tolist(), marked[roots].tolist())
 
 
-def test_fh_sweep_equals_oracle():
-    for seed, (n, edges, base, keys, grown, state, k, min_size) in _sweep_cases():
-        root, size, internal, marked = _pre_union(keys, base.copy(), grown, state, 0)
-        unsorted = edges.copy()
-        roots = _fh_sweep(edges, root, size, internal, marked, k, min_size)
-        # every item's root is a root
-        assert np.array_equal(roots[roots], roots), seed
-        # the sweep reorders the edges in place, keeping every (a, b, w) row
+def _check_sweep(seed, n, edges, base, keys, grown, state, k, min_size):
+    """_fh_sweep and _close_level on one case against the edge-by-edge
+    oracle, for region (w) and voxel (ssd) edges alike."""
+    root, size, internal, marked = _pre_union(keys, base.copy(), grown, state, 0)
+    unsorted = edges.copy()
+    roots = _fh_sweep(edges, root, size, internal, marked, k, min_size)
+    # every item's root is a root
+    assert np.array_equal(roots[roots], roots), seed
+    # the sweep reorders the edges in place, keeping every (a, b, w) row;
+    # the one-key sort of voxel edges may swap an edge's endpoints
+    if "ssd" in edges.dtype.names:
+        assert (sorted(zip(*map(np.ndarray.tolist, _undirected_rows(edges))))
+                == sorted(zip(*map(np.ndarray.tolist, _undirected_rows(unsorted))))), seed
+    else:
         assert _edge_rows(edges) == _edge_rows(unsorted), seed
 
-        # the reference pre-groups by one union per member
-        ref = Forest(n, sizes=base.tolist())
-        for key in np.unique(keys[keys >= 0]).tolist():
-            members = np.flatnonzero(keys == key).tolist()
-            root = members[0]
-            for i in members[1:]:
-                root = ref.union(root, ref.find(i))
-            ref.size[root] = state.sizes[0][key] + int(grown[members].sum())
-            ref.internal[root] = state.ints[0][key]
-            ref.mark[root] = key
-        oracle_fh_sweep(ref, unsorted, k, min_size)
-        ref_roots = np.array([ref.find(i) for i in range(n)], dtype=np.int64)
-        ref_mark = np.array(ref.mark)
+    # the reference pre-groups by one union per member
+    ref = Forest(n, sizes=base.tolist())
+    for key in np.unique(keys[keys >= 0]).tolist():
+        members = np.flatnonzero(keys == key).tolist()
+        root = members[0]
+        for i in members[1:]:
+            root = ref.union(root, ref.find(i))
+        ref.size[root] = state.sizes[0][key] + int(grown[members].sum())
+        ref.internal[root] = state.ints[0][key]
+        ref.mark[root] = key
+    oracle_fh_sweep(ref, oracle_voxel_weights(unsorted) if "ssd" in unsorted.dtype.names
+                    else unsorted, k, min_size)
+    ref_roots = np.array([ref.find(i) for i in range(n)], dtype=np.int64)
+    ref_mark = np.array(ref.mark)
 
-        got = _component_table(roots, size, internal, marked)
-        want = _component_table(ref_roots, np.array(ref.size), np.array(ref.internal),
-                                ref_mark >= 0)
-        assert np.array_equal(got[0], want[0]), seed
-        assert got[1:] == want[1:], seed
+    got = _component_table(roots, size, internal, marked)
+    want = _component_table(ref_roots, np.array(ref.size), np.array(ref.internal),
+                            ref_mark >= 0)
+    assert np.array_equal(got[0], want[0]), seed
+    assert got[1:] == want[1:], seed
 
-        # a marked component keeps its key as label, wherever its root lies;
-        # fresh ones are numbered past every key in first-occurrence order
-        state.counters[0] = 1000
-        item_grown = 1 + np.arange(n) % 3
-        node, labels, node_first, node_grown = _close_level(keys, roots, size, internal,
-                                                            np.arange(n), item_grown, state, 0)
-        want_labels = ref_mark[ref_roots]
-        fresh = want_labels < 0
-        want_labels[fresh] = 1000 + relabel_first_occurrence(ref_roots[fresh])
-        assert np.array_equal(labels[node], want_labels), seed
-        # the components are the nodes of the level above, ranked by label,
-        # each with its items' least first-voxel key and summed grown voxels
-        assert (np.diff(labels) > 0).all(), seed
-        want_first, want_grown = [n] * len(labels), [0] * len(labels)
-        for i, (nd, g) in enumerate(zip(node.tolist(), item_grown.tolist())):
-            want_first[nd] = min(want_first[nd], i)
-            want_grown[nd] += g
-        assert node_first.tolist() == want_first, seed
-        assert node_grown.tolist() == want_grown, seed
-        assert state.sizes[0] == dict(zip(want_labels.tolist(), want[1])), seed
-        assert state.ints[0] == dict(zip(want_labels.tolist(), want[2])), seed
+    # a marked component keeps its key as label, wherever its root lies;
+    # fresh ones are numbered past every key in first-occurrence order
+    state.counters[0] = 1000
+    item_grown = 1 + np.arange(n) % 3
+    node, labels, node_first, node_grown = _close_level(keys, roots, size, internal,
+                                                        np.arange(n), item_grown, state, 0)
+    want_labels = ref_mark[ref_roots]
+    fresh = want_labels < 0
+    want_labels[fresh] = 1000 + relabel_first_occurrence(ref_roots[fresh])
+    assert np.array_equal(labels[node], want_labels), seed
+    # the components are the nodes of the level above, ranked by label,
+    # each with its items' least first-voxel key and summed grown voxels
+    assert (np.diff(labels) > 0).all(), seed
+    want_first, want_grown = [n] * len(labels), [0] * len(labels)
+    for i, (nd, g) in enumerate(zip(node.tolist(), item_grown.tolist())):
+        want_first[nd] = min(want_first[nd], i)
+        want_grown[nd] += g
+    assert node_first.tolist() == want_first, seed
+    assert node_grown.tolist() == want_grown, seed
+    assert state.sizes[0] == dict(zip(want_labels.tolist(), want[1])), seed
+    assert state.ints[0] == dict(zip(want_labels.tolist(), want[2])), seed
+
+
+def test_fh_sweep_equals_oracle():
+    for seed, case in _sweep_cases():
+        _check_sweep(seed, *case)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_fh_sweep_builds_its_key_in_chunks(monkeypatch, chunk):
+    # the one-key sort builds its key _CHUNK rows at a time: every twelfth
+    # random sweep case and each named one again, with integer ssd weights
+    # ranked like its float ones, plus edge counts of 0 and _CHUNK
+    monkeypatch.setattr(streamseg, "_CHUNK", chunk)
+    for seed, (n, edges, *rest) in _sweep_cases():
+        if isinstance(seed, int) and seed % 12:
+            continue
+        rank = np.unique(edges["w"], return_inverse=True)[1]
+        ssd = rank * (3 * 255 ** 2 // (rank.max() + 1))
+        _check_sweep(seed, n, make_edges(edges["a"], edges["b"], ssd, streamseg.VOXEL_EDGE_DTYPE),
+                     *rest)
+    rng = np.random.default_rng(chunk)
+    for m in (0, chunk):
+        edges = make_edges(rng.integers(0, 6, m), rng.integers(0, 6, m),
+                           rng.integers(0, 3 * 255 ** 2 + 1, m), streamseg.VOXEL_EDGE_DTYPE)
+        _check_sweep(("edges", m), 6, edges, np.ones(6, dtype=np.int64),
+                     np.full(0, -1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                     _StreamState(1), 0.5, 2)
 
 
 @pytest.mark.parametrize("n", [2 ** 22, 2 ** 22 + 1])
@@ -355,14 +428,11 @@ def test_fh_sweep_ranks_voxel_edges_at_the_one_key_limit(n):
     internal = np.zeros(n)
     roots = _fh_sweep(edges, np.arange(n), size, internal, np.zeros(n, dtype=bool), 0.05, 3)
 
-    def rows(e):
-        # an edge may come out with its endpoints swapped
-        return (np.minimum(e["a"], e["b"]), np.maximum(e["a"], e["b"]), e["ssd"])
-
-    assert sorted(zip(*map(np.ndarray.tolist, rows(edges)))) == \
-        sorted(zip(*map(np.ndarray.tolist, rows(unsorted))))
+    # an edge may come out with its endpoints swapped
+    assert sorted(zip(*map(np.ndarray.tolist, _undirected_rows(edges)))) == \
+        sorted(zip(*map(np.ndarray.tolist, _undirected_rows(unsorted))))
     # in sweep order: by (ssd, min id, max id)
-    lo, hi, ssd = rows(edges)
+    lo, hi, ssd = _undirected_rows(edges)
     assert np.array_equal(np.lexsort((hi, lo, ssd)), np.arange(m))
     touched = np.unique(ids)
     got = (relabel_first_occurrence(roots[touched]), size[roots[touched]].tolist(),
@@ -598,6 +668,28 @@ def test_coarsened_region_graph_equals_voxel_build(seed, case):
         assert shapes[1] == (t_len, 0)
     else:
         assert all(pairs > 0 for _, pairs in shapes[:-1])
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_region_graph_pairs_in_chunks(monkeypatch, chunk):
+    # level 1's pairs are made distinct per chunk of _CHUNK voxel edges and
+    # then across chunks: they must equal one np.unique over all the pairs,
+    # also with no edge, one full chunk and repeats across chunk boundaries
+    monkeypatch.setattr(streamseg, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    frames = _rand_video(chunk, 2, 4, 5)
+    for m in (0, 1, chunk, chunk + 1, 3 * chunk - 1, 200):
+        nn = int(rng.integers(1, 7))
+        node_index = rng.integers(0, nn, frames[..., 0].size)
+        edges = make_edges(rng.integers(0, 40, m), rng.integers(0, 40, m), np.zeros(m),
+                           streamseg.VOXEL_EDGE_DTYPE)
+        graph = streamseg._region_graph(frames, None, edges, node_index, nn, StreamConfig())
+        na, nb = node_index[edges["a"]], node_index[edges["b"]]
+        differ = na != nb
+        pa, pb = np.divmod(np.unique(np.minimum(na, nb)[differ] * nn
+                                     + np.maximum(na, nb)[differ]), nn)
+        assert graph.pa.dtype == graph.pb.dtype == np.int64, m
+        assert graph.pa.tolist() == pa.tolist() and graph.pb.tolist() == pb.tolist(), m
 
 
 @pytest.mark.parametrize("levels", [2, 3, 6])
@@ -877,28 +969,32 @@ def test_window_size_guard(shape, subseq_len, refused):
 
 
 def test_one_window_peak_bytes_per_voxel():
-    # a fixed textured 64x48x4 scene with flow, in one window; 12 B voxel edges
-    # (int32 endpoints and ssd) sorted in place through one int64 key measure
-    # about 351 B/voxel, 16 B edges with a float64 weight sorted through a
-    # lexsort order 533, int64 endpoints with sorted copies 780
-    spec = SceneSpec(
-        width=64, height=48, num_frames=4, seed=5,
-        background_color=(70, 80, 100), noise_sigma=2.0, texture_amplitude=35.0,
-        background_motion=AffineModel(a1=0.4, a4=0.2),
-        objects=(ObjectSpec("rect", (20.0, 12.0, 18.0, 14.0), color=(190, 70, 50),
-                            motion=AffineModel(a1=1.5, a4=-0.8)),),
-    )
-    frames, _, flows = generate(spec)
-    config = StreamConfig(subseq_len=4, k0=0.5, min_size=8)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        stream_segment(frames, flows, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - base) / (4 * 48 * 64) < 420
+    # fixed textured scenes with flow, each in one window: 64x48x4 and the
+    # 320x240x6 window of the one-key sort path.  12 B voxel edges (int32
+    # endpoints and ssd) built in place into one array and sorted in place
+    # through one int64 key built in chunks, with level 1's node pairs made
+    # distinct per chunk of edges, measure about 311 and 304 B/voxel; with
+    # the edges concatenated from per-direction parts and the key and pairs
+    # built whole they measured 351 and 392
+    for w, h, t in ((64, 48, 4), (320, 240, 6)):
+        spec = SceneSpec(
+            width=w, height=h, num_frames=t, seed=5,
+            background_color=(70, 80, 100), noise_sigma=2.0, texture_amplitude=35.0,
+            background_motion=AffineModel(a1=0.4, a4=0.2),
+            objects=(ObjectSpec("rect", (20 * w / 64, 12 * h / 48, 18 * w / 64, 14 * h / 48),
+                                color=(190, 70, 50), motion=AffineModel(a1=1.5, a4=-0.8)),),
+        )
+        frames, _, flows = generate(spec)
+        config = StreamConfig(subseq_len=t, k0=0.5, min_size=8)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            stream_segment(frames, flows, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - base) / (t * h * w) < 340, (w, h, t)
 
 
 def test_config_validation():
