@@ -22,26 +22,29 @@ each one's labels as its window closes; stream_segment collects them for a
 video held in memory.
 
 Voxel ids within a window are x + y*W + t*W*H, t counted from the window's
-first frame.  Edges have int32 endpoints a, b, so a window must hold fewer
-than 2**31 voxels; stream_blocks refuses a window that would not.  A voxel
-edge (VOXEL_EDGE_DTYPE, 12 B) carries the integer squared RGB distance ssd
-of two uint8 voxels, a region edge (EDGE_DTYPE) a float64 weight w.  Ties in
-the grouping sweep break by (w, min id, max id).  A window builds no edge
-between two frozen voxels: such an edge could only join one emitted region
-to itself or to another, which never merge.  It counts its edges first and
-the builders fill one array of exactly that many rows in place; the steps
-that need a per-edge temporary beside it (the sweep's sort key, the level-1
-node pairs) build it one chunk of _CHUNK rows at a time.
+first frame; a window must hold fewer than 2**31 voxels, and stream_blocks
+refuses a window that would not.  A voxel edge carries the integer squared
+RGB distance ssd of two uint8 voxels, a region edge (EDGE_DTYPE) a float64
+weight w.  Ties in the grouping sweep break by (w, min id, max id).  A
+window holds each voxel edge as one int64 key, ssd << (b + c) | min << c |
+(max - min), whose order is the sweep order; _key_layout gives b and c, or
+None for a window whose keys would need more than 63 bits, which holds 12 B
+VOXEL_EDGE_DTYPE rows (int32 a, b and ssd) instead.  A window builds no
+edge between two frozen voxels: such an edge could only join one emitted
+region to itself or to another, which never merge.  It counts its edges
+first and the builders write one array of exactly that many keys in place;
+the steps that decode it (the sweep's endpoints, the level-1 node pairs)
+do so one chunk of _CHUNK edges at a time.
 
 The grouping sweep is exact but blockwise.  A level's state goes in and
 comes out as numpy arrays: each item's root and each root's size, internal
 difference and mark.  The sweep sorts the edges it is given into sweep order
-in place, so a window keeps one edge array; the higher levels read only its
-endpoints, in any order.  numpy drops, one block of sorted edges at a time,
-every edge that can no longer merge anything (same root, two marked roots,
-or in the cleanup pass two roots already large enough), and the merge rule
-runs in Python over the remaining edges only, on per-item lists that the
-sweep builds after the sort and drops when it returns.
+in place, so a window keeps one edge array; level 1's region graph reads
+only its endpoints, in any order.  numpy drops, one block of sorted edges
+at a time, every edge that can no longer merge anything (same root, two
+marked roots, or in the cleanup pass two roots already large enough), and
+the merge rule runs in Python over the remaining edges only, on per-item
+lists that the sweep builds after the sort and drops when it returns.
 """
 
 from dataclasses import dataclass
@@ -55,8 +58,8 @@ EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("w", np.float64)])
 VOXEL_EDGE_DTYPE = np.dtype([("a", np.int32), ("b", np.int32), ("ssd", np.int32)])
 CHI2_EPS = 1e-12
 _COLOR_NORM = 255.0 * np.sqrt(3.0)
-# rows per chunk of a window's per-edge temporaries: each stays below 1 MB
-_CHUNK = 1 << 16
+# edges per chunk of a window's per-edge temporaries: each stays below 128 KB
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -123,11 +126,50 @@ def _chunks(n: int) -> list:
     return [slice(s, s + _CHUNK) for s in range(0, max(n, 1), _CHUNK)]
 
 
-def _voxel_edges(colors: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """Write the voxel edges (a, b) into the rows of out."""
-    out["a"] = a
-    out["b"] = b
-    out["ssd"] = sum((c[a] - c[b]) ** 2 for c in colors.T)
+def _key_layout(n: int, h: int, w: int):
+    """The layout (b, c) of the one int64 key per voxel edge of a window of
+    n voxels in h x w frames, or None when a key needs more than 63 bits.
+
+    An edge's key is ssd << (b + c) | min << c | (max - min), with
+    b = bit_length(n - 1) bits for the min id and c = bit_length(2hw - 1)
+    for max - min: every voxel edge joins two voxels of one frame or of two
+    consecutive ones, so max - min < 2hw.  ssd <= 3 * 255**2 < 2**18, so the
+    keys rank like (ssd, min id, max id).  _voxel_edges writes keys and
+    _key_fields reads them."""
+    b, c = (n - 1).bit_length(), (2 * h * w - 1).bit_length()
+    return (b, c) if 18 + b + c <= 63 else None
+
+
+def _key_fields(keys: np.ndarray, layout: tuple, ssd: bool = False):
+    """The (min id, max id) of every key as int64 arrays or, with ssd on,
+    every key's ssd."""
+    b, c = layout
+    if ssd:
+        return keys >> (b + c)
+    lo = keys >> c
+    lo &= (1 << b) - 1
+    hi = keys & ((1 << c) - 1)
+    hi += lo
+    return lo, hi
+
+
+def _voxel_edges(colors: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                 offset: int, layout) -> None:
+    """Write the voxel edges (a + offset, b + offset) into out: as rows, or
+    as keys in the given layout."""
+    ssd = sum((c[a] - c[b]) ** 2 for c in colors.T)
+    if layout is None:
+        out["ssd"] = ssd
+        for field, ends in (("a", a), ("b", b)):
+            out[field] = ends
+            out[field] += offset
+        return
+    out[:] = ssd
+    del ssd
+    out <<= layout[0]
+    out |= np.minimum(a, b) + offset
+    out <<= layout[1]
+    out |= np.abs(a - b)
 
 
 def _filled(out: np.ndarray, rows: int) -> np.ndarray:
@@ -152,9 +194,12 @@ def _spatial_edge_count(t_len: int, h: int, w: int) -> int:
     return t_len * sum(src.size for src, _ in _spatial_directions(h, w))
 
 
-def build_spatial_edges(window: np.ndarray, out=None) -> np.ndarray:
-    """8-neighborhood edges inside every frame of the uint8 window, written
-    into out (_spatial_edge_count rows) when it is given; returns them."""
+def build_spatial_edges(window: np.ndarray, out=None, offset: int = 0,
+                        layout=None) -> np.ndarray:
+    """8-neighborhood edges inside every frame of the uint8 window, ids
+    counted from offset, written into out (_spatial_edge_count edges) when
+    it is given, as int64 keys when layout is (see _key_layout); returns
+    them."""
     t_len, h, w = window.shape[:3]
     if out is None:
         out = np.empty(_spatial_edge_count(t_len, h, w), dtype=VOXEL_EDGE_DTYPE)
@@ -164,7 +209,7 @@ def build_spatial_edges(window: np.ndarray, out=None) -> np.ndarray:
     for src, dst in _spatial_directions(h, w):
         a = (src.ravel()[None, :] + frame_off[:, None]).ravel()
         b = (dst.ravel()[None, :] + frame_off[:, None]).ravel()
-        _voxel_edges(colors, a, b, out[pos:pos + len(a)])
+        _voxel_edges(colors, a, b, out[pos:pos + len(a)], offset, layout)
         pos += len(a)
     return _filled(out, pos)
 
@@ -194,10 +239,11 @@ def _temporal_edge_count(t_len: int, h: int, w: int, flows, use_flow_edges: bool
 
 
 def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool,
-                         out=None) -> np.ndarray:
+                         out=None, offset: int = 0, layout=None) -> np.ndarray:
     """Backward temporal edges: voxel (x, y, t) to the 9 voxels around
-    (round(x+u), round(y+v)) in frame t-1, targets outside the frame dropped;
-    written into out (_temporal_edge_count rows) when it is given, and
+    (round(x+u), round(y+v)) in frame t-1, targets outside the frame dropped,
+    ids counted from offset; written into out (_temporal_edge_count edges)
+    when it is given, as int64 keys when layout is (see _key_layout), and
     returned.
 
     With use_flow_edges off (or flows None) u = v = 0 and the set reduces to
@@ -221,15 +267,40 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool,
                 ok = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
                 a = src[ok]
                 b = (tx[ok] + ty[ok] * w + (t - 1) * h * w)
-                _voxel_edges(colors, a, b, out[pos:pos + len(a)])
+                _voxel_edges(colors, a, b, out[pos:pos + len(a)], offset, layout)
                 pos += len(a)
     return _filled(out, pos)
 
 
 # ---------------------------------------------------------------- grouping
 
+def _edge_ends(edges: np.ndarray, layout) -> tuple:
+    """The endpoints of edges: the a and b of rows, or with a layout the
+    (min id, max id) of keys."""
+    return (edges["a"], edges["b"]) if layout is None else _key_fields(edges, layout)
+
+
+def _edge_weights(edges: np.ndarray, layout) -> np.ndarray:
+    """The float weights of edges: a region row's w, or _color_weight of a
+    voxel edge's ssd, read from its row or, with a layout, its key."""
+    if layout is not None:
+        return _color_weight(_key_fields(edges, layout, ssd=True))
+    return _color_weight(edges["ssd"]) if "ssd" in edges.dtype.names else edges["w"]
+
+
+def _end_roots(root: np.ndarray, edges: np.ndarray, layout) -> tuple:
+    """root[a] and root[b] of every edge, its endpoints read _CHUNK edges
+    at a time."""
+    ra = np.empty(len(edges), dtype=root.dtype)
+    rb = np.empty_like(ra)
+    for c in _chunks(len(edges)):
+        for out, ends in zip((ra, rb), _edge_ends(edges[c], layout)):
+            out[c] = root[ends]
+    return ra, rb
+
+
 def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: np.ndarray,
-              marked: np.ndarray, k: float, min_size: int) -> np.ndarray:
+              marked: np.ndarray, k: float, min_size: int, layout=None) -> np.ndarray:
     """Ascending-weight merge sweep plus the small-component cleanup pass
     over one level's pre-grouped items; returns root, updated in place to
     every item's final root.
@@ -243,16 +314,20 @@ def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: n
     and carries the mark; two marked roots never merge (streaming freeze).
     Ties break by (w, min id, max id); edges is put into that order in
     place.  Voxel edges rank by ssd, ordered like w = _color_weight(ssd),
-    computed only where a weight is read.
+    computed only where a weight is read.  With a layout (see _key_layout)
+    edges holds one int64 key per voxel edge, and sorting the keys is the
+    sweep order; region edges and voxel rows, which come only from windows
+    whose keys would need more than 63 bits, are ordered by np.lexsort.
 
-    The sorted edges are visited in blocks.  numpy first drops each edge that
-    stays a no-op for the rest of its pass, judged by the roots at the start
-    of the block: its endpoints share a root (unions only merge), both roots
-    are marked (marks survive unions and two marked roots never merge), in
-    the merge pass one root's limit internal + k/size lies below the block's
-    first weight (a limit changes only when its root merges and weights only
-    grow, so that root merges with nothing any more), or, in the cleanup
-    pass, both roots already hold min_size items (sizes only grow).  The
+    The sorted edges are visited in blocks, each block's endpoints read
+    _CHUNK edges at a time.  numpy first drops each edge that stays a no-op
+    for the rest of its pass, judged by the roots at the start of the block:
+    its endpoints share a root (unions only merge), both roots are marked
+    (marks survive unions and two marked roots never merge), in the merge
+    pass one root's limit internal + k/size lies below the block's first
+    weight (a limit changes only when its root merges and weights only grow,
+    so that root merges with nothing any more), or, in the cleanup pass,
+    both roots already hold min_size items (sizes only grow).  The
     merge rule then runs in Python over the surviving edges in sweep order,
     so every union, size, internal difference and mark equals the
     edge-by-edge sweep's; its per-item lists are built after the sort,
@@ -260,24 +335,11 @@ def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: n
     the absorbed roots' items to their new roots in place.
     """
     n = len(root)
-    voxels = "ssd" in edges.dtype.names
-    ea, eb, ew = edges["a"], edges["b"], edges["ssd" if voxels else "w"]
-    weight = _color_weight if voxels else np.asarray
-    bits = (n - 1).bit_length()
-    if voxels and 2 * bits + 18 <= 62:
-        # ssd < 2**18 and ids < 2**bits: one int64 key (ssd, min id, max id),
-        # sorted in place and unpacked into the rows as (min id, max id, ssd)
-        key = ew.astype(np.int64)
-        for c in _chunks(len(key)):
-            for end in (np.minimum, np.maximum):
-                key[c] <<= bits
-                key[c] |= end(ea[c], eb[c])
-        key.sort()
-        for field, width in ((eb, bits), (ea, bits), (ew, 18)):
-            np.bitwise_and(key, (1 << width) - 1, out=field, casting="unsafe")
-            key >>= width
-        del key
+    if layout is not None:
+        edges.sort()
     else:
+        ea, eb = edges["a"], edges["b"]
+        ew = edges[edges.dtype.names[2]]
         # ids are below n, so min*n + max ranks like (min, max) and n*n < 2**63;
         # lexsort copies every key when one is strided, so w goes in contiguous
         order = np.lexsort((np.minimum(ea, eb, dtype=np.int64) * n + np.maximum(ea, eb),
@@ -308,20 +370,20 @@ def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: n
     remap = np.arange(n, dtype=np.int64)
     block = max(1024, n // 4)
     for cleanup in (False, True):
-        for s in range(0, len(ew), block):
-            ra = root[ea[s:s + block]]
-            rb = root[eb[s:s + block]]
+        for s in range(0, len(edges), block):
+            part = edges[s:s + block]
+            ra, rb = _end_roots(root, part, layout)
             live = (ra != rb) & ~(marked[ra] & marked[rb])
             if cleanup:
                 live &= (size[ra] < min_size) | (size[rb] < min_size)
             else:
                 # a root whose limit is below the block's first weight merges
                 # with nothing for the rest of the pass
-                first = weight(ew[s])
+                first = _edge_weights(part[:1], layout)[0]
                 live &= (root_lim[ra] >= first) & (root_lim[rb] >= first)
             absorbed = []
             for a, b, w in zip(ra[live].tolist(), rb[live].tolist(),
-                               weight(ew[s:s + block][live]).tolist()):
+                               _edge_weights(part[live], layout).tolist()):
                 if parent[a] is not None:
                     a = find(a)
                 if parent[b] is not None:
@@ -408,16 +470,18 @@ def _pair_keys(na: np.ndarray, nb: np.ndarray, nn: int) -> np.ndarray:
 
 
 def _region_graph(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: np.ndarray,
-                  nn: int, config: StreamConfig) -> _RegionGraph:
+                  nn: int, config: StreamConfig, layout=None) -> _RegionGraph:
     """The region graph of nodes given per voxel, from the window's voxels:
-    the pairs from the voxel edges, then the color counts, then, with
+    the pairs from the voxel edges (rows, or with a layout keys, whose
+    endpoints alone are read), then the color counts, then, with
     config.use_flow_feature on, flows_w given and two frames or more, the
     flow counts.  A window reads its voxels here once; higher levels are
     _coarsen-ed from this graph."""
     # int32 node ids keep the per-edge gathers at 4 B; nn is below 2**31.
-    # The pairs are gathered and made distinct one chunk of edges at a time
+    # The pairs are gathered and made distinct one chunk of edges at a time,
+    # and each chunk's endpoints are dropped once its node ids are gathered
     node32 = node_index.astype(np.int32)
-    keys = [_pair_keys(node32[edges["a"][c]], node32[edges["b"][c]], nn)
+    keys = [_pair_keys(*(node32[ends] for ends in _edge_ends(edges[c], layout)), nn)
             for c in _chunks(len(edges))]
     del node32
     pa, pb = np.divmod(np.unique(np.concatenate(keys)), nn)
@@ -563,40 +627,43 @@ def _close_level(keys: np.ndarray, roots: np.ndarray, size: np.ndarray, internal
 
 
 def _group_level(keys: np.ndarray, grown: np.ndarray, first_occ, edges: np.ndarray,
-                 config: StreamConfig, level: int, state: _StreamState) -> tuple:
+                 config: StreamConfig, level: int, state: _StreamState, layout=None) -> tuple:
     """Group one level's items and close the level in state; returns what
     _close_level does: each item's node in the level above, and each node's
     label, first-voxel key and grown voxels.  keys[i] is item i's emitted
     label (-1, or past the end of keys, for a new item), grown[i] its voxels
-    in the window's new frames and first_occ[i] its first-voxel key.  Frozen
+    in the window's new frames and first_occ[i] its first-voxel key; edges
+    are rows, or with a layout voxel edge keys, as for _fh_sweep.  Frozen
     voxels were counted when an earlier window closed, so an item starts at
     its grown voxels and _pre_union adds its label's recorded size."""
     root, size, internal, marked = _pre_union(keys, grown.astype(np.int64), grown, state, level)
     _fh_sweep(edges, root, size, internal, marked,
-              config.k0 * config.k_growth ** level, config.min_size)
+              config.k0 * config.k_growth ** level, config.min_size, layout)
     return _close_level(keys, root, size, internal, first_occ, grown, state, level)
 
 
 def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig,
-                  frozen: int) -> np.ndarray:
+                  frozen: int) -> tuple:
     """The window's voxel edges except those joining two voxels of its first
     `frozen` frames: spatial edges of the new frames, temporal edges from the
     first new frame on.  Each left-out edge joins two voxels of one emitted
-    label or of two, so it could only ever link two marked components."""
+    label or of two, so it could only ever link two marked components.
+    Returns them with their layout: one int64 key per edge (see
+    _key_layout), or VOXEL_EDGE_DTYPE rows where the layout is None."""
     t_len, h, w = frames_w.shape[:3]
     first = max(frozen - 1, 0)
     flows_t = None if flows_w is None else flows_w[first:]
+    layout = _key_layout(t_len * h * w, h, w)
     # one array of exactly the window's edges, filled part by part in place
     split = _spatial_edge_count(t_len - frozen, h, w)
     edges = np.empty(split + _temporal_edge_count(t_len - first, h, w, flows_t,
                                                   config.use_flow_edges),
-                     dtype=VOXEL_EDGE_DTYPE)
-    build_spatial_edges(frames_w[frozen:], out=edges[:split])
-    build_temporal_edges(frames_w[first:], flows_t, config.use_flow_edges, out=edges[split:])
-    for part, t0 in ((edges[:split], frozen), (edges[split:], first)):
-        part["a"] += t0 * h * w
-        part["b"] += t0 * h * w
-    return edges
+                     dtype=VOXEL_EDGE_DTYPE if layout is None else np.int64)
+    build_spatial_edges(frames_w[frozen:], out=edges[:split], offset=frozen * h * w,
+                        layout=layout)
+    build_temporal_edges(frames_w[first:], flows_t, config.use_flow_edges, out=edges[split:],
+                         offset=first * h * w, layout=layout)
+    return edges, layout
 
 
 def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
@@ -611,13 +678,13 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
     t_len, h, w = frames_w.shape[:3]
     n = t_len * h * w
     frozen = old_labels[0].size
-    edges = _window_edges(frames_w, flows_w, config, len(old_labels[0]))
+    edges, layout = _window_edges(frames_w, flows_w, config, len(old_labels[0]))
     grown = np.ones(n, dtype=np.int8)
     grown[:frozen] = 0
     node_index, labels, node_first, grown = _group_level(
-        old_labels[0].ravel(), grown, range(n), edges, config, 0, state)
+        old_labels[0].ravel(), grown, range(n), edges, config, 0, state, layout)
     new = [labels[node_index[frozen:]]]
-    graph = (_region_graph(frames_w, flows_w, edges, node_index, len(labels), config)
+    graph = (_region_graph(frames_w, flows_w, edges, node_index, len(labels), config, layout)
              if config.levels > 1 else None)
     del edges
     for level in range(1, config.levels):

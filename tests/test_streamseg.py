@@ -1,5 +1,6 @@
 """Graph construction, grouping, distances, hierarchy, and streaming tests."""
 
+import copy
 import math
 import tracemalloc
 
@@ -171,26 +172,69 @@ def _edge_rows(edges) -> list:
     return sorted(edges.tolist())
 
 
+def _pack_keys(rows, layout) -> np.ndarray:
+    """Voxel rows as the keys ssd << (b + c) | min << c | (max - min)."""
+    b, c = layout
+    lo, hi, ssd = (np.asarray(x, dtype=np.int64) for x in _undirected_rows(rows))
+    return ssd << (b + c) | lo << c | (hi - lo)
+
+
+def _unpack_keys(keys, layout) -> list:
+    """Keys as (min id, max id, ssd) rows, in key order."""
+    b, c = layout
+    lo = keys >> c & (1 << b) - 1
+    return list(zip(lo.tolist(), (lo + (keys & (1 << c) - 1)).tolist(),
+                    (keys >> (b + c)).tolist()))
+
+
+def _undirected_list(rows) -> list:
+    """Voxel rows as (min id, max id, ssd) rows, in row order."""
+    return list(zip(*map(np.ndarray.tolist, _undirected_rows(rows))))
+
+
+def _edge_forms(monkeypatch):
+    """Run the body once with voxel edges as keys, and once more as rows,
+    the layout helper patched to refuse every window."""
+    for form in ("keys", "rows"):
+        with monkeypatch.context() as m:
+            if form == "rows":
+                m.setattr(streamseg, "_key_layout", lambda n, h, w: None)
+            yield form
+
+
+def _window_edge_list(frames, flows, config, frozen, form) -> list:
+    """_window_edges' edges as (min id, max id, ssd) rows in build order."""
+    t_len, h, w = frames.shape[:3]
+    edges, layout = _window_edges(frames, flows, config, frozen)
+    if form == "rows":
+        assert layout is None and edges.dtype == streamseg.VOXEL_EDGE_DTYPE
+        return _undirected_list(edges)
+    assert layout == streamseg._key_layout(t_len * h * w, h, w) and edges.dtype == np.int64
+    return _unpack_keys(edges, layout)
+
+
 @pytest.mark.parametrize("use_flow_edges", [True, False])
-def test_window_edges_leave_out_only_frozen_pairs(use_flow_edges):
+def test_window_edges_leave_out_only_frozen_pairs(monkeypatch, use_flow_edges):
     frames, _, flows = _scene(8, t=5)
     config = StreamConfig(use_flow_edges=use_flow_edges)
     h, w = frames.shape[1:3]
     full = np.concatenate([build_spatial_edges(frames),
                            build_temporal_edges(frames, flows, use_flow_edges)])
-    for frozen in range(5):
-        got = _window_edges(frames, flows, config, frozen)
-        both = (full["a"] < frozen * h * w) & (full["b"] < frozen * h * w)
-        assert _edge_rows(got) == _edge_rows(full[~both])
-        assert len(got) < len(full) or frozen == 0
+    for form in _edge_forms(monkeypatch):
+        for frozen in range(5):
+            got = _window_edge_list(frames, flows, config, frozen, form)
+            both = (full["a"] < frozen * h * w) & (full["b"] < frozen * h * w)
+            assert sorted(got) == sorted(_undirected_list(full[~both])), form
+            assert len(got) < len(full) or frozen == 0
 
 
 @pytest.mark.parametrize("flow", ["none", "given", "out-of-frame"])
 @pytest.mark.parametrize("use_flow_edges", [True, False])
 @pytest.mark.parametrize("frozen", range(4))
-def test_window_edges_equal_oracle(frozen, use_flow_edges, flow):
-    # the window counts its edges and fills one array in place; the
-    # reference builds every direction and target offset as its own array
+def test_window_edges_equal_oracle(monkeypatch, frozen, use_flow_edges, flow):
+    # the window counts its edges and fills one array in place, as keys or,
+    # where the layout helper refuses the window, as rows; the reference
+    # builds every direction and target offset as its own array of rows
     rng = np.random.default_rng(frozen)
     t, h, w = 5, 7, 9
     frames = _rand_video(40 + frozen, t, h, w)
@@ -199,9 +243,14 @@ def test_window_edges_equal_oracle(frozen, use_flow_edges, flow):
         np.where(rng.random((h, w, 2)) < 0.3, rng.integers(-6, 7, (h, w, 2)) / 2.0,
                  rng.uniform(-spread, spread, (h, w, 2))) for _ in range(t - 1)]
     config = StreamConfig(use_flow_edges=use_flow_edges)
-    got = _window_edges(frames, flows, config, frozen)
     want = oracle_window_edges(frames, flows, config, frozen)
-    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    for form in _edge_forms(monkeypatch):
+        if form == "rows":
+            got, layout = _window_edges(frames, flows, config, frozen)
+            assert layout is None
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert (_window_edge_list(frames, flows, config, frozen, form)
+                == _undirected_list(want)), form
     if flow == "out-of-frame" and use_flow_edges:
         # targets leave the frame, so voxels of frame 1 on have fewer than 9
         assert len(want) < len(oracle_window_edges(frames, None, config, frozen))
@@ -324,22 +373,18 @@ def _component_table(roots, size, internal, marked):
             internal[roots].tolist(), marked[roots].tolist())
 
 
-def _check_sweep(seed, n, edges, base, keys, grown, state, k, min_size):
-    """_fh_sweep and _close_level on one case against the edge-by-edge
-    oracle, for region (w) and voxel (ssd) edges alike."""
-    root, size, internal, marked = _pre_union(keys, base.copy(), grown, state, 0)
-    unsorted = edges.copy()
-    roots = _fh_sweep(edges, root, size, internal, marked, k, min_size)
-    # every item's root is a root
-    assert np.array_equal(roots[roots], roots), seed
-    # the sweep reorders the edges in place, keeping every (a, b, w) row;
-    # the one-key sort of voxel edges may swap an edge's endpoints
-    if "ssd" in edges.dtype.names:
-        assert (sorted(zip(*map(np.ndarray.tolist, _undirected_rows(edges))))
-                == sorted(zip(*map(np.ndarray.tolist, _undirected_rows(unsorted))))), seed
-    else:
-        assert _edge_rows(edges) == _edge_rows(unsorted), seed
+def _voxel_case_edges(edges) -> np.ndarray:
+    """A sweep case's edges as voxel rows, with integer ssd weights ranked
+    like its float ones."""
+    rank = np.unique(edges["w"], return_inverse=True)[1]
+    ssd = rank * (3 * 255 ** 2 // (rank.max() + 1))
+    return make_edges(edges["a"], edges["b"], ssd, streamseg.VOXEL_EDGE_DTYPE)
 
+
+def _check_sweep(seed, n, edges, base, keys, grown, state, k, min_size, layouts=(None,)):
+    """_fh_sweep and _close_level on one case against the edge-by-edge
+    oracle, for region (w) and voxel (ssd) rows alike; a layout in layouts
+    runs the voxel rows packed into keys, None the rows themselves."""
     # the reference pre-groups by one union per member
     ref = Forest(n, sizes=base.tolist())
     for key in np.unique(keys[keys >= 0]).tolist():
@@ -350,72 +395,97 @@ def _check_sweep(seed, n, edges, base, keys, grown, state, k, min_size):
         ref.size[root] = state.sizes[0][key] + int(grown[members].sum())
         ref.internal[root] = state.ints[0][key]
         ref.mark[root] = key
-    oracle_fh_sweep(ref, oracle_voxel_weights(unsorted) if "ssd" in unsorted.dtype.names
-                    else unsorted, k, min_size)
+    oracle_fh_sweep(ref, oracle_voxel_weights(edges) if "ssd" in edges.dtype.names
+                    else edges, k, min_size)
     ref_roots = np.array([ref.find(i) for i in range(n)], dtype=np.int64)
     ref_mark = np.array(ref.mark)
-
-    got = _component_table(roots, size, internal, marked)
     want = _component_table(ref_roots, np.array(ref.size), np.array(ref.internal),
                             ref_mark >= 0)
-    assert np.array_equal(got[0], want[0]), seed
-    assert got[1:] == want[1:], seed
-
-    # a marked component keeps its key as label, wherever its root lies;
-    # fresh ones are numbered past every key in first-occurrence order
-    state.counters[0] = 1000
-    item_grown = 1 + np.arange(n) % 3
-    node, labels, node_first, node_grown = _close_level(keys, roots, size, internal,
-                                                        np.arange(n), item_grown, state, 0)
     want_labels = ref_mark[ref_roots]
     fresh = want_labels < 0
     want_labels[fresh] = 1000 + relabel_first_occurrence(ref_roots[fresh])
-    assert np.array_equal(labels[node], want_labels), seed
-    # the components are the nodes of the level above, ranked by label,
-    # each with its items' least first-voxel key and summed grown voxels
-    assert (np.diff(labels) > 0).all(), seed
-    want_first, want_grown = [n] * len(labels), [0] * len(labels)
-    for i, (nd, g) in enumerate(zip(node.tolist(), item_grown.tolist())):
-        want_first[nd] = min(want_first[nd], i)
-        want_grown[nd] += g
-    assert node_first.tolist() == want_first, seed
-    assert node_grown.tolist() == want_grown, seed
-    assert state.sizes[0] == dict(zip(want_labels.tolist(), want[1])), seed
-    assert state.ints[0] == dict(zip(want_labels.tolist(), want[2])), seed
+
+    for layout in layouts:
+        case = (seed, layout)
+        st = copy.deepcopy(state)
+        root, size, internal, marked = _pre_union(keys, base.copy(), grown, st, 0)
+        if layout is None:
+            swept = edges.copy()
+            roots = _fh_sweep(swept, root, size, internal, marked, k, min_size)
+            # the sweep reorders the rows in place, keeping every (a, b, w) row
+            assert _edge_rows(swept) == _edge_rows(edges), case
+        else:
+            swept = _pack_keys(edges, layout)
+            roots = _fh_sweep(swept, root, size, internal, marked, k, min_size, layout)
+            # the sweep sorts the keys in place
+            assert np.array_equal(swept, np.sort(_pack_keys(edges, layout))), case
+        # every item's root is a root
+        assert np.array_equal(roots[roots], roots), case
+        got = _component_table(roots, size, internal, marked)
+        assert np.array_equal(got[0], want[0]), case
+        assert got[1:] == want[1:], case
+
+        # a marked component keeps its key as label, wherever its root lies;
+        # fresh ones are numbered past every key in first-occurrence order
+        st.counters[0] = 1000
+        item_grown = 1 + np.arange(n) % 3
+        node, labels, node_first, node_grown = _close_level(keys, roots, size, internal,
+                                                            np.arange(n), item_grown, st, 0)
+        assert np.array_equal(labels[node], want_labels), case
+        # the components are the nodes of the level above, ranked by label,
+        # each with its items' least first-voxel key and summed grown voxels
+        assert (np.diff(labels) > 0).all(), case
+        want_first, want_grown = [n] * len(labels), [0] * len(labels)
+        for i, (nd, g) in enumerate(zip(node.tolist(), item_grown.tolist())):
+            want_first[nd] = min(want_first[nd], i)
+            want_grown[nd] += g
+        assert node_first.tolist() == want_first, case
+        assert node_grown.tolist() == want_grown, case
+        assert st.sizes[0] == dict(zip(want_labels.tolist(), want[1])), case
+        assert st.ints[0] == dict(zip(want_labels.tolist(), want[2])), case
 
 
 def test_fh_sweep_equals_oracle():
-    for seed, case in _sweep_cases():
-        _check_sweep(seed, *case)
+    # every case on its region edges, then with integer ssd weights ranked
+    # like its float ones as voxel rows (np.lexsort) and as keys
+    for seed, (n, edges, *rest) in _sweep_cases():
+        _check_sweep(seed, n, edges, *rest)
+        _check_sweep(seed, n, _voxel_case_edges(edges), *rest,
+                     layouts=(None, streamseg._key_layout(n, 1, n)))
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_fh_sweep_builds_its_key_in_chunks(monkeypatch, chunk):
-    # the one-key sort builds its key _CHUNK rows at a time: every twelfth
-    # random sweep case and each named one again, with integer ssd weights
-    # ranked like its float ones, plus edge counts of 0 and _CHUNK
+    # the key sweep reads each block's endpoints _CHUNK keys at a time: every
+    # twelfth random sweep case and each named one again, as keys, plus edge
+    # counts of 0 and _CHUNK
     monkeypatch.setattr(streamseg, "_CHUNK", chunk)
     for seed, (n, edges, *rest) in _sweep_cases():
         if isinstance(seed, int) and seed % 12:
             continue
-        rank = np.unique(edges["w"], return_inverse=True)[1]
-        ssd = rank * (3 * 255 ** 2 // (rank.max() + 1))
-        _check_sweep(seed, n, make_edges(edges["a"], edges["b"], ssd, streamseg.VOXEL_EDGE_DTYPE),
-                     *rest)
+        _check_sweep(seed, n, _voxel_case_edges(edges), *rest,
+                     layouts=[streamseg._key_layout(n, 1, n)])
     rng = np.random.default_rng(chunk)
     for m in (0, chunk):
         edges = make_edges(rng.integers(0, 6, m), rng.integers(0, 6, m),
                            rng.integers(0, 3 * 255 ** 2 + 1, m), streamseg.VOXEL_EDGE_DTYPE)
         _check_sweep(("edges", m), 6, edges, np.ones(6, dtype=np.int64),
                      np.full(0, -1, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                     _StreamState(1), 0.5, 2)
+                     _StreamState(1), 0.5, 2, layouts=[streamseg._key_layout(6, 1, 6)])
 
 
 @pytest.mark.parametrize("n", [2 ** 22, 2 ** 22 + 1])
 def test_fh_sweep_ranks_voxel_edges_at_the_one_key_limit(n):
-    # 2**22 items leave 22 bits for each id beside 18 for ssd, one int64 key;
-    # one more item takes the two-key path.  Few edges near the top ids, with
-    # tied ssd values, so memory stays modest
+    # in 2048x2048 frames max - min takes c = 23 bits beside 18 for ssd:
+    # 2**22 items leave b = 22 bits for the min id, one int64 key of 63
+    # bits; one more item needs 64 bits and takes np.lexsort over the rows.
+    # Few edges near the top ids, with tied ssd values, so memory stays
+    # modest.  By arithmetic alone, nothing built: a 1280x720x6 window
+    # needs 18 + 23 + 21 = 62 bits, a 1920x1080x6 one 18 + 24 + 22 = 64
+    assert streamseg._key_layout(1280 * 720 * 6, 720, 1280) == (23, 21)
+    assert streamseg._key_layout(1920 * 1080 * 6, 1080, 1920) is None
+    layout = streamseg._key_layout(n, 2048, 2048)
+    assert layout == (None if n > 2 ** 22 else (22, 23))
     rng = np.random.default_rng(n)
     m = 3000
     ids = np.concatenate([n - 1 - np.arange(600), np.arange(20)])
@@ -426,14 +496,20 @@ def test_fh_sweep_ranks_voxel_edges_at_the_one_key_limit(n):
     unsorted = edges.copy()
     size = np.ones(n, dtype=np.int64)
     internal = np.zeros(n)
-    roots = _fh_sweep(edges, np.arange(n), size, internal, np.zeros(n, dtype=bool), 0.05, 3)
-
-    # an edge may come out with its endpoints swapped
-    assert sorted(zip(*map(np.ndarray.tolist, _undirected_rows(edges)))) == \
-        sorted(zip(*map(np.ndarray.tolist, _undirected_rows(unsorted))))
+    if layout is None:
+        roots = _fh_sweep(edges, np.arange(n), size, internal, np.zeros(n, dtype=bool), 0.05, 3)
+        assert _edge_rows(edges) == _edge_rows(unsorted)
+        swept = _undirected_list(edges)
+    else:
+        keys = _pack_keys(edges, layout)
+        # the largest ssd sets bit 62, the top bit of a non-negative int64
+        assert keys.max() >= 2 ** 62
+        roots = _fh_sweep(keys, np.arange(n), size, internal, np.zeros(n, dtype=bool), 0.05, 3,
+                          layout)
+        swept = _unpack_keys(keys, layout)
+        assert sorted(swept) == sorted(_undirected_list(unsorted))
     # in sweep order: by (ssd, min id, max id)
-    lo, hi, ssd = _undirected_rows(edges)
-    assert np.array_equal(np.lexsort((hi, lo, ssd)), np.arange(m))
+    assert swept == sorted(swept, key=lambda row: (row[2], row[0], row[1]))
     touched = np.unique(ids)
     got = (relabel_first_occurrence(roots[touched]), size[roots[touched]].tolist(),
            internal[roots[touched]].tolist())
@@ -672,24 +748,29 @@ def test_coarsened_region_graph_equals_voxel_build(seed, case):
 
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_region_graph_pairs_in_chunks(monkeypatch, chunk):
-    # level 1's pairs are made distinct per chunk of _CHUNK voxel edges and
-    # then across chunks: they must equal one np.unique over all the pairs,
-    # also with no edge, one full chunk and repeats across chunk boundaries
+    # level 1's pairs are made distinct per chunk of _CHUNK voxel edges, rows
+    # or keys, and then across chunks: they must equal one np.unique over
+    # all the pairs, also with no edge, one full chunk and repeats across
+    # chunk boundaries
     monkeypatch.setattr(streamseg, "_CHUNK", chunk)
     rng = np.random.default_rng(chunk)
     frames = _rand_video(chunk, 2, 4, 5)
     for m in (0, 1, chunk, chunk + 1, 3 * chunk - 1, 200):
         nn = int(rng.integers(1, 7))
         node_index = rng.integers(0, nn, frames[..., 0].size)
-        edges = make_edges(rng.integers(0, 40, m), rng.integers(0, 40, m), np.zeros(m),
-                           streamseg.VOXEL_EDGE_DTYPE)
-        graph = streamseg._region_graph(frames, None, edges, node_index, nn, StreamConfig())
+        edges = make_edges(rng.integers(0, 40, m), rng.integers(0, 40, m),
+                           rng.integers(0, 3 * 255 ** 2 + 1, m), streamseg.VOXEL_EDGE_DTYPE)
         na, nb = node_index[edges["a"]], node_index[edges["b"]]
         differ = na != nb
         pa, pb = np.divmod(np.unique(np.minimum(na, nb)[differ] * nn
                                      + np.maximum(na, nb)[differ]), nn)
-        assert graph.pa.dtype == graph.pb.dtype == np.int64, m
-        assert graph.pa.tolist() == pa.tolist() and graph.pb.tolist() == pb.tolist(), m
+        # the window's voxel edges as rows, and as keys
+        key_layout = streamseg._key_layout(40, 4, 5)
+        for given, layout in ((edges, None), (_pack_keys(edges, key_layout), key_layout)):
+            graph = streamseg._region_graph(frames, None, given, node_index, nn, StreamConfig(),
+                                            layout)
+            assert graph.pa.dtype == graph.pb.dtype == np.int64, m
+            assert graph.pa.tolist() == pa.tolist() and graph.pb.tolist() == pb.tolist(), m
 
 
 @pytest.mark.parametrize("levels", [2, 3, 6])
@@ -968,15 +1049,17 @@ def test_window_size_guard(shape, subseq_len, refused):
     assert n * n <= np.iinfo(np.int64).max
 
 
-def test_one_window_peak_bytes_per_voxel():
-    # fixed textured scenes with flow, each in one window: 64x48x4 and the
-    # 320x240x6 window of the one-key sort path.  12 B voxel edges (int32
-    # endpoints and ssd) built in place into one array and sorted in place
-    # through one int64 key built in chunks, with level 1's node pairs made
-    # distinct per chunk of edges, measure about 311 and 304 B/voxel; with
-    # the edges concatenated from per-direction parts and the key and pairs
-    # built whole they measured 351 and 392
-    for w, h, t in ((64, 48, 4), (320, 240, 6)):
+def test_one_window_peak_bytes_per_voxel(monkeypatch):
+    # fixed textured scenes with flow, each in one window: 64x48x4 and
+    # 320x240x6 with the voxel edges as one int64 key each, built in place
+    # and sorted in place, endpoints decoded _CHUNK keys at a time, measure
+    # about 253 and 255 B/voxel; as 12 B rows beside an int64 sort key they
+    # measured 311 and 304.  The 320x240x6 window forced through the rows
+    # and np.lexsort, the form of windows whose keys need more than 63 bits,
+    # measures about 440, and both forms give the same labels
+    labels = {}
+    for w, h, t, form, bound in ((64, 48, 4, "keys", 290), (320, 240, 6, "keys", 290),
+                                 (320, 240, 6, "rows", 450)):
         spec = SceneSpec(
             width=w, height=h, num_frames=t, seed=5,
             background_color=(70, 80, 100), noise_sigma=2.0, texture_amplitude=35.0,
@@ -986,15 +1069,20 @@ def test_one_window_peak_bytes_per_voxel():
         )
         frames, _, flows = generate(spec)
         config = StreamConfig(subseq_len=t, k0=0.5, min_size=8)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            stream_segment(frames, flows, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - base) / (t * h * w) < 340, (w, h, t)
+        with monkeypatch.context() as m:
+            if form == "rows":
+                m.setattr(streamseg, "_key_layout", lambda n, h, w: None)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                hier = stream_segment(frames, flows, config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak - base) / (t * h * w) < bound, (w, h, t, form)
+        want = labels.setdefault((w, h, t), hier.levels)
+        assert all(np.array_equal(a, b) for a, b in zip(hier.levels, want)), (w, h, t, form)
 
 
 def test_config_validation():
