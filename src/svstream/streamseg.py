@@ -43,8 +43,8 @@ in place, so a window keeps one edge array; level 1's region graph reads
 only its endpoints, in any order.  numpy drops, one block of sorted edges
 at a time, every edge that can no longer merge anything (same root, two
 marked roots, or in the cleanup pass two roots already large enough), and
-the merge rule runs in Python over the remaining edges only, on per-item
-lists that the sweep builds after the sort and drops when it returns.
+the merge rule runs in Python over the remaining edges only, on lists of
+the block's roots alone, built at the block's start and dropped at its end.
 """
 
 from dataclasses import dataclass
@@ -299,6 +299,12 @@ def _end_roots(root: np.ndarray, edges: np.ndarray, layout) -> tuple:
     return ra, rb
 
 
+def _limits(roots: np.ndarray, size: np.ndarray, internal: np.ndarray, k: float) -> np.ndarray:
+    """Each given root's merge limit internal + k/size, by the merge rule's
+    own expression."""
+    return internal[roots] + k / size[roots]
+
+
 def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: np.ndarray,
               marked: np.ndarray, k: float, min_size: int, layout=None) -> np.ndarray:
     """Ascending-weight merge sweep plus the small-component cleanup pass
@@ -319,20 +325,24 @@ def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: n
     sweep order; region edges and voxel rows, which come only from windows
     whose keys would need more than 63 bits, are ordered by np.lexsort.
 
-    The sorted edges are visited in blocks, each block's endpoints read
-    _CHUNK edges at a time.  numpy first drops each edge that stays a no-op
-    for the rest of its pass, judged by the roots at the start of the block:
-    its endpoints share a root (unions only merge), both roots are marked
-    (marks survive unions and two marked roots never merge), in the merge
-    pass one root's limit internal + k/size lies below the block's first
-    weight (a limit changes only when its root merges and weights only grow,
-    so that root merges with nothing any more), or, in the cleanup pass,
-    both roots already hold min_size items (sizes only grow).  The
-    merge rule then runs in Python over the surviving edges in sweep order,
-    so every union, size, internal difference and mark equals the
-    edge-by-edge sweep's; its per-item lists are built after the sort,
-    which runs without them.  After a block that merged, one gather moves
-    the absorbed roots' items to their new roots in place.
+    The sorted edges are visited in blocks of max(1024, n // 8), each
+    block's endpoints read _CHUNK edges at a time.  numpy first drops each
+    edge that stays a no-op for the rest of its pass, judged by the roots at
+    the start of the block: its endpoints share a root (unions only merge),
+    both roots are marked (marks survive unions and two marked roots never
+    merge), in the merge pass one root's limit internal + k/size lies below
+    the block's first weight (a limit changes only when its root merges and
+    weights only grow, so that root merges with nothing any more), or, in
+    the cleanup pass, both roots already hold min_size items (sizes only
+    grow).  The merge rule then runs in Python over the surviving edges in
+    sweep order, so every union, size, internal difference and mark equals
+    the edge-by-edge sweep's.  Its union-find covers only the roots those
+    edges touch, renumbered from 0: lists of their sizes, internal
+    differences, limits and marks, filled at the block's start (every
+    item's root is current then) and dropped at its end, so the sweep holds
+    no per-item state of its own.  After a block that merged, the lists are
+    written back and one gather, in place, moves the absorbed roots' items
+    to their final roots.
     """
     n = len(root)
     if layout is not None:
@@ -348,27 +358,13 @@ def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: n
         eb[:] = eb[order]
         ew[:] = ew[order]
         del order
-    # each root's merge limit, by the merge rule's own expression; items
-    # under a root may have size 0 and are never read
-    root_lim = np.divide(k, size, out=np.zeros(n), where=size > 0)
-    root_lim += internal
-    # the merge rule's lists: parent[r] is None while r is a root, and every
-    # internal difference but a root's recorded one is the one shared 0.0
-    parent = [None] * n
-    size_l = size.tolist()
-    internal_l = [0.0] * n
-    recorded = np.flatnonzero(internal)
-    for r, v in zip(recorded.tolist(), internal[recorded].tolist()):
-        internal_l[r] = v
-    mark = marked.tolist()
 
     def find(x):
         while parent[x] is not None:
             x = parent[x]
         return x
 
-    remap = np.arange(n, dtype=np.int64)
-    block = max(1024, n // 4)
+    block = max(1024, n // 8)
     for cleanup in (False, True):
         for s in range(0, len(edges), block):
             part = edges[s:s + block]
@@ -380,9 +376,22 @@ def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: n
                 # a root whose limit is below the block's first weight merges
                 # with nothing for the rest of the pass
                 first = _edge_weights(part[:1], layout)[0]
-                live &= (root_lim[ra] >= first) & (root_lim[rb] >= first)
+                live &= _limits(ra, size, internal, k) >= first
+                live &= _limits(rb, size, internal, k) >= first
+            m = int(np.count_nonzero(live))
+            if not m:
+                continue
+            # the block's roots, and each live edge's ends among them
+            ids, ends = np.unique(np.concatenate((ra[live], rb[live])), return_inverse=True)
+            del ra, rb
+            # parent[r] is None while r is a root
+            parent = [None] * len(ids)
+            size_l = size[ids].tolist()
+            internal_l = internal[ids].tolist()
+            lim_l = _limits(ids, size, internal, k).tolist()
+            mark = marked[ids].tolist()
             absorbed = []
-            for a, b, w in zip(ra[live].tolist(), rb[live].tolist(),
+            for a, b, w in zip(ends[:m].tolist(), ends[m:].tolist(),
                                _edge_weights(part[live], layout).tolist()):
                 if parent[a] is not None:
                     a = find(a)
@@ -393,31 +402,38 @@ def _fh_sweep(edges: np.ndarray, root: np.ndarray, size: np.ndarray, internal: n
                 if cleanup:
                     if size_l[a] >= min_size and size_l[b] >= min_size:
                         continue
-                else:
-                    lim_a = internal_l[a] + k / size_l[a]
-                    lim_b = internal_l[b] + k / size_l[b]
-                    if w > (lim_a if lim_a < lim_b else lim_b):
-                        continue
+                elif w > (lim_l[a] if lim_l[a] < lim_l[b] else lim_l[b]):
+                    continue
                 if size_l[a] < size_l[b]:
                     a, b = b, a
                 parent[b] = a
                 size_l[a] += size_l[b]
-                internal_l[a] = max(internal_l[a], internal_l[b], w)
-                mark[a] = mark[a] or mark[b]
+                # the largest of both internal differences and w
+                if w < internal_l[b]:
+                    w = internal_l[b]
+                if internal_l[a] < w:
+                    internal_l[a] = w
+                lim_l[a] = internal_l[a] + k / size_l[a]
+                if mark[b]:
+                    mark[a] = True
                 absorbed.append(b)
-            if absorbed:
-                # a root's mark and size only grow, so a stale entry would
-                # only keep more edges; a merged root's limit may also rise,
-                # so root_lim must hold every root's current limit
-                now = [find(x) for x in absorbed]
-                remap[absorbed] = now
-                # every index is in range; mode="raise" would buffer out
-                np.take(remap, root, out=root, mode="clip")
-                remap[absorbed] = absorbed
-                size[now] = [size_l[r] for r in now]
-                internal[now] = [internal_l[r] for r in now]
-                marked[now] = [mark[r] for r in now]
-                root_lim[now] = internal[now] + k / size[now]
+            if not absorbed:
+                continue
+            # latest first, so each absorbed root's parent is final when read
+            for x in reversed(absorbed):
+                p = parent[parent[x]]
+                if p is not None:
+                    parent[x] = p
+            # absorbed roots' entries go stale and are never read again
+            size[ids] = size_l
+            internal[ids] = internal_l
+            marked[ids] = mark
+            # point each absorbed root at its final root, then every item at
+            # its root's root: that changes only absorbed roots' items, and
+            # roots' own entries stay put, so root is overwritten in chunks
+            root[ids[absorbed]] = ids[[parent[x] for x in absorbed]]
+            for c in _chunks(n):
+                root[c] = root[root[c]]
     return root
 
 
@@ -599,15 +615,22 @@ def _close_level(keys: np.ndarray, roots: np.ndarray, size: np.ndarray, internal
     and internal difference: a component keeps the key of its one keyed item
     (keys as for _group_level), fresh components get the level's next labels
     ordered by first occurrence (first_occ[i] is the first-voxel key of item
-    i).  Advances the level's counter, keeps the cumulative size and internal
+    i; at level 0 it is range(n), made an array here, not n Python ints).
+    Advances the level's counter, keeps the cumulative size and internal
     difference of every label that reaches the window's new frames (one of
     its items has grown > 0) and drops the rest.  Returns the components as
     the nodes of the level above, ranked by label: each item's node, and each
     node's label, first-voxel key (the minimum over its items) and grown
     voxels (the sum over its items)."""
-    uroots, inv = np.unique(roots, return_inverse=True)
+    # roots are item ids: the sorted distinct roots and each item's rank
+    # among them, without the sort and temporaries of np.unique
+    uroots = np.flatnonzero(np.bincount(roots, minlength=len(roots)))
+    inv = np.searchsorted(uroots, roots)
     root_first = np.full(len(uroots), np.iinfo(np.int64).max, dtype=np.int64)
+    if isinstance(first_occ, range):
+        first_occ = np.arange(first_occ.start, first_occ.stop, first_occ.step)
     np.minimum.at(root_first, inv, first_occ)
+    del first_occ   # level 0's array goes before the temporaries below
     labels_u = np.full(len(uroots), -1, dtype=np.int64)
     members = np.flatnonzero(keys >= 0)
     labels_u[inv[members]] = keys[members]

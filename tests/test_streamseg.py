@@ -318,10 +318,11 @@ def _limit_case(second_weight: float):
             np.zeros(0, dtype=np.int64), _StreamState(1), 0.25, 1)
 
 
-def _union_case(base, keys, recorded, pairs, k):
+def _union_case(base, keys, recorded, pairs, k, min_size=1):
     """Items of the given sizes, the keyed ones pre-grouped into marked
     components with recorded (size, internal difference) per key, and one
-    edge per (a, b, w) of pairs, all in one block."""
+    edge per (a, b, w) of pairs, all in one block unless there are more
+    than 1024."""
     a, b, w = zip(*pairs)
     state = _StreamState(1)
     for key, (size, internal) in recorded.items():
@@ -329,7 +330,21 @@ def _union_case(base, keys, recorded, pairs, k):
         state.ints[0][key] = internal
     keys = np.array(keys, dtype=np.int64)
     return (len(base), make_edges(a, b, w), np.array(base, dtype=np.int64), keys,
-            np.zeros(len(keys), dtype=np.int64), state, k, 1)
+            np.zeros(len(keys), dtype=np.int64), state, k, min_size)
+
+
+def _blocks_case(base, keys, recorded, blocks, k, min_size=1):
+    """_union_case with the edges in blocks of 1024, the least block size
+    of the sweep: block j holds the (a, b, w) of blocks[j] and self-loops of
+    one more item at its largest weight, and each block's weights lie above
+    the last one's, so sweep order keeps every block together."""
+    pad = len(base)
+    pairs, top = [], -1.0
+    for block in blocks:
+        assert min(w for _, _, w in block) > top and len(block) <= 1024
+        top = max(w for _, _, w in block)
+        pairs += block + [(pad, pad, top)] * (1024 - len(block))
+    return _union_case(list(base) + [1], keys, recorded, pairs, k, min_size)
 
 
 def _sweep_cases():
@@ -361,6 +376,45 @@ def _sweep_cases():
     # the component's root holds no key and its label sits on item 1
     yield "label off the root", _union_case(
         [1, 1, 5], [-1, 4], {4: (1, 0.0)}, [(1, 2, 0.1)], 10.0)
+    # one block at a time, each filled by self-loops to 1024 edges: a chain
+    # of unions whose sizes and internal differences carry across blocks.
+    # With k = 1: {0, 1} and {2, 3} form in block 0, join in block 1 (limits
+    # 0.1 + 1/2), take item 4 in block 2 (0.3 + 1/4 >= 0.5) and refuse item
+    # 5 in block 3 (0.5 + 1/5 < 0.75); stale sizes or internal differences
+    # would let it in, and items left on an absorbed root would join wrongly
+    yield "chain across blocks", _blocks_case(
+        [1] * 6, [], {},
+        [[(0, 1, 0.1), (2, 3, 0.1)], [(1, 2, 0.3)], [(3, 4, 0.5)], [(5, 0, 0.75)]], 1.0)
+    # hub item 600 of one block, a min id to later items and a max id to
+    # earlier ones, its root hit from both ends again and again as it grows
+    yield "hub hit from both ends", _blocks_case(
+        [1] * 1200, [], {},
+        [[(1, 0, 0.01)],
+         [(600, j, 0.1 + 1e-4 * i) for i, j in enumerate(range(590, 1000))]
+         + [(i, 600, 0.2 + 1e-4 * i) for i in range(100, 590)]
+         + [(100, 1000 + i, 0.3 + 1e-4 * i) for i in range(100)],
+         [(0, 600, 0.5)]], 50.0)
+    # block 1 holds edges inside block 0's components only, so no edge of
+    # it is live; block 2 then merges over roots that block 0 moved
+    yield "block with no live edge", _blocks_case(
+        [1] * 8, [], {},
+        [[(0, 1, 0.1), (2, 3, 0.1), (4, 5, 0.1), (1, 2, 0.15)],
+         [(0, 3, 0.2), (3, 2, 0.2), (4, 5, 0.2)],
+         [(3, 4, 0.3), (5, 6, 0.3), (7, 7, 0.3)]], 2.0)
+    # two marked roots in one block: item 2 joins marked item 0 first, and
+    # so must not join marked item 1 next, though its root was unmarked at
+    # the block's start; item 3 then joins item 1 alone
+    yield "two marked roots in one block", _blocks_case(
+        [1, 1, 1, 1, 1], [5, 6], {5: (2, 0.0), 6: (2, 0.0)},
+        [[(4, 4, 0.05)], [(0, 2, 0.1), (1, 2, 0.2), (0, 1, 0.25), (1, 3, 0.3)],
+         [(3, 2, 0.4)]], 10.0)
+    # k is too small for any merge, so the cleanup pass joins everything:
+    # {0, 1, 2} reaches min_size 3 by block 1, takes item 3 in block 2 and
+    # then refuses {4, 5, 6}, which reached min_size in blocks 1 and 2
+    yield "cleanup across blocks", _blocks_case(
+        [1] * 7, [], {},
+        [[(0, 1, 0.1), (4, 5, 0.1)], [(1, 2, 0.2), (5, 6, 0.2)], [(2, 3, 0.3)],
+         [(6, 0, 0.4)]], 1e-3, min_size=3)
 
 
 def _undirected_rows(e) -> tuple:
@@ -530,6 +584,77 @@ def test_fh_sweep_ranks_voxel_edges_at_the_one_key_limit(n):
     assert got[1:] == want[1:]
     # both passes merged, into more than one component
     assert 3 <= min(want[1]) and len(np.unique(want[0])) > 1
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and its tracemalloc peak above what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+def test_fh_sweep_holds_no_per_item_state():
+    # 2**18 items, the first half frozen under 64 labels, their edges all
+    # dead, and 3000 live edges among the new items: the sweep's union-find
+    # spans one block's live roots, so beyond its inputs it holds only
+    # block-sized arrays, about 9 B per item.  With n-sized merge lists
+    # (32 B per item), a per-item limit and a remap array it took 58
+    n = 1 << 18
+    rng = np.random.default_rng(3)
+    frozen = np.arange(n // 2 - 1)
+    a = np.concatenate([frozen, rng.integers(n // 2, n, 3000)])
+    b = np.concatenate([frozen + 1, rng.integers(n // 2, n, 3000)])
+    ssd = np.concatenate([np.zeros(len(frozen)), rng.integers(0, 3 * 255 ** 2 // 4, 3000)])
+    layout = streamseg._key_layout(n, 1, n)
+    keys = _pack_keys(make_edges(a, b, ssd, streamseg.VOXEL_EDGE_DTYPE), layout)
+    labels = frozen // (n // 128)
+    state = _StreamState(1)
+    for key in np.unique(labels).tolist():
+        state.sizes[0][key] = n // 128
+        state.ints[0][key] = 0.0
+    grown = np.ones(n, dtype=np.int64)
+    grown[:len(frozen)] = 0
+    root, size, internal, marked = _pre_union(labels, grown.copy(), grown, state, 0)
+    roots, extra = _traced_peak(_fh_sweep, keys, root, size, internal, marked, 0.5, 4, layout)
+    assert extra / n < 16
+    # the frozen labels stayed apart and the new items merged
+    assert len(np.unique(roots[:len(frozen)])) == len(state.sizes[0])
+    assert len(np.unique(roots[n // 2:])) < n // 2 - 1000
+
+
+def test_close_level_turns_a_range_into_an_array():
+    # level 0 passes range(n) as the first occurrences; _close_level must
+    # read it like np.arange(n), without n Python ints or np.unique's sort.
+    # A third of the items keyed, the peak beyond its inputs, its results
+    # included, is about 23 B per item; it was 56 with the range turned
+    # into Python ints and 41 with an array, both ranked by np.unique
+    n = 1 << 18
+    rng = np.random.default_rng(4)
+    comp = np.sort(rng.integers(0, n // 40, n))
+    ends = np.flatnonzero(np.diff(comp, append=comp[-1] + 1))
+    roots = ends[np.searchsorted(comp[ends], comp)]
+    keys = comp[:n // 3]
+    size = np.bincount(roots, minlength=n)
+    internal = rng.random(n)
+    grown = (np.arange(n) >= n // 3).astype(np.int8)
+    results = []
+    for first_occ in (range(n), np.arange(n)):
+        state = _StreamState(1)
+        state.counters[0] = n
+        out, extra = _traced_peak(_close_level, keys, roots, size, internal, first_occ, grown,
+                                  state, 0)
+        results.append((out, state.counters, state.sizes, state.ints))
+        assert extra / n <= 24, type(first_occ)
+    (got, *got_state), (want, *want_state) = results
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+    assert got_state == want_state
+    # one node per component, first occurrences at the components' starts
+    assert np.array_equal(np.sort(got[2]), np.flatnonzero(np.diff(comp, prepend=-1)))
 
 
 # ---------------------------------------------------------------- level 0
@@ -1052,13 +1177,15 @@ def test_window_size_guard(shape, subseq_len, refused):
 def test_one_window_peak_bytes_per_voxel(monkeypatch):
     # fixed textured scenes with flow, each in one window: 64x48x4 and
     # 320x240x6 with the voxel edges as one int64 key each, built in place
-    # and sorted in place, endpoints decoded _CHUNK keys at a time, measure
-    # about 253 and 255 B/voxel; as 12 B rows beside an int64 sort key they
-    # measured 311 and 304.  The 320x240x6 window forced through the rows
-    # and np.lexsort, the form of windows whose keys need more than 63 bits,
-    # measures about 440, and both forms give the same labels
+    # and sorted in place, endpoints decoded _CHUNK keys at a time, and the
+    # sweep's union-find kept per block, measure about 213 and 220 B/voxel;
+    # with n-sized merge lists they measured 253 and 255, and as 12 B rows
+    # beside an int64 sort key 311 and 304.  The 320x240x6 window forced
+    # through the rows and np.lexsort, the form of windows whose keys need
+    # more than 63 bits, measures about 440, set by its sort, and both forms
+    # give the same labels
     labels = {}
-    for w, h, t, form, bound in ((64, 48, 4, "keys", 290), (320, 240, 6, "keys", 290),
+    for w, h, t, form, bound in ((64, 48, 4, "keys", 240), (320, 240, 6, "keys", 240),
                                  (320, 240, 6, "rows", 450)):
         spec = SceneSpec(
             width=w, height=h, num_frames=t, seed=5,
@@ -1072,15 +1199,8 @@ def test_one_window_peak_bytes_per_voxel(monkeypatch):
         with monkeypatch.context() as m:
             if form == "rows":
                 m.setattr(streamseg, "_key_layout", lambda n, h, w: None)
-            tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                hier = stream_segment(frames, flows, config)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert (peak - base) / (t * h * w) < bound, (w, h, t, form)
+            hier, extra = _traced_peak(stream_segment, frames, flows, config)
+        assert extra / (t * h * w) < bound, (w, h, t, form)
         want = labels.setdefault((w, h, t), hier.levels)
         assert all(np.array_equal(a, b) for a, b in zip(hier.levels, want)), (w, h, t, form)
 
