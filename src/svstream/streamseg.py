@@ -31,10 +31,10 @@ window holds each voxel edge as one int64 key, ssd << (b + c) | min << c |
 None for a window whose keys would need more than 63 bits, which holds 12 B
 VOXEL_EDGE_DTYPE rows (int32 a, b and ssd) instead.  A window builds no
 edge between two frozen voxels: such an edge could only join one emitted
-region to itself or to another, which never merge.  It counts its edges
-first and the builders write one array of exactly that many keys in place;
-the steps that decode it (the sweep's endpoints, the level-1 node pairs)
-do so one chunk of _CHUNK edges at a time.
+region to itself or to another, which never merge.  Its edge count and
+the builders' fill read one enumeration per family, so one array of exactly
+that size is filled in place; the sweep's endpoints and level 1's node
+pairs decode it one chunk of _CHUNK edges at a time.
 
 The grouping sweep is exact but blockwise.  A level's state goes in and
 comes out as numpy arrays: each item's root and each root's size, internal
@@ -115,8 +115,9 @@ def make_edges(a, b, w, dtype=EDGE_DTYPE) -> np.ndarray:
 
 
 def _color_weight(ssd) -> np.ndarray:
-    """Euclidean RGB distance normalized to [0, 1], from the squared one;
-    exact, as a float64 holds every ssd and sqrt is correctly rounded."""
+    """Euclidean RGB distance over 255 * sqrt(3), from the squared one: 0 at
+    ssd 0, strictly increasing, 1.0000000000000002 at 3 * 255**2; exact, as
+    a float64 holds every ssd and sqrt is correctly rounded."""
     return np.sqrt(np.asarray(ssd, dtype=np.float64)) / _COLOR_NORM
 
 
@@ -134,23 +135,10 @@ def _key_layout(n: int, h: int, w: int):
     b = bit_length(n - 1) bits for the min id and c = bit_length(2hw - 1)
     for max - min: every voxel edge joins two voxels of one frame or of two
     consecutive ones, so max - min < 2hw.  ssd <= 3 * 255**2 < 2**18, so the
-    keys rank like (ssd, min id, max id).  _voxel_edges writes keys and
-    _key_fields reads them."""
+    keys rank like (ssd, min id, max id).  _voxel_edges writes keys, and
+    _edge_ends and _edge_weights read them."""
     b, c = (n - 1).bit_length(), (2 * h * w - 1).bit_length()
     return (b, c) if 18 + b + c <= 63 else None
-
-
-def _key_fields(keys: np.ndarray, layout: tuple, ssd: bool = False):
-    """The (min id, max id) of every key as int64 arrays or, with ssd on,
-    every key's ssd."""
-    b, c = layout
-    if ssd:
-        return keys >> (b + c)
-    lo = keys >> c
-    lo &= (1 << b) - 1
-    hi = keys & ((1 << c) - 1)
-    hi += lo
-    return lo, hi
 
 
 def _voxel_edges(colors: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray,
@@ -172,10 +160,16 @@ def _voxel_edges(colors: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarr
     out |= np.abs(a - b)
 
 
-def _filled(out: np.ndarray, rows: int) -> np.ndarray:
-    """out, refused unless the builder filled all of it: `rows` rows."""
-    if rows != len(out):
-        raise ValueError(f"out holds {len(out)} edges, not the {rows} built")
+def _fill(window: np.ndarray, pairs, out: np.ndarray, offset: int, layout) -> np.ndarray:
+    """Write the voxel edges of the uint8 window's (a, b) id-array pairs into
+    out in turn; returns out, refused unless they filled all of it."""
+    colors = window.reshape(-1, 3).astype(np.int32)
+    pos = 0
+    for a, b in pairs:
+        _voxel_edges(colors, a, b, out[pos:pos + len(a)], offset, layout)
+        pos += len(a)
+    if pos != len(out):
+        raise ValueError(f"out holds {len(out)} edges, not the {pos} built")
     return out
 
 
@@ -203,26 +197,26 @@ def build_spatial_edges(window: np.ndarray, out=None, offset: int = 0,
     t_len, h, w = window.shape[:3]
     if out is None:
         out = np.empty(_spatial_edge_count(t_len, h, w), dtype=VOXEL_EDGE_DTYPE)
-    colors = window.reshape(-1, 3).astype(np.int32)
     frame_off = np.arange(t_len, dtype=np.int32) * (h * w)
-    pos = 0
-    for src, dst in _spatial_directions(h, w):
-        a = (src.ravel()[None, :] + frame_off[:, None]).ravel()
-        b = (dst.ravel()[None, :] + frame_off[:, None]).ravel()
-        _voxel_edges(colors, a, b, out[pos:pos + len(a)], offset, layout)
-        pos += len(a)
-    return _filled(out, pos)
+    return _fill(window, ((np.add.outer(frame_off, src).ravel(),
+                           np.add.outer(frame_off, dst).ravel())
+                          for src, dst in _spatial_directions(h, w)), out, offset, layout)
 
 
-def _flow_targets(flows, t: int, h: int, w: int, use_flow_edges: bool) -> tuple:
-    """Each pixel's backward target (round(x+u), round(y+v)) in frame t-1,
-    as int64 (h, w) arrays; u = v = 0 with use_flow_edges off or flows None."""
+def _temporal_targets(flows, t: int, h: int, w: int, use_flow_edges: bool) -> tuple:
+    """Each pixel's backward target (round(x+u), round(y+v)) in frame t-1 as
+    an int64 (h, w) id bx + by*w, and for m = -1, 0, 1 where column bx + m
+    and where row by + m lie in the frame; u = v = 0 with use_flow_edges off
+    or flows None.  The ids are read only where both masks hold."""
     xs, ys = pixel_grid(h, w)
     u = v = 0.0
     if use_flow_edges and flows is not None:
-        u = np.asarray(flows[t - 1][..., 0], dtype=np.float64)
-        v = np.asarray(flows[t - 1][..., 1], dtype=np.float64)
-    return round_half_up(xs + u).astype(np.int64), round_half_up(ys + v).astype(np.int64)
+        u, v = np.moveaxis(np.asarray(flows[t - 1], dtype=np.float64), -1, 0)
+    bx = round_half_up(xs + u).astype(np.int64)
+    by = round_half_up(ys + v).astype(np.int64)
+    cols = [(bx + m >= 0) & (bx + m < w) for m in (-1, 0, 1)]
+    rows = [(by + m >= 0) & (by + m < h) for m in (-1, 0, 1)]
+    return bx + by * w, cols, rows
 
 
 def _temporal_edge_count(t_len: int, h: int, w: int, flows, use_flow_edges: bool) -> int:
@@ -231,10 +225,8 @@ def _temporal_edge_count(t_len: int, h: int, w: int, flows, use_flow_edges: bool
     its flow target, as many as in-frame columns times in-frame rows."""
     total = 0
     for t in range(1, t_len):
-        bx, by = _flow_targets(flows, t, h, w, use_flow_edges)
-        cols = sum((bx + m >= 0) & (bx + m < w) for m in (-1, 0, 1))
-        rows = sum((by + n >= 0) & (by + n < h) for n in (-1, 0, 1))
-        total += int(np.dot(cols.ravel(), rows.ravel()))
+        _, cols, rows = _temporal_targets(flows, t, h, w, use_flow_edges)
+        total += int(np.dot(sum(cols).ravel(), sum(rows).ravel()))
     return total
 
 
@@ -254,22 +246,16 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool,
     if out is None:
         out = np.empty(_temporal_edge_count(t_len, h, w, flows, use_flow_edges),
                        dtype=VOXEL_EDGE_DTYPE)
-    colors = window.reshape(-1, 3).astype(np.int32)
-    src_base = np.arange(h * w, dtype=np.int32).reshape(h, w)
-    pos = 0
-    for t in range(1, t_len):
-        bx, by = _flow_targets(flows, t, h, w, use_flow_edges)
-        src = src_base + t * h * w
-        for m in (-1, 0, 1):
-            for n in (-1, 0, 1):
-                tx = bx + m
-                ty = by + n
-                ok = (tx >= 0) & (tx < w) & (ty >= 0) & (ty < h)
-                a = src[ok]
-                b = (tx[ok] + ty[ok] * w + (t - 1) * h * w)
-                _voxel_edges(colors, a, b, out[pos:pos + len(a)], offset, layout)
-                pos += len(a)
-    return _filled(out, pos)
+    src = np.arange(h * w, dtype=np.int32).reshape(h, w)
+
+    def pairs():
+        for t in range(1, t_len):
+            target, cols, rows = _temporal_targets(flows, t, h, w, use_flow_edges)
+            for m, col in zip((-1, 0, 1), cols):
+                for n, row in zip((-1, 0, 1), rows):
+                    ok = col & row
+                    yield src[ok] + t * h * w, target[ok] + (m + n * w + (t - 1) * h * w)
+    return _fill(window, pairs(), out, offset, layout)
 
 
 # ---------------------------------------------------------------- grouping
@@ -277,14 +263,17 @@ def build_temporal_edges(window: np.ndarray, flows, use_flow_edges: bool,
 def _edge_ends(edges: np.ndarray, layout) -> tuple:
     """The endpoints of edges: the a and b of rows, or with a layout the
     (min id, max id) of keys."""
-    return (edges["a"], edges["b"]) if layout is None else _key_fields(edges, layout)
+    if layout is None:
+        return edges["a"], edges["b"]
+    lo = edges >> layout[1] & (1 << layout[0]) - 1
+    return lo, (edges & (1 << layout[1]) - 1) + lo
 
 
 def _edge_weights(edges: np.ndarray, layout) -> np.ndarray:
     """The float weights of edges: a region row's w, or _color_weight of a
     voxel edge's ssd, read from its row or, with a layout, its key."""
     if layout is not None:
-        return _color_weight(_key_fields(edges, layout, ssd=True))
+        return _color_weight(edges >> sum(layout))
     return _color_weight(edges["ssd"]) if "ssd" in edges.dtype.names else edges["w"]
 
 
@@ -522,11 +511,11 @@ def _region_graph(frames_w: np.ndarray, flows_w, edges: np.ndarray, node_index: 
     return _RegionGraph(pa, pb, color, flow)
 
 
-def _reduce_children(ufunc, values: np.ndarray, parent: np.ndarray, nn: int) -> np.ndarray:
-    """Row i of the result reduces, with ufunc, the rows j of values whose
-    parent[j] is i; every i below nn has one."""
+def _sum_children(values: np.ndarray, parent: np.ndarray, nn: int) -> np.ndarray:
+    """Row i of the result sums the rows j of values whose parent[j] is i;
+    every i below nn has one."""
     order = np.argsort(parent, kind="stable")
-    return ufunc.reduceat(values[order], np.searchsorted(parent[order], np.arange(nn)), axis=0)
+    return np.add.reduceat(values[order], np.searchsorted(parent[order], np.arange(nn)), axis=0)
 
 
 def _coarsen(graph: _RegionGraph, parent: np.ndarray, nn: int) -> _RegionGraph:
@@ -536,8 +525,8 @@ def _coarsen(graph: _RegionGraph, parent: np.ndarray, nn: int) -> _RegionGraph:
     counts are whole numbers below 2**31, so every histogram and weight
     equals that of _region_graph on the voxels."""
     pa, pb = np.divmod(_pair_keys(parent[graph.pa], parent[graph.pb], nn), nn)
-    flow = None if graph.flow is None else _reduce_children(np.add, graph.flow, parent, nn)
-    return _RegionGraph(pa, pb, _reduce_children(np.add, graph.color, parent, nn), flow)
+    flow = None if graph.flow is None else _sum_children(graph.flow, parent, nn)
+    return _RegionGraph(pa, pb, _sum_children(graph.color, parent, nn), flow)
 
 
 def _graph_edges(graph: _RegionGraph, config: StreamConfig) -> np.ndarray:

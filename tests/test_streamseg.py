@@ -82,6 +82,17 @@ def test_spatial_edge_weights():
     assert abs(_color_weight(edges["ssd"][0]) - 1.0) < 1e-12
 
 
+def test_color_weight_strictly_increasing_over_every_ssd():
+    # the one-key sort and the rows' lexsort rank voxel edges by ssd, which
+    # is the sweep order only if w = _color_weight(ssd) is strictly
+    # increasing over every ssd two uint8 colors can give
+    w = _color_weight(np.arange(3 * 255 ** 2 + 1))
+    assert len(w) == 195076 and w[0] == 0.0
+    assert np.all(np.diff(w) > 0)
+    # rounding puts the largest ssd just above 1
+    assert w[-1] == 1.0000000000000002
+
+
 def _float_weights(window, edges) -> np.ndarray:
     """Normalized RGB distance of each edge, from float64 colors."""
     colors = window.reshape(-1, 3).astype(np.float64)
@@ -254,6 +265,33 @@ def test_window_edges_equal_oracle(monkeypatch, frozen, use_flow_edges, flow):
     if flow == "out-of-frame" and use_flow_edges:
         # targets leave the frame, so voxels of frame 1 on have fewer than 9
         assert len(want) < len(oracle_window_edges(frames, None, config, frozen))
+
+
+@pytest.mark.parametrize("flow", ["none", "zero", "out-of-frame"])
+@pytest.mark.parametrize("frozen", [0, 1])
+@pytest.mark.parametrize("h, w", [(1, 6), (5, 1), (1, 1)])
+def test_degenerate_window_edges_equal_oracle(monkeypatch, h, w, frozen, flow):
+    # frames one pixel wide or high: every pixel's flow target misses a
+    # target column or row, and a 1x1 frame has no spatial edge at all
+    rng = np.random.default_rng(10 * h + w)
+    t = 4
+    frames = _rand_video(70 + h + w, t, h, w)
+    flows = {"none": None,
+             "zero": [np.zeros((h, w, 2)) for _ in range(t - 1)],
+             "out-of-frame": [np.where(rng.random((h, w, 2)) < 0.5,
+                                       rng.integers(-6, 7, (h, w, 2)) / 2.0,
+                                       rng.uniform(-4.0, 4.0, (h, w, 2)))
+                              for _ in range(t - 1)]}[flow]
+    for use_flow_edges in (True, False):
+        config = StreamConfig(use_flow_edges=use_flow_edges)
+        want = oracle_window_edges(frames, flows, config, frozen)
+        for form in _edge_forms(monkeypatch):
+            if form == "rows":
+                got, layout = _window_edges(frames, flows, config, frozen)
+                assert layout is None
+                assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert (_window_edge_list(frames, flows, config, frozen, form)
+                    == _undirected_list(want)), (form, use_flow_edges)
 
 
 def test_edge_builders_fill_exactly_the_given_rows():
@@ -1178,12 +1216,10 @@ def test_one_window_peak_bytes_per_voxel(monkeypatch):
     # fixed textured scenes with flow, each in one window: 64x48x4 and
     # 320x240x6 with the voxel edges as one int64 key each, built in place
     # and sorted in place, endpoints decoded _CHUNK keys at a time, and the
-    # sweep's union-find kept per block, measure about 213 and 220 B/voxel;
-    # with n-sized merge lists they measured 253 and 255, and as 12 B rows
-    # beside an int64 sort key 311 and 304.  The 320x240x6 window forced
-    # through the rows and np.lexsort, the form of windows whose keys need
-    # more than 63 bits, measures about 440, set by its sort, and both forms
-    # give the same labels
+    # sweep's union-find kept per block, measure about 213 and 220 B/voxel.
+    # The 320x240x6 window forced through the rows and np.lexsort, the form
+    # of windows whose keys need more than 63 bits, measures about 440, set
+    # by its sort, and both forms give the same labels
     labels = {}
     for w, h, t, form, bound in ((64, 48, 4, "keys", 240), (320, 240, 6, "keys", 240),
                                  (320, 240, 6, "rows", 450)):
