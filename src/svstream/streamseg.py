@@ -565,12 +565,14 @@ def _graph_edges(graph: _RegionGraph, config: StreamConfig) -> np.ndarray:
 
 class _StreamState:
     """Per-level label counters plus cumulative size / internal-difference
-    tables for every label in the newest subsequence, kept by _close_level."""
+    arrays for the labels in the newest subsequence, kept by _close_level in
+    ascending label order: those labels are the next window's frozen ones,
+    so the arrays line up with _pre_union's np.unique of them."""
 
     def __init__(self, levels: int):
         self.counters = [0] * levels
-        self.sizes = [dict() for _ in range(levels)]
-        self.ints = [dict() for _ in range(levels)]
+        self.sizes = [np.zeros(0, dtype=np.int64)] * levels
+        self.ints = [np.zeros(0)] * levels
 
 
 def _pre_union(keys: np.ndarray, size: np.ndarray, grown: np.ndarray,
@@ -583,75 +585,71 @@ def _pre_union(keys: np.ndarray, size: np.ndarray, grown: np.ndarray,
     difference is the label's recorded one, every other item's 0.  Returns
     each item's root, size, internal difference and mark."""
     members = np.flatnonzero(keys >= 0)
-    ukeys, first, group = np.unique(keys[members], return_index=True,
-                                    return_inverse=True)
+    _, first, group = np.unique(keys[members], return_index=True, return_inverse=True)
     roots = members[first]
     root = np.arange(len(size), dtype=np.int64)
     root[members] = roots[group]
-    group_grown = np.bincount(group, weights=grown[members], minlength=len(ukeys))
-    ukeys = ukeys.tolist()
-    size[roots] = group_grown.astype(np.int64) + [state.sizes[level][key] for key in ukeys]
+    # the distinct keys ascend, as the state's tables do
+    group_grown = np.bincount(group, weights=grown[members], minlength=len(roots))
+    size[roots] = group_grown.astype(np.int64) + state.sizes[level]
     internal = np.zeros(len(size))
-    internal[roots] = [state.ints[level][key] for key in ukeys]
+    internal[roots] = state.ints[level]
     marked = np.zeros(len(size), dtype=bool)
     marked[roots] = True
     return root, size, internal, marked
 
 
 def _close_level(keys: np.ndarray, roots: np.ndarray, size: np.ndarray, internal: np.ndarray,
-                 first_occ, grown: np.ndarray, state: _StreamState, level: int) -> tuple:
+                 grown: np.ndarray, state: _StreamState, level: int) -> tuple:
     """Label a level's items, given every item's root and each root's size
     and internal difference: a component keeps the key of its one keyed item
-    (keys as for _group_level), fresh components get the level's next labels
-    ordered by first occurrence (first_occ[i] is the first-voxel key of item
-    i; at level 0 it is range(n), made an array here, not n Python ints).
+    (keys as for _group_level, below the level's counter), fresh components
+    get the level's next labels in the order of their least items.  That is
+    first-voxel order: items are voxels at level 0, and above it a fresh
+    component holds only fresh nodes of the close below (an item holding a
+    frozen voxel is keyed), whose ids rank like their first voxels.
     Advances the level's counter, keeps the cumulative size and internal
     difference of every label that reaches the window's new frames (one of
     its items has grown > 0) and drops the rest.  Returns the components as
     the nodes of the level above, ranked by label: each item's node, and each
-    node's label, first-voxel key (the minimum over its items) and grown
-    voxels (the sum over its items)."""
+    node's label and grown voxels (the sum over its items)."""
     # roots are item ids: the sorted distinct roots and each item's rank
     # among them, without the sort and temporaries of np.unique
     uroots = np.flatnonzero(np.bincount(roots, minlength=len(roots)))
     inv = np.searchsorted(uroots, roots)
-    root_first = np.full(len(uroots), np.iinfo(np.int64).max, dtype=np.int64)
-    if isinstance(first_occ, range):
-        first_occ = np.arange(first_occ.start, first_occ.stop, first_occ.step)
-    np.minimum.at(root_first, inv, first_occ)
-    del first_occ   # level 0's array goes before the temporaries below
-    labels_u = np.full(len(uroots), -1, dtype=np.int64)
+    # each component's sort key: its label if kept, else counter + least item
+    counter = state.counters[level]
+    rank = np.full(len(uroots), counter + len(roots), dtype=np.int64)
+    np.minimum.at(rank, inv, np.arange(counter, counter + len(roots)))
     members = np.flatnonzero(keys >= 0)
-    labels_u[inv[members]] = keys[members]
-    fresh = labels_u < 0
-    fresh_rank = np.argsort(np.argsort(root_first[fresh], kind="stable"), kind="stable")
-    labels_u[fresh] = state.counters[level] + fresh_rank
-    state.counters[level] += int(fresh.sum())
-    root_grown = np.bincount(inv, weights=grown, minlength=len(uroots))
-    reach = root_grown > 0
-    live_labels = labels_u[reach].tolist()
-    state.sizes[level] = dict(zip(live_labels, size[uroots[reach]].tolist()))
-    state.ints[level] = dict(zip(live_labels, internal[uroots[reach]].tolist()))
-    order = np.argsort(labels_u)
+    rank[inv[members]] = keys[members]
+    order = np.argsort(rank)
+    labels = rank[order]
+    kept = int(np.searchsorted(labels, counter))
+    state.counters[level] += len(labels) - kept
+    labels[kept:] = np.arange(counter, state.counters[level])
+    node_grown = np.bincount(inv, weights=grown, minlength=len(uroots))[order]
+    reach = order[node_grown > 0]
+    state.sizes[level] = size[uroots[reach]]
+    state.ints[level] = internal[uroots[reach]]
     node = np.empty_like(order)
     node[order] = np.arange(len(order))
-    return node[inv], labels_u[order], root_first[order], root_grown[order]
+    return node[inv], labels, node_grown
 
 
-def _group_level(keys: np.ndarray, grown: np.ndarray, first_occ, edges: np.ndarray,
+def _group_level(keys: np.ndarray, grown: np.ndarray, edges: np.ndarray,
                  config: StreamConfig, level: int, state: _StreamState, layout=None) -> tuple:
     """Group one level's items and close the level in state; returns what
-    _close_level does: each item's node in the level above, and each node's
-    label, first-voxel key and grown voxels.  keys[i] is item i's emitted
-    label (-1, or past the end of keys, for a new item), grown[i] its voxels
-    in the window's new frames and first_occ[i] its first-voxel key; edges
-    are rows, or with a layout voxel edge keys, as for _fh_sweep.  Frozen
-    voxels were counted when an earlier window closed, so an item starts at
-    its grown voxels and _pre_union adds its label's recorded size."""
+    _close_level does.  keys[i] is item i's emitted label (-1, or past the
+    end of keys, for a new item) and grown[i] its voxels in the window's new
+    frames; edges are rows, or with a layout voxel edge keys, as for
+    _fh_sweep.  Frozen voxels were counted when an earlier window closed, so
+    an item starts at its grown voxels and _pre_union adds its label's
+    recorded size."""
     root, size, internal, marked = _pre_union(keys, grown.astype(np.int64), grown, state, level)
     _fh_sweep(edges, root, size, internal, marked,
               config.k0 * config.k_growth ** level, config.min_size, layout)
-    return _close_level(keys, root, size, internal, first_occ, grown, state, level)
+    return _close_level(keys, root, size, internal, grown, state, level)
 
 
 def _window_edges(frames_w: np.ndarray, flows_w, config: StreamConfig,
@@ -683,18 +681,18 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
     """Segment one window; old_labels (per level, covering the window's first
     frames, empty in the first window) carry the frozen result of the
     previous subsequence.  Level 0 groups voxels; each higher level groups
-    the nodes that the close below hands it, whose ids rank like its labels,
-    so ties break by (w, label a, label b).  Level 1's region graph is built
-    from the voxels, every higher one coarsened from the one below.  Returns,
-    per level, the labels of the window's new frames only."""
+    the nodes that the close below hands it, whose ids rank like its labels:
+    ties break by (w, label a, label b), fresh nodes rank by first voxel.
+    Level 1's region graph is built from the voxels, every higher one
+    coarsened from the one below.  Returns, per level, the labels of the
+    window's new frames only."""
     t_len, h, w = frames_w.shape[:3]
-    n = t_len * h * w
     frozen = old_labels[0].size
     edges, layout = _window_edges(frames_w, flows_w, config, len(old_labels[0]))
-    grown = np.ones(n, dtype=np.int8)
+    grown = np.ones(t_len * h * w, dtype=np.int8)
     grown[:frozen] = 0
-    node_index, labels, node_first, grown = _group_level(
-        old_labels[0].ravel(), grown, range(n), edges, config, 0, state, layout)
+    node_index, labels, grown = _group_level(old_labels[0].ravel(), grown, edges, config, 0,
+                                             state, layout)
     new = [labels[node_index[frozen:]]]
     graph = (_region_graph(frames_w, flows_w, edges, node_index, len(labels), config, layout)
              if config.levels > 1 else None)
@@ -702,8 +700,8 @@ def _window_pass(frames_w: np.ndarray, flows_w, config: StreamConfig,
     for level in range(1, config.levels):
         keys = np.full(len(labels), -1, dtype=np.int64)
         keys[node_index[:frozen]] = old_labels[level].ravel()
-        parent, labels, node_first, grown = _group_level(
-            keys, grown, node_first, _graph_edges(graph, config), config, level, state)
+        parent, labels, grown = _group_level(keys, grown, _graph_edges(graph, config), config,
+                                             level, state)
         node_index = parent[node_index]
         new.append(labels[node_index[frozen:]])
         if level + 1 < config.levels:

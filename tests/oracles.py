@@ -41,9 +41,9 @@ from svstream.motionlayers import (DIVERGENCE_KAPPA, OVERLAP_FRAC, MotionRegion,
                                    RansacParams, _box_extent, region_distance)
 from svstream.optflow import _HS_KERNEL, FlowParams, _pyramid, _to_gray
 from svstream.rng import SplitMix64, derive_seed
-from svstream.streamseg import (CHI2_EPS, VOXEL_EDGE_DTYPE, SegmentationHierarchy, _close_level,
-                                _graph_edges, _region_graph, _StreamState, build_spatial_edges,
-                                build_temporal_edges, make_edges)
+from svstream.streamseg import (CHI2_EPS, VOXEL_EDGE_DTYPE, SegmentationHierarchy, _graph_edges,
+                                _region_graph, build_spatial_edges, build_temporal_edges,
+                                make_edges)
 
 
 def _luma_int(video):
@@ -581,13 +581,8 @@ def oracle_fh_sweep(forest, edges, k, min_size):
                 internal[r] = w
 
 
-def _oracle_close(forest, first_occ, state, level):
-    roots = np.array([forest.find(i) for i in range(len(first_occ))], dtype=np.int64)
-    # a batch build has no frozen items: every item is new and has no key
-    node, labels, _, _ = _close_level(np.empty(0, dtype=np.int64), roots, np.array(forest.size),
-                                      np.array(forest.internal), first_occ,
-                                      np.ones(len(first_occ)), state, level)
-    return labels[node]
+def _forest_roots(forest) -> np.ndarray:
+    return np.array([forest.find(i) for i in range(len(forest.parent))], dtype=np.int64)
 
 
 def oracle_segment_level0(edges, num_voxels, k0, min_size):
@@ -595,7 +590,7 @@ def oracle_segment_level0(edges, num_voxels, k0, min_size):
     The sweep sorts float weights, not the edges' integer ssd."""
     forest = Forest(num_voxels)
     oracle_fh_sweep(forest, oracle_voxel_weights(edges), k0, min_size)
-    return _oracle_close(forest, np.arange(num_voxels, dtype=np.int64), _StreamState(1), 0)
+    return relabel_first_occurrence(_forest_roots(forest))
 
 
 def oracle_region_weights(frames, flows, edges, node_index, config) -> dict:
@@ -665,21 +660,20 @@ def voxel_region_edges(frames, flows, edges, node_index, nn, config) -> np.ndarr
 def oracle_build_hierarchy(level0, frames, flows, config):
     """Grow the full hierarchy above a given finest segmentation of the whole
     video: level0 compacted to first-occurrence order, then each higher level
-    regrouping the one below with threshold constant k0 * k_growth^level."""
+    regrouping the one below with threshold constant k0 * k_growth^level,
+    each level numbered by first occurrence over the voxels."""
     frames = np.asarray(frames)
     t_len, h, w = frames.shape[:3]
     edges = np.concatenate([build_spatial_edges(frames),
                             build_temporal_edges(frames, flows, config.use_flow_edges)])
-    state = _StreamState(config.levels)
     levels = [relabel_first_occurrence(level0).ravel()]
     for level in range(1, config.levels):
-        _, node_first, node_index = np.unique(levels[-1], return_index=True,
-                                              return_inverse=True)
-        nn = len(node_first)
+        node_index = levels[-1]
+        nn = int(node_index.max()) + 1
         forest = Forest(nn, sizes=np.bincount(node_index).tolist())
         oracle_fh_sweep(forest, voxel_region_edges(frames, flows, edges, node_index, nn, config),
                         config.k0 * config.k_growth ** level, config.min_size)
-        levels.append(_oracle_close(forest, node_first, state, level)[node_index])
+        levels.append(relabel_first_occurrence(_forest_roots(forest)[node_index]))
     return SegmentationHierarchy([lv.reshape(t_len, h, w) for lv in levels])
 
 

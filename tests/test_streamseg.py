@@ -329,12 +329,13 @@ def _sweep_case(seed: int):
         edges = make_edges(a, b, rng.integers(0, 6, m) * 0.2)
     base = 2 ** rng.integers(0, 3, n) if early else rng.integers(1, 4, n)
     keys = np.full(int(rng.integers(0, n + 1)), -1, dtype=np.int64)
-    state = _StreamState(1)
+    recorded = {}
     for key in rng.choice(1000, int(rng.integers(0, 6)), replace=False).tolist():
         if len(keys):
             keys[rng.integers(0, len(keys), int(rng.integers(1, 30)))] = key
-        state.sizes[0][key] = int(2 ** rng.integers(0, 6) if early else rng.integers(1, 40))
-        state.ints[0][key] = float(rng.integers(0, 6) * (0.25 if early else 0.2))
+        recorded[key] = (int(2 ** rng.integers(0, 6) if early else rng.integers(1, 40)),
+                         float(rng.integers(0, 6) * (0.25 if early else 0.2)))
+    state = _recorded_state(keys, recorded)
     if early:
         members = np.flatnonzero(keys >= 0)
         _, first = np.unique(keys[members], return_index=True)
@@ -343,6 +344,16 @@ def _sweep_case(seed: int):
     k = 2.0 ** -int(rng.integers(0, 6)) if early else float(rng.choice([0.1, 0.5, 2.0]))
     min_size = int(rng.choice([1, 2, 5, 20]))
     return n, edges, base, keys, grown, state, k, min_size
+
+
+def _recorded_state(keys, recorded) -> _StreamState:
+    """A one-level state whose tables hold the recorded (size, internal
+    difference) of the keys that occur in keys, in ascending key order."""
+    state = _StreamState(1)
+    table = [recorded[key] for key in np.unique(keys[keys >= 0]).tolist()]
+    state.sizes[0] = np.array([size for size, _ in table], dtype=np.int64)
+    state.ints[0] = np.array([internal for _, internal in table], dtype=np.float64)
+    return state
 
 
 def _limit_case(second_weight: float):
@@ -362,13 +373,9 @@ def _union_case(base, keys, recorded, pairs, k, min_size=1):
     edge per (a, b, w) of pairs, all in one block unless there are more
     than 1024."""
     a, b, w = zip(*pairs)
-    state = _StreamState(1)
-    for key, (size, internal) in recorded.items():
-        state.sizes[0][key] = size
-        state.ints[0][key] = internal
     keys = np.array(keys, dtype=np.int64)
     return (len(base), make_edges(a, b, w), np.array(base, dtype=np.int64), keys,
-            np.zeros(len(keys), dtype=np.int64), state, k, min_size)
+            np.zeros(len(keys), dtype=np.int64), _recorded_state(keys, recorded), k, min_size)
 
 
 def _blocks_case(base, keys, recorded, blocks, k, min_size=1):
@@ -477,15 +484,16 @@ def _check_sweep(seed, n, edges, base, keys, grown, state, k, min_size, layouts=
     """_fh_sweep and _close_level on one case against the edge-by-edge
     oracle, for region (w) and voxel (ssd) rows alike; a layout in layouts
     runs the voxel rows packed into keys, None the rows themselves."""
-    # the reference pre-groups by one union per member
+    # the reference pre-groups by one union per member; the state's tables
+    # hold the keys' records in ascending key order
     ref = Forest(n, sizes=base.tolist())
-    for key in np.unique(keys[keys >= 0]).tolist():
+    for j, key in enumerate(np.unique(keys[keys >= 0]).tolist()):
         members = np.flatnonzero(keys == key).tolist()
         root = members[0]
         for i in members[1:]:
             root = ref.union(root, ref.find(i))
-        ref.size[root] = state.sizes[0][key] + int(grown[members].sum())
-        ref.internal[root] = state.ints[0][key]
+        ref.size[root] = int(state.sizes[0][j]) + int(grown[members].sum())
+        ref.internal[root] = float(state.ints[0][j])
         ref.mark[root] = key
     oracle_fh_sweep(ref, oracle_voxel_weights(edges) if "ssd" in edges.dtype.names
                     else edges, k, min_size)
@@ -521,20 +529,20 @@ def _check_sweep(seed, n, edges, base, keys, grown, state, k, min_size, layouts=
         # fresh ones are numbered past every key in first-occurrence order
         st.counters[0] = 1000
         item_grown = 1 + np.arange(n) % 3
-        node, labels, node_first, node_grown = _close_level(keys, roots, size, internal,
-                                                            np.arange(n), item_grown, st, 0)
+        node, labels, node_grown = _close_level(keys, roots, size, internal, item_grown, st, 0)
         assert np.array_equal(labels[node], want_labels), case
+        assert st.counters[0] == 1000 + len(np.unique(want_labels[fresh])), case
         # the components are the nodes of the level above, ranked by label,
-        # each with its items' least first-voxel key and summed grown voxels
+        # each with its items' summed grown voxels
         assert (np.diff(labels) > 0).all(), case
-        want_first, want_grown = [n] * len(labels), [0] * len(labels)
-        for i, (nd, g) in enumerate(zip(node.tolist(), item_grown.tolist())):
-            want_first[nd] = min(want_first[nd], i)
+        want_grown = [0] * len(labels)
+        for nd, g in zip(node.tolist(), item_grown.tolist()):
             want_grown[nd] += g
-        assert node_first.tolist() == want_first, case
         assert node_grown.tolist() == want_grown, case
-        assert st.sizes[0] == dict(zip(want_labels.tolist(), want[1])), case
-        assert st.ints[0] == dict(zip(want_labels.tolist(), want[2])), case
+        # every label grew, so the tables hold each one's record in label order
+        table = dict(zip(want_labels.tolist(), zip(want[1], want[2])))
+        assert st.sizes[0].tolist() == [table[lab][0] for lab in labels.tolist()], case
+        assert st.ints[0].tolist() == [table[lab][1] for lab in labels.tolist()], case
 
 
 def test_fh_sweep_equals_oracle():
@@ -652,25 +660,22 @@ def test_fh_sweep_holds_no_per_item_state():
     keys = _pack_keys(make_edges(a, b, ssd, streamseg.VOXEL_EDGE_DTYPE), layout)
     labels = frozen // (n // 128)
     state = _StreamState(1)
-    for key in np.unique(labels).tolist():
-        state.sizes[0][key] = n // 128
-        state.ints[0][key] = 0.0
+    state.sizes[0] = np.full(64, n // 128, dtype=np.int64)
+    state.ints[0] = np.zeros(64)
     grown = np.ones(n, dtype=np.int64)
     grown[:len(frozen)] = 0
     root, size, internal, marked = _pre_union(labels, grown.copy(), grown, state, 0)
     roots, extra = _traced_peak(_fh_sweep, keys, root, size, internal, marked, 0.5, 4, layout)
     assert extra / n < 16
     # the frozen labels stayed apart and the new items merged
-    assert len(np.unique(roots[:len(frozen)])) == len(state.sizes[0])
+    assert len(np.unique(roots[:len(frozen)])) == 64
     assert len(np.unique(roots[n // 2:])) < n // 2 - 1000
 
 
-def test_close_level_turns_a_range_into_an_array():
-    # level 0 passes range(n) as the first occurrences; _close_level must
-    # read it like np.arange(n), without n Python ints or np.unique's sort.
-    # A third of the items keyed, the peak beyond its inputs, its results
-    # included, is about 23 B per item; it was 56 with the range turned
-    # into Python ints and 41 with an array, both ranked by np.unique
+def test_close_level_peak_bytes_per_item():
+    # a third of the items keyed: the peak beyond the close's inputs, its
+    # results included, is about 20 B per item, without n Python ints or
+    # np.unique's sort and temporaries (about 41 B per item)
     n = 1 << 18
     rng = np.random.default_rng(4)
     comp = np.sort(rng.integers(0, n // 40, n))
@@ -680,19 +685,22 @@ def test_close_level_turns_a_range_into_an_array():
     size = np.bincount(roots, minlength=n)
     internal = rng.random(n)
     grown = (np.arange(n) >= n // 3).astype(np.int8)
-    results = []
-    for first_occ in (range(n), np.arange(n)):
-        state = _StreamState(1)
-        state.counters[0] = n
-        out, extra = _traced_peak(_close_level, keys, roots, size, internal, first_occ, grown,
-                                  state, 0)
-        results.append((out, state.counters, state.sizes, state.ints))
-        assert extra / n <= 24, type(first_occ)
-    (got, *got_state), (want, *want_state) = results
-    assert all(np.array_equal(x, y) for x, y in zip(got, want))
-    assert got_state == want_state
-    # one node per component, first occurrences at the components' starts
-    assert np.array_equal(np.sort(got[2]), np.flatnonzero(np.diff(comp, prepend=-1)))
+    state = _StreamState(1)
+    state.counters[0] = n
+    (node, labels, node_grown), extra = _traced_peak(_close_level, keys, roots, size, internal,
+                                                     grown, state, 0)
+    assert extra / n <= 24
+    # a keyed component keeps its key, the fresh ones follow the counter in
+    # the order of their least items, which is the order of comp
+    kept = np.unique(keys)
+    fresh = np.setdiff1d(comp, kept)
+    want = np.where(np.isin(comp, kept), comp, n + np.searchsorted(fresh, comp))
+    assert np.array_equal(labels[node], want)
+    assert state.counters[0] == n + len(fresh)
+    assert node_grown.tolist() == np.bincount(node, weights=grown).tolist()
+    # the tables hold the grown labels' sizes in label order
+    alive, counts = np.unique(want, return_counts=True)
+    assert np.array_equal(state.sizes[0], counts[np.isin(alive, want[n // 3:])])
 
 
 # ---------------------------------------------------------------- level 0
@@ -1099,18 +1107,17 @@ def test_stream_state_sizes_count_every_emitted_voxel(monkeypatch, with_flow):
             super().__init__(levels)
             states.append(self)
 
-    # at the start of every window the tables hold exactly the frozen labels,
-    # each sized by its voxels in the frames emitted so far
+    # at the start of every window the tables line up with np.unique of the
+    # frozen labels, each sized by its voxels in the frames emitted so far
     emitted = [np.zeros(0, dtype=np.int64)] * 3
     window_pass = streamseg._window_pass
     windows = []
 
     def checked_window_pass(frames_w, flows_w, config, old_labels, state):
         for level, old in enumerate(old_labels):
-            frozen = np.unique(old).tolist()
-            assert sorted(state.sizes[level]) == sorted(state.ints[level]) == frozen
-            counts = np.bincount(emitted[level])
-            assert state.sizes[level] == {lab: int(counts[lab]) for lab in frozen}
+            frozen = np.unique(old)
+            assert len(state.sizes[level]) == len(state.ints[level]) == len(frozen)
+            assert np.array_equal(state.sizes[level], np.bincount(emitted[level])[frozen])
         volumes = window_pass(frames_w, flows_w, config, old_labels, state)
         for level, vol in enumerate(volumes):
             emitted[level] = np.concatenate([emitted[level], vol.ravel()])
@@ -1125,13 +1132,41 @@ def test_stream_state_sizes_count_every_emitted_voxel(monkeypatch, with_flow):
     assert windows == [2, 4, 4, 4, 3]
     state, = states
     for level, vol in enumerate(hier.levels):
-        alive = np.unique(vol[8:]).tolist()
-        assert sorted(state.sizes[level]) == alive
-        counts = np.bincount(vol.ravel())
-        assert {lab: state.sizes[level][lab] for lab in alive} == \
-            {lab: int(counts[lab]) for lab in alive}
+        alive = np.unique(vol[8:])
+        assert len(state.ints[level]) == len(alive)
+        assert np.array_equal(state.sizes[level], np.bincount(vol.ravel())[alive])
         # labels alive since the first window: sizes carried across four closes
         assert np.intersect1d(alive, vol[0]).size > 0
+
+
+def test_stream_numbers_fresh_labels_by_first_voxel():
+    # a mosaic whose tiles change every two frames, so each of four windows
+    # opens new regions at each of four levels, merged from several nodes
+    # above level 0: in every emitted block the labels not emitted before
+    # are the level's next counter values, first occurring in increasing
+    # order in voxel (t, y, x) order
+    rng = np.random.default_rng(9)
+    tiles = rng.choice([40, 130, 220], (6, 4, 4, 3)) + rng.integers(0, 24, (6, 4, 4, 3))
+    frames = tiles.repeat(2, axis=0).repeat(5, axis=1).repeat(5, axis=2)
+    frames = np.clip(frames + rng.integers(-3, 4, frames.shape), 0, 255).astype(np.uint8)
+    config = StreamConfig(subseq_len=3, levels=4, k0=0.2, k_growth=4.0, min_size=4)
+    emitted = [np.zeros(0, dtype=np.int64)] * config.levels
+    windows = 0
+    for _, labels, _, _ in streamseg.stream_blocks(
+            ((frames[s:s + 3], None) for s in range(0, 12, 3)), config):
+        windows += 1
+        for level, block in enumerate(labels):
+            flat = block.ravel()
+            seen = flat[np.sort(np.unique(flat, return_index=True)[1])]
+            fresh = seen[~np.isin(seen, emitted[level])].tolist()
+            # a label is emitted by the window that makes it: the counter
+            # equals the number of labels emitted so far
+            counter = len(emitted[level])
+            assert len(fresh) > 1 and fresh == list(range(counter, counter + len(fresh)))
+            emitted[level] = np.union1d(emitted[level], seen)
+    assert windows == 4
+    # the coarsest level merged nodes: it holds fewer labels than level 0
+    assert len(emitted[-1]) < len(emitted[0])
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16])
