@@ -26,9 +26,8 @@ import numpy as np
 from . import __version__
 from .errors import DataError, ToolError
 from .mediaio import (LabelPalette, check_frame_shapes, colorize_labels, frame_paths,
-                      label_paths, load_frame_sequence, read_frames, read_label_volume,
-                      write_flo, write_frame_sequence, write_label_volume, write_pgm16,
-                      write_ppm)
+                      label_paths, read_frames, read_pgm16, read_ppm, write_flo,
+                      write_frame_sequence, write_label_volume, write_pgm16, write_ppm)
 from .metrics import evaluate, write_metrics_csv
 from .motionlayers import check_motion_params, run_motion_stream
 from .optflow import (FlowParams, check_external_flow, check_flow_size, external_flow_path,
@@ -313,17 +312,31 @@ def _cmd_flow(eff: dict, run) -> None:
     log.info("wrote %d flow fields", fields)
 
 
-def _check_eval_volumes(video: str, directories) -> None:
-    """Refuse a label volume whose frame count or frame size differs from
-    the video's, from the file headers alone, before any payload is read."""
+def _frame_reader(read, paths):
+    """read over paths, one frame at a time.  The paths share a directory
+    and are held as one array of file-name bytes: a few bytes per frame,
+    not a string each."""
+    directory = os.path.dirname(paths[0])
+    names = np.array([os.fsencode(os.path.basename(path)) for path in paths])
+    return map(read, (os.path.join(directory, os.fsdecode(name)) for name in names))
+
+
+def _eval_readers(video: str, directories) -> tuple:
+    """Per-frame readers of the video and of each label directory, made
+    after refusing a label volume whose frame count or frame size differs
+    from the video's, from the file headers alone, before any payload is
+    read."""
     paths = frame_paths(video)
     h, w, _ = check_frame_shapes(paths)
+    volumes = []
     for directory in directories:
         labels = label_paths(directory)
         lh, lw, _ = check_frame_shapes(labels, b"P5")
         if (len(labels), lh, lw) != (len(paths), h, w):
             raise DataError(f"{directory} holds {len(labels)} frames of {lw}x{lh}, "
                             f"the video {len(paths)} frames of {w}x{h}")
+        volumes.append(_frame_reader(read_pgm16, labels))
+    return _frame_reader(read_ppm, paths), volumes
 
 
 def _cmd_eval(eff: dict, run) -> None:
@@ -334,11 +347,9 @@ def _cmd_eval(eff: dict, run) -> None:
          if re.fullmatch(r"level_\d+", name)
          and os.path.isdir(os.path.join(eff["pred"], name))),
         key=lambda d: (int(d.rsplit("_", 1)[1]), d)) or [eff["pred"]]
-    _check_eval_volumes(eff["video"], [eff["gt"], *level_dirs])
-    # each level is read when it is scored
-    levels = (read_label_volume(d) for d in level_dirs)
-    reports = evaluate(levels, read_label_volume(eff["gt"]), load_frame_sequence(eff["video"]),
-                       eff["tol"])
+    video, (gt, *levels) = _eval_readers(eff["video"], [eff["gt"], *level_dirs])
+    # one pass reads frame t of every volume together
+    reports = evaluate(levels, gt, video, eff["tol"])
     write_metrics_csv(reports, eff["out"])
     for level, rep in enumerate(reports):
         log.info("level %d: %d supervoxels br3d %.4f ev %.4f acc3d %.4f",

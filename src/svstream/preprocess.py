@@ -54,14 +54,21 @@ def bilateral_filter(frame: np.ndarray, params: BilateralParams) -> np.ndarray:
     h, w = frame.shape[:2]
     # an offset past the frame has no in-frame neighbour, so it adds nothing
     r = min(params.radius, max(h, w) - 1)
-    src_i = frame.astype(np.int32)
-    src_f = frame.astype(np.float64)
+    # one contiguous plane per channel
+    planes = frame.transpose(2, 0, 1)
+    src_i = np.ascontiguousarray(planes, dtype=np.int32)
+    src_f = np.ascontiguousarray(planes, dtype=np.float64)
 
     spatial = _spatial_table(params.sigma_spatial, r)
     range_lut = _range_table(params.sigma_range)
 
-    num = np.zeros((h, w, 3), dtype=np.float64)
+    num = np.zeros((3, h, w), dtype=np.float64)
     den = np.zeros((h, w), dtype=np.float64)
+    # buffers for the largest window, cut to each offset's window
+    d2_buf = np.empty(h * w, dtype=np.int32)
+    sq_buf = np.empty(h * w, dtype=np.int32)
+    wgt_buf = np.empty(h * w, dtype=np.float64)
+    prod_buf = np.empty(h * w, dtype=np.float64)
     for dy in range(-r, r + 1):
         ys0, ys1 = max(0, -dy), min(h, h - dy)      # destination rows
         if ys0 >= ys1:
@@ -70,16 +77,25 @@ def bilateral_filter(frame: np.ndarray, params: BilateralParams) -> np.ndarray:
             xs0, xs1 = max(0, -dx), min(w, w - dx)  # destination cols
             if xs0 >= xs1:
                 continue
-            ctr_i = src_i[ys0:ys1, xs0:xs1]
-            nbr_i = src_i[ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
-            diff = ctr_i - nbr_i
-            d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2 + diff[..., 2] ** 2
-            wgt = spatial[dy + r, dx + r] * range_lut[d2]
-            nbr_f = src_f[ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
-            num[ys0:ys1, xs0:xs1] += wgt[..., None] * nbr_f
+            shape = (ys1 - ys0, xs1 - xs0)
+            size = shape[0] * shape[1]
+            d2, sq = d2_buf[:size].reshape(shape), sq_buf[:size].reshape(shape)
+            wgt, prod = wgt_buf[:size].reshape(shape), prod_buf[:size].reshape(shape)
+            for c in range(3):
+                diff = sq if c else d2
+                np.subtract(src_i[c, ys0:ys1, xs0:xs1],
+                            src_i[c, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx], out=diff)
+                diff *= diff
+                if c:
+                    d2 += sq
+            np.take(range_lut, d2, out=wgt)
+            wgt *= spatial[dy + r, dx + r]
+            for c in range(3):
+                np.multiply(wgt, src_f[c, ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx], out=prod)
+                num[c, ys0:ys1, xs0:xs1] += prod
             den[ys0:ys1, xs0:xs1] += wgt
-    out = np.floor(num / den[..., None] + 0.5)
-    return np.clip(out, 0, 255).astype(np.uint8)
+    out = np.floor(num / den + 0.5)
+    return np.ascontiguousarray(np.clip(out, 0, 255).astype(np.uint8).transpose(1, 2, 0))
 
 
 def filter_sequence(seq: np.ndarray, params: BilateralParams, run=map) -> np.ndarray:

@@ -14,7 +14,7 @@ from svstream import cli, streamseg
 from svstream.cli import main
 from svstream.mediaio import (colorize_labels, load_frame_sequence, read_flo, read_label_volume,
                               write_flo, write_frame_sequence, write_label_volume, write_ppm)
-from svstream.metrics import read_metrics_csv
+from svstream.metrics import evaluate, read_metrics_csv
 from svstream.optflow import FlowParams
 from svstream.rng import derive_seed
 
@@ -401,6 +401,37 @@ def test_flow_memory_does_not_grow_with_video_length(tmp_path):
     assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
+def test_eval_memory_does_not_grow_with_video_length(tmp_path):
+    # eval reads frame t of the GT, the video and every level together and
+    # keeps per-level totals, so a clip four times as long peaks within 10%
+    # of the short one; an eval that holds the video whole peaks 3.6x higher.
+    # The peak is about 0.2 MB here, and what is left of the interpreter's
+    # and numpy's small-block caches by reading four times the frame files
+    # adds 4-7% on its own, so the 5% of the other commands' tests would
+    # judge those caches
+    peaks = []
+    for frames in (12, 48):
+        scene = _render_long_scene(tmp_path, frames)
+        seg, out = tmp_path / f"seg{frames}", tmp_path / f"eval{frames}.csv"
+        assert main(["segment", "--input", str(scene / "frames" / "%05d.ppm"),
+                     "--external-flow", str(scene / "flow"), "--bilateral", "off",
+                     "--subseq", "3", "--levels", "6", "--out", str(seg)]) == 0
+        argv = ["eval", "--pred", str(seg), "--gt", str(scene / "gt"),
+                "--video", str(scene / "frames" / "%05d.ppm"), "--out", str(out)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        levels = [read_label_volume(str(seg / f"level_{i:02d}")) for i in range(6)]
+        want = evaluate(levels, read_label_volume(str(scene / "gt")),
+                        load_frame_sequence(str(scene / "frames" / "%05d.ppm")))
+        assert [rep for _, rep in read_metrics_csv(str(out))] == want
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_flow_output_does_not_depend_on_thread_count(tmp_path, long_scene_dir):
     outs = {}
     for threads in ("1", "2", "5"):
@@ -634,7 +665,7 @@ def test_filled_out_is_refused_before_any_read(tmp_path, scene_dir, monkeypatch,
     def read(*args, **kwargs):
         pytest.fail("input was read before --out was checked")
 
-    monkeypatch.setattr("svstream.cli.load_frame_sequence", read)
+    monkeypatch.setattr("svstream.cli.read_frames", read)
     monkeypatch.setattr("svstream.cli.frame_paths", read)
     capsys.readouterr()
     assert main([*argv, "--levels", "2", "--out", str(out)]) == 2
@@ -659,7 +690,7 @@ def test_out_of_the_wrong_kind_is_refused_before_any_read(tmp_path, scene_dir, m
     def read(*args, **kwargs):
         pytest.fail("input was read before --out was checked")
 
-    for name in ("load_frame_sequence", "frame_paths", "label_paths", "read_label_volume",
+    for name in ("read_frames", "read_ppm", "frame_paths", "label_paths", "read_pgm16",
                  "parse_scene_spec"):
         monkeypatch.setattr(f"svstream.cli.{name}", read)
     out = tmp_path / "out"
@@ -813,7 +844,7 @@ def test_bad_options_rejected_before_any_read(tmp_path, scene_dir, monkeypatch, 
     def read(*args, **kwargs):
         pytest.fail("input was read before the options were checked")
 
-    for name in ("load_frame_sequence", "frame_paths", "label_paths", "read_label_volume"):
+    for name in ("read_frames", "read_ppm", "frame_paths", "label_paths", "read_pgm16"):
         monkeypatch.setattr(f"svstream.cli.{name}", read)
     out = tmp_path / "out"
     if command == "eval":

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from svstream import metrics
 from svstream.metrics import (MetricsReport, accuracy_2d, accuracy_3d,
                               boundary_recall_2d, boundary_recall_3d,
                               compute_report, evaluate, explained_variation,
@@ -250,6 +251,72 @@ def test_evaluate_shares_ground_truth_work_across_levels():
             assert rep.br3d == oracle_br3d(level, gt, 1)
             assert rep.ev == oracle_ev(level, video)
             assert rep.acc3d == oracle_acc3d(level, gt)
+
+
+def _per_frame_case(rng, t):
+    """t frames and 1 to 3 levels; each gt frame and each level's frame
+    draws from its own subset of the labels, so labels come and go."""
+    h = int(rng.integers(1, 5))
+    w = int(rng.integers(1, 5))
+
+    def volume(labels):
+        return np.stack([rng.choice(rng.choice(labels, size=int(rng.integers(1, 4)),
+                                               replace=False), size=(h, w))
+                         for _ in range(t)])
+
+    levels = [volume(np.arange(6) * 5 - 7) for _ in range(int(rng.integers(1, 4)))]
+    return levels, volume(np.arange(5)), rng.integers(0, 256, size=(t, h, w, 3)).astype(np.uint8)
+
+
+def test_per_frame_pass_equals_oracles():
+    rng = np.random.default_rng(12)
+    for case in range(64):
+        levels, gt, video = _per_frame_case(rng, 1 + case % 8)
+        # a tolerance past the frame on every third case
+        tol = 10 if case % 3 == 0 else int(rng.integers(0, 3))
+        reports = evaluate(levels, gt, video, tol)
+        # any iterable of frames is read the same as the array
+        assert evaluate([iter(level) for level in levels], iter(gt), iter(video), tol) == reports
+        for pred, rep in zip(levels, reports):
+            assert rep == compute_report(pred, gt, video, tol)
+            _assert_report_matches_oracles(pred, gt, video, tol)
+            assert boundary_recall_2d(pred, gt, tol) == oracle_br2d(pred, gt, tol)
+            assert boundary_recall_3d(pred, gt, tol) == oracle_br3d(pred, gt, tol)
+            assert explained_variation(pred, video) == oracle_ev(pred, video)
+            assert accuracy_2d(pred, gt) == oracle_acc2d(pred, gt)
+            assert accuracy_3d(pred, gt) == oracle_acc3d(pred, gt)
+            assert undersegmentation_error_2d(pred, gt) == oracle_ue2d(pred, gt)
+            assert undersegmentation_error_3d(pred, gt) == oracle_ue3d(pred, gt)
+
+
+@pytest.mark.parametrize("num_levels", [1, 5])
+def test_gt_anchors_are_found_once_per_frame(monkeypatch, num_levels):
+    rng = np.random.default_rng(13)
+    gt = rng.integers(0, 3, size=(6, 4, 5))
+    video = rng.integers(0, 256, size=(6, 4, 5, 3)).astype(np.uint8)
+    levels = [rng.integers(0, 4, size=gt.shape) for _ in range(num_levels)]
+    passes = []
+
+    def counted(labels, prev, out):
+        passes.append(np.shares_memory(labels, gt))
+        return anchors(labels, prev, out)
+
+    anchors = metrics._anchors
+    monkeypatch.setattr(metrics, "_anchors", counted)
+    evaluate(levels, gt, video)
+    assert passes.count(True) == len(gt)
+    assert passes.count(False) == num_levels * len(gt)
+
+
+def test_volumes_of_another_frame_count_are_refused():
+    rng = np.random.default_rng(14)
+    pred, gt, video = (rng.integers(0, 3, size=(3, 2, 2)) for _ in range(3))
+    with pytest.raises(ValueError):
+        evaluate([pred[:2]], gt, video)
+    with pytest.raises(ValueError):
+        evaluate([iter(pred)], iter(gt), iter(video[:2]))
+    with pytest.raises(ValueError):
+        compute_report(pred[:0], gt[:0], video[:0])
 
 
 def test_csv_round_trip(tmp_path):
